@@ -192,7 +192,6 @@ class BoundQuiverAlgebra:
             (self.path_basis, self._nf) = _internal
         else:
             self.path_basis, self._nf = self._build_basis()
-        self._index = {p: i for i, p in enumerate(self.path_basis)}
         self._mult: Dict[Tuple[int, int], Optional[np.ndarray]] = {}
 
     # -- construction -------------------------------------------------
@@ -286,12 +285,6 @@ class BoundQuiverAlgebra:
     def dim(self) -> int:
         return len(self.path_basis)
 
-    def basis_index(self, path: Path) -> int:
-        return self._index[path]
-
-    def basis_source(self, i: int) -> int:
-        return self.path_basis[i].source
-
     def basis_target(self, i: int) -> int:
         return self.path_basis[i].target(self.quiver)
 
@@ -299,22 +292,12 @@ class BoundQuiverAlgebra:
         return [i for i, p in enumerate(self.path_basis) if p.source == v]
 
     def basis_indices_between(self, u: int, v: int) -> List[int]:
+        """Basis paths from u to v, in path-basis order (as projective() lays them out)."""
         return [
             i
             for i, p in enumerate(self.path_basis)
             if p.source == u and p.target(self.quiver) == v
         ]
-
-    def idempotent(self, v: int) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.int64)
-        vec[self.basis_index(Path(v, ()))] = 1
-        return vec
-
-    def unit(self) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.int64)
-        for v in range(self.quiver.n_vertices):
-            vec[self.basis_index(Path(v, ()))] = 1
-        return vec
 
     def _basis_product(self, i: int, j: int) -> Optional[np.ndarray]:
         """Coordinates of basis_i * basis_j, or None for zero."""

@@ -13,14 +13,20 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import config, exactlin, repcat
+from . import exactlin, repcat
 from .errors import CapExceeded, DimensionMismatch
 from .exactlin import Matrix
 from .repcat import Module, Morphism
 
 
 class AddCategory:
-    """The additive closure of a finite list of modules, with a size d."""
+    """The additive closure of a finite list of modules, with a size d.
+
+    The additive generator M, the direct sum of the generators, is built
+    once and keeps its inclusions and projections; each generator is split
+    into indecomposables once, so the summands of M are known and never
+    have to be rediscovered by splitting M itself.
+    """
 
     def __init__(self, generators: Sequence[Module], d: int):
         if d < 1:
@@ -33,20 +39,36 @@ class AddCategory:
             if g.algebra is not self.algebra:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
+        self._sum = repcat.direct_sum(list(self.generators), algebra=self.algebra)
 
     def additive_generator(self) -> Module:
-        total, _, _ = repcat.direct_sum(list(self.generators), algebra=self.algebra)
-        return total
+        """The direct sum of the generators: the same module on every call."""
+        return self._sum[0]
+
+    def _generator_parts(self, cap=None) -> List[Tuple[Module, Morphism, Morphism]]:
+        """Indecomposable summands of M with their inclusions into and projections from M."""
+        if not hasattr(self, "_parts"):
+            _, incs, projs = self._sum
+            self._parts = [
+                (z, incs[i] @ inc, proj @ projs[i])
+                for i, g in enumerate(self.generators)
+                for z, inc, proj in repcat.split_summands(g, cap)
+            ]
+        return self._parts
 
     def _summand_pool(self, cap=None) -> List[Module]:
         if not hasattr(self, "_pool"):
             pool: List[Module] = []
-            for g in self.generators:
-                for z, _, _ in repcat.split_summands(g, cap):
-                    if not any(repcat.are_isomorphic(z, w, cap) for w in pool):
-                        pool.append(z)
+            for z, _, _ in self._generator_parts(cap):
+                if not any(repcat.are_isomorphic(z, w, cap) for w in pool):
+                    pool.append(z)
             self._pool = pool
         return self._pool
+
+    def generator_radical(self, y: Module, cap=None) -> Matrix:
+        """Flat-coordinate basis of rad(M, y), from the kept summands of M."""
+        parts = repcat.split_summands(y, cap)
+        return _rad_from_parts(self.additive_generator(), y, self._generator_parts(cap), parts, cap)
 
     def contains(self, x: Module, cap=None) -> bool:
         """Whether every indecomposable summand of x occurs in a generator."""
@@ -110,35 +132,18 @@ def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:
     return True
 
 
-def is_left_approximation(cat: AddCategory, f: Morphism) -> bool:
-    for gen in cat.generators:
-        if repcat.hom_coimage(f, gen).cols != repcat.hom_dim(f.domain, gen):
-            return False
-    return True
-
-
 # -- minimal versions ------------------------------------------------------
 
 
 def _null_endos(g: Morphism) -> List[Morphism]:
     """Basis of the endomorphisms of the domain killed by postcomposing g."""
-    end = repcat.hom_basis(g.domain, g.domain)
-    if not end:
-        return []
-    field = g.domain.field
-    cols = [repcat.hom_vec(g @ e) for e in end]
-    mat = Matrix(field, np.stack(cols, axis=1))
-    coords = exactlin.kernel_basis(mat)
-    out = []
-    for k in range(coords.cols):
-        f = None
-        for j in range(len(end)):
-            c = coords[j, k]
-            if c:
-                term = end[j].scale(c)
-                f = term if f is None else f + term
-        out.append(f if f is not None else Morphism.zero(g.domain, g.domain))
-    return out
+    x = g.domain
+    coords = exactlin.kernel_basis(repcat.hom_composites(x, g))
+    flat = repcat.hom_space_matrix(x, x) @ coords
+    return [
+        repcat.morphism_from_vec(x, x, flat.data[:, k], _skip_check=True)
+        for k in range(flat.cols)
+    ]
 
 
 def _first_noninvertible_correction(
@@ -238,12 +243,14 @@ def _rad_between_indecomposables(x: Module, y: Module, cap=None) -> Matrix:
 
 def rad_hom_basis(x: Module, y: Module, cap=None) -> Matrix:
     """Flat-coordinate basis of the radical subspace of Hom(x, y)."""
+    parts_x, parts_y = repcat.split_summands(x, cap), repcat.split_summands(y, cap)
+    return _rad_from_parts(x, y, parts_x, parts_y, cap)
+
+
+def _rad_from_parts(x: Module, y: Module, dom_parts, cod_parts, cap=None) -> Matrix:
+    """rad(x, y) from indecomposable splits of x and y, as split_summands lists them."""
     field = x.field
     n = repcat.hom_flat_dim(x, y)
-    if x.is_zero() or y.is_zero():
-        return Matrix.zeros(field, n, 0)
-    dom_parts = repcat.split_summands(x, cap)
-    cod_parts = repcat.split_summands(y, cap)
     pieces = []
     for zi, _, proj_i in dom_parts:
         for zj, inc_j, _ in cod_parts:

@@ -14,7 +14,7 @@ post-verified before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,10 +36,6 @@ from .repcat import Module, Morphism
 
 def _dims_list(m: Module) -> List[int]:
     return [int(t) for t in m.dims]
-
-
-def _flat_column(field, vec: np.ndarray) -> Matrix:
-    return Matrix(field, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
 
 
 # -- exhaustive enumeration of indecomposables ------------------------------
@@ -417,28 +413,15 @@ def is_right_X_determined(
     of Hom(V, g).  The first failing V yields the witness map.
     """
     n = g.codomain
-    field = n.field
     amb_xn = repcat.hom_space_matrix(x, n)
     img_xn = repcat.hom_image(x, g)
     _, q = exactlin.quotient(amb_xn, img_xn)
     for vi, v in enumerate(universe):
-        basis_vn = repcat.hom_basis(v, n)
-        m = len(basis_vn)
+        m = repcat.hom_dim(v, n)
         if m == 0:
             continue
-        blocks = []
-        for phi in repcat.hom_basis(x, v):
-            data = np.zeros((q.rows, m), dtype=np.int64)
-            for j, h in enumerate(basis_vn):
-                col = q @ _flat_column(field, repcat.hom_vec(h @ phi))
-                data[:, j] = col.data[:, 0]
-            blocks.append(Matrix(field, data))
-        if blocks:
-            condition = exactlin.kernel_basis(
-                exactlin.vstack(blocks, field=field, cols=m)
-            )
-        else:
-            condition = Matrix.identity(field, m)
+        blocks = [q @ repcat.hom_composites(phi, n) for phi in repcat.hom_basis(x, v)]
+        condition = exactlin.kernel_basis(exactlin.vstack(blocks, field=n.field, cols=m))
         if condition.cols == 0:
             continue
         space_vn = repcat.hom_space_matrix(v, n)
@@ -537,29 +520,14 @@ class EndSubmodule:
         self.x = x
         self.n = n
         self.basis = exactlin.canonical_basis(basis)
-        endos = repcat.hom_basis(x, x)
         for j in range(self.basis.cols):
             h = repcat.morphism_from_vec(x, n, self.basis.data[:, j])
-            for e in endos:
-                vec = _flat_column(x.field, repcat.hom_vec(h @ e))
-                if not exactlin.contains(self.basis, vec):
-                    raise InvalidSubmodule(
-                        "subspace is not closed under precomposition"
-                    )
+            if not exactlin.contains(self.basis, repcat.hom_composites(x, h)):
+                raise InvalidSubmodule("subspace is not closed under precomposition")
 
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def contains_morphism(self, h: Morphism) -> bool:
-        vec = _flat_column(self.x.field, repcat.hom_vec(h))
-        return exactlin.contains(self.basis, vec)
-
-    @classmethod
-    def from_morphisms(cls, x: Module, n: Module, mors: Sequence[Morphism]) -> "EndSubmodule":
-        cols = [_flat_column(x.field, repcat.hom_vec(h)) for h in mors]
-        basis = exactlin.hstack(cols, field=x.field, rows=repcat.hom_flat_dim(x, n))
-        return cls(x, n, basis)
 
     @classmethod
     def zero(cls, x: Module, n: Module) -> "EndSubmodule":
@@ -650,12 +618,14 @@ def _defect_cover_map(seq: DSequence, target: Module, cap=None) -> Morphism:
         return Morphism.zero(left, repcat.zero_module(left.algebra))
     field = left.field
     rad_end = approx.rad_hom_basis(target, target, cap)
-    rad_cols = []
-    for rj in range(rad_end.cols):
-        r = repcat.morphism_from_vec(target, target, rad_end.data[:, rj])
-        for i in range(dc.reps.cols):
-            phi = repcat.morphism_from_vec(left, target, dc.reps.data[:, i])
-            rad_cols.append(dc.proj @ _flat_column(field, repcat.hom_vec(r @ phi)))
+    # r o (a map extending along the start map) extends too, so the radical
+    # part of the defect is spanned by r o h over the whole of Hom(left, target)
+    rad_cols = [
+        dc.proj @ repcat.hom_composites(
+            left, repcat.morphism_from_vec(target, target, rad_end.data[:, rj])
+        )
+        for rj in range(rad_end.cols)
+    ]
     rad_part = exactlin.hstack(rad_cols, field=field, rows=dc.dim)
     gen_classes, _ = exactlin.quotient(Matrix.identity(field, dc.dim), rad_part)
     mors = [
@@ -684,7 +654,6 @@ def determined_morphism(
         raise InvalidSubmodule("the submodule must live in Hom(x, n)")
     if not cat.contains(x, cap) or not cat.contains(n, cap):
         raise InvalidModule("both modules must lie in the subcategory")
-    field = x.field
     universe = cat._summand_pool(cap)
 
     # (1) largest admissible submodule, approximated from the subcategory
@@ -694,20 +663,9 @@ def determined_morphism(
     n_h = u.domain
 
     # (2) preimage of h under postcomposition with u
-    basis_xnh = repcat.hom_basis(x, n_h)
-    amb_xn = repcat.hom_space_matrix(x, n)
-    _, q_h = exactlin.quotient(amb_xn, h.basis)
-    cols = [
-        q_h @ _flat_column(field, repcat.hom_vec(u @ b)) for b in basis_xnh
-    ]
-    t_u = exactlin.hstack(cols, field=field, rows=q_h.rows)
-    pre_coords = exactlin.kernel_basis(t_u)
-    space_xnh = repcat.hom_space_matrix(x, n_h)
-    pre_flat = (
-        space_xnh @ pre_coords
-        if pre_coords.cols
-        else Matrix.zeros(field, space_xnh.rows, 0)
-    )
+    _, q_h = exactlin.quotient(repcat.hom_space_matrix(x, n), h.basis)
+    pre_coords = exactlin.kernel_basis(q_h @ repcat.hom_composites(x, u))
+    pre_flat = repcat.hom_space_matrix(x, n_h) @ pre_coords
 
     # (3) spanning set of the preimage plus a projective cover
     gens = [
@@ -749,6 +707,14 @@ def determined_morphism(
 # -- almost-split data -------------------------------------------------------
 
 
+def _minimal_cover(m: Module, y: Module, flat: Matrix, cap=None) -> Morphism:
+    """Right-minimal version of the map m^k -> y glued from k flat columns."""
+    mors = [repcat.morphism_from_vec(m, y, flat.data[:, j]) for j in range(flat.cols)]
+    _, g0, _, _ = repcat.glue_columns(y, [m] * len(mors), mors)
+    g, _ = approx.right_minimalize(g0, cap)
+    return g
+
+
 def right_almost_split(cat: AddCategory, n: Module, cap=None) -> Morphism:
     """The minimal right almost split map onto an indecomposable member.
 
@@ -760,17 +726,7 @@ def right_almost_split(cat: AddCategory, n: Module, cap=None) -> Morphism:
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n, cap):
         raise InvalidModule("the target must lie in the subcategory")
-    m = cat.additive_generator()
-    rad_flat = approx.rad_hom_basis(m, n, cap)
-    if rad_flat.cols == 0:
-        g = Morphism.zero(repcat.zero_module(n.algebra), n)
-    else:
-        mors = [
-            repcat.morphism_from_vec(m, n, rad_flat.data[:, j])
-            for j in range(rad_flat.cols)
-        ]
-        _, g0, _, _ = repcat.glue_columns(n, [m] * len(mors), mors)
-        g, _ = approx.right_minimalize(g0, cap)
+    g = _minimal_cover(cat.additive_generator(), n, cat.generator_radical(n, cap), cap)
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
     for vi, v in enumerate(cat._summand_pool(cap)):
@@ -836,38 +792,19 @@ def _functor_pd(cat: AddCategory, nj: Module, cap=None) -> int:
 
     Walks the tower: cover the radical maps into nj minimally, then
     repeatedly cover the kernel of postcomposition (evaluated at the
-    additive generator) until it vanishes.
+    additive generator) until it vanishes, for at most RESOLUTION_CAP steps.
     """
     m = cat.additive_generator()
-    field = m.field
-    rad_flat = approx.rad_hom_basis(m, nj, cap)
+    rad_flat = cat.generator_radical(nj, cap)
     if rad_flat.cols == 0:
         return 0
-    mors = [
-        repcat.morphism_from_vec(m, nj, rad_flat.data[:, j])
-        for j in range(rad_flat.cols)
-    ]
-    _, g0, _, _ = repcat.glue_columns(nj, [m] * len(mors), mors)
-    r, _ = approx.right_minimalize(g0, cap)
-    limit = config.RESOLUTION_CAP if cap is None else max(cap, 1)
+    r = _minimal_cover(m, nj, rad_flat, cap)
+    limit = config.RESOLUTION_CAP
     for k in range(limit):
-        basis = repcat.hom_basis(m, r.domain)
-        cols = [
-            _flat_column(field, repcat.hom_vec(r @ b)) for b in basis
-        ]
-        t = exactlin.hstack(
-            cols, field=field, rows=repcat.hom_flat_dim(m, r.codomain)
-        )
-        ker = exactlin.kernel_basis(t)
+        ker = exactlin.kernel_basis(repcat.hom_composites(m, r))
         if ker.cols == 0:
             return k + 1
-        flat = repcat.hom_space_matrix(m, r.domain) @ ker
-        mors = [
-            repcat.morphism_from_vec(m, r.domain, flat.data[:, j])
-            for j in range(flat.cols)
-        ]
-        _, g0, _, _ = repcat.glue_columns(r.domain, [m] * len(mors), mors)
-        r, _ = approx.right_minimalize(g0, cap)
+        r = _minimal_cover(m, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker, cap)
     raise CapExceeded(f"functor resolution did not terminate within {limit} steps")
 
 
@@ -888,14 +825,16 @@ def domdim_end(cat: AddCategory, cap=None):
     of the endomorphism algebra of a generator-cogenerator is imported
     from outside the sequence calculus implemented here.  Returns
     math.inf when every self-extension vanishes and the algebra's global
-    dimension certifies that no later degree can contribute.
+    dimension certifies that no later degree can contribute.  Degrees
+    are bounded by config.RESOLUTION_CAP; cap, the scan budget, plays no
+    part here.
     """
     m = cat.additive_generator()
-    limit = config.RESOLUTION_CAP if cap is None else max(cap, 1)
+    limit = config.RESOLUTION_CAP
     for i in range(1, limit + 1):
         if homological.ext_dim(m, m, i) != 0:
             return i + 1
-    gd = homological.gldim(cat.algebra, cap)
+    gd = homological.gldim(cat.algebra)
     if gd <= limit:
         return math.inf
     raise CapExceeded(

@@ -4,9 +4,7 @@ Every command reads one workspace file, runs one computation, and
 prints exactly one JSON document to stdout (sorted keys, two-space
 indent).  All computation is single-threaded and deterministic, so the
 same invocation produces byte-identical output on every run.  The
-DCT_THREADS environment variable is accepted as an upper bound on
-parallelism; running on one thread honours every bound, so the value
-never influences output bytes.
+DCT_THREADS environment variable is accepted and ignored.
 
 Exit codes:
   0  the command ran and produced its result (including negative
@@ -23,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -58,7 +55,6 @@ def _build_parser() -> _Parser:
                         help="total-dimension bound for enumeration commands "
                              "(default: the algebra dimension)")
     common.add_argument("--cap", type=int, default=None, help="scan budget override")
-    common.add_argument("--json", action="store_true", help="JSON output (the default and only format)")
     common.add_argument("--dot", default=None, help="also write dot output to this path (emit-dot)")
 
     parser = _Parser(prog="dct", description=__doc__.splitlines()[0])
@@ -229,10 +225,6 @@ def _sequence_doc(ws: Workspace, seq: DSequence, cap) -> dict:
     }
 
 
-def _category(ws: Workspace, name: str) -> AddCategory:
-    return ws.category(name)
-
-
 def _sequence_from_args(ws: Workspace, cat: AddCategory, args) -> DSequence:
     has_map = getattr(args, "map_name", None) is not None
     has_target = getattr(args, "target", None) is not None
@@ -340,14 +332,14 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_d_rigid(ws: Workspace, args) -> Tuple[dict, int]:
-    report = artheory.is_d_rigid(_category(ws, args.category), args.cap)
+    report = artheory.is_d_rigid(ws.category(args.category), args.cap)
     doc = report.to_dict()
     doc["category"] = args.category
     return doc, 0
 
 
 def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     bound = _dim_bound(ws, args)
     universe = artheory.enumerate_indecomposables(ws.algebra, bound, args.cap)
     report = artheory.is_d_cluster_tilting(cat, universe, args.cap)
@@ -359,7 +351,7 @@ def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_build_d_exact(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     seq = dexact.build_left_d_exact(cat, ws.morphism(args.map_name), args.cap)
     doc = _sequence_doc(ws, seq, args.cap)
     doc["category"] = args.category
@@ -368,7 +360,7 @@ def _run_build_d_exact(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_defect(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     seq = _sequence_from_args(ws, cat, args)
     x = ws.module(args.x_name)
     return (
@@ -382,7 +374,7 @@ def _run_defect(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_verify_defect_formula(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     seq = _sequence_from_args(ws, cat, args)
     report = artheory.verify_defect_formula(seq, cat, args.cap)
     doc = report.to_dict()
@@ -391,14 +383,14 @@ def _run_verify_defect_formula(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_verify_ar_duality(ws: Workspace, args) -> Tuple[dict, int]:
-    report = artheory.verify_ar_duality(_category(ws, args.category), args.cap)
+    report = artheory.verify_ar_duality(ws.category(args.category), args.cap)
     doc = report.to_dict()
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
 
 
 def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     x = ws.module(args.x_name)
     n = ws.module(args.target)
     if args.submodule == "zero":
@@ -426,7 +418,7 @@ def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_dass(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     seq = artheory.d_almost_split(cat, ws.module(args.target), args.cap)
     doc = _sequence_doc(ws, seq, args.cap)
     doc["category"] = args.category
@@ -435,7 +427,7 @@ def _run_dass(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_gldim_end(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     gl = artheory.gldim_end(cat, args.cap)
     dom = artheory.domdim_end(cat, args.cap)
     bounds_ok = gl <= ws.d + 1 and (dom == math.inf or ws.d + 1 <= dom)
@@ -453,7 +445,7 @@ def _run_gldim_end(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_emit_dot(ws: Workspace, args) -> Tuple[dict, int]:
-    cat = _category(ws, args.category)
+    cat = ws.category(args.category)
     has_map = args.map_name is not None
     has_target = args.target is not None
     if has_map and has_target:
@@ -494,18 +486,7 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _thread_cap() -> int:
-    """Upper bound on worker threads (computation stays single-threaded)."""
-    raw = os.environ.get("DCT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
-
-
 def main(argv=None) -> int:
-    _thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -124,36 +124,22 @@ def is_chain_map(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> bo
 # -- hom-exactness tests -----------------------------------------------------
 
 
-def hom_induced_matrix(g: Module, f: Morphism) -> Matrix:
-    """Matrix of Hom(g, f) from hom-basis coordinates to hom-basis coordinates."""
-    dom_basis = repcat.hom_basis(g, f.domain)
-    cod = repcat.hom_space_matrix(g, f.codomain)
-    field = g.field
-    if not dom_basis:
-        return Matrix.zeros(field, cod.cols, 0)
-    flat = Matrix(
-        field, np.stack([repcat.hom_vec(f @ h) for h in dom_basis], axis=1)
-    )
-    sol = exactlin.solve(cod, flat)
+def _in_hom_basis(space: Matrix, flat: Matrix) -> Matrix:
+    """Hom-basis coordinates of flat columns lying in the hom space `space`."""
+    sol = exactlin.solve(space, flat)
     if sol is None:
         raise InvalidMorphism("composite left the hom space, which cannot happen")
     return sol
+
+
+def hom_induced_matrix(g: Module, f: Morphism) -> Matrix:
+    """Matrix of Hom(g, f) from hom-basis coordinates to hom-basis coordinates."""
+    return _in_hom_basis(repcat.hom_space_matrix(g, f.codomain), repcat.hom_composites(g, f))
 
 
 def hom_induced_matrix_contra(f: Morphism, g: Module) -> Matrix:
     """Matrix of Hom(f, g): Hom(cod f, g) -> Hom(dom f, g) in hom bases."""
-    dom_basis = repcat.hom_basis(f.codomain, g)
-    cod = repcat.hom_space_matrix(f.domain, g)
-    field = g.field
-    if not dom_basis:
-        return Matrix.zeros(field, cod.cols, 0)
-    flat = Matrix(
-        field, np.stack([repcat.hom_vec(h @ f) for h in dom_basis], axis=1)
-    )
-    sol = exactlin.solve(cod, flat)
-    if sol is None:
-        raise InvalidMorphism("composite left the hom space, which cannot happen")
-    return sol
+    return _in_hom_basis(repcat.hom_space_matrix(f.domain, g), repcat.hom_composites(f, g))
 
 
 def _first_inexact_position(mats: List[Matrix]) -> Optional[int]:
@@ -260,42 +246,29 @@ def _solve_homotopy(
     if len(dst.terms) != n or len(phis) != n:
         raise DimensionMismatch("homotopy data has mismatched lengths")
     field = src.terms[0].field
-    slots = list(range(n - 1))
-    bases = [
-        [] if i in zero_slots else list(repcat.hom_basis(src.terms[i + 1], dst.terms[i]))
-        for i in slots
+    slots = range(n - 1)
+    widths = [
+        0 if i in zero_slots else repcat.hom_dim(src.terms[i + 1], dst.terms[i]) for i in slots
     ]
-    widths = [len(b) for b in bases]
-    offsets = [sum(widths[:i]) for i in slots]
-    total_vars = sum(widths)
-    eq_rows = []
-    rhs_rows = []
-    for j in range(n):
-        n_j = repcat.hom_flat_dim(src.terms[j], dst.terms[j])
-        block = np.zeros((n_j, total_vars), dtype=np.int64)
-        if j < n - 1:
-            for k, h in enumerate(bases[j]):
-                block[:, offsets[j] + k] = repcat.hom_vec(h @ src.maps[j])
-        if j > 0:
-            for k, h in enumerate(bases[j - 1]):
-                block[:, offsets[j - 1] + k] = (
-                    block[:, offsets[j - 1] + k] + repcat.hom_vec(dst.maps[j - 1] @ h)
-                ) % field.p
-        eq_rows.append(block % field.p)
-        rhs_rows.append(repcat.hom_vec(phis[j]))
-    system = Matrix(field, np.vstack(eq_rows)) if eq_rows else Matrix.zeros(field, 0, 0)
-    rhs = Matrix(field, np.concatenate(rhs_rows).reshape(-1, 1))
-    sol = exactlin.solve(system, rhs)
+    heights = [repcat.hom_flat_dim(s, t) for s, t in zip(src.terms, dst.terms)]
+    system = np.zeros((sum(heights), sum(widths)), dtype=np.int64)
+    for i in slots:
+        if widths[i]:
+            r, c = sum(heights[:i]), sum(widths[:i])
+            mid, cols = r + heights[i], slice(c, c + widths[i])
+            # h_i enters equation i as h_i o a_i and equation i+1 as b_i o h_i
+            system[r:mid, cols] = repcat.hom_composites(src.maps[i], dst.terms[i]).data
+            post = repcat.hom_composites(src.terms[i + 1], dst.maps[i])
+            system[mid : mid + heights[i + 1], cols] = post.data
+    rhs = Matrix.column(field, np.concatenate([repcat.hom_vec(phi) for phi in phis]))
+    sol = exactlin.solve(Matrix(field, system), rhs)
     if sol is None:
         return None
     out: List[Morphism] = []
     for i in slots:
-        h = Morphism.zero(src.terms[i + 1], dst.terms[i])
-        for k, b in enumerate(bases[i]):
-            c = sol[offsets[i] + k, 0]
-            if c:
-                h = h + b.scale(c)
-        out.append(h)
+        x, y, c = src.terms[i + 1], dst.terms[i], sum(widths[:i])
+        flat = repcat.hom_space_matrix(x, y).data[:, : widths[i]] @ sol.data[c : c + widths[i]]
+        out.append(repcat.morphism_from_vec(x, y, flat, _skip_check=True))
     return out
 
 

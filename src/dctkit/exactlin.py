@@ -395,16 +395,3 @@ def quotient(v: Matrix, u: Matrix):
     minv = inverse(m)
     q = Matrix(field, minv.data[ub.cols : ub.cols + c.cols, :])
     return c, q
-
-
-def power(m: Matrix, e: int) -> Matrix:
-    if not m.is_square():
-        raise DimensionMismatch("power of a non-square matrix")
-    result = Matrix.identity(m.field, m.rows)
-    base = m
-    while e > 0:
-        if e & 1:
-            result = result @ base
-        base = base @ base
-        e >>= 1
-    return result

@@ -29,19 +29,21 @@ class ProjResolution:
 
     def __init__(self, x: Module):
         self.module = x
-        p0, aug, verts = repcat.projective_cover(x)
+        p0, aug, verts, incs, projs = repcat._projective_cover(x)
         self.augmentation = aug
         self._projs: List[Module] = [p0]
         self._verts: List[List[int]] = [verts]
+        self._splits: List[Tuple[List[Morphism], List[Morphism]]] = [(incs, projs)]
         self._diffs: List[Optional[Morphism]] = [None]
         self._kernels: List[Tuple[Module, Morphism]] = [repcat.kernel(aug)]
 
     def extend_to(self, n: int) -> None:
         while len(self._projs) <= n:
             k, incl = self._kernels[-1]
-            p, epi, verts = repcat.projective_cover(k)
+            p, epi, verts, incs, projs = repcat._projective_cover(k)
             self._projs.append(p)
             self._verts.append(verts)
+            self._splits.append((incs, projs))
             self._diffs.append(incl @ epi)
             self._kernels.append(repcat.kernel(epi))
 
@@ -52,6 +54,11 @@ class ProjResolution:
     def vertices(self, i: int) -> List[int]:
         self.extend_to(i)
         return self._verts[i]
+
+    def summand_maps(self, i: int) -> Tuple[List[Morphism], List[Morphism]]:
+        """Inclusions and projections of the indecomposable summands of step i."""
+        self.extend_to(i)
+        return self._splits[i]
 
     def differential(self, i: int) -> Morphism:
         if i < 1:
@@ -136,47 +143,19 @@ class ExtSpace:
         return self.reps.cols
 
 
-def _precompose_flat(p_next: Module, p_cur: Module, d: Morphism, y: Module) -> Matrix:
-    """Flat-coordinate matrix of composing with d: Hom(p_cur,y) -> Hom(p_next,y)."""
-    field = y.field
-    blocks = [
-        Matrix(
-            field,
-            np.kron(np.eye(y.dims[v], dtype=np.int64), d.comps[v].data.T) % field.p,
-        )
-        for v in range(len(y.dims))
-    ]
-    return exactlin.block_diag(field, blocks)
-
-
 def ext_space(x: Module, y: Module, i: int) -> ExtSpace:
     """Ext^i(x, y) presented by cocycles modulo coboundaries (i >= 0)."""
     if i < 0:
         raise ValueError("negative Ext degree")
     res = resolution(x)
-    res.extend_to(i + 1)
     p_i = res.projective(i)
-    p_next = res.projective(i + 1)
-    d_next = res.differential(i + 1)
-    field = y.field
-    n = repcat.hom_flat_dim(p_i, y)
     hom_i = repcat.hom_space_matrix(p_i, y)
-    pre = _precompose_flat(p_next, p_i, d_next, y)
-    coords = exactlin.kernel_basis(pre @ hom_i)
+    coords = exactlin.kernel_basis(repcat.hom_composites(res.differential(i + 1), y))
     cocycles = exactlin.canonical_basis(hom_i @ coords)
     if i == 0:
-        coboundaries = Matrix.zeros(field, n, 0)
+        coboundaries = Matrix.zeros(y.field, hom_i.rows, 0)
     else:
-        d_i = res.differential(i)
-        cols = [
-            repcat.hom_vec(h @ d_i) for h in repcat.hom_basis(res.projective(i - 1), y)
-        ]
-        if cols:
-            coboundaries = exactlin.canonical_basis(
-                Matrix(field, np.stack(cols, axis=1))
-            )
-        else:
-            coboundaries = Matrix.zeros(field, n, 0)
+        coboundaries = repcat.hom_coimage(res.differential(i), y)
     reps, proj = exactlin.quotient(cocycles, coboundaries)
     return ExtSpace(x, y, i, cocycles, coboundaries, reps, proj)
 
@@ -199,40 +178,6 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
     return exactlin.hstack(cols, field=x.field, rows=dst.dim)
 
 
-def chain_lift(f: Morphism, depth: int) -> List[Morphism]:
-    """Lift f between modules to their minimal resolutions, steps 0..depth."""
-    res_a = resolution(f.domain)
-    res_b = resolution(f.codomain)
-    res_a.extend_to(depth)
-    res_b.extend_to(depth)
-    lifts: List[Morphism] = []
-    g = repcat.factor_through(f @ res_a.augmentation, res_b.augmentation)
-    if g is None:
-        raise DimensionMismatch("resolution lift failed at step 0")
-    lifts.append(g)
-    for i in range(1, depth + 1):
-        g = repcat.factor_through(lifts[-1] @ res_a.differential(i), res_b.differential(i))
-        if g is None:
-            raise DimensionMismatch(f"resolution lift failed at step {i}")
-        lifts.append(g)
-    return lifts
-
-
-def ext_map_pre(f: Morphism, y: Module, i: int) -> Matrix:
-    """Matrix of Ext^i(f, y): Ext^i(cod f, y) -> Ext^i(dom f, y)."""
-    src = ext_space(f.codomain, y, i)
-    dst = ext_space(f.domain, y, i)
-    lift = chain_lift(f, i)[i]
-    p_i = resolution(f.codomain).projective(i)
-    cols = []
-    for k in range(src.reps.cols):
-        rep = repcat.morphism_from_vec(p_i, y, src.reps.data[:, k], _skip_check=True)
-        cols.append(dst.proj @ Matrix(y.field, repcat.hom_vec(rep @ lift).reshape(-1, 1)))
-    if not cols:
-        return Matrix.zeros(y.field, dst.dim, 0)
-    return exactlin.hstack(cols, field=y.field, rows=dst.dim)
-
-
 # -- transpose and higher translates --------------------------------------
 
 
@@ -246,7 +191,7 @@ def _generator_element(algebra: BoundQuiverAlgebra, block: Morphism, v: int, u: 
     comp = block.comps[u]
     if comp.cols == 0:
         return vec
-    idx = repcat._projective_basis_indices(algebra, v, u)
+    idx = algebra.basis_indices_between(v, u)
     for row, i in enumerate(idx):
         vec[i] = comp[row, 0]
     return vec
@@ -263,8 +208,8 @@ def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: np.ndarray) -> Morphism:
     quiver = algebra.quiver
     comps = []
     for w in range(quiver.n_vertices):
-        src_idx = repcat._projective_basis_indices(algebra, u, w)
-        dst_idx = repcat._projective_basis_indices(algebra, v, w)
+        src_idx = algebra.basis_indices_between(u, w)
+        dst_idx = algebra.basis_indices_between(v, w)
         dst_pos = {i: k for k, i in enumerate(dst_idx)}
         m = np.zeros((len(dst_idx), len(src_idx)), dtype=np.int64)
         for col, i in enumerate(src_idx):
@@ -277,42 +222,21 @@ def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: np.ndarray) -> Morphism:
     return Morphism(pu, pv, comps)
 
 
-def projective_summand_maps(algebra: BoundQuiverAlgebra, total: Module, vertices):
-    """Inclusions/projections of the canonical summands of a cover module."""
-    summands = [repcat.projective(algebra, v) for v in vertices]
-    if not summands:
-        return [], [], []
-    rebuilt, incs, projs = repcat.direct_sum(summands, algebra=algebra)
-    if rebuilt.dims != total.dims:
-        raise DimensionMismatch("summand layout does not match the cover")
-    incs = [repcat.Morphism(s, total, m.comps, _skip_check=True) for s, m in zip(summands, incs)]
-    projs = [repcat.Morphism(total, s, m.comps, _skip_check=True) for s, m in zip(summands, projs)]
-    return summands, incs, projs
-
-
 def transpose(x: Module) -> Module:
     """Cokernel of the dualized minimal presentation, over the opposite algebra."""
     algebra = x.algebra
     opp = algebra.opposite()
     res = resolution(x)
-    res.extend_to(1)
-    p0, p1 = res.projective(0), res.projective(1)
     verts0, verts1 = res.vertices(0), res.vertices(1)
     d1 = res.differential(1)
-    _, incs1, _ = projective_summand_maps(algebra, p1, verts1)
-    _, _, projs0 = projective_summand_maps(algebra, p0, verts0)
+    incs1, _ = res.summand_maps(1)
+    _, projs0 = res.summand_maps(0)
     # dual side: one op-projective per original summand
-    dom_summands = [repcat.projective(opp, v) for v in verts0]
-    cod_summands = [repcat.projective(opp, u) for u in verts1]
-    dom, dom_incs, dom_projs = (
-        repcat.direct_sum(dom_summands, algebra=opp)
-        if dom_summands
-        else (repcat.zero_module(opp), [], [])
+    dom, _, dom_projs = repcat.direct_sum(
+        [repcat.projective(opp, v) for v in verts0], algebra=opp
     )
-    cod, cod_incs, cod_projs = (
-        repcat.direct_sum(cod_summands, algebra=opp)
-        if cod_summands
-        else (repcat.zero_module(opp), [], [])
+    cod, cod_incs, _ = repcat.direct_sum(
+        [repcat.projective(opp, u) for u in verts1], algebra=opp
     )
     t = Morphism.zero(dom, cod)
     for l, u in enumerate(verts1):
@@ -351,27 +275,14 @@ def tau_d_minus(x: Module, d: int) -> Module:
 
 def projectively_stable_dim(x: Module, y: Module) -> int:
     """Dimension of Hom(x, y) modulo maps that factor through a projective."""
-    res = resolution(y)
-    aug = res.augmentation
-    cols = [repcat.hom_vec(aug @ h) for h in repcat.hom_basis(x, res.projective(0))]
-    through = (
-        exactlin.canonical_basis(Matrix(x.field, np.stack(cols, axis=1)))
-        if cols
-        else Matrix.zeros(x.field, repcat.hom_flat_dim(x, y), 0)
-    )
+    through = repcat.hom_image(x, resolution(y).augmentation)
     return repcat.hom_dim(x, y) - through.cols
 
 
 def injectively_stable_dim(x: Module, y: Module) -> int:
     """Dimension of Hom(x, y) modulo maps that factor through an injective."""
-    env, mono = repcat.injective_envelope(x)
-    cols = [repcat.hom_vec(h @ mono) for h in repcat.hom_basis(env, y)]
-    through = (
-        exactlin.canonical_basis(Matrix(x.field, np.stack(cols, axis=1)))
-        if cols
-        else Matrix.zeros(x.field, repcat.hom_flat_dim(x, y), 0)
-    )
-    return repcat.hom_dim(x, y) - through.cols
+    _, mono = repcat.injective_envelope(x)
+    return repcat.hom_dim(x, y) - repcat.hom_coimage(mono, y).cols
 
 
 # -- tensor products and Tor ----------------------------------------------

@@ -69,9 +69,6 @@ class Module:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def dim_vector(self) -> Dict[str, int]:
-        return {v: d for v, d in zip(self.algebra.quiver.vertices, self.dims)}
-
     def path_action(self, path: Path) -> Matrix:
         """The matrix of acting by a path, target-space x source-space."""
         m = Matrix.identity(self.field, self.dims[path.source])
@@ -137,10 +134,14 @@ class Morphism:
         )
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
-        """Composition self after other."""
-        if other.codomain is not self.domain:
-            if other.codomain.dims != self.domain.dims:
-                raise DimensionMismatch("composition of non-composable morphisms")
+        """Composition self after other.
+
+        The middle modules must be one object, or agree in dimensions and
+        arrow matrices; anything else raises DimensionMismatch.
+        """
+        mid, dom = other.codomain, self.domain
+        if mid is not dom and (mid.dims != dom.dims or mid.maps != dom.maps):
+            raise DimensionMismatch("composition of non-composable morphisms")
         return Morphism(
             other.domain,
             self.codomain,
@@ -232,12 +233,12 @@ def morphism_from_vec(x: Module, y: Module, vec, _skip_check=False) -> Morphism:
     return Morphism(x, y, comps, _skip_check=_skip_check)
 
 
-def hom_basis(x: Module, y: Module) -> Tuple[Morphism, ...]:
-    """Canonical basis of Hom(x, y), cached on the domain module."""
+def _hom_data(x: Module, y: Module) -> Tuple[Tuple[Morphism, ...], Matrix]:
+    """Canonical basis of Hom(x, y) and its flat matrix, cached on the domain."""
     key = ("hom", id(y))
     cached = x._cache.get(key)
     if cached is not None and cached[0] is y:
-        return cached[1]
+        return cached[1:]
     field = x.field
     n = hom_flat_dim(x, y)
     offsets = []
@@ -265,8 +266,13 @@ def hom_basis(x: Module, y: Module) -> Tuple[Morphism, ...]:
     basis = tuple(
         morphism_from_vec(x, y, k.data[:, j], _skip_check=True) for j in range(k.cols)
     )
-    x._cache[key] = (y, basis)
-    return basis
+    x._cache[key] = (y, basis, k)
+    return basis, k
+
+
+def hom_basis(x: Module, y: Module) -> Tuple[Morphism, ...]:
+    """Canonical basis of Hom(x, y), cached on the domain module."""
+    return _hom_data(x, y)[0]
 
 
 def hom_dim(x: Module, y: Module) -> int:
@@ -275,76 +281,65 @@ def hom_dim(x: Module, y: Module) -> int:
 
 def hom_space_matrix(x: Module, y: Module) -> Matrix:
     """Columns are the flattened canonical hom basis (ambient flat coords)."""
-    basis = hom_basis(x, y)
-    field = x.field
-    n = hom_flat_dim(x, y)
-    if not basis:
-        return Matrix.zeros(field, n, 0)
-    return Matrix(field, np.stack([hom_vec(f) for f in basis], axis=1))
+    return _hom_data(x, y)[1]
+
+
+def hom_composites(a, b) -> Matrix:
+    """Matrix of composing with a morphism, from a hom basis to flat coordinates.
+
+    hom_composites(x, g) is Hom(x, g): one column g @ h per element h of
+    hom_basis(x, dom g), flattened in Hom(x, cod g).  hom_composites(g, y)
+    is Hom(g, y): one column h @ g per element h of hom_basis(cod g, y),
+    flattened in Hom(dom g, y).
+    """
+    pre = isinstance(a, Morphism)
+    f = a if pre else b
+    x, y = (f.codomain, b) if pre else (a, f.domain)
+    x2, y2 = (f.domain, b) if pre else (a, f.codomain)
+    basis = hom_space_matrix(x, y).data
+    k = basis.shape[1]
+    out = np.zeros((hom_flat_dim(x2, y2), k), dtype=np.int64)
+    at = at2 = 0
+    for v, c in enumerate(f.comps):
+        size, size2 = y.dims[v] * x.dims[v], y2.dims[v] * x2.dims[v]
+        # the basis components at v, one (rows x cols) block per basis element
+        blocks = basis[at : at + size].T.reshape(k, y.dims[v], x.dims[v])
+        prod = blocks @ c.data if pre else c.data @ blocks
+        out[at2 : at2 + size2] = prod.reshape(k, size2).T
+        at, at2 = at + size, at2 + size2
+    return Matrix(x.field, out)
 
 
 def hom_image(x: Module, g: Morphism) -> Matrix:
     """Image of Hom(x, g): Hom(x, dom g) -> Hom(x, cod g), flat coordinates."""
-    cols = [hom_vec(g @ f) for f in hom_basis(x, g.domain)]
-    n = hom_flat_dim(x, g.codomain)
-    if not cols:
-        return Matrix.zeros(x.field, n, 0)
-    return exactlin.canonical_basis(Matrix(x.field, np.stack(cols, axis=1)))
+    return exactlin.canonical_basis(hom_composites(x, g))
 
 
 def hom_coimage(g: Morphism, y: Module) -> Matrix:
     """Image of Hom(g, y): Hom(cod g, y) -> Hom(dom g, y), flat coordinates."""
-    cols = [hom_vec(f @ g) for f in hom_basis(g.codomain, y)]
-    n = hom_flat_dim(g.domain, y)
-    if not cols:
-        return Matrix.zeros(y.field, n, 0)
-    return exactlin.canonical_basis(Matrix(y.field, np.stack(cols, axis=1)))
+    return exactlin.canonical_basis(hom_composites(g, y))
+
+
+def _solve_composite(composites: Matrix, g: Morphism, x: Module, y: Module):
+    """The h in Hom(x, y) whose composite column equals g; None if none does."""
+    sol = exactlin.solve(composites, Matrix.column(x.field, hom_vec(g)))
+    if sol is None:
+        return None
+    return morphism_from_vec(x, y, (hom_space_matrix(x, y) @ sol).data, _skip_check=True)
 
 
 def factor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     """Find h with f @ h = g, where g: W -> N and f: M -> N; None if impossible."""
     if g.codomain is not f.codomain and g.codomain.dims != f.codomain.dims:
         raise DimensionMismatch("codomains differ")
-    basis = hom_basis(g.domain, f.domain)
-    field = g.domain.field
-    n = hom_flat_dim(g.domain, g.codomain)
-    if basis:
-        a = Matrix(field, np.stack([hom_vec(f @ h) for h in basis], axis=1))
-    else:
-        a = Matrix.zeros(field, n, 0)
-    b = Matrix(field, hom_vec(g).reshape(-1, 1))
-    sol = exactlin.solve(a, b)
-    if sol is None:
-        return None
-    out = Morphism.zero(g.domain, f.domain)
-    for j, h in enumerate(basis):
-        c = sol[j, 0]
-        if c:
-            out = out + h.scale(c)
-    return out
+    return _solve_composite(hom_composites(g.domain, f), g, g.domain, f.domain)
 
 
 def cofactor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     """Find h with h @ f = g, where g: L -> W and f: L -> M; None if impossible."""
     if g.domain is not f.domain and g.domain.dims != f.domain.dims:
         raise DimensionMismatch("domains differ")
-    basis = hom_basis(f.codomain, g.codomain)
-    field = g.domain.field
-    n = hom_flat_dim(g.domain, g.codomain)
-    if basis:
-        a = Matrix(field, np.stack([hom_vec(h @ f) for h in basis], axis=1))
-    else:
-        a = Matrix.zeros(field, n, 0)
-    b = Matrix(field, hom_vec(g).reshape(-1, 1))
-    sol = exactlin.solve(a, b)
-    if sol is None:
-        return None
-    out = Morphism.zero(f.codomain, g.codomain)
-    for j, h in enumerate(basis):
-        c = sol[j, 0]
-        if c:
-            out = out + h.scale(c)
-    return out
+    return _solve_composite(hom_composites(f, g.codomain), g, f.codomain, g.codomain)
 
 
 def is_split_epi(g: Morphism) -> bool:
@@ -435,11 +430,6 @@ def submodule_generated(x: Module, spans: Sequence[Matrix]) -> Tuple[Module, Mor
         if not changed:
             break
     return _submodule_from_bases(x, cur)
-
-
-def quotient_module(x: Module, incl: Morphism) -> Tuple[Module, Morphism]:
-    """Quotient of x by the image of a mono into it, with the projection."""
-    return cokernel(incl)
 
 
 # -- construction of the standard modules --------------------------------
@@ -588,39 +578,31 @@ def glue_rows(dom: Module, summands: Sequence[Module], pieces: Sequence[Morphism
 # -- radical series, covers, envelopes -----------------------------------
 
 
+def _radical_spans(x: Module) -> List[Matrix]:
+    """Per vertex, the canonical basis of the span of all incoming arrow images."""
+    arrows = x.algebra.quiver.arrows
+    return [
+        exactlin.canonical_basis(
+            exactlin.hstack(
+                [x.maps[i] for i, a in enumerate(arrows) if a.target == v],
+                field=x.field,
+                rows=x.dims[v],
+            )
+        )
+        for v in range(len(x.dims))
+    ]
+
+
 def radical(x: Module) -> Tuple[Module, Morphism]:
     """The radical x . rad(algebra): span of all arrow images."""
-    field = x.field
-    quiver = x.algebra.quiver
-    spans = []
-    for v in range(quiver.n_vertices):
-        pieces = [
-            x.maps[quiver.arrow_index(a.name)]
-            for a in quiver.arrows
-            if a.target == v
-        ]
-        stacked = exactlin.hstack(pieces, field=field, rows=x.dims[v])
-        spans.append(exactlin.canonical_basis(stacked))
-    return _submodule_from_bases(x, spans)
+    return _submodule_from_bases(x, _radical_spans(x))
 
 
 def _top_data(x: Module):
     """Vertexwise complements of the radical with their projections."""
-    field = x.field
-    quiver = x.algebra.quiver
     reps, projs = [], []
-    rad_spans = []
-    for v in range(quiver.n_vertices):
-        pieces = [
-            x.maps[quiver.arrow_index(a.name)]
-            for a in quiver.arrows
-            if a.target == v
-        ]
-        rad_spans.append(
-            exactlin.canonical_basis(exactlin.hstack(pieces, field=field, rows=x.dims[v]))
-        )
-    for v in range(quiver.n_vertices):
-        c, q = exactlin.quotient(Matrix.identity(field, x.dims[v]), rad_spans[v])
+    for v, span in enumerate(_radical_spans(x)):
+        c, q = exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span)
         reps.append(c)
         projs.append(q)
     return reps, projs
@@ -669,6 +651,11 @@ def projective_cover(x: Module):
         projectives, epi: P -> x is the cover, and vertices lists the
         vertex (index) of each summand in order.
     """
+    return _projective_cover(x)[:3]
+
+
+def _projective_cover(x: Module):
+    """projective_cover, plus the inclusions and projections of its summands."""
     reps, _ = _top_data(x)
     quiver = x.algebra.quiver
     summand_vertices = []
@@ -681,7 +668,7 @@ def projective_cover(x: Module):
             comps = []
             for w in range(quiver.n_vertices):
                 cols = []
-                for i in _projective_basis_indices(x.algebra, v, w):
+                for i in x.algebra.basis_indices_between(v, w):
                     path = x.algebra.path_basis[i]
                     cols.append(x.path_action(path) @ gen)
                 comps.append(
@@ -690,22 +677,10 @@ def projective_cover(x: Module):
             summands.append(pv)
             summand_vertices.append(v)
             pieces.append(Morphism(pv, x, comps, _skip_check=True))
-    if not summands:
-        z = zero_module(x.algebra)
-        return z, Morphism.zero(z, x), []
-    total, epi, _, _ = glue_columns(x, summands, pieces)
+    total, epi, incs, projs = glue_columns(x, summands, pieces)
     if not epi.is_epi():
         raise InvalidModule("projective cover failed to be surjective")
-    return total, epi, summand_vertices
-
-
-def _projective_basis_indices(algebra: BoundQuiverAlgebra, v: int, w: int) -> List[int]:
-    """Basis path indices of the projective at v sitting over vertex w.
-
-    The order must agree with projective(): paths from v grouped by target,
-    in path-basis order.
-    """
-    return [i for i in algebra.basis_indices_from(v) if algebra.basis_target(i) == w]
+    return total, epi, summand_vertices, incs, projs
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:

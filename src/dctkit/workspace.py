@@ -22,8 +22,6 @@ from .errors import NotAdmissible, WorkspaceError
 from .exactlin import Matrix, PrimeField
 from .repcat import Module, Morphism
 
-SCHEMA_FILENAME = "workspace_schema.json"
-
 
 @dataclass
 class Workspace:

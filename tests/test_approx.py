@@ -1,9 +1,11 @@
 """Approximation theory of additive subcategories."""
 
+import pathlib
+
 import pytest
 
 from dctkit import AddCategory, Matrix, Module
-from dctkit import repcat
+from dctkit import exactlin, repcat, workspace
 from dctkit.approx import (
     is_left_minimal,
     is_right_approximation,
@@ -16,7 +18,10 @@ from dctkit.approx import (
     right_approximation,
     right_minimalize,
 )
+from dctkit.artheory import d_almost_split, gldim_end
 from dctkit.repcat import Morphism, are_isomorphic, direct_sum, hom_dim
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_category_membership_and_pool(flag_cat, flag_mods):
@@ -96,3 +101,34 @@ def test_approximation_of_zero_module(flag_cat, flag):
     z = repcat.zero_module(flag)
     f = minimal_right_approximation(flag_cat, z)
     assert f.domain.is_zero() and f.codomain is z
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_generator_radical_matches_scanning_oracle(fixture, p):
+    ws = workspace.load(str(DATA / fixture), p)
+    cat = ws.category("M")
+    fresh, _, _ = direct_sum(list(cat.generators))
+    for n in cat._summand_pool():
+        kept = cat.generator_radical(n)
+        assert kept.rows == repcat.hom_flat_dim(fresh, n)
+        assert exactlin.subspace_eq(kept, rad_hom_basis(fresh, n))
+
+
+def test_additive_generator_is_kept_and_never_split(flag_cat, flag_mods, monkeypatch):
+    cat = AddCategory(list(flag_cat.generators), flag_cat.d)
+    m = cat.additive_generator()
+    assert cat.additive_generator() is m
+    seen = []
+    real = repcat.nontrivial_idempotent
+
+    def spy(x, cap=None):
+        seen.append(x)
+        return real(x, cap)
+
+    monkeypatch.setattr(repcat, "nontrivial_idempotent", spy)
+    d_almost_split(cat, flag_mods["S1"])
+    gldim_end(cat)
+    assert seen
+    assert all(x is not m for x in seen)
+    assert cat.additive_generator() is m

@@ -14,7 +14,7 @@ from dctkit import (
     Morphism,
     VerificationFailed,
 )
-from dctkit import artheory, dexact, exactlin, homological, repcat
+from dctkit import artheory, config, dexact, exactlin, homological, repcat
 from dctkit.artheory import (
     all_end_submodules,
     d_almost_split,
@@ -366,3 +366,19 @@ def test_semisimple_end_dimensions(semisimple):
     )
     assert gldim_end(cat) == 0
     assert domdim_end(cat) == math.inf
+
+
+def test_domdim_end_degrees_do_not_follow_the_scan_cap(semisimple, monkeypatch):
+    cat = AddCategory(
+        [repcat.simple(semisimple, 0), repcat.simple(semisimple, 1)], 1
+    )
+    degrees = []
+    real = homological.ext_dim
+
+    def counting(x, y, i):
+        degrees.append(i)
+        return real(x, y, i)
+
+    monkeypatch.setattr(homological, "ext_dim", counting)
+    assert domdim_end(cat, cap=10**6) == math.inf
+    assert 0 < len(degrees) <= config.RESOLUTION_CAP

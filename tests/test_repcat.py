@@ -2,7 +2,7 @@
 
 import pytest
 
-from dctkit import InvalidModule, InvalidMorphism, Matrix, Module, Morphism
+from dctkit import DimensionMismatch, InvalidModule, InvalidMorphism, Matrix, Module, Morphism
 from dctkit import repcat
 from dctkit.repcat import (
     are_isomorphic,
@@ -24,7 +24,6 @@ from dctkit.repcat import (
     kernel,
     projective,
     projective_cover,
-    quotient_module,
     radical,
     simple,
     socle,
@@ -137,7 +136,7 @@ def test_quotient_module_kills_submodule(ka2_mods, f2):
     P1 = ka2_mods["P1"]
     span = [Matrix.zeros(f2, 1, 0), Matrix(f2, [[1]])]
     sub, incl = repcat.submodule(P1, span)
-    q, proj = quotient_module(P1, incl)
+    q, proj = cokernel(incl)
     assert tuple(q.dims) == (1, 0)
     assert (proj @ incl).is_zero()
 
@@ -216,3 +215,35 @@ def test_hom_image_matches_composition_span(flag_mods):
     assert img.cols == 0
     img2 = hom_image(P1, g)
     assert img2.cols == 1
+
+
+def test_composition_needs_the_same_middle_module(flag_mods):
+    P1 = flag_mods["P1"]
+    s12, _, _ = direct_sum([flag_mods["S1"], flag_mods["S2"]])
+    assert P1.dims == s12.dims
+    with pytest.raises(DimensionMismatch):
+        Morphism.identity(P1) @ Morphism.identity(s12)
+    # an entrywise-equal copy of the middle module is accepted
+    copy = repcat.projective(P1.algebra, 0)
+    assert (Morphism.identity(P1) @ Morphism.identity(copy)).codomain is P1
+
+
+def test_hom_composites_columns_are_the_composites(flag_mods):
+    def columns(m):
+        return [list(m.data[:, j]) for j in range(m.cols)]
+
+    mods = list(flag_mods.values()) + [repcat.zero_module(flag_mods["P1"].algebra)]
+    for a in mods:
+        for b in mods:
+            for g in repcat.hom_basis(a, b):
+                for x in mods:
+                    post = repcat.hom_composites(x, g)
+                    assert post.rows == repcat.hom_flat_dim(x, b)
+                    assert columns(post) == [
+                        list(repcat.hom_vec(g @ h)) for h in repcat.hom_basis(x, a)
+                    ]
+                    pre = repcat.hom_composites(g, x)
+                    assert pre.rows == repcat.hom_flat_dim(a, x)
+                    assert columns(pre) == [
+                        list(repcat.hom_vec(h @ g)) for h in repcat.hom_basis(b, x)
+                    ]
