@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import config
 from .errors import CapExceeded, DimensionMismatch, NotAdmissible
-from .exactlin import PrimeField, _rref_data
+from .exactlin import PrimeField, _reduce_rows
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ class BoundQuiverAlgebra:
             (self.path_basis, self._nf) = _internal
         else:
             self.path_basis, self._nf = self._build_basis()
-        self._mult: Dict[Tuple[int, int], Optional[np.ndarray]] = {}
+        self._mult: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -210,27 +208,27 @@ class BoundQuiverAlgebra:
                         continue
                     if len(u) + len(w) > n - 2:
                         continue
-                    vec = np.zeros(len(short), dtype=np.int64)
+                    vec = [0] * len(short)
                     for coeff, t in rel.terms:
                         full = u.arrows + t.arrows + w.arrows
                         if len(full) < n:
                             vec[index[Path(u.source, full)]] += coeff
-                    vec %= field.p
-                    if vec.any():
+                    vec = [x % field.p for x in vec]
+                    if any(vec):
                         span_rows.append(vec)
-        if span_rows:
-            reduced, pivots = _rref_data(field, np.array(span_rows, dtype=np.int64))
-        else:
-            reduced, pivots = np.zeros((0, len(short)), dtype=np.int64), []
+        pivots = _reduce_rows(field.p, span_rows, len(short))
         pivot_set = set(pivots)
         basis = [p for i, p in enumerate(short) if i not in pivot_set]
         basis_pos = [i for i in range(len(short)) if i not in pivot_set]
         # normal form of the i-th short path, as coordinates over the basis
-        nf_full = np.eye(len(short), dtype=np.int64)
-        for r, c in enumerate(pivots):
-            nf_full[c] = (-reduced[r]) % field.p
-            nf_full[c, c] = 0
-        nf = {p: nf_full[i][basis_pos] % field.p for i, p in enumerate(short)}
+        reduced_of = dict(zip(pivots, span_rows))
+        nf = {}
+        for i, p in enumerate(short):
+            if i in reduced_of:
+                row = reduced_of[i]
+                nf[p] = tuple([-row[j] % field.p for j in basis_pos])
+            else:
+                nf[p] = tuple([int(j == i) for j in basis_pos])
         self._check_admissible(short)
         return tuple(basis), nf
 
@@ -254,24 +252,22 @@ class BoundQuiverAlgebra:
                         continue
                     if len(u) + len(w) + rel_max > degree:
                         continue
-                    vec = np.zeros(len(full), dtype=np.int64)
+                    vec = [0] * len(full)
                     for coeff, t in rel.terms:
                         vec[index[Path(u.source, u.arrows + t.arrows + w.arrows)]] += coeff
-                    vec %= field.p
-                    if vec.any():
+                    vec = [x % field.p for x in vec]
+                    if any(vec):
                         cert_rows.append(vec)
-        if cert_rows:
-            reduced, pivots = _rref_data(field, np.array(cert_rows, dtype=np.int64))
-        else:
-            reduced, pivots = np.zeros((0, len(full)), dtype=np.int64), []
+        pivots = _reduce_rows(field.p, cert_rows, len(full))
         pivot_of = {c: r for r, c in enumerate(pivots)}
         for path in top:
-            vec = np.zeros(len(full), dtype=np.int64)
+            vec = [0] * len(full)
             vec[index[path]] = 1
             for c in range(len(full)):
                 if vec[c] and c in pivot_of:
-                    vec = (vec - vec[c] * reduced[pivot_of[c]]) % field.p
-            if vec.any():
+                    lead, row = vec[c], cert_rows[pivot_of[c]]
+                    vec = [(x - lead * y) % field.p for x, y in zip(vec, row)]
+            if any(vec):
                 names = tuple(quiver.arrows[i].name for i in path.arrows)
                 raise NotAdmissible(
                     f"path {'*'.join(names)} of length {n} does not lie in the "
@@ -299,7 +295,7 @@ class BoundQuiverAlgebra:
             if p.source == u and p.target(self.quiver) == v
         ]
 
-    def _basis_product(self, i: int, j: int) -> Optional[np.ndarray]:
+    def _basis_product(self, i: int, j: int) -> Optional[Tuple[int, ...]]:
         """Coordinates of basis_i * basis_j, or None for zero."""
         key = (i, j)
         if key not in self._mult:
@@ -312,20 +308,24 @@ class BoundQuiverAlgebra:
                     self._mult[key] = None
                 else:
                     vec = self._nf[Path(p.source, word)]
-                    self._mult[key] = vec if vec.any() else None
+                    self._mult[key] = vec if any(vec) else None
         return self._mult[key]
 
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def multiply(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """Product of two coordinate vectors over the path basis."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("coordinate vectors of wrong length")
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(np.asarray(x) % self.field.p)[0]:
-            for j in np.nonzero(np.asarray(y) % self.field.p)[0]:
-                prod = self._basis_product(int(i), int(j))
+        p = self.field.p
+        xs = [(i, a % p) for i, a in enumerate(x) if a % p]
+        ys = [(j, b % p) for j, b in enumerate(y) if b % p]
+        out = [0] * self.dim
+        for i, a in xs:
+            for j, b in ys:
+                prod = self._basis_product(i, j)
                 if prod is not None:
-                    out += int(x[i]) * int(y[j]) * prod
-        return out % self.field.p
+                    c = a * b
+                    out = [s + c * t for s, t in zip(out, prod)]
+        return [s % p for s in out]
 
     # -- the opposite algebra -----------------------------------------
 

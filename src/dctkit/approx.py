@@ -9,11 +9,9 @@ notions go through the vector-space duality.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import exactlin, repcat
+from . import config, exactlin, repcat
 from .errors import CapExceeded, DimensionMismatch
 from .exactlin import Matrix
 from .repcat import Module, Morphism
@@ -40,30 +38,41 @@ class AddCategory:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
         self._sum = repcat.direct_sum(list(self.generators), algebra=self.algebra)
+        self._cache: Dict[Tuple[str, int], object] = {}
 
     def additive_generator(self) -> Module:
         """The direct sum of the generators: the same module on every call."""
         return self._sum[0]
 
+    def _cached(self, name: str, cap, compute):
+        """compute(), kept per effective scan cap: a smaller cap recomputes and may refuse."""
+        key = (name, config.scan_cap(cap))
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def _generator_parts(self, cap=None) -> List[Tuple[Module, Morphism, Morphism]]:
         """Indecomposable summands of M with their inclusions into and projections from M."""
-        if not hasattr(self, "_parts"):
+
+        def compute():
             _, incs, projs = self._sum
-            self._parts = [
+            return [
                 (z, incs[i] @ inc, proj @ projs[i])
                 for i, g in enumerate(self.generators)
                 for z, inc, proj in repcat.split_summands(g, cap)
             ]
-        return self._parts
+
+        return self._cached("parts", cap, compute)
 
     def _summand_pool(self, cap=None) -> List[Module]:
-        if not hasattr(self, "_pool"):
+        def compute():
             pool: List[Module] = []
             for z, _, _ in self._generator_parts(cap):
                 if not any(repcat.are_isomorphic(z, w, cap) for w in pool):
                     pool.append(z)
-            self._pool = pool
-        return self._pool
+            return pool
+
+        return self._cached("pool", cap, compute)
 
     def generator_radical(self, y: Module, cap=None) -> Matrix:
         """Flat-coordinate basis of rad(M, y), from the kept summands of M."""
@@ -82,17 +91,15 @@ class AddCategory:
 
     def is_generating_cogenerating(self, cap=None) -> bool:
         """Whether every indecomposable projective and injective lies inside."""
-        if not hasattr(self, "_gen_cogen"):
-            ok = True
-            for v in range(self.algebra.quiver.n_vertices):
-                if not self.contains(repcat.projective(self.algebra, v), cap):
-                    ok = False
-                    break
-                if not self.contains(repcat.injective(self.algebra, v), cap):
-                    ok = False
-                    break
-            self._gen_cogen = ok
-        return self._gen_cogen
+
+        def compute():
+            return all(
+                self.contains(repcat.projective(self.algebra, v), cap)
+                and self.contains(repcat.injective(self.algebra, v), cap)
+                for v in range(self.algebra.quiver.n_vertices)
+            )
+
+        return self._cached("gen_cogen", cap, compute)
 
 
 def right_approximation(cat: AddCategory, x: Module) -> Morphism:
@@ -140,10 +147,7 @@ def _null_endos(g: Morphism) -> List[Morphism]:
     x = g.domain
     coords = exactlin.kernel_basis(repcat.hom_composites(x, g))
     flat = repcat.hom_space_matrix(x, x) @ coords
-    return [
-        repcat.morphism_from_vec(x, x, flat.data[:, k], _skip_check=True)
-        for k in range(flat.cols)
-    ]
+    return [repcat.morphism_from_vec(x, x, vec, _skip_check=True) for vec in flat.columns()]
 
 
 def _first_noninvertible_correction(
@@ -236,9 +240,7 @@ def _rad_between_indecomposables(x: Module, y: Module, cap=None) -> Matrix:
         f = repcat._combination(basis, counter, field.p)
         if not f.is_iso():
             cols.append(repcat.hom_vec(f))
-    if not cols:
-        return Matrix.zeros(field, n, 0)
-    return exactlin.canonical_basis(Matrix(field, np.stack(cols, axis=1)))
+    return exactlin.canonical_basis(Matrix.from_columns(field, cols, n))
 
 
 def rad_hom_basis(x: Module, y: Module, cap=None) -> Matrix:
@@ -255,9 +257,7 @@ def _rad_from_parts(x: Module, y: Module, dom_parts, cod_parts, cap=None) -> Mat
     for zi, _, proj_i in dom_parts:
         for zj, inc_j, _ in cod_parts:
             rad = _rad_between_indecomposables(zi, zj, cap)
-            for k in range(rad.cols):
-                r = repcat.morphism_from_vec(zi, zj, rad.data[:, k], _skip_check=True)
+            for vec in rad.columns():
+                r = repcat.morphism_from_vec(zi, zj, vec, _skip_check=True)
                 pieces.append(repcat.hom_vec(inc_j @ r @ proj_i))
-    if not pieces:
-        return Matrix.zeros(field, n, 0)
-    return exactlin.canonical_basis(Matrix(field, np.stack(pieces, axis=1)))
+    return exactlin.canonical_basis(Matrix.from_columns(field, pieces, n))

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import approx, config, dexact, exactlin, homological, repcat
 from .algebra import BoundQuiverAlgebra
 from .approx import AddCategory
@@ -82,11 +80,11 @@ def enumerate_indecomposables(
             rem = counter
             for a in quiver.arrows:
                 r, c = dims[a.target], dims[a.source]
-                data = np.zeros((r, c), dtype=np.int64)
+                data = [[0] * c for _ in range(r)]
                 for k in range(r * c):
-                    data[k // c, k % c] = rem % field.p
+                    data[k // c][k % c] = rem % field.p
                     rem //= field.p
-                maps.append(Matrix(field, data))
+                maps.append(Matrix(field, data, c))
             if not repcat.relations_hold(algebra, list(dims), maps):
                 continue
             m = Module(algebra, list(dims), maps, _skip_check=True)
@@ -429,7 +427,7 @@ def is_right_X_determined(
         for j in range(condition.cols):
             if not exactlin.contains(img_coords, condition.col(j)):
                 flat = space_vn @ condition.col(j)
-                witness = repcat.morphism_from_vec(v, n, flat.data[:, 0])
+                witness = repcat.morphism_from_vec(v, n, flat.columns()[0])
                 return DeterminedReport(False, vi, witness)
     return DeterminedReport(True, None, None)
 
@@ -520,8 +518,8 @@ class EndSubmodule:
         self.x = x
         self.n = n
         self.basis = exactlin.canonical_basis(basis)
-        for j in range(self.basis.cols):
-            h = repcat.morphism_from_vec(x, n, self.basis.data[:, j])
+        for vec in self.basis.columns():
+            h = repcat.morphism_from_vec(x, n, vec)
             if not exactlin.contains(self.basis, repcat.hom_composites(x, h)):
                 raise InvalidSubmodule("subspace is not closed under precomposition")
 
@@ -587,13 +585,13 @@ def _largest_admissible_submodule(
             continue
         count = repcat._scan_space(field, dv, cap)
         for counter in range(1, count):
-            vec = np.zeros((dv, 1), dtype=np.int64)
+            vec = []
             rem = counter
             for k in range(dv):
-                vec[k, 0] = rem % field.p
+                vec.append(rem % field.p)
                 rem //= field.p
             seed = [
-                Matrix(field, vec) if w == v else Matrix.zeros(field, n.dims[w], 0)
+                Matrix.column(field, vec) if w == v else Matrix.zeros(field, n.dims[w], 0)
                 for w in range(quiver.n_vertices)
             ]
             sub, incl = repcat.submodule_generated(n, seed)
@@ -621,16 +619,14 @@ def _defect_cover_map(seq: DSequence, target: Module, cap=None) -> Morphism:
     # r o (a map extending along the start map) extends too, so the radical
     # part of the defect is spanned by r o h over the whole of Hom(left, target)
     rad_cols = [
-        dc.proj @ repcat.hom_composites(
-            left, repcat.morphism_from_vec(target, target, rad_end.data[:, rj])
-        )
-        for rj in range(rad_end.cols)
+        dc.proj @ repcat.hom_composites(left, repcat.morphism_from_vec(target, target, vec))
+        for vec in rad_end.columns()
     ]
     rad_part = exactlin.hstack(rad_cols, field=field, rows=dc.dim)
     gen_classes, _ = exactlin.quotient(Matrix.identity(field, dc.dim), rad_part)
     mors = [
-        repcat.morphism_from_vec(left, target, (dc.reps @ gen_classes.col(t)).data[:, 0])
-        for t in range(gen_classes.cols)
+        repcat.morphism_from_vec(left, target, vec)
+        for vec in (dc.reps @ gen_classes).columns()
     ]
     _, hmap, _, _ = repcat.glue_rows(left, [target] * len(mors), mors)
     return hmap
@@ -668,10 +664,7 @@ def determined_morphism(
     pre_flat = repcat.hom_space_matrix(x, n_h) @ pre_coords
 
     # (3) spanning set of the preimage plus a projective cover
-    gens = [
-        repcat.morphism_from_vec(x, n_h, pre_flat.data[:, j])
-        for j in range(pre_flat.cols)
-    ]
+    gens = [repcat.morphism_from_vec(x, n_h, vec) for vec in pre_flat.columns()]
     pcov, paug, _ = repcat.projective_cover(n_h)
     summands = [x] * len(gens) + [pcov]
     pieces = gens + [paug]
@@ -709,7 +702,7 @@ def determined_morphism(
 
 def _minimal_cover(m: Module, y: Module, flat: Matrix, cap=None) -> Morphism:
     """Right-minimal version of the map m^k -> y glued from k flat columns."""
-    mors = [repcat.morphism_from_vec(m, y, flat.data[:, j]) for j in range(flat.cols)]
+    mors = [repcat.morphism_from_vec(m, y, vec) for vec in flat.columns()]
     _, g0, _, _ = repcat.glue_columns(y, [m] * len(mors), mors)
     g, _ = approx.right_minimalize(g0, cap)
     return g

@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--bound", type=int, default=None,
                         help="total-dimension bound for enumeration commands "
                              "(default: the algebra dimension)")
-    common.add_argument("--cap", type=int, default=None, help="scan budget override")
+    common.add_argument("--cap", type=int, default=None,
+                        help="scan budget override (at least 1)")
     common.add_argument("--dot", default=None, help="also write dot output to this path (emit-dot)")
 
     parser = _Parser(prog="dct", description=__doc__.splitlines()[0])
@@ -490,6 +491,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cap is not None and args.cap < 1:
+            parser.error(f"argument --cap: must be at least 1, got {args.cap}")
         ws = _load(args)
         payload, code = _RUNNERS[args.command](ws, args)
     except VerificationFailed as e:

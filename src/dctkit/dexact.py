@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import exactlin, homological, repcat
 from .approx import (
     AddCategory,
@@ -251,23 +249,30 @@ def _solve_homotopy(
         0 if i in zero_slots else repcat.hom_dim(src.terms[i + 1], dst.terms[i]) for i in slots
     ]
     heights = [repcat.hom_flat_dim(s, t) for s, t in zip(src.terms, dst.terms)]
-    system = np.zeros((sum(heights), sum(widths)), dtype=np.int64)
+    system = [[0] * sum(widths) for _ in range(sum(heights))]
+
+    def place(block: Matrix, r: int, c: int):
+        for k, row in enumerate(block.entries):
+            system[r + k][c : c + block.cols] = row
+
     for i in slots:
         if widths[i]:
             r, c = sum(heights[:i]), sum(widths[:i])
-            mid, cols = r + heights[i], slice(c, c + widths[i])
             # h_i enters equation i as h_i o a_i and equation i+1 as b_i o h_i
-            system[r:mid, cols] = repcat.hom_composites(src.maps[i], dst.terms[i]).data
-            post = repcat.hom_composites(src.terms[i + 1], dst.maps[i])
-            system[mid : mid + heights[i + 1], cols] = post.data
-    rhs = Matrix.column(field, np.concatenate([repcat.hom_vec(phi) for phi in phis]))
-    sol = exactlin.solve(Matrix(field, system), rhs)
+            place(repcat.hom_composites(src.maps[i], dst.terms[i]), r, c)
+            place(repcat.hom_composites(src.terms[i + 1], dst.maps[i]), r + heights[i], c)
+    rhs = Matrix.column(field, [t for phi in phis for t in repcat.hom_vec(phi)])
+    sol = exactlin.solve(Matrix(field, system, sum(widths)), rhs)
     if sol is None:
         return None
     out: List[Morphism] = []
     for i in slots:
         x, y, c = src.terms[i + 1], dst.terms[i], sum(widths[:i])
-        flat = repcat.hom_space_matrix(x, y).data[:, : widths[i]] @ sol.data[c : c + widths[i]]
+        if widths[i]:
+            coords = Matrix(field, sol.entries[c : c + widths[i]], 1)
+            flat = [row[0] for row in (repcat.hom_space_matrix(x, y) @ coords).entries]
+        else:
+            flat = [0] * repcat.hom_flat_dim(x, y)
         out.append(repcat.morphism_from_vec(x, y, flat, _skip_check=True))
     return out
 

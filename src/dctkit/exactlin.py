@@ -1,22 +1,27 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Matrices are immutable wrappers around int64 numpy arrays whose entries are
-reduced residues.  Every routine is pure and deterministic: row reduction
-always picks the first row with a nonzero entry in the current column, so
-pivots, kernels and canonical bases are bit-for-bit reproducible.
+Matrices are immutable: a Matrix holds its entries as a tuple of row
+tuples of plain Python ints in [0, p).  The matrices met in this library
+are tiny (most are empty or have a handful of entries), so plain integers
+beat array libraries here, and they cannot overflow.  Every routine is
+pure and deterministic: row reduction always picks the first row with a
+nonzero entry in the current column, so pivots, kernels and canonical
+bases are bit-for-bit reproducible.
 
 Subspaces of F_p^n are represented by matrices whose columns span them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from .errors import DimensionMismatch
 
-# Keeps dim * (p-1)^2 comfortably inside int64 during matmul.
+# Moduli are capped here.  Python ints never overflow, so this is no longer
+# an arithmetic limit: it keeps the scan sizes p^k meaningful and is part of
+# the command-line contract (`--field` above it is an input error).
 _MAX_PRIME = 1 << 20
 
 
@@ -34,7 +39,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The prime field F_p, p prime and small enough for int64 arithmetic."""
+    """The prime field F_p, p prime and below the supported bound."""
 
     __slots__ = ("p",)
 
@@ -64,55 +69,80 @@ class PrimeField:
 class Matrix:
     """An immutable rows x cols matrix over a prime field.
 
+    `data` is a nested sequence of rows; its entries are reduced mod p.
     Zero-row and zero-column shapes are fully supported; they show up
     constantly as components of modules concentrated away from a vertex.
+    A matrix with no rows needs its column count passed as `cols`.
     """
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "entries", "rows", "cols")
 
-    def __init__(self, field: PrimeField, data):
-        arr = np.array(data, dtype=np.int64)
-        if arr.ndim != 2:
-            if arr.size == 0:
-                arr = arr.reshape((0, 0))
-            else:
-                raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
-        arr %= field.p
-        arr.setflags(write=False)
+    def __init__(self, field: PrimeField, data, cols: int = None, _reduced=False):
+        if _reduced:
+            entries = data
+        else:
+            p = field.p
+            try:
+                entries = tuple([tuple([int(x) % p for x in row]) for row in data])
+            except TypeError:
+                raise DimensionMismatch("expected a nested sequence of rows") from None
+            if entries and any(len(r) != len(entries[0]) for r in entries[1:]):
+                raise DimensionMismatch("rows of unequal length")
+            if entries and cols is not None and cols != len(entries[0]):
+                raise DimensionMismatch(f"rows of length {len(entries[0])}, expected {cols}")
         self.field = field
-        self.data = arr
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else (cols or 0)
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls(field, _zero_rows(rows, cols), cols, _reduced=True)
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls(field, _identity_rows(n), n, _reduced=True)
 
     @classmethod
     def column(cls, field: PrimeField, entries: Sequence[int]) -> "Matrix":
-        return cls(field, np.array(entries, dtype=np.int64).reshape(-1, 1))
+        return cls(field, [(x,) for x in entries], 1)
+
+    @classmethod
+    def from_columns(cls, field: PrimeField, columns: Sequence[Sequence[int]], rows: int):
+        """The matrix whose columns are the given vectors of length `rows`."""
+        if any(len(c) != rows for c in columns):
+            raise DimensionMismatch(f"columns must have length {rows}")
+        if not columns:
+            return cls.zeros(field, rows, 0)
+        return cls(field, list(zip(*columns)) if rows else (), len(columns))
 
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
+    def shape(self):
+        return (self.rows, self.cols)
 
     @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+    def data(self) -> "Matrix":
+        """The matrix itself, for code written against `m.data.shape` / `m.data[i, j]`."""
+        return self
+
+    def columns(self) -> List[tuple]:
+        """The columns as tuples of ints, left to right."""
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     def is_zero(self) -> bool:
-        return not self.data.any()
+        return not any(map(any, self.entries))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T)
+        t = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, t, self.rows, _reduced=True)
 
     def _check(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DimensionMismatch("mixed fields")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -121,104 +151,162 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix(self.field, (self.data @ other.data) % self.field.p)
+        n = other.cols
+        if not (self.rows and n and self.cols):
+            return Matrix.zeros(self.field, self.rows, n)
+        out = _product_rows(self.field.p, self.entries, other.entries, n)
+        return Matrix(self.field, out, n, _reduced=True)
+
+    def _entrywise(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        self._check(other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shape mismatch in {what}")
+        p = self.field.p
+        out = tuple([
+            tuple([(x + sign * y) % p for x, y in zip(r, s)])
+            for r, s in zip(self.entries, other.entries)
+        ])
+        return Matrix(self.field, out, self.cols, _reduced=True)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(self.field, self.data + other.data)
+        return self._entrywise(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix(self.field, self.data - other.data)
+        return self._entrywise(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.data)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.data * (c % self.field.p))
+        p = self.field.p
+        c %= p
+        out = tuple([tuple([c * x % p for x in r]) for r in self.entries])
+        return Matrix(self.field, out, self.cols, _reduced=True)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool((self.data == other.data).all())
+            and (self.field is other.field or self.field == other.field)
+            and self.cols == other.cols
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.data.shape, self.data.tobytes()))
+        return hash((self.field.p, self.rows, self.cols, self.entries))
 
     def __getitem__(self, ij):
-        return int(self.data[ij])
+        i, j = ij
+        return self.entries[i][j]
 
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j : j + 1])
+        return Matrix(self.field, tuple([(r[j],) for r in self.entries]), 1, _reduced=True)
 
     def __repr__(self):
-        return f"Matrix(F{self.field.p}, {self.data.tolist()})"
+        return f"Matrix(F{self.field.p}, {[list(r) for r in self.entries]})"
+
+
+@lru_cache(maxsize=None)
+def _zero_rows(rows: int, cols: int):
+    return ((0,) * cols,) * rows
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(n: int):
+    return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
+
+
+def _product_rows(p: int, a, b, n: int):
+    """Rows of a @ b mod p, combining rows of b only for the nonzero entries of a.
+
+    The matrices met here are mostly sparse (inclusions, projections, hom
+    basis vectors), and skipping zeros is as fast as a dense dot product
+    even on small dense factors.
+    """
+    zero = (0,) * n
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(zero if acc is None else tuple([s % p for s in acc]))
+    return tuple(out)
 
 
 def hstack(ms: Sequence[Matrix], field: PrimeField = None, rows: int = None) -> Matrix:
     ms = list(ms)
     if not ms:
         return Matrix.zeros(field, rows, 0)
-    return Matrix(ms[0].field, np.hstack([m.data for m in ms]))
+    if any(m.rows != ms[0].rows for m in ms):
+        raise DimensionMismatch("hstack: row counts differ")
+    entries = tuple([tuple(chain.from_iterable(rs)) for rs in zip(*[m.entries for m in ms])])
+    return Matrix(ms[0].field, entries, sum(m.cols for m in ms), _reduced=True)
 
 
 def vstack(ms: Sequence[Matrix], field: PrimeField = None, cols: int = None) -> Matrix:
     ms = list(ms)
     if not ms:
         return Matrix.zeros(field, 0, cols)
-    return Matrix(ms[0].field, np.vstack([m.data for m in ms]))
+    if any(m.cols != ms[0].cols for m in ms):
+        raise DimensionMismatch("vstack: column counts differ")
+    entries = tuple(chain.from_iterable(m.entries for m in ms))
+    return Matrix(ms[0].field, entries, ms[0].cols, _reduced=True)
 
 
 def block_diag(field: PrimeField, ms: Iterable[Matrix]) -> Matrix:
     ms = list(ms)
-    rows = sum(m.rows for m in ms)
     cols = sum(m.cols for m in ms)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
+    out = []
+    left = 0
     for m in ms:
-        out[r : r + m.rows, c : c + m.cols] = m.data
-        r += m.rows
-        c += m.cols
-    return Matrix(field, out)
+        pad_l, pad_r = (0,) * left, (0,) * (cols - left - m.cols)
+        out.extend(pad_l + r + pad_r for r in m.entries)
+        left += m.cols
+    return Matrix(field, tuple(out), cols, _reduced=True)
 
 
-def _rref_data(field: PrimeField, a: np.ndarray, limit_cols: int = None):
-    """Row-reduce in place over F_p; returns (array, pivot column list).
+def _reduce_rows(p: int, a: List[list], search: int) -> List[int]:
+    """Row-reduce the reduced-residue row lists `a` in place; returns the pivot columns.
 
     Pivot selection is "first nonzero in column order": columns are walked
     left to right and the first row at or below the current one with a
-    nonzero entry wins.  Columns past limit_cols never become pivots (used
-    for augmented solves).
+    nonzero entry wins.  Only the first `search` columns can become pivots
+    (the rest is an augmented block, as in solve).
     """
-    p = field.p
-    a = a.copy() % p
-    rows, cols = a.shape
-    search = cols if limit_cols is None else limit_cols
+    rows = len(a)
     pivots = []
     r = 0
     for j in range(search):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, j])[0]
-        if nz.size == 0:
+        for i in range(r, rows):
+            if a[i][j]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * field.inv(int(a[r, j]))) % p
+            a[r], a[i] = a[i], a[r]
+        row = a[r]
+        lead = row[j]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            row = a[r] = [x * inv % p for x in row]
         for k in range(rows):
-            if k != r and a[k, j]:
-                a[k] = (a[k] - a[k, j] * a[r]) % p
+            if k != r:
+                c = a[k][j]
+                if c:
+                    a[k] = [(x - c * y) % p for x, y in zip(a[k], row)]
         pivots.append(j)
         r += 1
-    return a, pivots
+    return pivots
+
+
+def _rref_lists(m: Matrix):
+    a = [list(r) for r in m.entries]
+    return a, _reduce_rows(m.field.p, a, m.cols)
 
 
 def rref(m: Matrix):
@@ -227,12 +315,14 @@ def rref(m: Matrix):
     Returns:
         (reduced Matrix, pivot column indices as a tuple, rank).
     """
-    a, pivots = _rref_data(m.field, m.data)
-    return Matrix(m.field, a), tuple(pivots), len(pivots)
+    a, pivots = _rref_lists(m)
+    return Matrix(m.field, tuple(map(tuple, a)), m.cols, _reduced=True), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    if not (m.rows and m.cols):
+        return 0
+    return len(_rref_lists(m)[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -242,15 +332,19 @@ def kernel_basis(m: Matrix) -> Matrix:
     negated reduced entries in the pivot coordinates; columns are ordered
     by ascending free column index.
     """
-    a, pivots = _rref_data(m.field, m.data)
+    n = m.cols
+    if not m.rows:
+        return Matrix.identity(m.field, n)
+    a, pivots = _rref_lists(m)
     p = m.field.p
-    free = [j for j in range(m.cols) if j not in pivots]
-    out = np.zeros((m.cols, len(free)), dtype=np.int64)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    out = [[0] * len(free) for _ in range(n)]
     for k, j in enumerate(free):
-        out[j, k] = 1
+        out[j][k] = 1
         for r, c in enumerate(pivots):
-            out[c, k] = (-a[r, j]) % p
-    return Matrix(m.field, out)
+            out[c][k] = -a[r][j] % p
+    return Matrix(m.field, tuple(map(tuple, out)), len(free), _reduced=True)
 
 
 def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -260,25 +354,23 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     """
     if m.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
-    aug = np.hstack([m.data, b.data])
-    a, pivots = _rref_data(m.field, aug, limit_cols=m.cols)
-    r = len(pivots)
+    n, k = m.cols, b.cols
+    a = [list(r + s) for r, s in zip(m.entries, b.entries)]
+    pivots = _reduce_rows(m.field.p, a, n)
     # any nonzero entry of the b-block below the pivot rows means inconsistency
-    if a[r:, m.cols :].any():
+    if any(any(row[n:]) for row in a[len(pivots):]):
         return None
-    x = np.zeros((m.cols, b.cols), dtype=np.int64)
+    x = [(0,) * k] * n
     for i, c in enumerate(pivots):
-        x[c] = a[i, m.cols :]
-    return Matrix(m.field, x)
+        x[c] = tuple(a[i][n:])
+    return Matrix(m.field, tuple(x), k, _reduced=True)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     if not m.is_square():
         return None
     x = solve(m, Matrix.identity(m.field, m.rows))
-    if x is None:
-        return None
-    if (x.data @ m.data % m.field.p != np.eye(m.rows, dtype=np.int64)).any():
+    if x is None or x @ m != Matrix.identity(m.field, m.rows):
         return None
     return x
 
@@ -287,16 +379,26 @@ def is_invertible(m: Matrix) -> bool:
     return m.is_square() and rank(m) == m.rows
 
 
+def _select_columns(m: Matrix, js: Sequence[int]) -> Matrix:
+    entries = tuple([tuple([r[j] for j in js]) for r in m.entries])
+    return Matrix(m.field, entries, len(js), _reduced=True)
+
+
 def image_basis(m: Matrix) -> Matrix:
     """The pivot columns of m itself: a deterministic basis of the column space."""
-    _, pivots, _ = rref(m)
-    return Matrix(m.field, m.data[:, list(pivots)])
+    if not (m.rows and m.cols):
+        return Matrix.zeros(m.field, m.rows, 0)
+    return _select_columns(m, _rref_lists(m)[1])
 
 
 def canonical_basis(u: Matrix) -> Matrix:
     """Reduced column echelon basis, identical for any spanning set of the space."""
-    a, pivots = _rref_data(u.field, u.data.T)
-    return Matrix(u.field, a[: len(pivots)].T)
+    if not (u.rows and u.cols):
+        return Matrix.zeros(u.field, u.rows, 0)
+    a = [list(c) for c in zip(*u.entries)]
+    r = len(_reduce_rows(u.field.p, a, u.rows))
+    entries = tuple(zip(*a[:r])) if r else ((),) * u.rows
+    return Matrix(u.field, entries, r, _reduced=True)
 
 
 def contains(u: Matrix, v: Matrix) -> bool:
@@ -324,7 +426,7 @@ def intersect(u: Matrix, v: Matrix) -> Matrix:
         return Matrix.zeros(u.field, u.rows, 0)
     k = kernel_basis(hstack([u, v]))
     # first block of kernel coordinates combines columns of u
-    coeff = Matrix(u.field, k.data[: u.cols, :])
+    coeff = Matrix(u.field, k.entries[: u.cols], k.cols, _reduced=True)
     return canonical_basis(u @ coeff)
 
 
@@ -346,14 +448,14 @@ def all_subspaces(field: PrimeField, n: int) -> List[Matrix]:
                 if c not in pivots
             ]
             for counter in range(field.p ** len(free)):
-                data = np.zeros((n, r), dtype=np.int64)
+                data = [[0] * r for _ in range(n)]
                 for j in range(r):
-                    data[pivots[j], j] = 1
+                    data[pivots[j]][j] = 1
                 rem = counter
                 for j, c in free:
-                    data[c, j] = rem % field.p
+                    data[c][j] = rem % field.p
                     rem //= field.p
-                out.append(Matrix(field, data))
+                out.append(Matrix(field, data, r))
     return out
 
 
@@ -364,34 +466,24 @@ def quotient(v: Matrix, u: Matrix):
     of v (representatives of the quotient) and q is a projection matrix from
     the ambient space onto the quotient coordinates with q @ u = 0 and
     q @ c = identity.  Vectors outside span(u) + span(v) are sent to zero.
+
+    The representatives are the columns of the canonical basis of v that
+    are independent of u and of the earlier ones.  Standard vectors extend
+    [u | c] to a basis m of the ambient space the same way, and q is the
+    c-block of rows of m^-1.  One row reduction of [u | vb | I | I] finds
+    all three column choices and, in its last block, m^-1 itself.
     """
     if v.rows != u.rows:
         raise DimensionMismatch("ambient dimensions differ")
     field = v.field
     n = v.rows
-    ub = canonical_basis(u)
     vb = canonical_basis(v)
-    comp_cols = []
-    span = ub
-    for j in range(vb.cols):
-        col = vb.col(j)
-        if not contains(span, col):
-            comp_cols.append(col)
-            span = hstack([span, col])
-    c = hstack(comp_cols, field=field, rows=n)
-    # extend [u | c] to a full basis by standard vectors, deterministically
-    full = span
-    ext_cols = []
-    for j in range(n):
-        if full.cols == n:
-            break
-        e = Matrix.zeros(field, n, 1).data.copy()
-        e[j, 0] = 1
-        e = Matrix(field, e)
-        if not contains(full, e):
-            ext_cols.append(e)
-            full = hstack([full, e])
-    m = hstack([ub, c] + ext_cols, field=field, rows=n)
-    minv = inverse(m)
-    q = Matrix(field, minv.data[ub.cols : ub.cols + c.cols, :])
-    return c, q
+    ident = _identity_rows(n)
+    a = [list(r + s + e + e) for r, s, e in zip(u.entries, vb.entries, ident)]
+    search = u.cols + vb.cols + n
+    pivots = _reduce_rows(field.p, a, search)
+    in_u = sum(1 for j in pivots if j < u.cols)
+    picked = [j - u.cols for j in pivots if u.cols <= j < u.cols + vb.cols]
+    c = _select_columns(vb, picked)
+    q = tuple([tuple(row[search:]) for row in a[in_u : in_u + len(picked)]])
+    return c, Matrix(field, q, n, _reduced=True)

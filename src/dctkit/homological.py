@@ -9,9 +9,7 @@ concretely over the opposite algebra through path reversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from . import config, exactlin, repcat
 from .algebra import BoundQuiverAlgebra
@@ -161,7 +159,15 @@ def ext_space(x: Module, y: Module, i: int) -> ExtSpace:
 
 
 def ext_dim(x: Module, y: Module, i: int) -> int:
-    return ext_space(x, y, i).dim
+    """dim Ext^i(x, y) from two ranks: cocycles minus coboundaries (i >= 0)."""
+    if i < 0:
+        raise ValueError("negative Ext degree")
+    res = resolution(x)
+    post = repcat.hom_composites(res.differential(i + 1), y)
+    cocycles = post.cols - exactlin.rank(post)
+    if i == 0:
+        return cocycles
+    return cocycles - exactlin.rank(repcat.hom_composites(res.differential(i), y))
 
 
 def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
@@ -170,9 +176,9 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
     dst = ext_space(x, f.codomain, i)
     p_i = resolution(x).projective(i)
     cols = []
-    for k in range(src.reps.cols):
-        rep = repcat.morphism_from_vec(p_i, f.domain, src.reps.data[:, k], _skip_check=True)
-        cols.append((dst.proj @ Matrix(x.field, repcat.hom_vec(f @ rep).reshape(-1, 1))))
+    for vec in src.reps.columns():
+        rep = repcat.morphism_from_vec(p_i, f.domain, vec, _skip_check=True)
+        cols.append(dst.proj @ Matrix.column(x.field, repcat.hom_vec(f @ rep)))
     if not cols:
         return Matrix.zeros(x.field, dst.dim, 0)
     return exactlin.hstack(cols, field=x.field, rows=dst.dim)
@@ -181,13 +187,13 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
 # -- transpose and higher translates --------------------------------------
 
 
-def _generator_element(algebra: BoundQuiverAlgebra, block: Morphism, v: int, u: int) -> np.ndarray:
+def _generator_element(algebra: BoundQuiverAlgebra, block: Morphism, v: int, u: int) -> List[int]:
     """Coordinates in the algebra of the image of the u-projective generator.
 
     `block` maps the projective at u into the projective at v; the element
     it corresponds to is read off the trivial-path column at vertex u.
     """
-    vec = np.zeros(algebra.dim, dtype=np.int64)
+    vec = [0] * algebra.dim
     comp = block.comps[u]
     if comp.cols == 0:
         return vec
@@ -197,7 +203,7 @@ def _generator_element(algebra: BoundQuiverAlgebra, block: Morphism, v: int, u: 
     return vec
 
 
-def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: np.ndarray) -> Morphism:
+def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: Sequence[int]) -> Morphism:
     """Left multiplication by an element as a map of projectives at u -> at v.
 
     xvec holds algebra coordinates of an element supported on paths from
@@ -211,14 +217,14 @@ def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: np.ndarray) -> Morphism:
         src_idx = algebra.basis_indices_between(u, w)
         dst_idx = algebra.basis_indices_between(v, w)
         dst_pos = {i: k for k, i in enumerate(dst_idx)}
-        m = np.zeros((len(dst_idx), len(src_idx)), dtype=np.int64)
+        m = [[0] * len(src_idx) for _ in dst_idx]
         for col, i in enumerate(src_idx):
-            unit = np.zeros(algebra.dim, dtype=np.int64)
+            unit = [0] * algebra.dim
             unit[i] = 1
-            prod = algebra.multiply(xvec, unit)
-            for j in np.nonzero(prod)[0]:
-                m[dst_pos[int(j)], col] = prod[j]
-        comps.append(Matrix(algebra.field, m))
+            for j, e in enumerate(algebra.multiply(xvec, unit)):
+                if e:
+                    m[dst_pos[j]][col] = e
+        comps.append(Matrix(algebra.field, m, len(src_idx)))
     return Morphism(pu, pv, comps)
 
 
@@ -243,7 +249,7 @@ def transpose(x: Module) -> Module:
         for k, v in enumerate(verts0):
             block = projs0[k] @ d1 @ incs1[l]
             xvec = _generator_element(algebra, block, v, u)
-            if not xvec.any():
+            if not any(xvec):
                 continue
             # the reversal of an element has the same coordinates over the
             # reversed-path basis, so xvec can be reused verbatim
@@ -325,20 +331,17 @@ def tensor_space(m: Module, n: Module) -> TensorSpace:
     for a in quiver.arrows:
         ai = quiver.arrow_index(a.name)
         s, t = a.source, a.target
-        ma = m.maps[ai].data  # m dims: s -> t
-        na = n.maps[ai].data  # op arrow runs t -> s on n
+        ma = m.maps[ai].entries  # m dims: s -> t
+        na = n.maps[ai].entries  # op arrow runs t -> s on n
         for i in range(m.dims[s]):
             for j in range(n.dims[t]):
-                col = np.zeros(total, dtype=np.int64)
+                col = [0] * total
                 for r in range(m.dims[t]):
-                    col[offsets[t] + r * n.dims[t] + j] += ma[r, i]
+                    col[offsets[t] + r * n.dims[t] + j] += ma[r][i]
                 for k in range(n.dims[s]):
-                    col[offsets[s] + i * n.dims[s] + k] -= na[k, j]
-                rel_cols.append(col % field.p)
-    if rel_cols:
-        rel = exactlin.canonical_basis(Matrix(field, np.stack(rel_cols, axis=1)))
-    else:
-        rel = Matrix.zeros(field, total, 0)
+                    col[offsets[s] + i * n.dims[s] + k] -= na[k][j]
+                rel_cols.append(col)
+    rel = exactlin.canonical_basis(Matrix.from_columns(field, rel_cols, total))
     reps, proj = exactlin.quotient(Matrix.identity(field, total), rel)
     return TensorSpace(m, n, tuple(offsets), total, reps, proj)
 
@@ -352,12 +355,8 @@ def _tensor_ambient_map(m: Module, f: Morphism) -> Matrix:
     field = m.field
     blocks = []
     for v in range(len(m.dims)):
-        blocks.append(
-            Matrix(
-                field,
-                np.kron(np.eye(m.dims[v], dtype=np.int64), f.comps[v].data) % field.p,
-            )
-        )
+        # id (x) f_v: one copy of f_v per basis vector of m at v
+        blocks.extend([f.comps[v]] * m.dims[v])
     return exactlin.block_diag(field, blocks)
 
 

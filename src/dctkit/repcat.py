@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import config, exactlin
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import (
@@ -216,19 +214,21 @@ def hom_flat_dim(x: Module, y: Module) -> int:
     return sum(a * b for a, b in zip(x.dims, y.dims))
 
 
-def hom_vec(f: Morphism) -> np.ndarray:
+def hom_vec(f: Morphism) -> List[int]:
     """Flatten a morphism: vertex components row-major, vertex order."""
-    parts = [c.data.reshape(-1) for c in f.comps]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return [t for c in f.comps for row in c.entries for t in row]
 
 
 def morphism_from_vec(x: Module, y: Module, vec, _skip_check=False) -> Morphism:
-    vec = np.asarray(vec, dtype=np.int64).reshape(-1)
+    """The morphism whose flattening (see hom_vec) is vec, entries taken mod p."""
+    p = x.field.p
+    vec = tuple([t % p for t in vec])
     comps = []
     at = 0
     for v in range(len(x.dims)):
         r, c = y.dims[v], x.dims[v]
-        comps.append(Matrix(x.field, vec[at : at + r * c].reshape(r, c)))
+        rows = tuple([vec[at + i * c : at + (i + 1) * c] for i in range(r)])
+        comps.append(Matrix(x.field, rows, c, _reduced=True))
         at += r * c
     return Morphism(x, y, comps, _skip_check=_skip_check)
 
@@ -240,32 +240,31 @@ def _hom_data(x: Module, y: Module) -> Tuple[Tuple[Morphism, ...], Matrix]:
     if cached is not None and cached[0] is y:
         return cached[1:]
     field = x.field
+    p = field.p
     n = hom_flat_dim(x, y)
     offsets = []
     at = 0
     for v in range(len(x.dims)):
         offsets.append(at)
         at += y.dims[v] * x.dims[v]
+    # f_t @ X_a - Y_a @ f_s = 0 on flattened row-major unknowns, one
+    # equation per entry (r, c) of a y_t x x_s matrix
     rows = []
-    for a in x.algebra.quiver.arrows:
-        i = x.algebra.quiver.arrow_index(a.name)
+    for i, a in enumerate(x.algebra.quiver.arrows):
         s, t = a.source, a.target
-        # f_t @ X_a - Y_a @ f_s = 0 on flattened row-major unknowns
-        block = np.zeros((y.dims[t] * x.dims[s], n), dtype=np.int64)
-        if block.shape[0]:
-            left = np.kron(np.eye(y.dims[t], dtype=np.int64), x.maps[i].data.T)
-            block[:, offsets[t] : offsets[t] + y.dims[t] * x.dims[t]] += left
-            right = np.kron(y.maps[i].data, np.eye(x.dims[s], dtype=np.int64))
-            block[:, offsets[s] : offsets[s] + y.dims[s] * x.dims[s]] -= right
-            rows.append(block % field.p)
-    if rows:
-        system = Matrix(field, np.vstack(rows))
-    else:
-        system = Matrix.zeros(field, 0, n)
-    k = exactlin.kernel_basis(system)
-    basis = tuple(
-        morphism_from_vec(x, y, k.data[:, j], _skip_check=True) for j in range(k.cols)
-    )
+        xa, ya = x.maps[i].entries, y.maps[i].entries
+        xt, xs = x.dims[t], x.dims[s]
+        for r in range(y.dims[t]):
+            for c in range(xs):
+                row = [0] * n
+                for k in range(xt):
+                    row[offsets[t] + r * xt + k] += xa[k][c]
+                for k in range(y.dims[s]):
+                    row[offsets[s] + k * xs + c] -= ya[r][k]
+                if any(row):
+                    rows.append(tuple([e % p for e in row]))
+    k = exactlin.kernel_basis(Matrix(field, tuple(rows), n, _reduced=True))
+    basis = tuple(morphism_from_vec(x, y, col, _skip_check=True) for col in k.columns())
     x._cache[key] = (y, basis, k)
     return basis, k
 
@@ -296,18 +295,11 @@ def hom_composites(a, b) -> Matrix:
     f = a if pre else b
     x, y = (f.codomain, b) if pre else (a, f.domain)
     x2, y2 = (f.domain, b) if pre else (a, f.codomain)
-    basis = hom_space_matrix(x, y).data
-    k = basis.shape[1]
-    out = np.zeros((hom_flat_dim(x2, y2), k), dtype=np.int64)
-    at = at2 = 0
-    for v, c in enumerate(f.comps):
-        size, size2 = y.dims[v] * x.dims[v], y2.dims[v] * x2.dims[v]
-        # the basis components at v, one (rows x cols) block per basis element
-        blocks = basis[at : at + size].T.reshape(k, y.dims[v], x.dims[v])
-        prod = blocks @ c.data if pre else c.data @ blocks
-        out[at2 : at2 + size2] = prod.reshape(k, size2).T
-        at, at2 = at + size, at2 + size2
-    return Matrix(x.field, out)
+    columns = []
+    for h in hom_basis(x, y):
+        parts = [hv @ c if pre else c @ hv for hv, c in zip(h.comps, f.comps)]
+        columns.append([t for m in parts for row in m.entries for t in row])
+    return Matrix.from_columns(x.field, columns, hom_flat_dim(x2, y2))
 
 
 def hom_image(x: Module, g: Morphism) -> Matrix:
@@ -325,7 +317,8 @@ def _solve_composite(composites: Matrix, g: Morphism, x: Module, y: Module):
     sol = exactlin.solve(composites, Matrix.column(x.field, hom_vec(g)))
     if sol is None:
         return None
-    return morphism_from_vec(x, y, (hom_space_matrix(x, y) @ sol).data, _skip_check=True)
+    flat = (hom_space_matrix(x, y) @ sol).entries
+    return morphism_from_vec(x, y, [row[0] for row in flat], _skip_check=True)
 
 
 def factor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
@@ -468,19 +461,20 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
     field = algebra.field
     maps = []
     for a in quiver.arrows:
-        m = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
+        m = [[0] * dims[a.source] for _ in range(dims[a.target])]
         for k, i in enumerate(by_vertex[a.source]):
             path = algebra.path_basis[i]
             word = path.arrows + (quiver.arrow_index(a.name),)
             if len(word) >= algebra.bound:
                 continue
             vec = algebra._nf[Path(path.source, word)]
-            for j in np.nonzero(vec)[0]:
-                w, row = pos[int(j)]
-                if w != a.target:
-                    raise InvalidModule("normal form does not preserve path targets")
-                m[row, k] = vec[j]
-        maps.append(Matrix(field, m))
+            for j, e in enumerate(vec):
+                if e:
+                    w, row = pos[j]
+                    if w != a.target:
+                        raise InvalidModule("normal form does not preserve path targets")
+                    m[row][k] = e
+        maps.append(Matrix(field, m, dims[a.source]))
     return Module(algebra, dims, maps, _skip_check=True)
 
 
@@ -542,14 +536,10 @@ def direct_sum(mods: Sequence[Module], algebra=None):
     for m in mods:
         inc_comps, proj_comps = [], []
         for v in range(quiver.n_vertices):
-            inc = np.zeros((dims[v], m.dims[v]), dtype=np.int64)
-            pro = np.zeros((m.dims[v], dims[v]), dtype=np.int64)
-            o = offsets[v]
-            for k in range(m.dims[v]):
-                inc[o + k, k] = 1
-                pro[k, o + k] = 1
-            inc_comps.append(Matrix(field, inc))
-            proj_comps.append(Matrix(field, pro))
+            o, d = offsets[v], m.dims[v]
+            inc = tuple([tuple([int(r == o + k) for k in range(d)]) for r in range(dims[v])])
+            inc_comps.append(Matrix(field, inc, d, _reduced=True))
+            proj_comps.append(inc_comps[-1].transpose())
         incs.append(Morphism(m, total, inc_comps, _skip_check=True))
         projs.append(Morphism(total, m, proj_comps, _skip_check=True))
         for v in range(quiver.n_vertices):

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
 from .approx import AddCategory
 from .errors import NotAdmissible, WorkspaceError
@@ -67,7 +65,6 @@ def _require(doc: dict, key: str, kind, where: str):
 def _parse_matrix(field: PrimeField, data, rows: int, cols: int, where: str) -> Matrix:
     if not isinstance(data, list):
         raise WorkspaceError(f"{where}: matrix must be a list of rows")
-    out = np.zeros((rows, cols), dtype=np.int64)
     if len(data) != rows:
         raise WorkspaceError(f"{where}: expected {rows} rows, got {len(data)}")
     for i, row in enumerate(data):
@@ -76,12 +73,11 @@ def _parse_matrix(field: PrimeField, data, rows: int, cols: int, where: str) -> 
         for j, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, int):
                 raise WorkspaceError(f"{where}: entry ({i},{j}) is not an integer")
-            out[i, j] = entry % field.p
-    return Matrix(field, out)
+    return Matrix(field, data, cols)
 
 
 def _matrix_to_doc(m: Matrix) -> List[List[int]]:
-    return [[int(t) for t in row] for row in m.data]
+    return [list(row) for row in m.entries]
 
 
 def parse(doc: dict, field_override: Optional[int] = None,

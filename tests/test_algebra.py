@@ -79,3 +79,34 @@ def test_path_targets_consistent(f2):
     starts = free.basis_indices_from(0)
     # paths out of vertex 1: e1, a, ab
     assert len(starts) == 3
+
+
+def test_multiply_is_exact_near_the_prime_bound():
+    # Two Kronecker steps: every a_i b_j is c_ij times a3 b3, so one product
+    # of full vectors piles fifteen terms of size about p^3 onto one
+    # coordinate, well past the range of 64-bit integers.
+    p = 1048573
+    field = PrimeField(p)
+    q = Quiver(
+        ["1", "2", "3"],
+        [(f"a{i}", "1", "2") for i in range(4)] + [(f"b{j}", "2", "3") for j in range(4)],
+    )
+    coeff = {(i, j): p - 1 - i - 4 * j for i in range(4) for j in range(4)}
+    coeff[3, 3] = 1
+    rels = [
+        [(1, [f"a{i}", f"b{j}"]), (-coeff[i, j], ["a3", "b3"])]
+        for (i, j) in coeff
+        if (i, j) != (3, 3)
+    ]
+    alg = build_algebra(q, rels, 3, field)
+    names = ["*".join(q.arrows[k].name for k in path.arrows) for path in alg.path_basis]
+    x = [0] * alg.dim
+    y = [0] * alg.dim
+    for i in range(4):
+        x[names.index(f"a{i}")] = p - 1 - i
+        y[names.index(f"b{i}")] = p - 2 - i
+    terms = [x[names.index(f"a{i}")] * y[names.index(f"b{j}")] * coeff[i, j] for i, j in coeff]
+    assert len(terms) == 16 and sum(terms) > 2**63
+    expected = [0] * alg.dim
+    expected[names.index("a3*b3")] = sum(terms) % p
+    assert list(alg.multiply(x, y)) == expected

@@ -6,6 +6,7 @@ import pytest
 
 from dctkit import AddCategory, Matrix, Module
 from dctkit import exactlin, repcat, workspace
+from dctkit.errors import CapExceeded
 from dctkit.approx import (
     is_left_minimal,
     is_right_approximation,
@@ -132,3 +133,20 @@ def test_additive_generator_is_kept_and_never_split(flag_cat, flag_mods, monkeyp
     assert seen
     assert all(x is not m for x in seen)
     assert cat.additive_generator() is m
+
+
+def test_category_caches_hold_per_cap():
+    def fresh():
+        return workspace.load(str(DATA / "ka3rad2.json"), 2).category("M")
+
+    with pytest.raises(CapExceeded):
+        fresh().is_generating_cogenerating(cap=1)
+    cat = fresh()
+    assert cat.is_generating_cogenerating()
+    assert len(cat._summand_pool()) == 4
+    # a smaller cap gets the answer a fresh category would give, not the cached one
+    with pytest.raises(CapExceeded):
+        cat.is_generating_cogenerating(cap=1)
+    with pytest.raises(CapExceeded):
+        cat._summand_pool(cap=1)
+    assert cat.is_generating_cogenerating()

@@ -235,3 +235,28 @@ def test_every_command_is_byte_deterministic(tmp_path):
         over_f5 = run_cli(*cmd, "--field", "5")
         assert over_f2.returncode == over_f5.returncode == 0, cmd
         assert over_f5.stdout == over_f2.stdout, cmd
+
+
+def test_cap_below_one_is_an_input_error():
+    for cap in ("-1", "0"):
+        r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1",
+                    "--cap", cap)
+        assert r.returncode == 2
+        error = payload(r)["error"]
+        assert error["kind"] == "input"
+        assert "--cap" in error["message"]
+    r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1", "--cap", "1")
+    assert r.returncode == 2
+    assert payload(r)["error"]["kind"] == "cap"
+
+
+def test_a_command_does_not_import_numpy():
+    script = (
+        "import sys, dctkit.cli\n"
+        f"code = dctkit.cli.main(['dass', '--workspace', {FLAG!r}, '--category', 'M',"
+        " '--target', 'S1'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"

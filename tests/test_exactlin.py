@@ -3,9 +3,9 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
+from dctkit.errors import DimensionMismatch
 from dctkit.exactlin import (
     Matrix,
     PrimeField,
@@ -161,7 +161,28 @@ def test_all_subspaces_pairwise_distinct():
     subs = all_subspaces(field, 4)
     seen = set()
     for s in subs:
-        key = (s.cols, s.data.tobytes())
+        key = (s.cols, s.entries)
         assert key not in seen
         seen.add(key)
     assert len(subs) == 67  # 1+15+35+15+1
+
+
+def test_matrix_shape_survives_empty_rows_and_columns():
+    field = PrimeField(5)
+    assert Matrix(field, [], 3).shape == (0, 3)
+    assert Matrix(field, [[], []]).shape == (2, 0)
+    assert Matrix.column(field, []).shape == (0, 1)
+    m = Matrix(field, [[1, 7, -1]])
+    assert m.data.shape == m.shape == (1, 3)
+    assert m.entries == ((1, 2, 4),)
+    assert m.columns() == [(1,), (2,), (4,)]
+    assert Matrix.zeros(field, 0, 2).columns() == [(), ()]
+    assert Matrix.from_columns(field, m.columns(), 1) == m
+    with pytest.raises(DimensionMismatch):
+        Matrix(field, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        Matrix(field, [1, 2])
+    with pytest.raises(DimensionMismatch):
+        Matrix(field, [[1, 2]], 3)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns(field, [(1, 2)], 3)

@@ -1,9 +1,11 @@
 """Resolutions, extensions, the transpose, and the higher translate."""
 
+import pathlib
+
 import pytest
 
 from dctkit import ext_dim, gldim, pd, tau_d, tau_d_minus
-from dctkit import homological, repcat
+from dctkit import homological, repcat, workspace
 from dctkit.homological import (
     ext_map_post,
     ext_space,
@@ -20,6 +22,8 @@ from dctkit.homological import (
     tr_d,
 )
 from dctkit.repcat import are_isomorphic, duality, hom_dim, simple
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_resolution_of_end_simple_walks_the_line(flag, flag_mods):
@@ -132,3 +136,12 @@ def test_ext_space_and_induced_map(flag_mods):
     z = repcat.Morphism.zero(S2, S3)
     mat = ext_map_post(S1, z, 1)
     assert mat.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ext_dim_from_ranks_matches_ext_space(p):
+    ws = workspace.load(str(DATA / "ka3rad2.json"), p)
+    for x in ws.modules.values():
+        for y in ws.modules.values():
+            for i in range(4):
+                assert ext_dim(x, y, i) == ext_space(x, y, i).dim

@@ -230,7 +230,7 @@ def test_composition_needs_the_same_middle_module(flag_mods):
 
 def test_hom_composites_columns_are_the_composites(flag_mods):
     def columns(m):
-        return [list(m.data[:, j]) for j in range(m.cols)]
+        return [list(c) for c in m.columns()]
 
     mods = list(flag_mods.values()) + [repcat.zero_module(flag_mods["P1"].algebra)]
     for a in mods:
