@@ -1,10 +1,12 @@
 """Approximations by an additive subcategory, and minimal versions of maps.
 
 An AddCategory is the additive closure of finitely many generator modules.
-Right approximations are assembled from full hom bases and then shrunk to
-their right-minimal versions by splitting off what a non-invertible
-self-correction detects (iterated image/kernel splitting).  Left-sided
-notions go through the vector-space duality.
+Every minimal version of a map is read off the top of its image functor:
+`minimal_cover` takes pieces out of indecomposable summands the caller
+already holds and keeps, per isomorphism class of summand, the composites
+that are independent modulo the radical and the orbits kept before.  This
+is linear algebra only; no endomorphism of a glued sum is ever searched.
+Left-sided notions go through the vector-space duality.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import config, exactlin, repcat
-from .errors import CapExceeded, DimensionMismatch
+from .errors import DimensionMismatch
 from .exactlin import Matrix
 from .repcat import Module, Morphism
 
@@ -39,10 +41,17 @@ class AddCategory:
         self.d = d
         self._sum = repcat.direct_sum(list(self.generators), algebra=self.algebra)
         self._cache: Dict[Tuple[str, int], object] = {}
+        self._dual: Optional[AddCategory] = None
 
     def additive_generator(self) -> Module:
         """The direct sum of the generators: the same module on every call."""
         return self._sum[0]
+
+    def dual(self) -> "AddCategory":
+        """The closure of the dual generators over the opposite algebra, built once."""
+        if self._dual is None:
+            self._dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
+        return self._dual
 
     def _cached(self, name: str, cap, compute):
         """compute(), kept per effective scan cap: a smaller cap recomputes and may refuse."""
@@ -117,21 +126,6 @@ def right_approximation(cat: AddCategory, x: Module) -> Morphism:
     return out
 
 
-def left_approximation(cat: AddCategory, x: Module) -> Morphism:
-    """A (not necessarily minimal) left approximation: all hom bases stacked."""
-    summands: List[Module] = []
-    pieces: List[Morphism] = []
-    for g in cat.generators:
-        for f in repcat.hom_basis(x, g):
-            summands.append(g)
-            pieces.append(f)
-    if not summands:
-        z = repcat.zero_module(x.algebra)
-        return Morphism.zero(x, z)
-    _, out, _, _ = repcat.glue_rows(x, summands, pieces)
-    return out
-
-
 def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:
     for gen in cat.generators:
         if repcat.hom_image(gen, g).cols != repcat.hom_dim(gen, g.codomain):
@@ -142,33 +136,61 @@ def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:
 # -- minimal versions ------------------------------------------------------
 
 
-def _null_endos(g: Morphism) -> List[Morphism]:
-    """Basis of the endomorphisms of the domain killed by postcomposing g."""
-    x = g.domain
-    coords = exactlin.kernel_basis(repcat.hom_composites(x, g))
-    flat = repcat.hom_space_matrix(x, x) @ coords
-    return [repcat.morphism_from_vec(x, x, vec, _skip_check=True) for vec in flat.columns()]
+def minimal_cover(
+    y: Module, summands: Sequence[Module], pieces: Sequence[Morphism], cap=None
+) -> Tuple[Morphism, List[Tuple[int, Morphism]]]:
+    """Right-minimal version of the map glued from pieces[j]: summands[j] -> y.
 
+    Every summand must be indecomposable.  Let F be the image functor of
+    the glued map.  At each isomorphism class Z of summands, F(Z) is spanned
+    by the composites pieces[j] @ b, b in hom_basis(Z, summands[j]), and the
+    radical of F at Z by pieces[j] o rad(Z, summands[j]).  Walking the
+    composites in that order, one is kept when it lies outside the radical
+    plus the End(Z)-orbits of those kept before.  The kept composites then
+    span the top of F minimally, so glued they form its projective cover:
+    right minimal, with the same image under every Hom(X, -).
 
-def _first_noninvertible_correction(
-    g: Morphism, basis: List[Morphism], cap=None
-) -> Optional[Morphism]:
-    """First phi = id + psi with g o phi = g that is not invertible, if any."""
-    if not basis:
-        return None
-    field = g.domain.field
-    total = repcat._scan_space(field, len(basis), cap)
-    ident = Morphism.identity(g.domain)
-    for counter in range(1, total):
-        psi = repcat._combination(basis, counter, field.p)
-        phi = ident + psi
-        if not phi.is_iso():
-            return phi
-    return None
-
-
-def is_right_minimal(g: Morphism, cap=None) -> bool:
-    return _first_noninvertible_correction(g, _null_endos(g), cap) is None
+    Returns (g_min, kept): g_min is glued from the kept composites, and
+    kept[i] = (j, b) when the i-th of them is pieces[j] @ b.
+    """
+    field = y.field
+    reps: List[Module] = []
+    members: List[List[int]] = []
+    class_of: Dict[int, int] = {}
+    for j, s in enumerate(summands):
+        c = class_of.get(id(s))
+        if c is None:
+            c = next((i for i, r in enumerate(reps) if repcat.are_isomorphic(r, s, cap)), len(reps))
+            if c == len(reps):
+                reps.append(s)
+                members.append([])
+            class_of[id(s)] = c
+        members[c].append(j)
+    kept: List[Tuple[int, Morphism]] = []
+    for c, z in enumerate(reps):
+        composites = [repcat.hom_composites(z, piece) for piece in pieces]
+        rad_coords: Dict[int, Matrix] = {}
+        rad_cols = []
+        for j, s in enumerate(summands):
+            if class_of[id(s)] != c:
+                rad_cols.append(composites[j])
+                continue
+            if id(s) not in rad_coords:
+                rad = _rad_between_indecomposables(z, s, cap)
+                rad_coords[id(s)] = exactlin.solve(repcat.hom_space_matrix(z, s), rad)
+            rad_cols.append(composites[j] @ rad_coords[id(s)])
+        n = repcat.hom_flat_dim(z, y)
+        span = exactlin.canonical_basis(exactlin.hstack(rad_cols, field=field, rows=n))
+        for j in members[c]:
+            for b, col in zip(repcat.hom_basis(z, summands[j]), composites[j].columns()):
+                if not exactlin.contains(span, Matrix.column(field, col)):
+                    kept.append((j, b))
+                    orbit = repcat.hom_composites(z, pieces[j] @ b)
+                    span = exactlin.subspace_sum(span, orbit)
+    _, g_min, _, _ = repcat.glue_columns(
+        y, [b.domain for _, b in kept], [pieces[j] @ b for j, b in kept]
+    )
+    return g_min, kept
 
 
 def right_minimalize(g: Morphism, cap=None) -> Tuple[Morphism, Morphism]:
@@ -176,50 +198,35 @@ def right_minimalize(g: Morphism, cap=None) -> Tuple[Morphism, Morphism]:
 
     Returns (g_min, incl) where g_min = g @ incl and incl splits.
     """
-    incl_total = Morphism.identity(g.domain)
-    while True:
-        phi = _first_noninvertible_correction(g, _null_endos(g), cap)
-        if phi is None:
-            return g, incl_total
-        n = max(g.domain.total_dim, 1)
-        phi_n = phi
-        for _ in range(n - 1):
-            phi_n = phi_n @ phi
-        kept, inc = repcat.image(phi_n)
-        if kept.total_dim == g.domain.total_dim:
-            raise CapExceeded("minimalization failed to shrink the domain")
-        g = g @ inc
-        incl_total = incl_total @ inc
+    parts = repcat.split_summands(g.domain, cap)
+    pieces = [g @ inc for _, inc, _ in parts]
+    _, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces, cap)
+    _, incl, _, _ = repcat.glue_columns(
+        g.domain, [b.domain for _, b in kept], [parts[j][1] @ b for j, b in kept]
+    )
+    return g @ incl, incl
+
+
+def is_right_minimal(g: Morphism, cap=None) -> bool:
+    return right_minimalize(g, cap)[0].domain.total_dim == g.domain.total_dim
 
 
 def is_left_minimal(f: Morphism, cap=None) -> bool:
     return is_right_minimal(repcat.duality_morphism(f), cap)
 
 
-def left_minimalize(f: Morphism, cap=None) -> Tuple[Morphism, Morphism]:
-    """Left-minimal version of f, with the projection onto the kept summand.
-
-    Returns (f_min, proj) where f_min = proj @ f and proj splits.
-    """
-    df = repcat.duality_morphism(f)
-    dmin, dincl = right_minimalize(df, cap)
-    f_min = repcat.rebase(
-        repcat.duality_morphism(dmin), f.domain, repcat.duality(dmin.domain)
-    )
-    proj = repcat.rebase(
-        repcat.duality_morphism(dincl), f.codomain, f_min.codomain
-    )
-    return f_min, proj
-
-
 def minimal_right_approximation(cat: AddCategory, x: Module, cap=None) -> Morphism:
-    g, _ = right_minimalize(right_approximation(cat, x), cap)
+    """Minimal right approximation, covered by the pool members' hom bases into x."""
+    pairs = [(z, b) for z in cat._summand_pool(cap) for b in repcat.hom_basis(z, x)]
+    g, _ = minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs], cap)
     return g
 
 
 def minimal_left_approximation(cat: AddCategory, x: Module, cap=None) -> Morphism:
-    f, _ = left_minimalize(left_approximation(cat, x), cap)
-    return f
+    """Minimal left approximation: the dual of a minimal right one over cat.dual()."""
+    dg = minimal_right_approximation(cat.dual(), repcat.duality(x), cap)
+    df = repcat.duality_morphism(dg)
+    return repcat.rebase(df, x, df.codomain)
 
 
 # -- radical subspaces -----------------------------------------------------

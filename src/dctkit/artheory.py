@@ -110,9 +110,6 @@ class RigidityReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "ok": self.ok, "table": self.table}
-
 
 def is_d_rigid(cat: AddCategory, cap=None) -> RigidityReport:
     """Whether all self-extensions vanish in degrees 1..d-1, with the table."""
@@ -146,19 +143,6 @@ class ClusterTiltingReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "generator_dims": self.generator_dims,
-            "universe_dims": self.universe_dims,
-            "rigidity": self.rigidity.to_dict(),
-            "rows": self.rows,
-            "generating": self.generating,
-            "cogenerating": self.cogenerating,
-            "witnesses": self.witnesses,
-            "ok": self.ok,
-        }
 
 
 def is_d_cluster_tilting(
@@ -253,16 +237,6 @@ class TauEquivalenceReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "bijection": self.bijection,
-            "inverses_ok": self.inverses_ok,
-            "stable_rows": self.stable_rows,
-            "stable_ok": self.stable_ok,
-            "ok": self.ok,
-        }
-
 
 def verify_tau_d_equivalence(cat: AddCategory, cap=None) -> TauEquivalenceReport:
     """Check translation bijectivity, two-sided inversion, and hom dimensions.
@@ -326,9 +300,6 @@ class DefectFormulaReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "ok": self.ok}
-
 
 def verify_defect_formula(seq: DSequence, cat: AddCategory, cap=None) -> DefectFormulaReport:
     """Compare both defect dimensions of a sequence over the whole pool."""
@@ -354,9 +325,6 @@ class ARDualityReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "ok": self.ok}
 
 
 def verify_ar_duality(cat: AddCategory, cap=None) -> ARDualityReport:
@@ -389,15 +357,6 @@ class DeterminedReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witness_index": self.witness_index,
-            "witness_vector": None
-            if self.witness is None
-            else [int(t) for t in repcat.hom_vec(self.witness)],
-        }
 
 
 def is_right_X_determined(
@@ -439,13 +398,6 @@ class DeterminerReport:
     with_regular_ok: bool
     epi: bool
     translate_only_ok: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "with_regular_ok": self.with_regular_ok,
-            "epi": self.epi,
-            "translate_only_ok": self.translate_only_ok,
-        }
 
 
 def right_determiner_check(seq: DSequence, cat: AddCategory, cap=None) -> DeterminerReport:
@@ -665,11 +617,11 @@ def determined_morphism(
 
     # (3) spanning set of the preimage plus a projective cover
     gens = [repcat.morphism_from_vec(x, n_h, vec) for vec in pre_flat.columns()]
-    pcov, paug, _ = repcat.projective_cover(n_h)
-    summands = [x] * len(gens) + [pcov]
-    pieces = gens + [paug]
-    _, g0, _, _ = repcat.glue_columns(n_h, summands, pieces)
-    gmin, _ = approx.right_minimalize(g0, cap)
+    x_parts = repcat.split_summands(x, cap)
+    _, paug, _, p_incs, _ = repcat._projective_cover(n_h)
+    summands = [z for _ in gens for z, _, _ in x_parts] + [inc.domain for inc in p_incs]
+    pieces = [f @ inc for f in gens for _, inc, _ in x_parts] + [paug @ inc for inc in p_incs]
+    gmin, _ = approx.minimal_cover(n_h, summands, pieces, cap)
 
     # (4) resolve into a d-exact sequence
     seq = dexact.build_left_d_exact(cat, gmin, cap)
@@ -679,7 +631,7 @@ def determined_morphism(
     hmap = _defect_cover_map(seq, taux, cap)
 
     # (6, 7) push out along the cover and come back through u
-    push = dexact.d_pushout_complete(cat, seq, hmap, minimal=True, cap=cap)
+    push = dexact.d_pushout_complete(cat, seq, hmap, cap=cap)
     g_x = push.dst.maps[-1]
     g = u @ g_x
 
@@ -700,11 +652,17 @@ def determined_morphism(
 # -- almost-split data -------------------------------------------------------
 
 
-def _minimal_cover(m: Module, y: Module, flat: Matrix, cap=None) -> Morphism:
-    """Right-minimal version of the map m^k -> y glued from k flat columns."""
+def _minimal_cover(cat: AddCategory, y: Module, flat: Matrix, cap=None) -> Morphism:
+    """Right-minimal version of the map M^k -> y glued from k flat columns.
+
+    M^k is never built: each column is composed with the kept summands of M.
+    """
+    m = cat.additive_generator()
+    parts = cat._generator_parts(cap)
     mors = [repcat.morphism_from_vec(m, y, vec) for vec in flat.columns()]
-    _, g0, _, _ = repcat.glue_columns(y, [m] * len(mors), mors)
-    g, _ = approx.right_minimalize(g0, cap)
+    summands = [z for _ in mors for z, _, _ in parts]
+    pieces = [f @ inc for f in mors for _, inc, _ in parts]
+    g, _ = approx.minimal_cover(y, summands, pieces, cap)
     return g
 
 
@@ -719,7 +677,7 @@ def right_almost_split(cat: AddCategory, n: Module, cap=None) -> Morphism:
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n, cap):
         raise InvalidModule("the target must lie in the subcategory")
-    g = _minimal_cover(cat.additive_generator(), n, cat.generator_radical(n, cap), cap)
+    g = _minimal_cover(cat, n, cat.generator_radical(n, cap), cap)
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
     for vi, v in enumerate(cat._summand_pool(cap)):
@@ -791,13 +749,13 @@ def _functor_pd(cat: AddCategory, nj: Module, cap=None) -> int:
     rad_flat = cat.generator_radical(nj, cap)
     if rad_flat.cols == 0:
         return 0
-    r = _minimal_cover(m, nj, rad_flat, cap)
+    r = _minimal_cover(cat, nj, rad_flat, cap)
     limit = config.RESOLUTION_CAP
     for k in range(limit):
         ker = exactlin.kernel_basis(repcat.hom_composites(m, r))
         if ker.cols == 0:
             return k + 1
-        r = _minimal_cover(m, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker, cap)
+        r = _minimal_cover(cat, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker, cap)
     raise CapExceeded(f"functor resolution did not terminate within {limit} steps")
 
 

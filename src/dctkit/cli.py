@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Tuple
 
 from . import artheory, dexact, homological, repcat, workspace
@@ -334,7 +335,7 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
 
 def _run_d_rigid(ws: Workspace, args) -> Tuple[dict, int]:
     report = artheory.is_d_rigid(ws.category(args.category), args.cap)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["category"] = args.category
     return doc, 0
 
@@ -344,7 +345,7 @@ def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
     bound = _dim_bound(ws, args)
     universe = artheory.enumerate_indecomposables(ws.algebra, bound, args.cap)
     report = artheory.is_d_cluster_tilting(cat, universe, args.cap)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["category"] = args.category
     doc["bound"] = bound
     doc["universe_size"] = len(universe)
@@ -378,14 +379,14 @@ def _run_verify_defect_formula(ws: Workspace, args) -> Tuple[dict, int]:
     cat = ws.category(args.category)
     seq = _sequence_from_args(ws, cat, args)
     report = artheory.verify_defect_formula(seq, cat, args.cap)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
 
 
 def _run_verify_ar_duality(ws: Workspace, args) -> Tuple[dict, int]:
     report = artheory.verify_ar_duality(ws.category(args.category), args.cap)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import exactlin, homological, repcat
-from .approx import (
-    AddCategory,
-    minimal_right_approximation,
-    right_approximation,
-    right_minimalize,
-)
+from .approx import AddCategory, minimal_right_approximation
 from .errors import DimensionMismatch, InvalidMorphism, VerificationFailed
 from .exactlin import Matrix
 from .repcat import Module, Morphism
@@ -348,7 +343,7 @@ def _pair_into_sum(src: Module, total: Module, first: Morphism, second: Morphism
 # -- pullback and pushout staircases ----------------------------------------
 
 
-def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, minimal, cap):
+def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, cap):
     """Shared construction; also returns the final stage's kernel inclusion."""
     d = cat.d
     if len(bottom.terms) != d + 1:
@@ -364,10 +359,7 @@ def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, min
     for i in range(d, 0, -1):
         p, q, r, incl = pullback(delta, alpha)
         if i > 1:
-            if minimal:
-                approx = minimal_right_approximation(cat, p, cap)
-            else:
-                approx = right_approximation(cat, p)
+            approx = minimal_right_approximation(cat, p, cap)
             tops_rev.append(approx.domain)
             top_maps_rev.append(r @ approx)
             downs_rev.append(q @ approx)
@@ -389,22 +381,18 @@ def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, min
     return morphism, last_incl, alpha.domain
 
 
-def d_pullback(
-    cat: AddCategory, bottom: DSequence, fmap: Morphism, minimal: bool = True, cap=None
-) -> ComplexMorphism:
+def d_pullback(cat: AddCategory, bottom: DSequence, fmap: Morphism, cap=None) -> ComplexMorphism:
     """Pull a (d+1)-term tail back along a map into its right end.
 
     The mapping cone of the returned morphism of complexes is left
-    d-exact; right approximations of the intermediate pullbacks are
-    minimal unless minimal=False.
+    d-exact; the intermediate pullbacks are covered by minimal right
+    approximations.
     """
-    morphism, _, _ = _pullback_staircase(cat, bottom, fmap, minimal, cap)
+    morphism, _, _ = _pullback_staircase(cat, bottom, fmap, cap)
     return morphism
 
 
-def d_pullback_complete(
-    cat: AddCategory, seq: DSequence, fmap: Morphism, minimal: bool = True, cap=None
-):
+def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism, cap=None):
     """Pull a full (d+2)-term sequence back, inducing the kernel row.
 
     Returns the completed morphism of complexes: its source keeps the
@@ -413,7 +401,7 @@ def d_pullback_complete(
     if len(seq.terms) != cat.d + 2:
         raise DimensionMismatch("the sequence must have d+2 terms")
     tail = DSequence(seq.terms[1:], seq.maps[1:], _skip_check=True)
-    morphism, incl, next_obj = _pullback_staircase(cat, tail, fmap, minimal, cap)
+    morphism, incl, next_obj = _pullback_staircase(cat, tail, fmap, cap)
     left = seq.left_term
     zero_leg = Morphism.zero(left, next_obj)
     pair = _pair_into_sum(left, incl.codomain, seq.maps[0], zero_leg)
@@ -438,17 +426,7 @@ def _dual_sequence(seq: DSequence) -> DSequence:
     return DSequence(terms, maps, _skip_check=True)
 
 
-def _dual_category(cat: AddCategory) -> AddCategory:
-    cached = getattr(cat, "_dual", None)
-    if cached is None:
-        cached = AddCategory([repcat.duality(g) for g in cat.generators], cat.d)
-        cat._dual = cached
-    return cached
-
-
-def d_pushout(
-    cat: AddCategory, head: DSequence, gmap: Morphism, minimal: bool = True, cap=None
-) -> ComplexMorphism:
+def d_pushout(cat: AddCategory, head: DSequence, gmap: Morphism, cap=None) -> ComplexMorphism:
     """Push a (d+1)-term head out along a map from its left end.
 
     Dual staircase: the mapping cone of the result is right d-exact.
@@ -458,9 +436,7 @@ def d_pushout(
     dual = _dual_sequence(head)
     dual_leg = repcat.duality_morphism(gmap)
     dual_leg = repcat.rebase(dual_leg, dual_leg.domain, dual.right_term)
-    morphism, _, _ = _pullback_staircase(
-        _dual_category(cat), dual, dual_leg, minimal, cap
-    )
+    morphism, _, _ = _pullback_staircase(cat.dual(), dual, dual_leg, cap)
     bottom = _dual_sequence(morphism.src)
     terms = [gmap.codomain] + list(bottom.terms[1:])
     maps = [repcat.rebase(bottom.maps[0], terms[0], terms[1])] + list(bottom.maps[1:])
@@ -472,16 +448,14 @@ def d_pushout(
     return ComplexMorphism(head, bottom, downs)
 
 
-def d_pushout_complete(
-    cat: AddCategory, seq: DSequence, gmap: Morphism, minimal: bool = True, cap=None
-):
+def d_pushout_complete(cat: AddCategory, seq: DSequence, gmap: Morphism, cap=None):
     """Push a full (d+2)-term sequence out, inducing the cokernel row."""
     if len(seq.terms) != cat.d + 2:
         raise DimensionMismatch("the sequence must have d+2 terms")
     dual = _dual_sequence(seq)
     dual_leg = repcat.duality_morphism(gmap)
     dual_leg = repcat.rebase(dual_leg, dual_leg.domain, dual.right_term)
-    completed = d_pullback_complete(_dual_category(cat), dual, dual_leg, minimal, cap)
+    completed = d_pullback_complete(cat.dual(), dual, dual_leg, cap)
     bottom = _dual_sequence(completed.src)
     terms = [gmap.codomain] + list(bottom.terms[1:-1]) + [seq.right_term]
     maps = [repcat.rebase(bottom.maps[0], terms[0], terms[1])]
@@ -586,7 +560,7 @@ def build_left_d_exact(cat: AddCategory, g: Morphism, cap=None) -> DSequence:
     """Resolve the kernel of g by minimal right approximations, d-1 times.
 
     Starting from g: C -> N, each step takes the kernel of the last map
-    and covers it by a right-minimalized right approximation; the final
+    and covers it by a minimal right approximation; the final
     kernel is kept as the left term, giving d+2 terms in total.
     """
     maps_rev: List[Morphism] = [g]
@@ -594,7 +568,7 @@ def build_left_d_exact(cat: AddCategory, g: Morphism, cap=None) -> DSequence:
     cur = g
     for _ in range(cat.d - 1):
         k, incl = repcat.kernel(cur)
-        approx, _ = right_minimalize(right_approximation(cat, k), cap)
+        approx = minimal_right_approximation(cat, k, cap)
         cur = incl @ approx
         maps_rev.append(cur)
         terms_rev.append(cur.domain)

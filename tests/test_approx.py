@@ -4,22 +4,21 @@ import pathlib
 
 import pytest
 
-from dctkit import AddCategory, Matrix, Module
+from dctkit import AddCategory, Matrix, Module, Quiver, build_algebra
 from dctkit import exactlin, repcat, workspace
 from dctkit.errors import CapExceeded
 from dctkit.approx import (
     is_left_minimal,
     is_right_approximation,
     is_right_minimal,
-    left_approximation,
-    left_minimalize,
     minimal_left_approximation,
     minimal_right_approximation,
     rad_hom_basis,
     right_approximation,
     right_minimalize,
 )
-from dctkit.artheory import d_almost_split, gldim_end
+from dctkit.artheory import d_almost_split, gldim_end, right_almost_split
+from dctkit.homological import is_projective
 from dctkit.repcat import Morphism, are_isomorphic, direct_sum, hom_dim
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -78,6 +77,12 @@ def test_minimalize_strips_zero_summands(flag_cat, flag_mods, flag):
     assert are_isomorphic(gmin.domain, p1)
     # the inclusion splits the domain back into the padded sum
     assert (out @ incl).comps == gmin.comps
+    # a second copy of the same piece is redundant too
+    _, twice, _, _ = repcat.glue_columns(s1, [p1, p1], [q, q])
+    gmin, incl = right_minimalize(twice)
+    assert is_right_minimal(gmin)
+    assert are_isomorphic(gmin.domain, p1)
+    assert (twice @ incl).comps == gmin.comps
 
 
 def test_rad_hom_between_nonisomorphic_indecomposables_is_full(flag_mods):
@@ -150,3 +155,90 @@ def test_category_caches_hold_per_cap():
     with pytest.raises(CapExceeded):
         cat._summand_pool(cap=1)
     assert cat.is_generating_cogenerating()
+
+
+# -- the scan minimalization, kept as an oracle for minimal_cover -----------
+
+
+def _scan_right_minimalize(g: Morphism) -> Morphism:
+    """Right-minimal version of g by searching End(dom g), as dctkit once did.
+
+    While some phi = id + psi with g o psi = 0 is not invertible (first one
+    in scan order over a basis of such psi), pass to the image of phi^n,
+    which is a proper summand of the domain that g restricts to.
+    """
+    while True:
+        x = g.domain
+        coords = exactlin.kernel_basis(repcat.hom_composites(x, g))
+        flat = repcat.hom_space_matrix(x, x) @ coords
+        basis = [repcat.morphism_from_vec(x, x, vec) for vec in flat.columns()]
+        ident = Morphism.identity(x)
+        phi = None
+        if basis:
+            for counter in range(1, repcat._scan_space(x.field, len(basis), None)):
+                candidate = ident + repcat._combination(basis, counter, x.field.p)
+                if not candidate.is_iso():
+                    phi = candidate
+                    break
+        if phi is None:
+            return g
+        phi_n = phi
+        for _ in range(x.total_dim - 1):
+            phi_n = phi_n @ phi
+        kept, inc = repcat.image(phi_n)
+        assert kept.total_dim < x.total_dim
+        g = g @ inc
+
+
+def _same_minimal_map(g: Morphism, h: Morphism) -> None:
+    def dims(m):
+        return sorted(tuple(z.dims) for z, mult in repcat.decompose(m) for _ in range(mult))
+
+    assert dims(g.domain) == dims(h.domain)
+    assert repcat.factor_through(g, h) is not None
+    assert repcat.factor_through(h, g) is not None
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_minimal_cover_matches_the_scan_oracle(fixture, p):
+    ws = workspace.load(str(DATA / fixture), p)
+    cat = ws.category("M")
+    m = cat.additive_generator()
+    for n in cat._summand_pool():
+        if is_projective(n):
+            continue
+        mors = [repcat.morphism_from_vec(m, n, v) for v in cat.generator_radical(n).columns()]
+        _, glued, _, _ = repcat.glue_columns(n, [m] * len(mors), mors)
+        _same_minimal_map(right_almost_split(cat, n), _scan_right_minimalize(glued))
+    for name in sorted(ws.modules):
+        x = ws.module(name)
+        oracle = _scan_right_minimalize(right_approximation(cat, x))
+        _same_minimal_map(minimal_right_approximation(cat, x), oracle)
+
+
+def test_minimal_cover_drops_radical_composites(f2):
+    # over k[x]/x^2, the piece x is a radical composite of the piece id
+    loop = build_algebra(Quiver(["1"], [("a", "1", "1")]), [[(1, ["a", "a"])]], 2, f2)
+    p = repcat.projective(loop, 0)
+    x = Morphism(p, p, [p.maps[0]])
+    _, g, _, _ = repcat.glue_columns(p, [p, p], [x, Morphism.identity(p)])
+    gmin, _ = right_minimalize(g)
+    assert gmin.domain.dims == p.dims
+    assert not is_right_minimal(g) and is_right_minimal(gmin)
+    _same_minimal_map(gmin, _scan_right_minimalize(g))
+
+
+def test_minimal_cover_uses_whole_endomorphism_orbits(f2):
+    # a Kronecker module with End = F_4: w is not a scalar, yet id and w
+    # lie in one End-orbit, so one copy of z covers both pieces
+    kronecker = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], 2, f2)
+    c = Matrix(f2, [[0, 1], [1, 1]], 2)
+    z = Module(kronecker, [2, 2], [Matrix.identity(f2, 2), c])
+    assert repcat.is_indecomposable(z) and hom_dim(z, z) == 2
+    w = Morphism(z, z, [c, c])
+    _, g, _, _ = repcat.glue_columns(z, [z, z], [Morphism.identity(z), w])
+    gmin, _ = right_minimalize(g)
+    assert gmin.domain.dims == z.dims
+    assert not is_right_minimal(g) and is_right_minimal(gmin)
+    _same_minimal_map(gmin, _scan_right_minimalize(g))

@@ -225,16 +225,17 @@ def test_every_command_is_byte_deterministic(tmp_path):
         second = run_cli(*cmd, threads=16)
         assert first.returncode == second.returncode == 0, cmd
         assert first.stdout == second.stdout, cmd
-    # the flagship answers over F_5 with exactly the F_2 bytes
+    # the flagship answers over F_5 and F_7 with exactly the F_2 bytes
     for cmd in [
         ("dass", "--workspace", FLAG, "--category", "M", "--target", "S1"),
         ("gldim-end", "--workspace", FLAG, "--category", "M"),
         ("verify-defect-formula", "--workspace", FLAG, "--category", "M", "--target", "S1"),
     ]:
         over_f2 = run_cli(*cmd, "--field", "2")
-        over_f5 = run_cli(*cmd, "--field", "5")
-        assert over_f2.returncode == over_f5.returncode == 0, cmd
-        assert over_f5.stdout == over_f2.stdout, cmd
+        for p in ("5", "7"):
+            over_p = run_cli(*cmd, "--field", p)
+            assert over_f2.returncode == over_p.returncode == 0, (cmd, p)
+            assert over_p.stdout == over_f2.stdout, (cmd, p)
 
 
 def test_cap_below_one_is_an_input_error():
