@@ -224,9 +224,7 @@ def minimal_right_approximation(cat: AddCategory, x: Module, cap=None) -> Morphi
 
 def minimal_left_approximation(cat: AddCategory, x: Module, cap=None) -> Morphism:
     """Minimal left approximation: the dual of a minimal right one over cat.dual()."""
-    dg = minimal_right_approximation(cat.dual(), repcat.duality(x), cap)
-    df = repcat.duality_morphism(dg)
-    return repcat.rebase(df, x, df.codomain)
+    return repcat.duality_morphism(minimal_right_approximation(cat.dual(), repcat.duality(x), cap))
 
 
 # -- radical subspaces -----------------------------------------------------
@@ -239,7 +237,7 @@ def _rad_between_indecomposables(x: Module, y: Module, cap=None) -> Matrix:
     basis = repcat.hom_basis(x, y)
     if not basis:
         return Matrix.zeros(field, n, 0)
-    if x.dims != y.dims or repcat.find_isomorphism(x, y, cap) is None:
+    if x is not y and (x.dims != y.dims or repcat.find_isomorphism(x, y, cap) is None):
         return repcat.hom_space_matrix(x, y)
     cols = []
     total = repcat._scan_space(field, len(basis), cap)

@@ -32,10 +32,6 @@ from .exactlin import Matrix
 from .repcat import Module, Morphism
 
 
-def _dims_list(m: Module) -> List[int]:
-    return [int(t) for t in m.dims]
-
-
 # -- exhaustive enumeration of indecomposables ------------------------------
 
 
@@ -172,7 +168,7 @@ def is_d_cluster_tilting(
         rows.append(
             {
                 "index": idx,
-                "dims": _dims_list(x),
+                "dims": list(x.dims),
                 "in_category": member,
                 "left_orthogonal": into,
                 "right_orthogonal": outof,
@@ -181,7 +177,7 @@ def is_d_cluster_tilting(
         if not (member == into == outof):
             sets_match = False
             witnesses.append(
-                f"universe[{idx}] dims {_dims_list(x)}: member={member}, "
+                f"universe[{idx}] dims {list(x.dims)}: member={member}, "
                 f"kills-into={into}, killed-from={outof}"
             )
     algebra = cat.algebra
@@ -200,8 +196,8 @@ def is_d_cluster_tilting(
     ok = rigidity.ok and sets_match and generating and cogenerating
     return ClusterTiltingReport(
         d=cat.d,
-        generator_dims=[_dims_list(g) for g in cat.generators],
-        universe_dims=[_dims_list(x) for x in universe],
+        generator_dims=[list(g.dims) for g in cat.generators],
+        universe_dims=[list(x.dims) for x in universe],
         rigidity=rigidity,
         rows=rows,
         generating=generating,

@@ -19,11 +19,10 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import artheory, dexact, homological, repcat, workspace
 from .approx import AddCategory
@@ -149,12 +148,8 @@ def _dim_bound(ws: Workspace, args) -> int:
     return args.bound if args.bound is not None else ws.algebra.dim
 
 
-def _dims(m: Module) -> List[int]:
-    return [int(t) for t in m.dims]
-
-
 def _dims_str(m: Module) -> str:
-    return "(" + ",".join(str(int(t)) for t in m.dims) + ")"
+    return "(" + ",".join(map(str, m.dims)) + ")"
 
 
 def _match_name(ws: Workspace, m: Module, cap) -> Optional[str]:
@@ -214,7 +209,7 @@ def _sequence_doc(ws: Workspace, seq: DSequence, cap) -> dict:
     return {
         "d": seq.d,
         "terms": [
-            {"label": _label_module(ws, t, cap), "dims": _dims(t)} for t in seq.terms
+            {"label": _label_module(ws, t, cap), "dims": list(t.dims)} for t in seq.terms
         ],
         "maps": [
             {
@@ -281,7 +276,7 @@ def _run_resolve(ws: Workspace, args) -> Tuple[dict, int]:
         terms.append(
             {
                 "vertices": [quiver.vertices[v] for v in res.vertices(i)],
-                "dims": _dims(proj),
+                "dims": list(proj.dims),
             }
         )
         if proj.is_zero():
@@ -296,7 +291,7 @@ def _run_tau_d(ws: Workspace, args) -> Tuple[dict, int]:
         {
             "module": args.module,
             "minus": bool(args.minus),
-            "dims": _dims(out),
+            "dims": list(out.dims),
             "isomorphic_to": _match_name(ws, out, args.cap) if not out.is_zero() else None,
         },
         0,
@@ -309,7 +304,7 @@ def _run_decompose(ws: Workspace, args) -> Tuple[dict, int]:
     for rep, mult in repcat.decompose(x, args.cap):
         summands.append(
             {
-                "dims": _dims(rep),
+                "dims": list(rep.dims),
                 "multiplicity": mult,
                 "isomorphic_to": _match_name(ws, rep, args.cap),
             }
@@ -325,7 +320,7 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
             "bound": bound,
             "count": len(classes),
             "classes": [
-                {"dims": _dims(m), "isomorphic_to": _match_name(ws, m, args.cap)}
+                {"dims": list(m.dims), "isomorphic_to": _match_name(ws, m, args.cap)}
                 for m in classes
             ],
         },
@@ -410,7 +405,7 @@ def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
             "image_dim": h.dim,
             "domain": {
                 "label": _label_module(ws, g.domain, args.cap),
-                "dims": _dims(g.domain),
+                "dims": list(g.domain.dims),
             },
             "epi": g.is_epi(),
             "ok": True,
@@ -485,7 +480,7 @@ _RUNNERS = {
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(workspace.dumps(payload))
 
 
 def main(argv=None) -> int:

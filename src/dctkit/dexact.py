@@ -11,7 +11,12 @@ degrees, so the returned homotopy is canonical.  Pullbacks of a sequence
 tail along a map into its end are built as a staircase of classical
 pullbacks interleaved with right approximations; the defining property —
 the mapping cone of the resulting morphism of complexes is left d-exact —
-is what the tests check.  Pushouts are the duals.
+is what the tests check.
+
+Every right-hand construction is its left-hand twin under the duality D,
+which is strictly involutive: the right test is the left test on the dual
+sequence over cat.dual(), and the pushout is the dual of the pullback of
+the dual sequence.  Dualizing back returns the very modules started from.
 """
 
 from __future__ import annotations
@@ -130,11 +135,6 @@ def hom_induced_matrix(g: Module, f: Morphism) -> Matrix:
     return _in_hom_basis(repcat.hom_space_matrix(g, f.codomain), repcat.hom_composites(g, f))
 
 
-def hom_induced_matrix_contra(f: Morphism, g: Module) -> Matrix:
-    """Matrix of Hom(f, g): Hom(cod f, g) -> Hom(dom f, g) in hom bases."""
-    return _in_hom_basis(repcat.hom_space_matrix(f.domain, g), repcat.hom_composites(f, g))
-
-
 def _first_inexact_position(mats: List[Matrix]) -> Optional[int]:
     """First failure of 0 -> V_0 -> ... -> V_n being exact away from V_n.
 
@@ -148,43 +148,17 @@ def _first_inexact_position(mats: List[Matrix]) -> Optional[int]:
     return None
 
 
-@dataclass
-class ExactnessFailure:
-    """Which generator and position witnessed a hom-exactness failure."""
-
-    side: str
-    generator: int
-    position: int
-
-
-def left_d_exactness_certificate(
-    seq: DSequence, cat: AddCategory
-) -> Optional[ExactnessFailure]:
-    for gi, g in enumerate(cat.generators):
-        mats = [hom_induced_matrix(g, f) for f in seq.maps]
-        pos = _first_inexact_position(mats)
-        if pos is not None:
-            return ExactnessFailure("into", gi, pos)
-    return None
-
-
-def right_d_exactness_certificate(
-    seq: DSequence, cat: AddCategory
-) -> Optional[ExactnessFailure]:
-    for gi, g in enumerate(cat.generators):
-        mats = [hom_induced_matrix_contra(f, g) for f in reversed(seq.maps)]
-        pos = _first_inexact_position(mats)
-        if pos is not None:
-            return ExactnessFailure("from", gi, pos)
-    return None
-
-
 def is_left_d_exact(seq: DSequence, cat: AddCategory) -> bool:
-    return left_d_exactness_certificate(seq, cat) is None
+    """Hom(G, -) of the sequence is exact away from its last spot, for every generator G."""
+    return all(
+        _first_inexact_position([hom_induced_matrix(g, f) for f in seq.maps]) is None
+        for g in cat.generators
+    )
 
 
 def is_right_d_exact(seq: DSequence, cat: AddCategory) -> bool:
-    return right_d_exactness_certificate(seq, cat) is None
+    """Hom(-, G) exactness: the left test on the dual sequence over cat.dual()."""
+    return is_left_d_exact(_dual_sequence(seq), cat.dual())
 
 
 def is_d_exact(seq: DSequence, cat: AddCategory) -> bool:
@@ -419,57 +393,26 @@ def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism, cap=No
 def _dual_sequence(seq: DSequence) -> DSequence:
     """The reversed complex of dual modules over the opposite algebra."""
     terms = [repcat.duality(t) for t in reversed(seq.terms)]
-    maps = []
-    for i, m in enumerate(reversed(seq.maps)):
-        dm = repcat.duality_morphism(m)
-        maps.append(repcat.rebase(dm, terms[i], terms[i + 1]))
+    maps = [repcat.duality_morphism(m) for m in reversed(seq.maps)]
     return DSequence(terms, maps, _skip_check=True)
 
 
-def d_pushout(cat: AddCategory, head: DSequence, gmap: Morphism, cap=None) -> ComplexMorphism:
-    """Push a (d+1)-term head out along a map from its left end.
-
-    Dual staircase: the mapping cone of the result is right d-exact.
-    """
-    if gmap.domain is not head.left_term:
-        raise DimensionMismatch("the leg must map out of the left end of the head")
-    dual = _dual_sequence(head)
-    dual_leg = repcat.duality_morphism(gmap)
-    dual_leg = repcat.rebase(dual_leg, dual_leg.domain, dual.right_term)
-    morphism, _, _ = _pullback_staircase(cat.dual(), dual, dual_leg, cap)
-    bottom = _dual_sequence(morphism.src)
-    terms = [gmap.codomain] + list(bottom.terms[1:])
-    maps = [repcat.rebase(bottom.maps[0], terms[0], terms[1])] + list(bottom.maps[1:])
-    bottom = DSequence(terms, maps, _skip_check=True)
-    downs = []
-    for i, m in enumerate(reversed(morphism.maps)):
-        dm = repcat.duality_morphism(m)
-        downs.append(repcat.rebase(dm, head.terms[i], bottom.terms[i]))
-    return ComplexMorphism(head, bottom, downs)
+def _dual_chain(seq: DSequence, cm: ComplexMorphism) -> ComplexMorphism:
+    """The dual of a morphism of complexes into the dual of seq, as one out of seq."""
+    maps = [repcat.duality_morphism(m) for m in reversed(cm.maps)]
+    return ComplexMorphism(seq, _dual_sequence(cm.src), maps)
 
 
 def d_pushout_complete(cat: AddCategory, seq: DSequence, gmap: Morphism, cap=None):
-    """Push a full (d+2)-term sequence out, inducing the cokernel row."""
-    if len(seq.terms) != cat.d + 2:
-        raise DimensionMismatch("the sequence must have d+2 terms")
-    dual = _dual_sequence(seq)
+    """Push a full (d+2)-term sequence out, inducing the cokernel row.
+
+    The dual of pulling the dual sequence back along the dual map over
+    cat.dual(): the result starts at seq and keeps its right term.
+    """
+    if gmap.domain is not seq.left_term:
+        raise DimensionMismatch("the leg must map out of the left end of the sequence")
     dual_leg = repcat.duality_morphism(gmap)
-    dual_leg = repcat.rebase(dual_leg, dual_leg.domain, dual.right_term)
-    completed = d_pullback_complete(cat.dual(), dual, dual_leg, cap)
-    bottom = _dual_sequence(completed.src)
-    terms = [gmap.codomain] + list(bottom.terms[1:-1]) + [seq.right_term]
-    maps = [repcat.rebase(bottom.maps[0], terms[0], terms[1])]
-    for i in range(1, len(bottom.maps) - 1):
-        maps.append(bottom.maps[i])
-    maps.append(
-        repcat.rebase(bottom.maps[-1], terms[-2], terms[-1])
-    )
-    bottom = DSequence(terms, maps, _skip_check=True)
-    downs = []
-    for i, m in enumerate(reversed(completed.maps)):
-        dm = repcat.duality_morphism(m)
-        downs.append(repcat.rebase(dm, seq.terms[i], bottom.terms[i]))
-    return ComplexMorphism(seq, bottom, downs)
+    return _dual_chain(seq, d_pullback_complete(cat.dual(), _dual_sequence(seq), dual_leg, cap))
 
 
 def mapping_cone(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> DSequence:

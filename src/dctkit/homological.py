@@ -286,9 +286,12 @@ def projectively_stable_dim(x: Module, y: Module) -> int:
 
 
 def injectively_stable_dim(x: Module, y: Module) -> int:
-    """Dimension of Hom(x, y) modulo maps that factor through an injective."""
-    _, mono = repcat.injective_envelope(x)
-    return repcat.hom_dim(x, y) - repcat.hom_coimage(mono, y).cols
+    """Dimension of Hom(x, y) modulo maps that factor through an injective.
+
+    Computed as the projectively stable Hom(D y, D x); the resolution of
+    D x it needs stays cached on the dual of x.
+    """
+    return projectively_stable_dim(repcat.duality(y), repcat.duality(x))
 
 
 # -- tensor products and Tor ----------------------------------------------

@@ -491,10 +491,18 @@ def regular(algebra: BoundQuiverAlgebra):
 
 
 def duality(x: Module) -> Module:
-    """The vector-space dual as a module over the opposite algebra."""
-    opp = x.algebra.opposite()
-    maps = [x.maps[i].transpose() for i in range(len(x.maps))]
-    return Module(opp, x.dims, maps, _skip_check=True)
+    """The vector-space dual as a module over the opposite algebra.
+
+    Built once and kept on x, which the dual keeps in turn, so D is
+    strictly involutive: duality(duality(x)) is x itself.
+    """
+    dual = x._cache.get("dual")
+    if dual is None:
+        maps = [m.transpose() for m in x.maps]
+        dual = Module(x.algebra.opposite(), x.dims, maps, _skip_check=True)
+        dual._cache["dual"] = x
+        x._cache["dual"] = dual
+    return dual
 
 
 def duality_morphism(f: Morphism) -> Morphism:
@@ -505,13 +513,6 @@ def duality_morphism(f: Morphism) -> Morphism:
         [c.transpose() for c in f.comps],
         _skip_check=True,
     )
-
-
-def rebase(f: Morphism, domain: Module, codomain: Module) -> Morphism:
-    """The same matrices as a morphism between entrywise-equal modules."""
-    if domain.dims != f.domain.dims or codomain.dims != f.codomain.dims:
-        raise DimensionMismatch("rebase targets have different dimensions")
-    return Morphism(domain, codomain, f.comps, _skip_check=True)
 
 
 def direct_sum(mods: Sequence[Module], algebra=None):
@@ -674,14 +675,12 @@ def _projective_cover(x: Module):
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
-    """Minimal injective envelope, computed through the duality."""
-    dx = duality(x)
-    p, epi, _ = projective_cover(dx)
-    env = duality(p)
-    mono = rebase(duality_morphism(epi), x, env)
+    """Minimal injective envelope: the dual of the projective cover of D(x)."""
+    _, epi, _ = projective_cover(duality(x))
+    mono = duality_morphism(epi)
     if not mono.is_mono():
         raise InvalidModule("injective envelope failed to be injective")
-    return env, mono
+    return mono.codomain, mono
 
 
 # -- decompositions and isomorphism tests ---------------------------------

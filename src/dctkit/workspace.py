@@ -81,13 +81,12 @@ def _matrix_to_doc(m: Matrix) -> List[List[int]]:
 
 
 def parse(doc: dict, field_override: Optional[int] = None,
-          d_override: Optional[int] = None,
-          bound_override: Optional[int] = None) -> Workspace:
+          d_override: Optional[int] = None) -> Workspace:
     """Validate a workspace document and build all named objects."""
     if not isinstance(doc, dict):
         raise WorkspaceError("workspace document must be a JSON object")
     p = field_override if field_override is not None else _require(doc, "field", int, "workspace")
-    bound = bound_override if bound_override is not None else _require(doc, "bound", int, "workspace")
+    bound = _require(doc, "bound", int, "workspace")
     d = d_override if d_override is not None else _require(doc, "d", int, "workspace")
     if d < 1:
         raise WorkspaceError("the size parameter d must be at least 1")
@@ -244,16 +243,10 @@ def parse(doc: dict, field_override: Optional[int] = None,
     return ws
 
 
-def serialize(ws: Workspace, relations=None) -> dict:
+def serialize(ws: Workspace, relations) -> dict:
     """Canonical document for a workspace (all sizes explicit, sorted names)."""
     quiver = ws.algebra.quiver
-    if relations is None:
-        relations = ws.doc.get("relations", [])
-        rel_doc = [list(r) for r in relations]
-    else:
-        rel_doc = [
-            [[coeff, list(word)] for coeff, word in rel] for rel in relations
-        ]
+    rel_doc = [[[coeff, list(word)] for coeff, word in rel] for rel in relations]
     doc = {
         "field": ws.algebra.field.p,
         "bound": ws.algebra.bound,
@@ -308,8 +301,7 @@ def serialize(ws: Workspace, relations=None) -> dict:
 
 
 def load(path: str, field_override: Optional[int] = None,
-         d_override: Optional[int] = None,
-         bound_override: Optional[int] = None) -> Workspace:
+         d_override: Optional[int] = None) -> Workspace:
     """Read and parse a workspace file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -318,7 +310,7 @@ def load(path: str, field_override: Optional[int] = None,
         raise WorkspaceError(f"cannot read workspace: {e}") from None
     except json.JSONDecodeError as e:
         raise WorkspaceError(f"workspace is not valid JSON: {e}") from None
-    return parse(doc, field_override, d_override, bound_override)
+    return parse(doc, field_override, d_override)
 
 
 def dumps(doc: dict) -> str:

@@ -1,8 +1,10 @@
 """Every function, class and public method of the library has a user.
 
 A definition counts as used when its name occurs somewhere in ``src/`` or
-``tests/`` outside its own body: as a plain name, an attribute, or an
-imported name (including the re-exports in ``__init__.py``).  Matching is
+``tests/`` outside its own body: as a plain name or an attribute.  An
+imported name counts in ``src/`` (the re-exports in ``__init__.py``, say)
+but not in ``tests/``: a test that only imports a function does not use
+it.  Matching is
 by bare name, so the check is coarse, but it is enough to stop dead API
 from piling up again.  A method that overrides one of a base class outside
 the package (``argparse.ArgumentParser.error``, say) is used by that base.
@@ -47,13 +49,14 @@ def _references(trees):
     """name -> list of (file, line) where the name is used."""
     refs = {}
     for path, tree in trees.items():
+        in_package = path.parent == PACKAGE
         for node in ast.walk(tree):
             names = []
             if isinstance(node, ast.Name):
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and in_package:
                 names = [node.name.split(".")[-1], node.asname]
             for name in names:
                 if name:

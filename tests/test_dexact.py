@@ -1,16 +1,17 @@
 """The longer-sequence calculus: exactness certificates, cones, base change."""
 
+import pathlib
+
 import pytest
 
 from dctkit import DSequence, Matrix, Module, Morphism
-from dctkit import dexact, repcat
+from dctkit import dexact, exactlin, repcat, workspace
 from dctkit.dexact import (
     ComplexMorphism,
     build_left_d_exact,
     contraction,
     d_pullback,
     d_pullback_complete,
-    d_pushout,
     d_pushout_complete,
     defect_contravariant,
     defect_covariant,
@@ -73,6 +74,35 @@ def test_exactness_certificates(ka2_ses, ka2_cat, flag_seq, flag_cat):
     assert is_d_exact(ka2_ses, ka2_cat)
     assert is_d_exact(flag_seq, flag_cat)
     assert is_exact_complex(flag_seq)
+
+
+def _right_d_exact_oracle(seq, cat):
+    """Hom(-, G) rank test: 0 -> (T_n, G) -> ... -> (T_0, G) exact but at the end."""
+    for g in cat.generators:
+        prev_rank = 0
+        for f in reversed(seq.maps):
+            m = repcat.hom_composites(f, g)
+            rank = exactlin.rank(m)
+            if m.cols - rank != prev_rank:
+                return False
+            prev_rank = rank
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_right_d_exactness_matches_the_rank_oracle(p):
+    verdicts = []
+    for fixture in ("ka2.json", "ka3rad2.json"):
+        ws = workspace.load(str(pathlib.Path(__file__).parent / "data" / fixture), p)
+        cat = ws.category("M")
+        for x in ws.modules.values():
+            for y in ws.modules.values():
+                for g in repcat.hom_basis(x, y):
+                    seq = build_left_d_exact(cat, g)
+                    verdict = is_right_d_exact(seq, cat)
+                    assert verdict == _right_d_exact_oracle(seq, cat)
+                    verdicts.append(verdict)
+    assert (verdicts.count(True), verdicts.count(False)) == (10, 5)
 
 
 def test_non_exact_sequence_is_rejected(flag_cat, flag_mods):
@@ -160,6 +190,14 @@ def test_d_pushout_complete_keeps_right_column(flag_cat, flag_seq, flag_mods):
     assert bottom.right_term is flag_seq.right_term
     assert is_chain_map(flag_seq, bottom, cm.maps)
     assert is_d_exact(bottom, flag_cat)
+
+
+def test_d_pushout_complete_rejects_a_leg_from_a_copy(flag_cat, flag_seq, flag_mods):
+    left = flag_seq.left_term
+    copy = Module(left.algebra, left.dims, left.maps)
+    leg = repcat.hom_basis(copy, flag_mods["P2"])[0]
+    with pytest.raises(DimensionMismatch):
+        d_pushout_complete(flag_cat, flag_seq, leg)
 
 
 def test_d_pushout_along_identity_is_isomorphic_row(flag_cat, flag_seq):

@@ -6,6 +6,7 @@ import pytest
 
 from dctkit import ext_dim, gldim, pd, tau_d, tau_d_minus
 from dctkit import homological, repcat, workspace
+from dctkit.artheory import enumerate_indecomposables
 from dctkit.homological import (
     ext_map_post,
     ext_space,
@@ -111,6 +112,19 @@ def test_stable_hom_dims_quotient_by_projectives(flag_mods):
     # injectively stable: S1 is injective, so maps out of it die
     assert injectively_stable_dim(S1, S1) == 0
     assert injectively_stable_dim(flag_mods["S2"], flag_mods["S2"]) == 1
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_injectively_stable_dim_matches_the_envelope(fixture, p):
+    # Hom(x, y) modulo the maps that extend along the injective envelope of x
+    alg = workspace.load(str(DATA / fixture), p).algebra
+    universe = enumerate_indecomposables(alg, 2)
+    for x in universe:
+        _, mono = repcat.injective_envelope(x)
+        for y in universe:
+            expected = hom_dim(x, y) - repcat.hom_coimage(mono, y).cols
+            assert injectively_stable_dim(x, y) == expected
 
 
 def test_tensor_dims_sum_over_vertices(flag, flag_mods):

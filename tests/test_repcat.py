@@ -1,9 +1,11 @@
 """Modules, morphisms, and the additive structure of the representation category."""
 
+import pathlib
+
 import pytest
 
 from dctkit import DimensionMismatch, InvalidModule, InvalidMorphism, Matrix, Module, Morphism
-from dctkit import repcat
+from dctkit import repcat, workspace
 from dctkit.repcat import (
     are_isomorphic,
     cokernel,
@@ -102,6 +104,18 @@ def test_duality_swaps_projective_and_injective(flag):
     # dual of the projective at 1 is the injective at 1 over the opposite algebra
     opp_inj = injective(flag.opposite(), 0)
     assert are_isomorphic(dp, opp_inj)
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+def test_duality_is_a_strict_involution(fixture):
+    ws = workspace.load(str(pathlib.Path(__file__).parent / "data" / fixture))
+    for x in ws.modules.values():
+        dx = duality(x)
+        assert dx.algebra is x.algebra.opposite()
+        assert duality(dx) is x
+        assert duality(x) is dx
+    for f in ws.morphisms.values():
+        assert repcat.duality_morphism(repcat.duality_morphism(f)) == f
 
 
 def test_direct_sum_and_glue_round_trip(ka2_mods, f2):
