@@ -132,9 +132,8 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[Path]:
                     new.append(Path(path.source, path.arrows + (i,)))
         out.extend(new)
         if len(out) > config.PATH_CAP:
-            raise CapExceeded(
-                f"path enumeration exceeded {config.PATH_CAP} paths; "
-                "the quiver has too many cycles for this bound"
+            raise CapExceeded.over(
+                "path enumeration", None, f"{len(out)}+ paths", config.PATH_CAP, "config.PATH_CAP"
             )
         frontier = new
         if not frontier:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import config, exactlin, repcat
+from . import exactlin, repcat
 from .errors import DimensionMismatch
 from .exactlin import Matrix
 from .repcat import Module, Morphism
@@ -40,7 +40,7 @@ class AddCategory:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
         self._sum = repcat.direct_sum(list(self.generators), algebra=self.algebra)
-        self._cache: Dict[Tuple[str, int], object] = {}
+        self._cache: Dict[str, object] = {}
         self._dual: Optional[AddCategory] = None
 
     def additive_generator(self) -> Module:
@@ -53,14 +53,13 @@ class AddCategory:
             self._dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
         return self._dual
 
-    def _cached(self, name: str, cap, compute):
-        """compute(), kept per effective scan cap: a smaller cap recomputes and may refuse."""
-        key = (name, config.scan_cap(cap))
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+    def _cached(self, name: str, compute):
+        """compute(), kept on the category."""
+        if name not in self._cache:
+            self._cache[name] = compute()
+        return self._cache[name]
 
-    def _generator_parts(self, cap=None) -> List[Tuple[Module, Morphism, Morphism]]:
+    def _generator_parts(self) -> List[Tuple[Module, Morphism, Morphism]]:
         """Indecomposable summands of M with their inclusions into and projections from M."""
 
         def compute():
@@ -68,47 +67,47 @@ class AddCategory:
             return [
                 (z, incs[i] @ inc, proj @ projs[i])
                 for i, g in enumerate(self.generators)
-                for z, inc, proj in repcat.split_summands(g, cap)
+                for z, inc, proj in repcat.split_summands(g)
             ]
 
-        return self._cached("parts", cap, compute)
+        return self._cached("parts", compute)
 
-    def _summand_pool(self, cap=None) -> List[Module]:
+    def _summand_pool(self) -> List[Module]:
         def compute():
             pool: List[Module] = []
-            for z, _, _ in self._generator_parts(cap):
-                if not any(repcat.are_isomorphic(z, w, cap) for w in pool):
+            for z, _, _ in self._generator_parts():
+                if not any(repcat._iso_between_indecomposables(z, w) for w in pool):
                     pool.append(z)
             return pool
 
-        return self._cached("pool", cap, compute)
+        return self._cached("pool", compute)
 
-    def generator_radical(self, y: Module, cap=None) -> Matrix:
+    def generator_radical(self, y: Module) -> Matrix:
         """Flat-coordinate basis of rad(M, y), from the kept summands of M."""
-        parts = repcat.split_summands(y, cap)
-        return _rad_from_parts(self.additive_generator(), y, self._generator_parts(cap), parts, cap)
+        parts = repcat.split_summands(y)
+        return _rad_from_parts(self.additive_generator(), y, self._generator_parts(), parts)
 
-    def contains(self, x: Module, cap=None) -> bool:
+    def contains(self, x: Module) -> bool:
         """Whether every indecomposable summand of x occurs in a generator."""
         if x.is_zero():
             return True
-        pool = self._summand_pool(cap)
-        for z, _, _ in repcat.split_summands(x, cap):
-            if not any(repcat.are_isomorphic(z, w, cap) for w in pool):
+        pool = self._summand_pool()
+        for z, _, _ in repcat.split_summands(x):
+            if not any(repcat._iso_between_indecomposables(z, w) for w in pool):
                 return False
         return True
 
-    def is_generating_cogenerating(self, cap=None) -> bool:
+    def is_generating_cogenerating(self) -> bool:
         """Whether every indecomposable projective and injective lies inside."""
 
         def compute():
             return all(
-                self.contains(repcat.projective(self.algebra, v), cap)
-                and self.contains(repcat.injective(self.algebra, v), cap)
+                self.contains(repcat.projective(self.algebra, v))
+                and self.contains(repcat.injective(self.algebra, v))
                 for v in range(self.algebra.quiver.n_vertices)
             )
 
-        return self._cached("gen_cogen", cap, compute)
+        return self._cached("gen_cogen", compute)
 
 
 def right_approximation(cat: AddCategory, x: Module) -> Morphism:
@@ -137,7 +136,7 @@ def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:
 
 
 def minimal_cover(
-    y: Module, summands: Sequence[Module], pieces: Sequence[Morphism], cap=None
+    y: Module, summands: Sequence[Module], pieces: Sequence[Morphism]
 ) -> Tuple[Morphism, List[Tuple[int, Morphism]]]:
     """Right-minimal version of the map glued from pieces[j]: summands[j] -> y.
 
@@ -160,7 +159,10 @@ def minimal_cover(
     for j, s in enumerate(summands):
         c = class_of.get(id(s))
         if c is None:
-            c = next((i for i, r in enumerate(reps) if repcat.are_isomorphic(r, s, cap)), len(reps))
+            c = next(
+                (i for i, r in enumerate(reps) if repcat._iso_between_indecomposables(r, s)),
+                len(reps),
+            )
             if c == len(reps):
                 reps.append(s)
                 members.append([])
@@ -176,7 +178,7 @@ def minimal_cover(
                 rad_cols.append(composites[j])
                 continue
             if id(s) not in rad_coords:
-                rad = _rad_between_indecomposables(z, s, cap)
+                rad = _rad_between_indecomposables(z, s)
                 rad_coords[id(s)] = exactlin.solve(repcat.hom_space_matrix(z, s), rad)
             rad_cols.append(composites[j] @ rad_coords[id(s)])
         n = repcat.hom_flat_dim(z, y)
@@ -193,75 +195,69 @@ def minimal_cover(
     return g_min, kept
 
 
-def right_minimalize(g: Morphism, cap=None) -> Tuple[Morphism, Morphism]:
+def right_minimalize(g: Morphism) -> Tuple[Morphism, Morphism]:
     """Right-minimal version of g, with the inclusion of the kept summand.
 
     Returns (g_min, incl) where g_min = g @ incl and incl splits.
     """
-    parts = repcat.split_summands(g.domain, cap)
+    parts = repcat.split_summands(g.domain)
     pieces = [g @ inc for _, inc, _ in parts]
-    _, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces, cap)
+    _, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces)
     _, incl, _, _ = repcat.glue_columns(
         g.domain, [b.domain for _, b in kept], [parts[j][1] @ b for j, b in kept]
     )
     return g @ incl, incl
 
 
-def is_right_minimal(g: Morphism, cap=None) -> bool:
-    return right_minimalize(g, cap)[0].domain.total_dim == g.domain.total_dim
+def is_right_minimal(g: Morphism) -> bool:
+    return right_minimalize(g)[0].domain.total_dim == g.domain.total_dim
 
 
-def is_left_minimal(f: Morphism, cap=None) -> bool:
-    return is_right_minimal(repcat.duality_morphism(f), cap)
+def is_left_minimal(f: Morphism) -> bool:
+    return is_right_minimal(repcat.duality_morphism(f))
 
 
-def minimal_right_approximation(cat: AddCategory, x: Module, cap=None) -> Morphism:
+def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
     """Minimal right approximation, covered by the pool members' hom bases into x."""
-    pairs = [(z, b) for z in cat._summand_pool(cap) for b in repcat.hom_basis(z, x)]
-    g, _ = minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs], cap)
+    pairs = [(z, b) for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
+    g, _ = minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs])
     return g
 
 
-def minimal_left_approximation(cat: AddCategory, x: Module, cap=None) -> Morphism:
+def minimal_left_approximation(cat: AddCategory, x: Module) -> Morphism:
     """Minimal left approximation: the dual of a minimal right one over cat.dual()."""
-    return repcat.duality_morphism(minimal_right_approximation(cat.dual(), repcat.duality(x), cap))
+    return repcat.duality_morphism(minimal_right_approximation(cat.dual(), repcat.duality(x)))
 
 
 # -- radical subspaces -----------------------------------------------------
 
 
-def _rad_between_indecomposables(x: Module, y: Module, cap=None) -> Matrix:
-    """Flat-coordinate span of non-isomorphisms between indecomposables."""
-    field = x.field
-    n = repcat.hom_flat_dim(x, y)
-    basis = repcat.hom_basis(x, y)
-    if not basis:
-        return Matrix.zeros(field, n, 0)
-    if x is not y and (x.dims != y.dims or repcat.find_isomorphism(x, y, cap) is None):
+def _rad_between_indecomposables(x: Module, y: Module) -> Matrix:
+    """Flat-coordinate span of non-isomorphisms between indecomposables.
+
+    That is all of Hom(x, y) unless some f: x -> y is an isomorphism, and
+    then f o rad End(x).
+    """
+    f = Morphism.identity(x) if x is y else repcat._iso_between_indecomposables(x, y)
+    if f is None:
         return repcat.hom_space_matrix(x, y)
-    cols = []
-    total = repcat._scan_space(field, len(basis), cap)
-    for counter in range(1, total):
-        f = repcat._combination(basis, counter, field.p)
-        if not f.is_iso():
-            cols.append(repcat.hom_vec(f))
-    return exactlin.canonical_basis(Matrix.from_columns(field, cols, n))
+    return exactlin.canonical_basis(repcat.hom_composites(x, f) @ repcat._end_algebra(x)[1])
 
 
-def rad_hom_basis(x: Module, y: Module, cap=None) -> Matrix:
+def rad_hom_basis(x: Module, y: Module) -> Matrix:
     """Flat-coordinate basis of the radical subspace of Hom(x, y)."""
-    parts_x, parts_y = repcat.split_summands(x, cap), repcat.split_summands(y, cap)
-    return _rad_from_parts(x, y, parts_x, parts_y, cap)
+    parts_x, parts_y = repcat.split_summands(x), repcat.split_summands(y)
+    return _rad_from_parts(x, y, parts_x, parts_y)
 
 
-def _rad_from_parts(x: Module, y: Module, dom_parts, cod_parts, cap=None) -> Matrix:
+def _rad_from_parts(x: Module, y: Module, dom_parts, cod_parts) -> Matrix:
     """rad(x, y) from indecomposable splits of x and y, as split_summands lists them."""
     field = x.field
     n = repcat.hom_flat_dim(x, y)
     pieces = []
     for zi, _, proj_i in dom_parts:
         for zj, inc_j, _ in cod_parts:
-            rad = _rad_between_indecomposables(zi, zj, cap)
+            rad = _rad_between_indecomposables(zi, zj)
             for vec in rad.columns():
                 r = repcat.morphism_from_vec(zi, zj, vec, _skip_check=True)
                 pieces.append(repcat.hom_vec(inc_j @ r @ proj_i))

@@ -68,8 +68,8 @@ def enumerate_indecomposables(
         count = field.p**exponent
         budget += count
         if budget > limit:
-            raise CapExceeded(
-                f"enumeration needs {budget}+ assignments, cap is {limit}"
+            raise CapExceeded.over(
+                "enumerate_indecomposables", dims, f"{budget}+ arrow-matrix assignments", limit
             )
         for counter in range(count):
             maps = []
@@ -84,9 +84,9 @@ def enumerate_indecomposables(
             if not repcat.relations_hold(algebra, list(dims), maps):
                 continue
             m = Module(algebra, list(dims), maps, _skip_check=True)
-            if not repcat.is_indecomposable(m, cap):
+            if not repcat.is_indecomposable(m):
                 continue
-            if any(repcat.are_isomorphic(m, w, cap) for w in found):
+            if any(repcat._iso_between_indecomposables(m, w) for w in found):
                 continue
             found.append(m)
     return found
@@ -107,7 +107,7 @@ class RigidityReport:
         return self.ok
 
 
-def is_d_rigid(cat: AddCategory, cap=None) -> RigidityReport:
+def is_d_rigid(cat: AddCategory) -> RigidityReport:
     """Whether all self-extensions vanish in degrees 1..d-1, with the table."""
     table: List[Dict[str, int]] = []
     ok = True
@@ -141,9 +141,7 @@ class ClusterTiltingReport:
         return self.ok
 
 
-def is_d_cluster_tilting(
-    cat: AddCategory, universe: Sequence[Module], cap=None
-) -> ClusterTiltingReport:
+def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> ClusterTiltingReport:
     """Certify the defining property over a complete list of indecomposables.
 
     Three subsets of the universe are compared pointwise: membership in
@@ -152,13 +150,13 @@ def is_d_cluster_tilting(
     1..d-1).  The verdict also requires every indecomposable projective
     and injective to be a member.
     """
-    rigidity = is_d_rigid(cat, cap)
+    rigidity = is_d_rigid(cat)
     degrees = range(1, cat.d)
     rows: List[Dict[str, object]] = []
     witnesses: List[str] = []
     sets_match = True
     for idx, x in enumerate(universe):
-        member = cat.contains(x, cap)
+        member = cat.contains(x)
         into = all(
             homological.ext_dim(x, g, i) == 0 for g in cat.generators for i in degrees
         )
@@ -182,11 +180,11 @@ def is_d_cluster_tilting(
             )
     algebra = cat.algebra
     generating = all(
-        cat.contains(repcat.projective(algebra, v), cap)
+        cat.contains(repcat.projective(algebra, v))
         for v in range(algebra.quiver.n_vertices)
     )
     cogenerating = all(
-        cat.contains(repcat.injective(algebra, v), cap)
+        cat.contains(repcat.injective(algebra, v))
         for v in range(algebra.quiver.n_vertices)
     )
     if not generating:
@@ -210,9 +208,9 @@ def is_d_cluster_tilting(
 # -- verification of the translation and the dimension formulas -------------
 
 
-def _pool_translates(cat: AddCategory, cap=None):
+def _pool_translates(cat: AddCategory):
     """Pool members split by projectivity/injectivity, with cached translates."""
-    pool = cat._summand_pool(cap)
+    pool = cat._summand_pool()
     nonproj = [i for i, x in enumerate(pool) if not homological.is_projective(x)]
     noninj = [i for i, x in enumerate(pool) if not homological.is_injective(x)]
     translate = {i: homological.tau_d(pool[i], cat.d) for i in nonproj}
@@ -234,7 +232,7 @@ class TauEquivalenceReport:
         return self.ok
 
 
-def verify_tau_d_equivalence(cat: AddCategory, cap=None) -> TauEquivalenceReport:
+def verify_tau_d_equivalence(cat: AddCategory) -> TauEquivalenceReport:
     """Check translation bijectivity, two-sided inversion, and hom dimensions.
 
     (a) the translation sends each non-projective pool member to a
@@ -243,14 +241,14 @@ def verify_tau_d_equivalence(cat: AddCategory, cap=None) -> TauEquivalenceReport
     isomorphism, from both sides; (c) hom spaces modulo projectives
     match hom spaces modulo injectives after translating both arguments.
     """
-    pool, nonproj, noninj, translate = _pool_translates(cat, cap)
+    pool, nonproj, noninj, translate = _pool_translates(cat)
     d = cat.d
     pairs: List[Dict[str, int]] = []
     targets: List[Optional[int]] = []
     for i in nonproj:
         match = None
         for j in noninj:
-            if repcat.are_isomorphic(translate[i], pool[j], cap):
+            if repcat.are_isomorphic(translate[i], pool[j]):
                 match = j
                 break
         targets.append(match)
@@ -264,11 +262,11 @@ def verify_tau_d_equivalence(cat: AddCategory, cap=None) -> TauEquivalenceReport
     inverses_ok = True
     for i in nonproj:
         back = homological.tau_d_minus(translate[i], d)
-        if not repcat.are_isomorphic(back, pool[i], cap):
+        if not repcat.are_isomorphic(back, pool[i]):
             inverses_ok = False
     for j in noninj:
         forth = homological.tau_d(homological.tau_d_minus(pool[j], d), d)
-        if not repcat.are_isomorphic(forth, pool[j], cap):
+        if not repcat.are_isomorphic(forth, pool[j]):
             inverses_ok = False
     stable_rows: List[Dict[str, object]] = []
     stable_ok = True
@@ -297,9 +295,9 @@ class DefectFormulaReport:
         return self.ok
 
 
-def verify_defect_formula(seq: DSequence, cat: AddCategory, cap=None) -> DefectFormulaReport:
+def verify_defect_formula(seq: DSequence, cat: AddCategory) -> DefectFormulaReport:
     """Compare both defect dimensions of a sequence over the whole pool."""
-    pool, nonproj, _, translate = _pool_translates(cat, cap)
+    pool, nonproj, _, translate = _pool_translates(cat)
     rows: List[Dict[str, object]] = []
     ok = True
     for i in nonproj:
@@ -323,9 +321,9 @@ class ARDualityReport:
         return self.ok
 
 
-def verify_ar_duality(cat: AddCategory, cap=None) -> ARDualityReport:
+def verify_ar_duality(cat: AddCategory) -> ARDualityReport:
     """dim of stable Hom(X, Y) must equal dim of Ext^d(Y, translate of X)."""
-    pool, nonproj, _, translate = _pool_translates(cat, cap)
+    pool, nonproj, _, translate = _pool_translates(cat)
     d = cat.d
     rows: List[Dict[str, object]] = []
     ok = True
@@ -355,9 +353,7 @@ class DeterminedReport:
         return self.ok
 
 
-def is_right_X_determined(
-    g: Morphism, x: Module, universe: Sequence[Module], cap=None
-) -> DeterminedReport:
+def is_right_X_determined(g: Morphism, x: Module, universe: Sequence[Module]) -> DeterminedReport:
     """Test determinedness of g by x against every test object in order.
 
     For each V the maps h: V -> cod(g) whose composites with every
@@ -396,19 +392,19 @@ class DeterminerReport:
     translate_only_ok: Optional[bool]
 
 
-def right_determiner_check(seq: DSequence, cat: AddCategory, cap=None) -> DeterminerReport:
+def right_determiner_check(seq: DSequence, cat: AddCategory) -> DeterminerReport:
     """Assert the end map is determined by (regular module + inverse translate).
 
     When the end map is surjective, the inverse translate of the left
     term must determine it on its own.  Failures raise, since they
     contradict a theorem-backed guarantee.
     """
-    universe = cat._summand_pool(cap)
+    universe = cat._summand_pool()
     g = seq.right_map
     t = homological.tau_d_minus(seq.left_term, cat.d)
     reg, _, _ = repcat.regular(cat.algebra)
     combined, _, _ = repcat.direct_sum([reg, t])
-    rep = is_right_X_determined(g, combined, universe, cap)
+    rep = is_right_X_determined(g, combined, universe)
     if not rep.ok:
         raise VerificationFailed(
             f"regular-plus-translate fails to determine the end map at "
@@ -417,7 +413,7 @@ def right_determiner_check(seq: DSequence, cat: AddCategory, cap=None) -> Determ
     epi = g.is_epi()
     translate_only: Optional[bool] = None
     if epi:
-        rep_t = is_right_X_determined(g, t, universe, cap)
+        rep_t = is_right_X_determined(g, t, universe)
         if not rep_t.ok:
             raise VerificationFailed(
                 f"inverse translate alone fails to determine the surjective "
@@ -427,7 +423,7 @@ def right_determiner_check(seq: DSequence, cat: AddCategory, cap=None) -> Determ
     return DeterminerReport(True, epi, translate_only)
 
 
-def factorization_check(seq: DSequence, x: Module, cap=None) -> Tuple[bool, bool]:
+def factorization_check(seq: DSequence, x: Module) -> Tuple[bool, bool]:
     """Two factorization statements that must agree for a d-exact sequence.
 
     Returns (every map from the left term to x extends along the first
@@ -484,8 +480,8 @@ class EndSubmodule:
         return cls(x, n, repcat.hom_space_matrix(x, n))
 
     @classmethod
-    def radical(cls, x: Module, n: Module, cap=None) -> "EndSubmodule":
-        return cls(x, n, approx.rad_hom_basis(x, n, cap))
+    def radical(cls, x: Module, n: Module) -> "EndSubmodule":
+        return cls(x, n, approx.rad_hom_basis(x, n))
 
     def __repr__(self):
         return f"EndSubmodule(dim {self.dim} of Hom({self.x!r}, {self.n!r}))"
@@ -500,7 +496,7 @@ def all_end_submodules(x: Module, n: Module, cap=None) -> List[EndSubmodule]:
     """
     m = repcat.hom_dim(x, n)
     field = x.field
-    repcat._scan_space(field, m * m, cap)
+    repcat._scan_space(field, m * m, cap, "all_end_submodules of Hom(x, n)", n.dims)
     space = repcat.hom_space_matrix(x, n)
     out: List[EndSubmodule] = []
     for coords in exactlin.all_subspaces(field, m):
@@ -531,7 +527,7 @@ def _largest_admissible_submodule(
         dv = n.dims[v]
         if dv == 0:
             continue
-        count = repcat._scan_space(field, dv, cap)
+        count = repcat._scan_space(field, dv, cap, "determined_morphism", n.dims)
         for counter in range(1, count):
             vec = []
             rem = counter
@@ -551,7 +547,7 @@ def _largest_admissible_submodule(
     return repcat.submodule(n, spans)
 
 
-def _defect_cover_map(seq: DSequence, target: Module, cap=None) -> Morphism:
+def _defect_cover_map(seq: DSequence, target: Module) -> Morphism:
     """Minimal cover of the covariant defect at the target, as a single map.
 
     Lifts a basis of (defect modulo its radical part) to maps out of the
@@ -563,7 +559,7 @@ def _defect_cover_map(seq: DSequence, target: Module, cap=None) -> Morphism:
     if dc.dim == 0:
         return Morphism.zero(left, repcat.zero_module(left.algebra))
     field = left.field
-    rad_end = approx.rad_hom_basis(target, target, cap)
+    rad_end = approx.rad_hom_basis(target, target)
     # r o (a map extending along the start map) extends too, so the radical
     # part of the defect is spanned by r o h over the whole of Hom(left, target)
     rad_cols = [
@@ -596,13 +592,13 @@ def determined_morphism(
     """
     if h.x is not x or h.n is not n:
         raise InvalidSubmodule("the submodule must live in Hom(x, n)")
-    if not cat.contains(x, cap) or not cat.contains(n, cap):
+    if not cat.contains(x) or not cat.contains(n):
         raise InvalidModule("both modules must lie in the subcategory")
-    universe = cat._summand_pool(cap)
+    universe = cat._summand_pool()
 
     # (1) largest admissible submodule, approximated from the subcategory
     ustar, ustar_incl = _largest_admissible_submodule(x, n, h, cap)
-    u0 = approx.minimal_right_approximation(cat, ustar, cap)
+    u0 = approx.minimal_right_approximation(cat, ustar)
     u = ustar_incl @ u0
     n_h = u.domain
 
@@ -613,21 +609,21 @@ def determined_morphism(
 
     # (3) spanning set of the preimage plus a projective cover
     gens = [repcat.morphism_from_vec(x, n_h, vec) for vec in pre_flat.columns()]
-    x_parts = repcat.split_summands(x, cap)
+    x_parts = repcat.split_summands(x)
     _, paug, _, p_incs, _ = repcat._projective_cover(n_h)
     summands = [z for _ in gens for z, _, _ in x_parts] + [inc.domain for inc in p_incs]
     pieces = [f @ inc for f in gens for _, inc, _ in x_parts] + [paug @ inc for inc in p_incs]
-    gmin, _ = approx.minimal_cover(n_h, summands, pieces, cap)
+    gmin, _ = approx.minimal_cover(n_h, summands, pieces)
 
     # (4) resolve into a d-exact sequence
-    seq = dexact.build_left_d_exact(cat, gmin, cap)
+    seq = dexact.build_left_d_exact(cat, gmin)
 
     # (5) minimal cover of the covariant defect at the translate of x
     taux = homological.tau_d(x, cat.d)
-    hmap = _defect_cover_map(seq, taux, cap)
+    hmap = _defect_cover_map(seq, taux)
 
     # (6, 7) push out along the cover and come back through u
-    push = dexact.d_pushout_complete(cat, seq, hmap, cap=cap)
+    push = dexact.d_pushout_complete(cat, seq, hmap)
     g_x = push.dst.maps[-1]
     g = u @ g_x
 
@@ -636,7 +632,7 @@ def determined_morphism(
         raise VerificationFailed(
             "constructed morphism has the wrong image under Hom(x, -)"
         )
-    rep = is_right_X_determined(g, x, universe, cap)
+    rep = is_right_X_determined(g, x, universe)
     if not rep.ok:
         raise VerificationFailed(
             f"constructed morphism is not determined by x "
@@ -648,36 +644,36 @@ def determined_morphism(
 # -- almost-split data -------------------------------------------------------
 
 
-def _minimal_cover(cat: AddCategory, y: Module, flat: Matrix, cap=None) -> Morphism:
+def _minimal_cover(cat: AddCategory, y: Module, flat: Matrix) -> Morphism:
     """Right-minimal version of the map M^k -> y glued from k flat columns.
 
     M^k is never built: each column is composed with the kept summands of M.
     """
     m = cat.additive_generator()
-    parts = cat._generator_parts(cap)
+    parts = cat._generator_parts()
     mors = [repcat.morphism_from_vec(m, y, vec) for vec in flat.columns()]
     summands = [z for _ in mors for z, _, _ in parts]
     pieces = [f @ inc for f in mors for _, inc, _ in parts]
-    g, _ = approx.minimal_cover(y, summands, pieces, cap)
+    g, _ = approx.minimal_cover(y, summands, pieces)
     return g
 
 
-def right_almost_split(cat: AddCategory, n: Module, cap=None) -> Morphism:
+def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
     """The minimal right almost split map onto an indecomposable member.
 
     Assembled from a basis of the radical maps out of the additive
     generator, then right-minimalized.  The almost-split property is
     verified exhaustively over the pool before returning.
     """
-    if not repcat.is_indecomposable(n, cap):
+    if not repcat.is_indecomposable(n):
         raise InvalidModule("the target must be indecomposable")
-    if not cat.contains(n, cap):
+    if not cat.contains(n):
         raise InvalidModule("the target must lie in the subcategory")
-    g = _minimal_cover(cat, n, cat.generator_radical(n, cap), cap)
+    g = _minimal_cover(cat, n, cat.generator_radical(n))
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
-    for vi, v in enumerate(cat._summand_pool(cap)):
-        needed = approx.rad_hom_basis(v, n, cap)
+    for vi, v in enumerate(cat._summand_pool()):
+        needed = approx.rad_hom_basis(v, n)
         if not exactlin.subspace_leq(needed, repcat.hom_image(v, g)):
             raise VerificationFailed(
                 f"a non-retraction from pool index {vi} does not factor"
@@ -685,7 +681,7 @@ def right_almost_split(cat: AddCategory, n: Module, cap=None) -> Morphism:
     return g
 
 
-def d_almost_split(cat: AddCategory, n: Module, cap=None) -> DSequence:
+def d_almost_split(cat: AddCategory, n: Module) -> DSequence:
     """The d-almost-split sequence ending at an indecomposable non-projective.
 
     Builds the right almost split map, resolves it, and then checks the
@@ -693,30 +689,30 @@ def d_almost_split(cat: AddCategory, n: Module, cap=None) -> DSequence:
     the left almost split property (exhaustively over the pool), module
     exactness, and that the left term is the translate of the end term.
     """
-    if not repcat.is_indecomposable(n, cap):
+    if not repcat.is_indecomposable(n):
         raise InvalidModule("the end term must be indecomposable")
     if homological.is_projective(n):
         raise InvalidModule("no such sequence ends at a projective module")
-    if not cat.contains(n, cap):
+    if not cat.contains(n):
         raise InvalidModule("the end term must lie in the subcategory")
-    g = right_almost_split(cat, n, cap)
+    g = right_almost_split(cat, n)
     if not g.is_epi():
         raise VerificationFailed(
             "right almost split map onto a non-projective must be surjective"
         )
-    built = dexact.build_left_d_exact(cat, g, cap)
+    built = dexact.build_left_d_exact(cat, g)
     seq = DSequence(built.terms, built.maps, category=cat, _skip_check=True)
     for i, mmap in enumerate(seq.maps[1:-1], start=1):
-        if not repcat.is_radical_morphism(mmap, cap):
+        if not repcat.is_radical_morphism(mmap):
             raise VerificationFailed(f"interior map {i} is not radical")
     f = seq.left_map
     if repcat.is_split_mono(f):
         raise VerificationFailed("the start map splits")
-    if not approx.is_left_minimal(f, cap):
+    if not approx.is_left_minimal(f):
         raise VerificationFailed("the start map is not left minimal")
     left = seq.left_term
-    for vi, v in enumerate(cat._summand_pool(cap)):
-        needed = approx.rad_hom_basis(left, v, cap)
+    for vi, v in enumerate(cat._summand_pool()):
+        needed = approx.rad_hom_basis(left, v)
         if not exactlin.subspace_leq(needed, repcat.hom_coimage(f, v)):
             raise VerificationFailed(
                 f"a non-section into pool index {vi} does not extend"
@@ -724,7 +720,7 @@ def d_almost_split(cat: AddCategory, n: Module, cap=None) -> DSequence:
     if not dexact.is_exact_complex(seq):
         raise VerificationFailed("the resolved sequence is not exact")
     translate = homological.tau_d(n, cat.d)
-    if not repcat.are_isomorphic(left, translate, cap):
+    if not repcat.are_isomorphic(left, translate):
         raise VerificationFailed(
             "the left term is not the translate of the end term"
         )
@@ -734,7 +730,7 @@ def d_almost_split(cat: AddCategory, n: Module, cap=None) -> DSequence:
 # -- homological sizes of the endomorphism side ------------------------------
 
 
-def _functor_pd(cat: AddCategory, nj: Module, cap=None) -> int:
+def _functor_pd(cat: AddCategory, nj: Module) -> int:
     """Projective dimension of the simple functor attached to a pool member.
 
     Walks the tower: cover the radical maps into nj minimally, then
@@ -742,29 +738,31 @@ def _functor_pd(cat: AddCategory, nj: Module, cap=None) -> int:
     additive generator) until it vanishes, for at most RESOLUTION_CAP steps.
     """
     m = cat.additive_generator()
-    rad_flat = cat.generator_radical(nj, cap)
+    rad_flat = cat.generator_radical(nj)
     if rad_flat.cols == 0:
         return 0
-    r = _minimal_cover(cat, nj, rad_flat, cap)
+    r = _minimal_cover(cat, nj, rad_flat)
     limit = config.RESOLUTION_CAP
     for k in range(limit):
         ker = exactlin.kernel_basis(repcat.hom_composites(m, r))
         if ker.cols == 0:
             return k + 1
-        r = _minimal_cover(cat, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker, cap)
-    raise CapExceeded(f"functor resolution did not terminate within {limit} steps")
+        r = _minimal_cover(cat, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker)
+    raise CapExceeded.over(
+        "gldim_end", nj.dims, f"a functor resolution longer than {limit}", limit, "config.RESOLUTION_CAP"
+    )
 
 
-def gldim_end(cat: AddCategory, cap=None) -> int:
+def gldim_end(cat: AddCategory) -> int:
     """Global dimension of the endomorphism algebra of the additive generator.
 
     Computed as the maximum projective dimension of the simple functors,
     one per pool member, via towers of minimal covers.
     """
-    return max(_functor_pd(cat, nj, cap) for nj in cat._summand_pool(cap))
+    return max(_functor_pd(cat, nj) for nj in cat._summand_pool())
 
 
-def domdim_end(cat: AddCategory, cap=None):
+def domdim_end(cat: AddCategory):
     """Dominant dimension of the endomorphism algebra (external criterion).
 
     Uses the first non-vanishing self-extension degree of the additive
@@ -773,8 +771,7 @@ def domdim_end(cat: AddCategory, cap=None):
     from outside the sequence calculus implemented here.  Returns
     math.inf when every self-extension vanishes and the algebra's global
     dimension certifies that no later degree can contribute.  Degrees
-    are bounded by config.RESOLUTION_CAP; cap, the scan budget, plays no
-    part here.
+    are bounded by config.RESOLUTION_CAP.
     """
     m = cat.additive_generator()
     limit = config.RESOLUTION_CAP
@@ -784,6 +781,6 @@ def domdim_end(cat: AddCategory, cap=None):
     gd = homological.gldim(cat.algebra)
     if gd <= limit:
         return math.inf
-    raise CapExceeded(
-        f"no nonzero self-extension found within {limit} degrees"
+    raise CapExceeded.over(
+        "domdim_end", m.dims, f"Ext degrees past {limit} (gldim {gd})", limit, "config.RESOLUTION_CAP"
     )

@@ -152,26 +152,26 @@ def _dims_str(m: Module) -> str:
     return "(" + ",".join(map(str, m.dims)) + ")"
 
 
-def _match_name(ws: Workspace, m: Module, cap) -> Optional[str]:
+def _match_name(ws: Workspace, m: Module) -> Optional[str]:
     for name in sorted(ws.modules):
-        if repcat.are_isomorphic(m, ws.modules[name], cap):
+        if repcat.are_isomorphic(m, ws.modules[name]):
             return name
     return None
 
 
-def _label_module(ws: Workspace, m: Module, cap) -> str:
+def _label_module(ws: Workspace, m: Module) -> str:
     """Human label: named summands with multiplicities, dims otherwise."""
     if m.is_zero():
         return "0"
     parts = []
-    for rep, mult in repcat.decompose(m, cap):
-        name = _match_name(ws, rep, cap)
+    for rep, mult in repcat.decompose(m):
+        name = _match_name(ws, rep)
         base = name if name is not None else _dims_str(rep)
         parts.append(base if mult == 1 else f"{base}^{mult}")
     return "+".join(parts)
 
 
-def _edge_label(f: Morphism, cap) -> str:
+def _edge_label(f: Morphism) -> str:
     if f.is_mono() and f.is_epi():
         kind = "iso"
     elif f.is_mono():
@@ -182,7 +182,7 @@ def _edge_label(f: Morphism, cap) -> str:
         kind = "zero"
     else:
         kind = "map"
-    if repcat.is_radical_morphism(f, cap):
+    if repcat.is_radical_morphism(f):
         status = "radical"
     elif repcat.is_split_mono(f) or repcat.is_split_epi(f):
         status = "split"
@@ -191,31 +191,31 @@ def _edge_label(f: Morphism, cap) -> str:
     return f"{kind},{status}"
 
 
-def emit_dot(ws: Workspace, seq: Optional[DSequence], cap=None) -> str:
+def emit_dot(ws: Workspace, seq: Optional[DSequence]) -> str:
     """Deterministic dot rendering of a sequence (or the empty digraph)."""
     lines = ["digraph sequence {"]
     if seq is not None and seq.terms:
         lines.append("  rankdir=LR;")
         for i, term in enumerate(seq.terms):
-            label = f"{_label_module(ws, term, cap)} {_dims_str(term)}"
+            label = f"{_label_module(ws, term)} {_dims_str(term)}"
             lines.append(f'  n{i} [label="{label}"];')
         for i, f in enumerate(seq.maps):
-            lines.append(f'  n{i} -> n{i + 1} [label="{_edge_label(f, cap)}"];')
+            lines.append(f'  n{i} -> n{i + 1} [label="{_edge_label(f)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _sequence_doc(ws: Workspace, seq: DSequence, cap) -> dict:
+def _sequence_doc(ws: Workspace, seq: DSequence) -> dict:
     return {
         "d": seq.d,
         "terms": [
-            {"label": _label_module(ws, t, cap), "dims": list(t.dims)} for t in seq.terms
+            {"label": _label_module(ws, t), "dims": list(t.dims)} for t in seq.terms
         ],
         "maps": [
             {
                 "mono": f.is_mono(),
                 "epi": f.is_epi(),
-                "radical": repcat.is_radical_morphism(f, cap),
+                "radical": repcat.is_radical_morphism(f),
             }
             for f in seq.maps
         ],
@@ -228,8 +228,8 @@ def _sequence_from_args(ws: Workspace, cat: AddCategory, args) -> DSequence:
     if has_map == has_target:
         raise UsageError("give exactly one of --map and --target")
     if has_map:
-        return dexact.build_left_d_exact(cat, ws.morphism(args.map_name), args.cap)
-    return artheory.d_almost_split(cat, ws.module(args.target), args.cap)
+        return dexact.build_left_d_exact(cat, ws.morphism(args.map_name))
+    return artheory.d_almost_split(cat, ws.module(args.target))
 
 
 def _render_path(ws: Workspace, path) -> str:
@@ -292,7 +292,7 @@ def _run_tau_d(ws: Workspace, args) -> Tuple[dict, int]:
             "module": args.module,
             "minus": bool(args.minus),
             "dims": list(out.dims),
-            "isomorphic_to": _match_name(ws, out, args.cap) if not out.is_zero() else None,
+            "isomorphic_to": _match_name(ws, out) if not out.is_zero() else None,
         },
         0,
     )
@@ -301,12 +301,12 @@ def _run_tau_d(ws: Workspace, args) -> Tuple[dict, int]:
 def _run_decompose(ws: Workspace, args) -> Tuple[dict, int]:
     x = ws.module(args.module)
     summands = []
-    for rep, mult in repcat.decompose(x, args.cap):
+    for rep, mult in repcat.decompose(x):
         summands.append(
             {
                 "dims": list(rep.dims),
                 "multiplicity": mult,
-                "isomorphic_to": _match_name(ws, rep, args.cap),
+                "isomorphic_to": _match_name(ws, rep),
             }
         )
     return {"module": args.module, "summands": summands}, 0
@@ -320,7 +320,7 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
             "bound": bound,
             "count": len(classes),
             "classes": [
-                {"dims": list(m.dims), "isomorphic_to": _match_name(ws, m, args.cap)}
+                {"dims": list(m.dims), "isomorphic_to": _match_name(ws, m)}
                 for m in classes
             ],
         },
@@ -329,7 +329,7 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_d_rigid(ws: Workspace, args) -> Tuple[dict, int]:
-    report = artheory.is_d_rigid(ws.category(args.category), args.cap)
+    report = artheory.is_d_rigid(ws.category(args.category))
     doc = asdict(report)
     doc["category"] = args.category
     return doc, 0
@@ -339,7 +339,7 @@ def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
     cat = ws.category(args.category)
     bound = _dim_bound(ws, args)
     universe = artheory.enumerate_indecomposables(ws.algebra, bound, args.cap)
-    report = artheory.is_d_cluster_tilting(cat, universe, args.cap)
+    report = artheory.is_d_cluster_tilting(cat, universe)
     doc = asdict(report)
     doc["category"] = args.category
     doc["bound"] = bound
@@ -349,8 +349,8 @@ def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
 
 def _run_build_d_exact(ws: Workspace, args) -> Tuple[dict, int]:
     cat = ws.category(args.category)
-    seq = dexact.build_left_d_exact(cat, ws.morphism(args.map_name), args.cap)
-    doc = _sequence_doc(ws, seq, args.cap)
+    seq = dexact.build_left_d_exact(cat, ws.morphism(args.map_name))
+    doc = _sequence_doc(ws, seq)
     doc["category"] = args.category
     doc["map"] = args.map_name
     return doc, 0
@@ -373,14 +373,14 @@ def _run_defect(ws: Workspace, args) -> Tuple[dict, int]:
 def _run_verify_defect_formula(ws: Workspace, args) -> Tuple[dict, int]:
     cat = ws.category(args.category)
     seq = _sequence_from_args(ws, cat, args)
-    report = artheory.verify_defect_formula(seq, cat, args.cap)
+    report = artheory.verify_defect_formula(seq, cat)
     doc = asdict(report)
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
 
 
 def _run_verify_ar_duality(ws: Workspace, args) -> Tuple[dict, int]:
-    report = artheory.verify_ar_duality(ws.category(args.category), args.cap)
+    report = artheory.verify_ar_duality(ws.category(args.category))
     doc = asdict(report)
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
@@ -395,7 +395,7 @@ def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
     elif args.submodule == "full":
         h = artheory.EndSubmodule.full(x, n)
     else:
-        h = artheory.EndSubmodule.radical(x, n, args.cap)
+        h = artheory.EndSubmodule.radical(x, n)
     g = artheory.determined_morphism(cat, x, n, h, args.cap)
     return (
         {
@@ -404,7 +404,7 @@ def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
             "submodule": args.submodule,
             "image_dim": h.dim,
             "domain": {
-                "label": _label_module(ws, g.domain, args.cap),
+                "label": _label_module(ws, g.domain),
                 "dims": list(g.domain.dims),
             },
             "epi": g.is_epi(),
@@ -416,8 +416,8 @@ def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
 
 def _run_dass(ws: Workspace, args) -> Tuple[dict, int]:
     cat = ws.category(args.category)
-    seq = artheory.d_almost_split(cat, ws.module(args.target), args.cap)
-    doc = _sequence_doc(ws, seq, args.cap)
+    seq = artheory.d_almost_split(cat, ws.module(args.target))
+    doc = _sequence_doc(ws, seq)
     doc["category"] = args.category
     doc["target"] = args.target
     return doc, 0
@@ -425,8 +425,8 @@ def _run_dass(ws: Workspace, args) -> Tuple[dict, int]:
 
 def _run_gldim_end(ws: Workspace, args) -> Tuple[dict, int]:
     cat = ws.category(args.category)
-    gl = artheory.gldim_end(cat, args.cap)
-    dom = artheory.domdim_end(cat, args.cap)
+    gl = artheory.gldim_end(cat)
+    dom = artheory.domdim_end(cat)
     bounds_ok = gl <= ws.d + 1 and (dom == math.inf or ws.d + 1 <= dom)
     return (
         {
@@ -448,7 +448,7 @@ def _run_emit_dot(ws: Workspace, args) -> Tuple[dict, int]:
     if has_map and has_target:
         raise UsageError("give at most one of --map and --target")
     seq = _sequence_from_args(ws, cat, args) if (has_map or has_target) else None
-    text = emit_dot(ws, seq, args.cap)
+    text = emit_dot(ws, seq)
     if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

@@ -1,9 +1,13 @@
 """Budget knobs for the exhaustive desk-scale scans.
 
-Every brute-force search (idempotents, isomorphisms, minimalization,
-module enumeration) checks its worst-case count against SCAN_CAP before
-starting and raises CapExceeded if it would blow past it.  The CLI's
---cap flag overrides the value for one invocation.
+Three searches still enumerate by design: the arrow-matrix assignments of
+enumerate_indecomposables, the subspaces of a hom space in
+all_end_submodules and the vertex vectors of the admissible-submodule step
+of determined_morphism.  Each checks its worst-case count against SCAN_CAP
+before starting and raises CapExceeded if it would blow past it; the
+CLI's --cap flag overrides the value for one invocation.  Splitting,
+isomorphism tests, radicals and minimal versions are linear algebra and
+have no budget.
 """
 
 SCAN_CAP = 1 << 16

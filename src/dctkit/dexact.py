@@ -79,11 +79,11 @@ class DSequence:
     def interior(self) -> Tuple[Module, ...]:
         return self.terms[1:-1]
 
-    def check_membership(self, cap=None) -> bool:
+    def check_membership(self) -> bool:
         """Whether all terms lie in the attached category, if one is attached."""
         if self.category is None:
             return True
-        return all(self.category.contains(t, cap) for t in self.terms)
+        return all(self.category.contains(t) for t in self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -317,7 +317,7 @@ def _pair_into_sum(src: Module, total: Module, first: Morphism, second: Morphism
 # -- pullback and pushout staircases ----------------------------------------
 
 
-def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, cap):
+def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism):
     """Shared construction; also returns the final stage's kernel inclusion."""
     d = cat.d
     if len(bottom.terms) != d + 1:
@@ -333,7 +333,7 @@ def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, cap
     for i in range(d, 0, -1):
         p, q, r, incl = pullback(delta, alpha)
         if i > 1:
-            approx = minimal_right_approximation(cat, p, cap)
+            approx = minimal_right_approximation(cat, p)
             tops_rev.append(approx.domain)
             top_maps_rev.append(r @ approx)
             downs_rev.append(q @ approx)
@@ -355,18 +355,18 @@ def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism, cap
     return morphism, last_incl, alpha.domain
 
 
-def d_pullback(cat: AddCategory, bottom: DSequence, fmap: Morphism, cap=None) -> ComplexMorphism:
+def d_pullback(cat: AddCategory, bottom: DSequence, fmap: Morphism) -> ComplexMorphism:
     """Pull a (d+1)-term tail back along a map into its right end.
 
     The mapping cone of the returned morphism of complexes is left
     d-exact; the intermediate pullbacks are covered by minimal right
     approximations.
     """
-    morphism, _, _ = _pullback_staircase(cat, bottom, fmap, cap)
+    morphism, _, _ = _pullback_staircase(cat, bottom, fmap)
     return morphism
 
 
-def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism, cap=None):
+def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism):
     """Pull a full (d+2)-term sequence back, inducing the kernel row.
 
     Returns the completed morphism of complexes: its source keeps the
@@ -375,7 +375,7 @@ def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism, cap=No
     if len(seq.terms) != cat.d + 2:
         raise DimensionMismatch("the sequence must have d+2 terms")
     tail = DSequence(seq.terms[1:], seq.maps[1:], _skip_check=True)
-    morphism, incl, next_obj = _pullback_staircase(cat, tail, fmap, cap)
+    morphism, incl, next_obj = _pullback_staircase(cat, tail, fmap)
     left = seq.left_term
     zero_leg = Morphism.zero(left, next_obj)
     pair = _pair_into_sum(left, incl.codomain, seq.maps[0], zero_leg)
@@ -403,7 +403,7 @@ def _dual_chain(seq: DSequence, cm: ComplexMorphism) -> ComplexMorphism:
     return ComplexMorphism(seq, _dual_sequence(cm.src), maps)
 
 
-def d_pushout_complete(cat: AddCategory, seq: DSequence, gmap: Morphism, cap=None):
+def d_pushout_complete(cat: AddCategory, seq: DSequence, gmap: Morphism):
     """Push a full (d+2)-term sequence out, inducing the cokernel row.
 
     The dual of pulling the dual sequence back along the dual map over
@@ -412,7 +412,7 @@ def d_pushout_complete(cat: AddCategory, seq: DSequence, gmap: Morphism, cap=Non
     if gmap.domain is not seq.left_term:
         raise DimensionMismatch("the leg must map out of the left end of the sequence")
     dual_leg = repcat.duality_morphism(gmap)
-    return _dual_chain(seq, d_pullback_complete(cat.dual(), _dual_sequence(seq), dual_leg, cap))
+    return _dual_chain(seq, d_pullback_complete(cat.dual(), _dual_sequence(seq), dual_leg))
 
 
 def mapping_cone(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> DSequence:
@@ -499,7 +499,7 @@ def long_exact_extension_ok(seq: DSequence, x: Module) -> bool:
 # -- construction from the right end ----------------------------------------
 
 
-def build_left_d_exact(cat: AddCategory, g: Morphism, cap=None) -> DSequence:
+def build_left_d_exact(cat: AddCategory, g: Morphism) -> DSequence:
     """Resolve the kernel of g by minimal right approximations, d-1 times.
 
     Starting from g: C -> N, each step takes the kernel of the last map
@@ -511,7 +511,7 @@ def build_left_d_exact(cat: AddCategory, g: Morphism, cap=None) -> DSequence:
     cur = g
     for _ in range(cat.d - 1):
         k, incl = repcat.kernel(cur)
-        approx = minimal_right_approximation(cat, k, cap)
+        approx = minimal_right_approximation(cat, k)
         cur = incl @ approx
         maps_rev.append(cur)
         terms_rev.append(cur.domain)

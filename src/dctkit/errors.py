@@ -33,7 +33,13 @@ class InvalidSubmodule(DctError, ValueError):
 
 
 class CapExceeded(DctError, RuntimeError):
-    """An exhaustive scan would exceed the configured budget."""
+    """A computation would exceed its configured budget."""
+
+    @classmethod
+    def over(cls, operation: str, dims, needed: str, allowed, knob: str = "--cap"):
+        """The refusal naming what ran, on what, what it needed, what is allowed and what to raise."""
+        on = "" if dims is None else " on dimension vector (" + ",".join(map(str, dims)) + ")"
+        return cls(f"{operation}{on} needs {needed}, over the cap {allowed}; raise {knob}")
 
 
 class VerificationFailed(DctError, RuntimeError):

@@ -7,11 +7,22 @@ matrices intertwining the arrow actions.
 
 Hom spaces are computed exactly as kernels of the intertwining system and
 always come back in the same canonical order, so everything downstream
-(approximations, resolutions, scans) is deterministic.
+(approximations, resolutions, splittings) is deterministic.
+
+Indecomposability, splitting and isomorphism are linear algebra on
+E = End(x) over its hom basis: the radical J = rad E by lifted traces,
+then a zero divisor of the semisimple E/J, whose left ideal yields an
+idempotent that is lifted over J.  x is indecomposable exactly when E/J
+is a field, and indecomposables x, y are isomorphic exactly when some
+composite of hom-basis maps x -> y -> x lies outside J.  Nothing here
+enumerates a space over F_p.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import config, exactlin
@@ -22,6 +33,7 @@ from .errors import (
     InvalidModule,
     InvalidMorphism,
     InvalidSubmodule,
+    VerificationFailed,
 )
 from .exactlin import Matrix
 
@@ -683,54 +695,206 @@ def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
     return mono.codomain, mono
 
 
-# -- decompositions and isomorphism tests ---------------------------------
+# -- endomorphism rings: radical, splitting, isomorphism -------------------
 
 
-def _scan_space(field, count_exponent: int, cap) -> int:
+def _scan_space(field, count_exponent: int, cap, operation: str, dims) -> int:
     """Number of scan iterations p^count_exponent, guarded by the cap."""
     total = field.p ** count_exponent
     limit = config.scan_cap(cap)
     if total > limit:
-        raise CapExceeded(
-            f"scan of size {field.p}^{count_exponent} exceeds the cap {limit}"
-        )
+        raise CapExceeded.over(operation, dims, f"a scan of {field.p}^{count_exponent}", limit)
     return total
 
 
-def _combination(basis: Sequence[Morphism], counter: int, p: int) -> Morphism:
-    f = None
-    for b in basis:
-        digit = counter % p
-        counter //= p
-        if digit:
-            term = b.scale(digit)
-            f = term if f is None else f + term
-    if f is None:
-        raise ValueError("zero combination")
-    return f
+def _int_power(rows, k: int, mod: int):
+    """Rows of the square matrix rows^k, k >= 1, with entries taken mod `mod`."""
+    out, n = None, len(rows)
+    while True:
+        if k & 1:
+            out = rows if out is None else exactlin._product_rows(mod, out, rows, n)
+        k >>= 1
+        if not k:
+            return out
+        rows = exactlin._product_rows(mod, rows, rows, n)
 
 
-def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
-    """First nontrivial idempotent endomorphism in scan order, if any."""
-    basis = hom_basis(x, x)
-    total = _scan_space(x.field, len(basis), cap)
-    ident = Morphism.identity(x)
-    for counter in range(1, total):
-        e = _combination(basis, counter, x.field.p)
-        if e == ident:
-            continue
-        if (e @ e) == e and not e.is_zero():
-            return e
+def _combine(mats: Sequence[Matrix], vec) -> Matrix:
+    """sum_i vec[i] * mats[i], for matrices of one shape."""
+    field, rows, cols = mats[0].field, mats[0].rows, mats[0].cols
+    acc = [0] * (rows * cols)
+    for c, m in zip(vec, mats):
+        if c:
+            acc = [s + c * t for s, t in zip(acc, chain.from_iterable(m.entries))]
+    return Matrix(field, [acc[r * cols : (r + 1) * cols] for r in range(rows)], cols)
+
+
+def _lifted_trace(x: Module, vec, level: int) -> int:
+    """g_level(a) = (Tr(a~^(p^level)) mod p^(level+1)) / p^level, for the endomorphism a
+    of x with hom-basis coordinates vec and a~ its vertex matrices lifted to [0, p)."""
+    p = x.field.p
+    flat = (hom_space_matrix(x, x) @ Matrix.column(x.field, vec)).columns()[0]
+    total = 0
+    for c in morphism_from_vec(x, x, flat, _skip_check=True).comps:
+        if c.rows:
+            m = _int_power(c.entries, p**level, p ** (level + 1))
+            total += sum(m[k][k] for k in range(c.rows))
+    return total % p ** (level + 1) // p**level
+
+
+def _end_algebra(x: Module) -> Tuple[List[Matrix], Matrix]:
+    """E = End(x) on the basis b = hom_basis(x, x), kept on x: (mult, rad).
+
+    mult[i] is the matrix of a -> b[i] o a in basis coordinates; rad spans
+    J = rad E.  J ends the lifted-trace sequence (Ronyai; Cohen, Ivanyos
+    and Wales): I_-1 = E, and I_i holds the a in I_(i-1) with g_i(a o c) = 0
+    for all c, g_i as in _lifted_trace.  Each g_i is linear on the ideal
+    I_(i-1), and I_l = J for the largest l with p^l <= dim x.
+    """
+    if "end" not in x._cache:
+        field, e = x.field, hom_dim(x, x)
+        table = exactlin.solve(
+            hom_space_matrix(x, x),
+            exactlin.hstack([hom_composites(x, b) for b in hom_basis(x, x)], field, e),
+        )
+        mult = [Matrix(field, [r[i * e : (i + 1) * e] for r in table.entries], e) for i in range(e)]
+        # End(x) = k has no radical
+        ideal, level = (Matrix.identity(field, e) if e > 1 else Matrix.zeros(field, e, 0)), 0
+        while ideal.cols and field.p**level <= x.total_dim:
+            g = Matrix(field, [[_lifted_trace(x, a, level) for a in ideal.columns()]], ideal.cols)
+            products = exactlin.hstack([_combine(mult, a) for a in ideal.columns()])
+            values = (g @ exactlin.solve(ideal, products)).entries[0]
+            cond = Matrix(field, [values[j::e] for j in range(e)], ideal.cols)
+            ideal = ideal @ exactlin.kernel_basis(cond)
+            level += 1
+        x._cache["end"] = (mult, ideal)
+    return x._cache["end"]
+
+
+def _root(quot: Sequence[Matrix], u: Matrix, one: Matrix) -> int:
+    """The least root in F_p of the minimal polynomial of u, which splits over F_p."""
+    left, powers, p = _combine(quot, u.columns()[0]), [one], one.field.p
+    while (coeffs := exactlin.solve(exactlin.hstack(powers), left @ powers[-1])) is None:
+        powers.append(left @ powers[-1])
+    poly = [1] + [-row[0] for row in reversed(coeffs.entries)]
+    return next(lam for lam in range(p) if not reduce(lambda v, c: (v * lam + c) % p, poly, 0))
+
+
+def _commutative_zero_divisor(quot, sub: Matrix, one: Matrix) -> Optional[Matrix]:
+    """A nonzero non-unit in the commutative subalgebra spanned by sub, or None.
+
+    Frobenius c -> c^p is F_p-linear on it.  Its r-th power (r = dim)
+    kills exactly the nilpotents, and its fixed points form F_p^s, s the
+    number of simple factors.  With no nilpotents and s >= 2, a fixed
+    non-scalar u minus a root of its minimal polynomial is a zero divisor.
+    """
+    field, r = one.field, sub.cols
+    pth = []
+    for c in sub.columns():
+        left = _combine(quot, c).entries
+        pth.append(Matrix(field, _int_power(left, field.p - 1, field.p)) @ Matrix.column(field, c))
+    frob = exactlin.solve(sub, exactlin.hstack(pth))
+    nil = exactlin.kernel_basis(Matrix(field, _int_power(frob.entries, r, field.p), r))
+    if nil.cols:
+        return sub @ nil.col(0)
+    for u in (sub @ exactlin.kernel_basis(frob - Matrix.identity(field, r))).columns():
+        u = Matrix.column(field, u)
+        if not exactlin.contains(one, u):
+            return u - one.scale(_root(quot, u, one))
     return None
 
 
-def is_indecomposable(x: Module, cap=None) -> bool:
+def _zero_divisor(quot: Sequence[Matrix], one: Matrix) -> Optional[Matrix]:
+    """A nonzero non-unit of a semisimple algebra B; None when B is a field.
+
+    quot[s] is left multiplication by the s-th basis element.  Zero
+    divisors are sought in commutative subalgebras: the centre Z first,
+    which has one unless B is simple, and B is a field when Z is one and
+    all of B.  For simple B = M_n(F_q), n >= 2, they are sought in Z[a]
+    for a a basis element, then a product or a sum of two.
+    """
+    field, m = one.field, one.rows
+    centre = exactlin.kernel_basis(
+        exactlin.vstack(
+            [exactlin.hstack([quot[t].col(s) - quot[s].col(t) for t in range(m)]) for s in range(m)]
+        )
+    )
+    z = _commutative_zero_divisor(quot, centre, one)
+    if z is not None or centre.cols == m:
+        return z
+    units = Matrix.identity(field, m).columns()
+    products = (col for q in quot for col in q.columns())
+    sums = (tuple(map(add, a, b)) for i, a in enumerate(units) for b in units[i + 1 :])
+    for a in chain(units, products, sums):
+        gens = exactlin.hstack([centre, Matrix.column(field, a)])
+        span, grown = None, exactlin.canonical_basis(gens)
+        while span is None or grown.cols > span.cols:  # close up to the subalgebra Z[a]
+            span = grown
+            grown = exactlin.subspace_sum(
+                span, exactlin.hstack([_combine(quot, g) @ span for g in gens.columns()])
+            )
+        z = _commutative_zero_divisor(quot, span, one)
+        if z is not None:
+            return z
+    raise VerificationFailed("no zero divisor found in End/rad of a repeated summand")
+
+
+def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
+    """An idempotent endomorphism of x other than 0 and 1; None if there is none.
+
+    A hom-basis element that is one already is taken first.  Otherwise x
+    is indecomposable exactly when B = End(x)/J is a field; if it is not,
+    a zero divisor z of B gives the right identity of the left ideal Bz,
+    an idempotent of B, which e -> 3e^2 - 2e^3 lifts over J.  The answer is
+    kept on x.  cap, when given, bounds the dim End(x)^2 structure
+    constants the call may compute.
+    """
+    basis = hom_basis(x, x)
+    if cap is not None and len(basis) ** 2 > cap:
+        raise CapExceeded.over(
+            "nontrivial_idempotent", x.dims, f"{len(basis) ** 2} End structure constants", cap, "cap"
+        )
+    if "idempotent" not in x._cache:
+        x._cache["idempotent"] = _find_idempotent(x, basis)
+    return x._cache["idempotent"]
+
+
+def _find_idempotent(x: Module, basis) -> Optional[Morphism]:
+    ident = Morphism.identity(x)
+    for b in basis:
+        if b != ident and b @ b == b and not b.is_zero():
+            return b
+    if len(basis) < 2:
+        return None
+    field = x.field
+    mult, rad = _end_algebra(x)
+    reps, proj = exactlin.quotient(Matrix.identity(field, len(basis)), rad)
+    quot = [proj @ _combine(mult, r) @ reps for r in reps.columns()]
+    space = hom_space_matrix(x, x)
+    z = _zero_divisor(quot, proj @ exactlin.solve(space, Matrix.column(field, hom_vec(ident))))
+    if z is None:
+        return None
+    ideal = exactlin.canonical_basis(exactlin.hstack([q @ z for q in quot]))
+    cols = ideal.columns()
+    ebar = exactlin.solve(
+        exactlin.vstack([_combine(quot, c) @ ideal for c in cols]),
+        Matrix.column(field, [t for c in cols for t in c]),
+    )
+    lift = space @ reps @ ideal @ ebar
+    f = morphism_from_vec(x, x, [r[0] for r in lift.entries], _skip_check=True)
+    while f @ f != f:
+        sq = f @ f
+        f = sq.scale(3) - (sq @ f).scale(2)
+    return f
+
+
+def is_indecomposable(x: Module) -> bool:
     if x.is_zero():
         return False
-    return nontrivial_idempotent(x, cap) is None
+    return nontrivial_idempotent(x) is None
 
 
-def split_summands(x: Module, cap=None) -> List[Tuple[Module, Morphism, Morphism]]:
+def split_summands(x: Module) -> List[Tuple[Module, Morphism, Morphism]]:
     """Split into indecomposable summands.
 
     Returns:
@@ -738,7 +902,7 @@ def split_summands(x: Module, cap=None) -> List[Tuple[Module, Morphism, Morphism
     """
     if x.is_zero():
         return []
-    e = nontrivial_idempotent(x, cap)
+    e = nontrivial_idempotent(x)
     if e is None:
         return [(x, Morphism.identity(x), Morphism.identity(x))]
     a, inc_a = image(e)
@@ -748,17 +912,17 @@ def split_summands(x: Module, cap=None) -> List[Tuple[Module, Morphism, Morphism
     out = []
     for piece, proj in ((a, projs[0]), (b, projs[1])):
         back = proj @ theta_inv
-        for z, inc_z, proj_z in split_summands(piece, cap):
+        for z, inc_z, proj_z in split_summands(piece):
             out.append((z, (inc_a if piece is a else inc_b) @ inc_z, proj_z @ back))
     return out
 
 
-def decompose(x: Module, cap=None) -> List[Tuple[Module, int]]:
+def decompose(x: Module) -> List[Tuple[Module, int]]:
     """Indecomposable summands grouped into (representative, multiplicity)."""
     groups: List[Tuple[Module, int]] = []
-    for z, _, _ in split_summands(x, cap):
+    for z, _, _ in split_summands(x):
         for k, (rep, mult) in enumerate(groups):
-            if are_isomorphic(rep, z, cap):
+            if _iso_between_indecomposables(rep, z) is not None:
                 groups[k] = (rep, mult + 1)
                 break
         else:
@@ -766,34 +930,55 @@ def decompose(x: Module, cap=None) -> List[Tuple[Module, int]]:
     return groups
 
 
-def find_isomorphism(x: Module, y: Module, cap=None) -> Optional[Morphism]:
+def _iso_between_indecomposables(x: Module, y: Module) -> Optional[Morphism]:
+    """An isomorphism between indecomposables x and y, or None.
+
+    x and y are isomorphic exactly when some g o f, f in hom_basis(x, y)
+    and g in hom_basis(y, x), lies outside rad End(x); that f is one.
+    """
+    maps = hom_basis(x, y) if x.dims == y.dims else ()
+    if not maps:
+        return None
+    rad = hom_space_matrix(x, x) @ _end_algebra(x)[1]
+    for g in hom_basis(y, x):
+        for f, col in zip(maps, hom_composites(x, g).columns()):
+            if not exactlin.contains(rad, Matrix.column(x.field, col)):
+                return f
+    return None
+
+
+def find_isomorphism(x: Module, y: Module) -> Optional[Morphism]:
+    """An isomorphism x -> y glued from isomorphisms between summands; None if none."""
     if x.dims != y.dims:
         return None
     if x.is_zero():
         return Morphism.zero(x, y)
-    basis = hom_basis(x, y)
-    if not basis:
+    if hom_dim(x, x) != hom_dim(y, y) or not hom_dim(x, y) or hom_dim(x, y) != hom_dim(y, x):
         return None
-    if hom_dim(x, x) != hom_dim(y, y) or len(basis) != hom_dim(y, x):
-        return None
-    total = _scan_space(x.field, len(basis), cap)
-    for counter in range(1, total):
-        f = _combination(basis, counter, x.field.p)
-        if f.is_iso():
-            return f
-    return None
+    targets = split_summands(y)
+    out = Morphism.zero(x, y)
+    for z, _, proj in split_summands(x):
+        for k, (w, inc, _) in enumerate(targets):
+            f = _iso_between_indecomposables(z, w)
+            if f is not None:
+                out = out + inc @ f @ proj
+                del targets[k]
+                break
+        else:
+            return None
+    return out
 
 
-def are_isomorphic(x: Module, y: Module, cap=None) -> bool:
-    return find_isomorphism(x, y, cap) is not None
+def are_isomorphic(x: Module, y: Module) -> bool:
+    return find_isomorphism(x, y) is not None
 
 
-def is_radical_morphism(f: Morphism, cap=None) -> bool:
+def is_radical_morphism(f: Morphism) -> bool:
     """True when no component between indecomposable summands is invertible."""
     if f.domain.is_zero() or f.codomain.is_zero():
         return True
-    dom_parts = split_summands(f.domain, cap)
-    cod_parts = split_summands(f.codomain, cap)
+    dom_parts = split_summands(f.domain)
+    cod_parts = split_summands(f.codomain)
     for _, inc, _ in dom_parts:
         for _, _, proj in cod_parts:
             if (proj @ f @ inc).is_iso():

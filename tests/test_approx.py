@@ -5,8 +5,7 @@ import pathlib
 import pytest
 
 from dctkit import AddCategory, Matrix, Module, Quiver, build_algebra
-from dctkit import exactlin, repcat, workspace
-from dctkit.errors import CapExceeded
+from dctkit import config, exactlin, repcat, workspace
 from dctkit.approx import (
     is_left_minimal,
     is_right_approximation,
@@ -20,6 +19,7 @@ from dctkit.approx import (
 from dctkit.artheory import d_almost_split, gldim_end, right_almost_split
 from dctkit.homological import is_projective
 from dctkit.repcat import Morphism, are_isomorphic, direct_sum, hom_dim
+from scan_oracles import scan_rad_between, scan_right_minimalize
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -140,54 +140,20 @@ def test_additive_generator_is_kept_and_never_split(flag_cat, flag_mods, monkeyp
     assert cat.additive_generator() is m
 
 
-def test_category_caches_hold_per_cap():
-    def fresh():
-        return workspace.load(str(DATA / "ka3rad2.json"), 2).category("M")
-
-    with pytest.raises(CapExceeded):
-        fresh().is_generating_cogenerating(cap=1)
-    cat = fresh()
-    assert cat.is_generating_cogenerating()
-    assert len(cat._summand_pool()) == 4
-    # a smaller cap gets the answer a fresh category would give, not the cached one
-    with pytest.raises(CapExceeded):
-        cat.is_generating_cogenerating(cap=1)
-    with pytest.raises(CapExceeded):
-        cat._summand_pool(cap=1)
-    assert cat.is_generating_cogenerating()
-
-
-# -- the scan minimalization, kept as an oracle for minimal_cover -----------
-
-
-def _scan_right_minimalize(g: Morphism) -> Morphism:
-    """Right-minimal version of g by searching End(dom g), as dctkit once did.
-
-    While some phi = id + psi with g o psi = 0 is not invertible (first one
-    in scan order over a basis of such psi), pass to the image of phi^n,
-    which is a proper summand of the domain that g restricts to.
-    """
-    while True:
-        x = g.domain
-        coords = exactlin.kernel_basis(repcat.hom_composites(x, g))
-        flat = repcat.hom_space_matrix(x, x) @ coords
-        basis = [repcat.morphism_from_vec(x, x, vec) for vec in flat.columns()]
-        ident = Morphism.identity(x)
-        phi = None
-        if basis:
-            for counter in range(1, repcat._scan_space(x.field, len(basis), None)):
-                candidate = ident + repcat._combination(basis, counter, x.field.p)
-                if not candidate.is_iso():
-                    phi = candidate
-                    break
-        if phi is None:
-            return g
-        phi_n = phi
-        for _ in range(x.total_dim - 1):
-            phi_n = phi_n @ phi
-        kept, inc = repcat.image(phi_n)
-        assert kept.total_dim < x.total_dim
-        g = g @ inc
+def test_category_answers_do_not_depend_on_the_cap(monkeypatch):
+    # nothing in approx scans any more, so even a cap of 1 changes no answer
+    answers = []
+    for cap in (1, 4, config.SCAN_CAP):
+        monkeypatch.setattr(config, "SCAN_CAP", cap)
+        cat = workspace.load(str(DATA / "ka3rad2.json"), 2).category("M")
+        s1 = cat.generators[3]
+        g = minimal_right_approximation(cat, s1)
+        answers.append(
+            (cat.is_generating_cogenerating(), len(cat._summand_pool()), g.domain.dims,
+             gldim_end(cat), [t.dims for t in d_almost_split(cat, s1).terms])
+        )
+    assert answers[0] == answers[1] == answers[2]
+    assert answers[0][:2] == (True, 4)
 
 
 def _same_minimal_map(g: Morphism, h: Morphism) -> None:
@@ -210,10 +176,10 @@ def test_minimal_cover_matches_the_scan_oracle(fixture, p):
             continue
         mors = [repcat.morphism_from_vec(m, n, v) for v in cat.generator_radical(n).columns()]
         _, glued, _, _ = repcat.glue_columns(n, [m] * len(mors), mors)
-        _same_minimal_map(right_almost_split(cat, n), _scan_right_minimalize(glued))
+        _same_minimal_map(right_almost_split(cat, n), scan_right_minimalize(glued))
     for name in sorted(ws.modules):
         x = ws.module(name)
-        oracle = _scan_right_minimalize(right_approximation(cat, x))
+        oracle = scan_right_minimalize(right_approximation(cat, x))
         _same_minimal_map(minimal_right_approximation(cat, x), oracle)
 
 
@@ -226,7 +192,7 @@ def test_minimal_cover_drops_radical_composites(f2):
     gmin, _ = right_minimalize(g)
     assert gmin.domain.dims == p.dims
     assert not is_right_minimal(g) and is_right_minimal(gmin)
-    _same_minimal_map(gmin, _scan_right_minimalize(g))
+    _same_minimal_map(gmin, scan_right_minimalize(g))
 
 
 def test_minimal_cover_uses_whole_endomorphism_orbits(f2):
@@ -241,4 +207,4 @@ def test_minimal_cover_uses_whole_endomorphism_orbits(f2):
     gmin, _ = right_minimalize(g)
     assert gmin.domain.dims == z.dims
     assert not is_right_minimal(g) and is_right_minimal(gmin)
-    _same_minimal_map(gmin, _scan_right_minimalize(g))
+    _same_minimal_map(gmin, scan_right_minimalize(g))

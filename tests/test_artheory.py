@@ -380,5 +380,6 @@ def test_domdim_end_degrees_do_not_follow_the_scan_cap(semisimple, monkeypatch):
         return real(x, y, i)
 
     monkeypatch.setattr(homological, "ext_dim", counting)
-    assert domdim_end(cat, cap=10**6) == math.inf
+    monkeypatch.setattr(config, "SCAN_CAP", 10**6)
+    assert domdim_end(cat) == math.inf
     assert 0 < len(degrees) <= config.RESOLUTION_CAP

@@ -246,9 +246,28 @@ def test_cap_below_one_is_an_input_error():
         error = payload(r)["error"]
         assert error["kind"] == "input"
         assert "--cap" in error["message"]
-    r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1", "--cap", "1")
+    # a cap of 1 is a budget, not an input error: it refuses the enumeration
+    r = run_cli("enumerate", "--workspace", FLAG, "--cap", "1")
     assert r.returncode == 2
     assert payload(r)["error"]["kind"] == "cap"
+    # splitting and isomorphism tests no longer scan, so dass answers at any cap
+    r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1", "--cap", "1")
+    assert r.returncode == 0
+
+
+def test_cap_refusal_names_its_cause():
+    r = run_cli("enumerate", "--workspace", FLAG, "--field", "7")
+    assert r.returncode == 2
+    assert payload(r)["error"] == {
+        "code": 2,
+        "kind": "cap",
+        "message": "enumerate_indecomposables on dimension vector (0,2,3) needs 129589+ "
+        "arrow-matrix assignments, over the cap 65536; raise --cap",
+    }
+    # the flagship's own enumeration answers at the default cap
+    r = run_cli("enumerate", "--workspace", FLAG)
+    assert r.returncode == 0
+    assert [c["isomorphic_to"] for c in payload(r)["classes"]] == ["S3", "S2", "S1", "P2", "P1"]
 
 
 def test_a_command_does_not_import_numpy():

@@ -1,9 +1,9 @@
-"""p^k scans stay in the routines that still need them.
+"""p^k scans stay in the two subspace searches that still need them.
 
-``repcat._scan_space`` and ``repcat._combination`` walk every vector of a
-space over F_p, p^dim of them.  Library code may use them only inside the
-routines listed here, which scan by design or still await a linear-algebra
-replacement; everything else must reach its answer without enumeration.
+``repcat._scan_space`` budgets a walk over every vector of a space over
+F_p, p^dim of them.  Library code may use it only inside the routines
+listed here, which search subspaces by design; splitting, isomorphism and
+radicals are linear algebra on End(x) and must not enumerate.
 """
 
 import ast
@@ -11,13 +11,7 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dctkit"
 SCANNERS = {"_scan_space", "_combination"}
-ALLOWED = {
-    "nontrivial_idempotent",
-    "find_isomorphism",
-    "_rad_between_indecomposables",
-    "all_end_submodules",
-    "_largest_admissible_submodule",
-}
+ALLOWED = {"all_end_submodules", "_largest_admissible_submodule"}
 
 
 def _scanner_uses(tree):
