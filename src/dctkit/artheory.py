@@ -749,7 +749,8 @@ def _functor_pd(cat: AddCategory, nj: Module) -> int:
             return k + 1
         r = _minimal_cover(cat, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker)
     raise CapExceeded.over(
-        "gldim_end", nj.dims, f"a functor resolution longer than {limit}", limit, "config.RESOLUTION_CAP"
+        "gldim_end", nj.dims, f"a functor resolution longer than {limit}", limit,
+        "config.RESOLUTION_CAP",
     )
 
 
@@ -782,5 +783,6 @@ def domdim_end(cat: AddCategory):
     if gd <= limit:
         return math.inf
     raise CapExceeded.over(
-        "domdim_end", m.dims, f"Ext degrees past {limit} (gldim {gd})", limit, "config.RESOLUTION_CAP"
+        "domdim_end", m.dims, f"Ext degrees past {limit} (gldim {gd})", limit,
+        "config.RESOLUTION_CAP",
     )

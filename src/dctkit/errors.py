@@ -37,7 +37,7 @@ class CapExceeded(DctError, RuntimeError):
 
     @classmethod
     def over(cls, operation: str, dims, needed: str, allowed, knob: str = "--cap"):
-        """The refusal naming what ran, on what, what it needed, what is allowed and what to raise."""
+        """A refusal naming what ran, on what, what it needed, the cap and what raises it."""
         on = "" if dims is None else " on dimension vector (" + ",".join(map(str, dims)) + ")"
         return cls(f"{operation}{on} needs {needed}, over the cap {allowed}; raise {knob}")
 

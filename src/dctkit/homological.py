@@ -105,7 +105,9 @@ def pd(x: Module, cap: int = None) -> int:
     for i in range(cap + 1):
         if res.projective(i).is_zero():
             return i - 1
-    raise CapExceeded.over("pd", x.dims, f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP")
+    raise CapExceeded.over(
+        "pd", x.dims, f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP"
+    )
 
 
 def gldim(algebra: BoundQuiverAlgebra, cap: int = None) -> int:

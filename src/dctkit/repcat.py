@@ -851,9 +851,8 @@ def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
     """
     basis = hom_basis(x, x)
     if cap is not None and len(basis) ** 2 > cap:
-        raise CapExceeded.over(
-            "nontrivial_idempotent", x.dims, f"{len(basis) ** 2} End structure constants", cap, "cap"
-        )
+        needed = f"{len(basis) ** 2} End structure constants"
+        raise CapExceeded.over("nontrivial_idempotent", x.dims, needed, cap, "cap")
     if "idempotent" not in x._cache:
         x._cache["idempotent"] = _find_idempotent(x, basis)
     return x._cache["idempotent"]
@@ -869,6 +868,8 @@ def _find_idempotent(x: Module, basis) -> Optional[Morphism]:
     field = x.field
     mult, rad = _end_algebra(x)
     reps, proj = exactlin.quotient(Matrix.identity(field, len(basis)), rad)
+    if reps.cols == 1:  # End(x)/J = k
+        return None
     quot = [proj @ _combine(mult, r) @ reps for r in reps.columns()]
     space = hom_space_matrix(x, x)
     z = _zero_divisor(quot, proj @ exactlin.solve(space, Matrix.column(field, hom_vec(ident))))

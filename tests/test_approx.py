@@ -19,7 +19,7 @@ from dctkit.approx import (
 from dctkit.artheory import d_almost_split, gldim_end, right_almost_split
 from dctkit.homological import is_projective
 from dctkit.repcat import Morphism, are_isomorphic, direct_sum, hom_dim
-from scan_oracles import scan_rad_between, scan_right_minimalize
+from scan_oracles import scan_right_minimalize
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -76,6 +76,17 @@ def kronecker_field_module(p):
     return Module(kronecker, [2, 2], [Matrix.identity(f, 2), c])
 
 
+def field_bricks(p):
+    """Two non-isomorphic Kronecker modules (id, c) with End a field of degree 3 (p = 2) or 2."""
+    f = PrimeField(p)
+    kronecker = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], 2, f)
+    # companion matrices of x^3+x+1, x^3+x^2+1 over F_2 and of x^2+1, x^2+x+2 over F_3
+    cs = ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 1]]) if p == 2 else (
+        [[0, 2], [1, 0]], [[0, 1], [1, 2]])
+    return [Module(kronecker, [len(c)] * 2, [Matrix.identity(f, len(c)), Matrix(f, c, len(c))])
+            for c in cs]
+
+
 def special_modules(p):
     """Modules whose End has a radical, is not split, or is a full matrix algebra."""
     loop = loop_algebra(p)
@@ -157,13 +168,44 @@ def test_splitting_and_isomorphism_match_the_scan_oracles(fixture, p):
                 )
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_centre_splits_a_sum_of_two_field_bricks(p):
+    # End = F_q x F_q': no hom-basis element of a rebased sum need be an idempotent
+    z1, z2 = field_bricks(p)
+    assert repcat.find_isomorphism(z1, z2) is None
+    rng = random.Random(p)
+    for _ in range(6):
+        x = rebased_sum([z1, z2], rng)
+        e = repcat.nontrivial_idempotent(x)
+        assert e is not None and e @ e == e and not e.is_zero()
+        assert sorted(mult for _, mult in repcat.decompose(x)) == [1, 1]
+
+
+def test_a_commutative_subalgebra_with_nilpotents_yields_one():
+    # B = M_2(F_2) on the basis E11, E12, E21, E22; the subalgebra k[E12] is not reduced
+    f = PrimeField(2)
+    units = [(i, j) for i in range(2) for j in range(2)]
+    quot = [
+        Matrix.from_columns(f, [[int(units[k] == (a[0], b[1]) and a[1] == b[0]) for k in range(4)]
+                                for b in units], 4)
+        for a in units
+    ]
+    one = Matrix.column(f, [1, 0, 0, 1])
+    sub = Matrix.from_columns(f, [[1, 0, 0, 1], [0, 1, 0, 0]], 4)
+    z = repcat._commutative_zero_divisor(quot, sub, one)
+    assert z is not None and not z.is_zero()
+    assert (repcat._combine(quot, z.columns()[0]) @ z).is_zero()
+
+
 # -- properties over random changes of basis --------------------------------
 
 # per prime, groups of indecomposables over one algebra each
 GROUPS = [
     group
     for p in (2, 3)
-    for group in (fixture_modules("ka3rad2.json", p), special_modules(p)[:2], special_modules(p)[2:3])
+    for group in (
+        fixture_modules("ka3rad2.json", p), special_modules(p)[:2], special_modules(p)[2:3]
+    )
 ]
 part_lists = st.sampled_from(GROUPS).flatmap(
     lambda group: st.lists(st.sampled_from(group), min_size=1, max_size=4)
