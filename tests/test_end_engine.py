@@ -118,12 +118,13 @@ def test_named_endomorphism_rings():
         proj, simple, z, _, pp, ss, ps, zz = special_modules(p)
         # k[x]/x^2: End(P) = k[x]/x^2, local with radical spanned by x
         assert repcat.is_indecomposable(proj) and radical_flat(proj).cols == 1
-        assert exactlin.contains(radical_flat(proj), Matrix.column(proj.field, repcat.hom_vec(
-            Morphism(proj, proj, [proj.maps[0]]))))
+        x_map = repcat.hom_vec(Morphism(proj, proj, [proj.maps[0]]))
+        assert exactlin.contains(radical_flat(proj), Matrix.column(proj.field, x_map))
         # End = F_(p^2): no radical, still indecomposable
         assert repcat.hom_dim(z, z) == 2 and radical_flat(z).cols == 0
         assert repcat.is_indecomposable(z)
-        # End(S + S) = M_2(k) and End(Z + Z) = M_2(F_(p^2)): one class, twice
+        # End(S + S) = M_2(k), End(Z + Z) = M_2(F_(p^2)), End(P + P) = M_2(k[x]/x^2):
+        # one class, twice
         for x, part in ((ss, simple), (zz, z), (pp, proj)):
             assert not repcat.is_indecomposable(x)
             [(rep, mult)] = repcat.decompose(x)
