@@ -133,7 +133,8 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[Path]:
         out.extend(new)
         if len(out) > config.PATH_CAP:
             raise CapExceeded.over(
-                "path enumeration", None, f"{len(out)}+ paths", config.PATH_CAP, "config.PATH_CAP"
+                f"path enumeration to length {max_len} (the quiver has too many cycles)", None,
+                f"{len(out)}+ paths", config.PATH_CAP, "config.PATH_CAP",
             )
         frontier = new
         if not frontier:
