@@ -487,6 +487,15 @@ class EndSubmodule:
         return f"EndSubmodule(dim {self.dim} of Hom({self.x!r}, {self.n!r}))"
 
 
+def _scan_space(field, count_exponent: int, cap, operation: str, dims) -> int:
+    """Number of scan iterations p^count_exponent, guarded by the cap."""
+    total = field.p ** count_exponent
+    limit = config.scan_cap(cap)
+    if total > limit:
+        raise CapExceeded.over(operation, dims, f"a scan of {field.p}^{count_exponent}", limit)
+    return total
+
+
 def all_end_submodules(x: Module, n: Module, cap=None) -> List[EndSubmodule]:
     """Every subspace of Hom(x, n) closed under End(x)-precomposition.
 
@@ -496,7 +505,7 @@ def all_end_submodules(x: Module, n: Module, cap=None) -> List[EndSubmodule]:
     """
     m = repcat.hom_dim(x, n)
     field = x.field
-    repcat._scan_space(field, m * m, cap, "all_end_submodules of Hom(x, n)", n.dims)
+    _scan_space(field, m * m, cap, "all_end_submodules of Hom(x, n)", n.dims)
     space = repcat.hom_space_matrix(x, n)
     out: List[EndSubmodule] = []
     for coords in exactlin.all_subspaces(field, m):
@@ -527,7 +536,7 @@ def _largest_admissible_submodule(
         dv = n.dims[v]
         if dv == 0:
             continue
-        count = repcat._scan_space(field, dv, cap, "determined_morphism", n.dims)
+        count = _scan_space(field, dv, cap, "determined_morphism", n.dims)
         for counter in range(1, count):
             vec = []
             rem = counter

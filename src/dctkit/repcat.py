@@ -25,7 +25,7 @@ from itertools import chain
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import config, exactlin
+from . import exactlin
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import (
     CapExceeded,
@@ -696,15 +696,6 @@ def injective_envelope(x: Module) -> Tuple[Module, Morphism]:
 
 
 # -- endomorphism rings: radical, splitting, isomorphism -------------------
-
-
-def _scan_space(field, count_exponent: int, cap, operation: str, dims) -> int:
-    """Number of scan iterations p^count_exponent, guarded by the cap."""
-    total = field.p ** count_exponent
-    limit = config.scan_cap(cap)
-    if total > limit:
-        raise CapExceeded.over(operation, dims, f"a scan of {field.p}^{count_exponent}", limit)
-    return total
 
 
 def _int_power(rows, k: int, mod: int):

@@ -1,6 +1,6 @@
 """p^k scans stay in the two subspace searches that still need them.
 
-``repcat._scan_space`` budgets a walk over every vector of a space over
+``artheory._scan_space`` budgets a walk over every vector of a space over
 F_p, p^dim of them.  Library code may use it only inside the routines
 listed here, which search subspaces by design; splitting, isomorphism and
 radicals are linear algebra on End(x) and must not enumerate.
