@@ -6,7 +6,9 @@ Every minimal version of a map is read off the top of its image functor:
 already holds and keeps, per isomorphism class of summand, the composites
 that are independent modulo the radical and the orbits kept before.  This
 is linear algebra only; no endomorphism of a glued sum is ever searched.
-Left-sided notions go through the vector-space duality.
+The radical rad(x, y) and the sorting of indecomposables into isomorphism
+classes live in repcat (`rad_hom_basis`, `iso_classes`).  Left-sided
+notions go through the vector-space duality.
 """
 
 from __future__ import annotations
@@ -74,28 +76,15 @@ class AddCategory:
 
     def _summand_pool(self) -> List[Module]:
         def compute():
-            pool: List[Module] = []
-            for z, _, _ in self._generator_parts():
-                if not any(repcat._iso_between_indecomposables(z, w) for w in pool):
-                    pool.append(z)
-            return pool
+            return repcat.iso_classes([z for z, _, _ in self._generator_parts()])[0]
 
         return self._cached("pool", compute)
 
-    def generator_radical(self, y: Module) -> Matrix:
-        """Flat-coordinate basis of rad(M, y), from the kept summands of M."""
-        parts = repcat.split_summands(y)
-        return _rad_from_parts(self.additive_generator(), y, self._generator_parts(), parts)
-
     def contains(self, x: Module) -> bool:
         """Whether every indecomposable summand of x occurs in a generator."""
-        if x.is_zero():
-            return True
         pool = self._summand_pool()
-        for z, _, _ in repcat.split_summands(x):
-            if not any(repcat._iso_between_indecomposables(z, w) for w in pool):
-                return False
-        return True
+        summands = [z for z, _, _ in repcat.split_summands(x)]
+        return len(repcat.iso_classes(pool + summands)[0]) == len(pool)
 
     def is_generating_cogenerating(self) -> bool:
         """Whether every indecomposable projective and injective lies inside."""
@@ -153,37 +142,21 @@ def minimal_cover(
     kept[i] = (j, b) when the i-th of them is pieces[j] @ b.
     """
     field = y.field
-    reps: List[Module] = []
-    members: List[List[int]] = []
-    class_of: Dict[int, int] = {}
-    for j, s in enumerate(summands):
-        c = class_of.get(id(s))
-        if c is None:
-            c = next(
-                (i for i, r in enumerate(reps) if repcat._iso_between_indecomposables(r, s)),
-                len(reps),
-            )
-            if c == len(reps):
-                reps.append(s)
-                members.append([])
-            class_of[id(s)] = c
-        members[c].append(j)
+    reps, label = repcat.iso_classes(summands)
     kept: List[Tuple[int, Morphism]] = []
     for c, z in enumerate(reps):
         composites = [repcat.hom_composites(z, piece) for piece in pieces]
         rad_coords: Dict[int, Matrix] = {}
         rad_cols = []
         for j, s in enumerate(summands):
-            if class_of[id(s)] != c:
-                rad_cols.append(composites[j])
-                continue
-            if id(s) not in rad_coords:
-                rad = _rad_between_indecomposables(z, s)
+            if label[j] == c and id(s) not in rad_coords:
+                rad = repcat.rad_hom_basis(z, s)
                 rad_coords[id(s)] = exactlin.solve(repcat.hom_space_matrix(z, s), rad)
-            rad_cols.append(composites[j] @ rad_coords[id(s)])
+            # rad(z, s) is all of Hom(z, s) when s is not isomorphic to z
+            rad_cols.append(composites[j] @ rad_coords[id(s)] if label[j] == c else composites[j])
         n = repcat.hom_flat_dim(z, y)
         span = exactlin.canonical_basis(exactlin.hstack(rad_cols, field=field, rows=n))
-        for j in members[c]:
+        for j in [k for k in range(len(summands)) if label[k] == c]:
             for b, col in zip(repcat.hom_basis(z, summands[j]), composites[j].columns()):
                 if not exactlin.contains(span, Matrix.column(field, col)):
                     kept.append((j, b))
@@ -227,38 +200,3 @@ def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
 def minimal_left_approximation(cat: AddCategory, x: Module) -> Morphism:
     """Minimal left approximation: the dual of a minimal right one over cat.dual()."""
     return repcat.duality_morphism(minimal_right_approximation(cat.dual(), repcat.duality(x)))
-
-
-# -- radical subspaces -----------------------------------------------------
-
-
-def _rad_between_indecomposables(x: Module, y: Module) -> Matrix:
-    """Flat-coordinate span of non-isomorphisms between indecomposables.
-
-    That is all of Hom(x, y) unless some f: x -> y is an isomorphism, and
-    then f o rad End(x).
-    """
-    f = Morphism.identity(x) if x is y else repcat._iso_between_indecomposables(x, y)
-    if f is None:
-        return repcat.hom_space_matrix(x, y)
-    return exactlin.canonical_basis(repcat.hom_composites(x, f) @ repcat._end_algebra(x)[1])
-
-
-def rad_hom_basis(x: Module, y: Module) -> Matrix:
-    """Flat-coordinate basis of the radical subspace of Hom(x, y)."""
-    parts_x, parts_y = repcat.split_summands(x), repcat.split_summands(y)
-    return _rad_from_parts(x, y, parts_x, parts_y)
-
-
-def _rad_from_parts(x: Module, y: Module, dom_parts, cod_parts) -> Matrix:
-    """rad(x, y) from indecomposable splits of x and y, as split_summands lists them."""
-    field = x.field
-    n = repcat.hom_flat_dim(x, y)
-    pieces = []
-    for zi, _, proj_i in dom_parts:
-        for zj, inc_j, _ in cod_parts:
-            rad = _rad_between_indecomposables(zi, zj)
-            for vec in rad.columns():
-                r = repcat.morphism_from_vec(zi, zj, vec, _skip_check=True)
-                pieces.append(repcat.hom_vec(inc_j @ r @ proj_i))
-    return exactlin.canonical_basis(Matrix.from_columns(field, pieces, n))

@@ -84,12 +84,9 @@ def enumerate_indecomposables(
             if not repcat.relations_hold(algebra, list(dims), maps):
                 continue
             m = Module(algebra, list(dims), maps, _skip_check=True)
-            if not repcat.is_indecomposable(m):
-                continue
-            if any(repcat._iso_between_indecomposables(m, w) for w in found):
-                continue
-            found.append(m)
-    return found
+            if repcat.is_indecomposable(m):
+                found.append(m)
+    return repcat.iso_classes(found)[0]
 
 
 # -- rigidity and the cluster-tilting certificate ----------------------------
@@ -481,7 +478,7 @@ class EndSubmodule:
 
     @classmethod
     def radical(cls, x: Module, n: Module) -> "EndSubmodule":
-        return cls(x, n, approx.rad_hom_basis(x, n))
+        return cls(x, n, repcat.rad_hom_basis(x, n))
 
     def __repr__(self):
         return f"EndSubmodule(dim {self.dim} of Hom({self.x!r}, {self.n!r}))"
@@ -568,7 +565,7 @@ def _defect_cover_map(seq: DSequence, target: Module) -> Morphism:
     if dc.dim == 0:
         return Morphism.zero(left, repcat.zero_module(left.algebra))
     field = left.field
-    rad_end = approx.rad_hom_basis(target, target)
+    rad_end = repcat.rad_hom_basis(target, target)
     # r o (a map extending along the start map) extends too, so the radical
     # part of the defect is spanned by r o h over the whole of Hom(left, target)
     rad_cols = [
@@ -678,11 +675,11 @@ def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n):
         raise InvalidModule("the target must lie in the subcategory")
-    g = _minimal_cover(cat, n, cat.generator_radical(n))
+    g = _minimal_cover(cat, n, repcat.rad_hom_basis(cat.additive_generator(), n))
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
     for vi, v in enumerate(cat._summand_pool()):
-        needed = approx.rad_hom_basis(v, n)
+        needed = repcat.rad_hom_basis(v, n)
         if not exactlin.subspace_leq(needed, repcat.hom_image(v, g)):
             raise VerificationFailed(
                 f"a non-retraction from pool index {vi} does not factor"
@@ -721,7 +718,7 @@ def d_almost_split(cat: AddCategory, n: Module) -> DSequence:
         raise VerificationFailed("the start map is not left minimal")
     left = seq.left_term
     for vi, v in enumerate(cat._summand_pool()):
-        needed = approx.rad_hom_basis(left, v)
+        needed = repcat.rad_hom_basis(left, v)
         if not exactlin.subspace_leq(needed, repcat.hom_coimage(f, v)):
             raise VerificationFailed(
                 f"a non-section into pool index {vi} does not extend"
@@ -747,7 +744,7 @@ def _functor_pd(cat: AddCategory, nj: Module) -> int:
     additive generator) until it vanishes, for at most RESOLUTION_CAP steps.
     """
     m = cat.additive_generator()
-    rad_flat = cat.generator_radical(nj)
+    rad_flat = repcat.rad_hom_basis(m, nj)
     if rad_flat.cols == 0:
         return 0
     r = _minimal_cover(cat, nj, rad_flat)

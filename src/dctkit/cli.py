@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--d", type=int, default=None, help="override the workspace size parameter")
     common.add_argument("--field", type=int, default=None, help="override the coefficient prime")
     common.add_argument("--bound", type=int, default=None,
-                        help="total-dimension bound for enumeration commands "
+                        help="total-dimension bound for enumeration commands, at least 1 "
                              "(default: the algebra dimension)")
     common.add_argument("--cap", type=int, default=None,
                         help="scan budget override (at least 1)")
@@ -487,8 +487,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cap is not None and args.cap < 1:
-            parser.error(f"argument --cap: must be at least 1, got {args.cap}")
+        for flag in ("cap", "bound"):
+            value = getattr(args, flag)
+            if value is not None and value < 1:
+                parser.error(f"argument --{flag}: must be at least 1, got {value}")
         ws = _load(args)
         payload, code = _RUNNERS[args.command](ws, args)
     except VerificationFailed as e:

@@ -92,15 +92,15 @@ def is_injective(x: Module) -> bool:
     return is_projective(repcat.duality(x))
 
 
-def pd(x: Module, cap: int = None) -> int:
+def pd(x: Module) -> int:
     """Projective dimension; -1 for the zero module.
 
     Raises CapExceeded when the minimal resolution does not stop within
-    the cap.
+    config.RESOLUTION_CAP.
     """
     if x.is_zero():
         return -1
-    cap = config.RESOLUTION_CAP if cap is None else cap
+    cap = config.RESOLUTION_CAP
     res = resolution(x)
     for i in range(cap + 1):
         if res.projective(i).is_zero():
@@ -110,12 +110,9 @@ def pd(x: Module, cap: int = None) -> int:
     )
 
 
-def gldim(algebra: BoundQuiverAlgebra, cap: int = None) -> int:
+def gldim(algebra: BoundQuiverAlgebra) -> int:
     """Global dimension as the maximum over the simple modules."""
-    return max(
-        pd(repcat.simple(algebra, v), cap)
-        for v in range(algebra.quiver.n_vertices)
-    )
+    return max(pd(repcat.simple(algebra, v)) for v in range(algebra.quiver.n_vertices))
 
 
 # -- Ext spaces and induced maps -----------------------------------------

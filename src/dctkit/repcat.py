@@ -14,7 +14,8 @@ E = End(x) over its hom basis: the radical J = rad E by lifted traces,
 then a zero divisor of the semisimple E/J, whose left ideal yields an
 idempotent that is lifted over J.  x is indecomposable exactly when E/J
 is a field, and indecomposables x, y are isomorphic exactly when some
-composite of hom-basis maps x -> y -> x lies outside J.  Nothing here
+composite of hom-basis maps x -> y -> x lies outside J.  The radical
+rad(x, y) of the module category is read off J of y alone.  Nothing here
 enumerates a space over F_p.
 """
 
@@ -104,6 +105,11 @@ def relations_hold(algebra: BoundQuiverAlgebra, dims, maps) -> bool:
     return True
 
 
+def _same_module(a: Module, b: Module) -> bool:
+    """One object, or equal dimensions and arrow matrices."""
+    return a is b or (a.dims == b.dims and a.maps == b.maps)
+
+
 class Morphism:
     """A module morphism: one matrix per vertex, intertwining the arrows."""
 
@@ -149,8 +155,7 @@ class Morphism:
         The middle modules must be one object, or agree in dimensions and
         arrow matrices; anything else raises DimensionMismatch.
         """
-        mid, dom = other.codomain, self.domain
-        if mid is not dom and (mid.dims != dom.dims or mid.maps != dom.maps):
+        if not _same_module(other.codomain, self.domain):
             raise DimensionMismatch("composition of non-composable morphisms")
         return Morphism(
             other.domain,
@@ -159,21 +164,21 @@ class Morphism:
             _skip_check=True,
         )
 
-    def __add__(self, other: "Morphism") -> "Morphism":
+    def _entrywise(self, other: "Morphism", op) -> "Morphism":
+        """op of two maps between the same modules, in the sense of __matmul__."""
+        dom, cod = other.domain, other.codomain
+        if not (_same_module(self.domain, dom) and _same_module(self.codomain, cod)):
+            raise DimensionMismatch("sum of morphisms between different modules")
         return Morphism(
-            self.domain,
-            self.codomain,
-            [a + b for a, b in zip(self.comps, other.comps)],
+            self.domain, self.codomain, [op(a, b) for a, b in zip(self.comps, other.comps)],
             _skip_check=True,
         )
 
+    def __add__(self, other: "Morphism") -> "Morphism":
+        return self._entrywise(other, Matrix.__add__)
+
     def __sub__(self, other: "Morphism") -> "Morphism":
-        return Morphism(
-            self.domain,
-            self.codomain,
-            [a - b for a, b in zip(self.comps, other.comps)],
-            _skip_check=True,
-        )
+        return self._entrywise(other, Matrix.__sub__)
 
     def __neg__(self) -> "Morphism":
         return Morphism(self.domain, self.codomain, [-a for a in self.comps], _skip_check=True)
@@ -762,6 +767,24 @@ def _end_algebra(x: Module) -> Tuple[List[Matrix], Matrix]:
     return x._cache["end"]
 
 
+def rad_hom_basis(x: Module, y: Module) -> Matrix:
+    """Flat-coordinate canonical basis of the radical rad(x, y) of Hom(x, y).
+
+    f: x -> y is radical exactly when f o g lies in J = rad End(y) for
+    every g: y -> x (Auslander, Reiten and Smalo), so rad(x, y) is the
+    kernel of f -> (f o g mod J) over g in hom_basis(y, x); rad(x, x) is J.
+    """
+    space, back = hom_space_matrix(x, y), hom_basis(y, x)
+    if x is y:
+        return exactlin.canonical_basis(space @ _end_algebra(x)[1])
+    if not back:  # nothing comes back from y: all of Hom(x, y) is radical
+        return exactlin.canonical_basis(space)
+    ends = hom_space_matrix(y, y)
+    _, mod_j = exactlin.quotient(ends, ends @ _end_algebra(y)[1])
+    conds = exactlin.vstack([mod_j @ hom_composites(g, y) for g in back])
+    return exactlin.canonical_basis(space @ exactlin.kernel_basis(conds))
+
+
 def _root(quot: Sequence[Matrix], u: Matrix, one: Matrix) -> int:
     """The least root in F_p of the minimal polynomial of u, which splits over F_p."""
     left, powers, p = _combine(quot, u.columns()[0]), [one], one.field.p
@@ -911,15 +934,29 @@ def split_summands(x: Module) -> List[Tuple[Module, Morphism, Morphism]]:
 
 def decompose(x: Module) -> List[Tuple[Module, int]]:
     """Indecomposable summands grouped into (representative, multiplicity)."""
-    groups: List[Tuple[Module, int]] = []
-    for z, _, _ in split_summands(x):
-        for k, (rep, mult) in enumerate(groups):
-            if _iso_between_indecomposables(rep, z) is not None:
-                groups[k] = (rep, mult + 1)
-                break
-        else:
-            groups.append((z, 1))
-    return groups
+    reps, label = iso_classes([z for z, _, _ in split_summands(x)])
+    return [(rep, label.count(c)) for c, rep in enumerate(reps)]
+
+
+def iso_classes(mods: Sequence[Module]) -> Tuple[List[Module], List[int]]:
+    """Sort indecomposables into isomorphism classes.
+
+    Returns (reps, label): reps holds the first member of each class in
+    order of first appearance, and mods[j] lies in the class of
+    reps[label[j]].  A module object met again is not compared again.
+    """
+    reps: List[Module] = []
+    label: List[int] = []
+    seen: Dict[int, int] = {}
+    for m in mods:
+        c = seen.get(id(m))
+        if c is None:
+            isos = (c for c, r in enumerate(reps) if _iso_between_indecomposables(r, m) is not None)
+            c = seen[id(m)] = next(isos, len(reps))
+            if c == len(reps):
+                reps.append(m)
+        label.append(c)
+    return reps, label
 
 
 def _iso_between_indecomposables(x: Module, y: Module) -> Optional[Morphism]:
@@ -966,13 +1003,6 @@ def are_isomorphic(x: Module, y: Module) -> bool:
 
 
 def is_radical_morphism(f: Morphism) -> bool:
-    """True when no component between indecomposable summands is invertible."""
-    if f.domain.is_zero() or f.codomain.is_zero():
-        return True
-    dom_parts = split_summands(f.domain)
-    cod_parts = split_summands(f.codomain)
-    for _, inc, _ in dom_parts:
-        for _, _, proj in cod_parts:
-            if (proj @ f @ inc).is_iso():
-                return False
-    return True
+    """Whether f lies in the radical rad(dom f, cod f)."""
+    vec = Matrix.column(f.domain.field, hom_vec(f))
+    return exactlin.contains(rad_hom_basis(f.domain, f.codomain), vec)

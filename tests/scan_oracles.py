@@ -54,6 +54,39 @@ def scan_rad_between(x, y):
     return exactlin.canonical_basis(Matrix.from_columns(x.field, cols, n))
 
 
+def iso_rad_between(x, y):
+    """Flat span of the non-isomorphisms between indecomposables x and y.
+
+    That is all of Hom(x, y) unless some f: x -> y is an isomorphism, and
+    then f o rad End(x).
+    """
+    f = Morphism.identity(x) if x is y else repcat.find_isomorphism(x, y)
+    if f is None:
+        return repcat.hom_space_matrix(x, y)
+    return exactlin.canonical_basis(repcat.hom_composites(x, f) @ repcat._end_algebra(x)[1])
+
+
+def pairwise_rad(x, y, between=iso_rad_between):
+    """rad(x, y) glued from the radicals between the indecomposable summands of x and y."""
+    pieces = []
+    for zi, _, proj_i in repcat.split_summands(x):
+        for zj, inc_j, _ in repcat.split_summands(y):
+            for vec in between(zi, zj).columns():
+                r = repcat.morphism_from_vec(zi, zj, vec)
+                pieces.append(repcat.hom_vec(inc_j @ r @ proj_i))
+    n = repcat.hom_flat_dim(x, y)
+    return exactlin.canonical_basis(Matrix.from_columns(x.field, pieces, n))
+
+
+def split_rule_is_radical(f):
+    """True when no component of f between indecomposable summands is invertible."""
+    return not any(
+        (proj @ f @ inc).is_iso()
+        for _, inc, _ in repcat.split_summands(f.domain)
+        for _, _, proj in repcat.split_summands(f.codomain)
+    )
+
+
 def scan_right_minimalize(g: Morphism) -> Morphism:
     """Right-minimal version of g by searching End(dom g), as dctkit once did.
 

@@ -280,3 +280,15 @@ def test_a_command_does_not_import_numpy():
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 False"
+
+
+def test_bound_below_one_is_an_input_error():
+    for bound in ("0", "-3"):
+        for cmd in (("ct-check", "--category", "M"), ("enumerate",)):
+            r = run_cli(*cmd, "--workspace", FLAG, "--bound", bound)
+            assert r.returncode == 2, (cmd, bound)
+            assert payload(r)["error"] == {
+                "code": 2,
+                "kind": "input",
+                "message": f"argument --bound: must be at least 1, got {bound}",
+            }

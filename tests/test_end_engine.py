@@ -17,9 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, repcat, workspace
-from dctkit.approx import _rad_between_indecomposables
 from dctkit.repcat import Morphism
-from scan_oracles import combinations, scan_idempotent, scan_isomorphism, scan_rad_between
+from scan_oracles import (
+    combinations,
+    pairwise_rad,
+    scan_idempotent,
+    scan_isomorphism,
+    scan_rad_between,
+    split_rule_is_radical,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -165,7 +171,7 @@ def test_splitting_and_isomorphism_match_the_scan_oracles(fixture, p):
             assert iso is None or iso.is_iso()
             if repcat.is_indecomposable(x) and repcat.is_indecomposable(y):
                 assert exactlin.subspace_eq(
-                    _rad_between_indecomposables(x, y), scan_rad_between(x, y)
+                    repcat.rad_hom_basis(x, y), scan_rad_between(x, y)
                 )
 
 
@@ -198,6 +204,46 @@ def test_a_commutative_subalgebra_with_nilpotents_yields_one():
     assert (repcat._combine(quot, z.columns()[0]) @ z).is_zero()
 
 
+# -- the radical rad(x, y) ----------------------------------------------------
+
+
+def check_radical(x: Module, y: Module, scan_limit: int = 1 << 12):
+    """rad_hom_basis(x, y) against the pairwise oracle (and the scan, when small),
+    and is_radical_morphism against the split rule on every hom-basis map."""
+    rad = repcat.rad_hom_basis(x, y)
+    assert rad == pairwise_rad(x, y), (x, y)
+    small = x.field.p ** repcat.hom_dim(x, y) <= scan_limit
+    if small and repcat.is_indecomposable(x) and repcat.is_indecomposable(y):
+        assert exactlin.subspace_eq(rad, scan_rad_between(x, y)), (x, y)
+    for f in repcat.hom_basis(x, y):
+        assert repcat.is_radical_morphism(f) == split_rule_is_radical(f), (x, y)
+
+
+def radical_cases(p):
+    """Groups of modules over one algebra each: the fixtures with rebased sums
+    of two, and the modules with nontrivial End with rebased copies and sums."""
+    rng = random.Random(11 * p)
+    groups = []
+    for fixture in ("ka2.json", "ka3rad2.json"):
+        mods = fixture_modules(fixture, p)
+        pairs = itertools.combinations_with_replacement(mods, 2)
+        groups.append(mods + [rebased_sum(pair, rng) for pair in pairs])
+    proj, simple, z, *loop_sums, zz = special_modules(p)
+    loop_mods = [proj, simple, *loop_sums]
+    groups.append(loop_mods + [rebase(x, rng) for x in loop_mods])
+    groups.append([z, zz, rebase(z, rng), rebased_sum([z, z], rng)])
+    bricks = field_bricks(p)
+    groups.append(bricks + [rebased_sum(bricks, rng), rebased_sum(bricks[:1] * 2, rng)])
+    return groups
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rad_hom_basis_matches_the_oracles(p):
+    for group in radical_cases(p):
+        for x, y in itertools.product(group, repeat=2):
+            check_radical(x, y)
+
+
 # -- properties over random changes of basis --------------------------------
 
 # per prime, groups of indecomposables over one algebra each
@@ -225,6 +271,20 @@ def test_decompose_returns_the_parts_of_a_rebased_sum(parts, seed):
         del unmatched[k]
     if x.field.p ** repcat.hom_dim(x, x) <= 1 << 12:
         assert (repcat.nontrivial_idempotent(x) is None) == (scan_idempotent(x) is None)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lists=st.sampled_from(GROUPS).flatmap(
+        lambda group: st.tuples(*[st.lists(st.sampled_from(group), min_size=1, max_size=3)] * 2)
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_the_radical_between_rebased_sums_matches_the_oracles(lists, seed):
+    rng = random.Random(seed)
+    x, y = (rebased_sum(parts, rng) for parts in lists)
+    check_radical(x, y)
+    check_radical(y, x)
 
 
 @settings(max_examples=40, deadline=None)

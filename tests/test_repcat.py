@@ -242,6 +242,23 @@ def test_composition_needs_the_same_middle_module(flag_mods):
     assert (Morphism.identity(P1) @ Morphism.identity(copy)).codomain is P1
 
 
+def test_addition_needs_the_same_modules(flag_mods):
+    P1 = flag_mods["P1"]
+    s12, incs, projs = direct_sum([flag_mods["S1"], flag_mods["S2"]])
+    e = incs[0] @ projs[0]  # the idempotent of S1 + S2 onto S1
+    assert e @ e == e and P1.dims == s12.dims
+    # zero(P1, P1) + e would be a map P1 -> P1 that fails to intertwine the arrow
+    for op in (Morphism.__add__, Morphism.__sub__):
+        with pytest.raises(DimensionMismatch):
+            op(Morphism.zero(P1, P1), e)
+        with pytest.raises(DimensionMismatch):
+            op(e, Morphism.zero(s12, P1))
+    # an entrywise-equal copy of the modules is accepted
+    copy = repcat.projective(P1.algebra, 0)
+    total = Morphism.identity(P1) + Morphism.zero(copy, copy)
+    assert total.domain is P1 and total == Morphism.identity(P1)
+
+
 def test_hom_composites_columns_are_the_composites(flag_mods):
     def columns(m):
         return [list(c) for c in m.columns()]
