@@ -1,9 +1,13 @@
 """Resolutions, Ext and Tor spaces, the transpose, and higher translates.
 
 Everything is computed from minimal projective resolutions, built step by
-step from projective covers and cached on the module.  The transpose of a
-module is the cokernel of the dualized minimal presentation, realized
-concretely over the opposite algebra through path reversal.
+step from projective covers, cached on the module, and stopped at their
+first zero term.  Each differential is read once as a table of algebra
+elements.  Hom out of a projective needs no hom basis: by Yoneda a map
+P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext is cocycles
+modulo coboundaries in those coordinates.  The transpose of a module is
+the cokernel of the dualized minimal presentation, realized concretely
+over the opposite algebra through path reversal.
 """
 
 from __future__ import annotations
@@ -19,57 +23,88 @@ from .repcat import Module, Morphism
 
 
 class ProjResolution:
-    """A minimal projective resolution, extended lazily.
+    """A minimal projective resolution, extended lazily to its first zero term.
 
     Index 0 is the cover of the module itself; `differential(i)` is the
-    map from step i to step i-1 for i >= 1.
+    map from step i to step i-1 for i >= 1.  Once a kernel is zero the
+    lists stop growing: every later term is that zero module, with zero maps.
     """
 
     def __init__(self, x: Module):
         self.module = x
-        p0, aug, verts, incs, projs = repcat._projective_cover(x)
+        p0, aug, verts = repcat.projective_cover(x)
         self.augmentation = aug
         self._projs: List[Module] = [p0]
         self._verts: List[List[int]] = [verts]
-        self._splits: List[Tuple[List[Morphism], List[Morphism]]] = [(incs, projs)]
         self._diffs: List[Optional[Morphism]] = [None]
         self._kernels: List[Tuple[Module, Morphism]] = [repcat.kernel(aug)]
+        self._elements: dict = {}
 
     def extend_to(self, n: int) -> None:
-        while len(self._projs) <= n:
+        while len(self._projs) <= n and not self._projs[-1].is_zero():
             k, incl = self._kernels[-1]
-            p, epi, verts, incs, projs = repcat._projective_cover(k)
+            if k.is_zero():  # the first zero term itself: it needs no cover
+                p, epi, verts = k, Morphism.identity(k), []
+            else:
+                p, epi, verts = repcat.projective_cover(k)
             self._projs.append(p)
             self._verts.append(verts)
-            self._splits.append((incs, projs))
             self._diffs.append(incl @ epi)
             self._kernels.append(repcat.kernel(epi))
 
-    def projective(self, i: int) -> Module:
+    def _step(self, i: int) -> int:
+        """Where step i is stored: past the first zero term, at that term."""
         self.extend_to(i)
-        return self._projs[i]
+        return min(i, len(self._projs) - 1)
+
+    def projective(self, i: int) -> Module:
+        return self._projs[self._step(i)]
 
     def vertices(self, i: int) -> List[int]:
-        self.extend_to(i)
-        return self._verts[i]
-
-    def summand_maps(self, i: int) -> Tuple[List[Morphism], List[Morphism]]:
-        """Inclusions and projections of the indecomposable summands of step i."""
-        self.extend_to(i)
-        return self._splits[i]
+        return self._verts[self._step(i)]
 
     def differential(self, i: int) -> Morphism:
         if i < 1:
             raise ValueError("differentials start at index 1")
-        self.extend_to(i)
+        if self._step(i) < i:
+            return Morphism.zero(self._projs[-1], self._projs[-1])
         return self._diffs[i]
+
+    def elements(self, i: int) -> List[List[Tuple[int, ...]]]:
+        """The differential d_i as a table of algebra elements (i >= 1).
+
+        Entry (k, j) holds the algebra coordinates of the image of the
+        trivial path e_u, u the k-th vertex of step i, in the j-th summand
+        P_v of step i - 1: a combination of the paths from v to u, read
+        off the trivial-path column.  Cached; empty once step i is zero.
+        """
+        if self._step(i) < i:
+            return []
+        table = self._elements.get(i)
+        if table is None:
+            algebra = self.module.algebra
+            between = algebra.basis_indices_between
+            us, vs, d = self._verts[i], self._verts[i - 1], self._diffs[i]
+            table = []
+            for k, u in enumerate(us):
+                col = sum(len(between(w, u)) for w in us[:k])
+                column = [row[col] for row in d.comps[u].entries]
+                line, at = [], 0
+                for v in vs:
+                    vec = [0] * algebra.dim
+                    for q in between(v, u):
+                        vec[q] = column[at]
+                        at += 1
+                    line.append(tuple(vec))
+                table.append(line)
+            self._elements[i] = table
+        return table
 
     def syzygy(self, k: int) -> Module:
         """The k-th syzygy; k = 0 gives the module back."""
         if k == 0:
             return self.module
-        self.extend_to(k - 1)
-        return self._kernels[k - 1][0]
+        return self._kernels[self._step(k - 1)][0]
 
 
 def resolution(x: Module) -> ProjResolution:
@@ -118,10 +153,32 @@ def gldim(algebra: BoundQuiverAlgebra) -> int:
 # -- Ext spaces and induced maps -----------------------------------------
 
 
+def _hom_out(res: ProjResolution, i: int, y: Module) -> Matrix:
+    """Hom(d_i, y) in Yoneda coordinates, from (+)_j y_{v_j} to (+)_k y_{u_k}.
+
+    A map P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and the
+    (k, j) block is the action on y of entry (k, j) of d_i's table.
+    """
+    field, paths = y.field, y.algebra.path_basis
+    vs = res.vertices(i - 1)
+    rows = []
+    for u, line in zip(res.vertices(i), res.elements(i)):
+        blocks = []
+        for v, vec in zip(vs, line):
+            block = Matrix.zeros(field, y.dims[u], y.dims[v])
+            for q, c in enumerate(vec):
+                if c:
+                    block = block + y.path_action(paths[q]).scale(c)
+            blocks.append(block)
+        rows.append(exactlin.hstack(blocks, field=field, rows=y.dims[u]))
+    return exactlin.vstack(rows, field=field, cols=sum(y.dims[v] for v in vs))
+
+
 @dataclass
 class ExtSpace:
-    """An Ext space in flat coordinates on Hom(step-i projective, y).
+    """An Ext space in the Yoneda coordinates (+)_j y_{v_j} of Hom(P_i, y).
 
+    P_i is step i of the resolution of x, with summands P_{v_j}.
     `cocycles` and `coboundaries` are column spans in those coordinates,
     `reps` lists class representatives and `proj` sends a cocycle vector
     to its class coordinates.
@@ -145,61 +202,38 @@ def ext_space(x: Module, y: Module, i: int) -> ExtSpace:
     if i < 0:
         raise ValueError("negative Ext degree")
     res = resolution(x)
-    p_i = res.projective(i)
-    hom_i = repcat.hom_space_matrix(p_i, y)
-    coords = exactlin.kernel_basis(repcat.hom_composites(res.differential(i + 1), y))
-    cocycles = exactlin.canonical_basis(hom_i @ coords)
+    cocycles = exactlin.kernel_basis(_hom_out(res, i + 1, y))
     if i == 0:
-        coboundaries = Matrix.zeros(y.field, hom_i.rows, 0)
+        coboundaries = Matrix.zeros(y.field, cocycles.rows, 0)
     else:
-        coboundaries = repcat.hom_coimage(res.differential(i), y)
+        coboundaries = exactlin.canonical_basis(_hom_out(res, i, y))
     reps, proj = exactlin.quotient(cocycles, coboundaries)
     return ExtSpace(x, y, i, cocycles, coboundaries, reps, proj)
 
 
 def ext_dim(x: Module, y: Module, i: int) -> int:
-    """dim Ext^i(x, y) from two ranks: cocycles minus coboundaries (i >= 0)."""
+    """dim Ext^i(x, y): dim Hom(P_i, y) minus two ranks (i >= 0)."""
     if i < 0:
         raise ValueError("negative Ext degree")
     res = resolution(x)
-    post = repcat.hom_composites(res.differential(i + 1), y)
-    cocycles = post.cols - exactlin.rank(post)
+    cochains = sum(y.dims[v] for v in res.vertices(i))
+    if cochains == 0:
+        return 0
+    cocycles = cochains - exactlin.rank(_hom_out(res, i + 1, y))
     if i == 0:
         return cocycles
-    return cocycles - exactlin.rank(repcat.hom_composites(res.differential(i), y))
+    return cocycles - exactlin.rank(_hom_out(res, i, y))
 
 
 def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
     """Matrix of Ext^i(x, f): Ext^i(x, dom f) -> Ext^i(x, cod f)."""
     src = ext_space(x, f.domain, i)
     dst = ext_space(x, f.codomain, i)
-    p_i = resolution(x).projective(i)
-    cols = []
-    for vec in src.reps.columns():
-        rep = repcat.morphism_from_vec(p_i, f.domain, vec, _skip_check=True)
-        cols.append(dst.proj @ Matrix.column(x.field, repcat.hom_vec(f @ rep)))
-    if not cols:
-        return Matrix.zeros(x.field, dst.dim, 0)
-    return exactlin.hstack(cols, field=x.field, rows=dst.dim)
+    post = exactlin.block_diag(x.field, [f.comps[v] for v in resolution(x).vertices(i)])
+    return dst.proj @ post @ src.reps
 
 
 # -- transpose and higher translates --------------------------------------
-
-
-def _generator_element(algebra: BoundQuiverAlgebra, block: Morphism, v: int, u: int) -> List[int]:
-    """Coordinates in the algebra of the image of the u-projective generator.
-
-    `block` maps the projective at u into the projective at v; the element
-    it corresponds to is read off the trivial-path column at vertex u.
-    """
-    vec = [0] * algebra.dim
-    comp = block.comps[u]
-    if comp.cols == 0:
-        return vec
-    idx = algebra.basis_indices_between(v, u)
-    for row, i in enumerate(idx):
-        vec[i] = comp[row, 0]
-    return vec
 
 
 def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: Sequence[int]) -> Morphism:
@@ -233,9 +267,6 @@ def transpose(x: Module) -> Module:
     opp = algebra.opposite()
     res = resolution(x)
     verts0, verts1 = res.vertices(0), res.vertices(1)
-    d1 = res.differential(1)
-    incs1, _ = res.summand_maps(1)
-    _, projs0 = res.summand_maps(0)
     # dual side: one op-projective per original summand
     dom, _, dom_projs = repcat.direct_sum(
         [repcat.projective(opp, v) for v in verts0], algebra=opp
@@ -244,10 +275,8 @@ def transpose(x: Module) -> Module:
         [repcat.projective(opp, u) for u in verts1], algebra=opp
     )
     t = Morphism.zero(dom, cod)
-    for l, u in enumerate(verts1):
-        for k, v in enumerate(verts0):
-            block = projs0[k] @ d1 @ incs1[l]
-            xvec = _generator_element(algebra, block, v, u)
+    for l, (u, line) in enumerate(zip(verts1, res.elements(1))):
+        for k, (v, xvec) in enumerate(zip(verts0, line)):
             if not any(xvec):
                 continue
             # the reversal of an element has the same coordinates over the

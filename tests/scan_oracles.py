@@ -1,11 +1,13 @@
-"""The exhaustive scans dctkit once ran, kept as test oracles.
+"""The exhaustive scans and routes dctkit once ran, kept as test oracles.
 
-Each walks every vector of a space over F_p, p^dim of them, so they fit
-only tiny hom spaces and primes.  The library answers the same questions
-by linear algebra on End(x); the tests compare the two.
+Each scan walks every vector of a space over F_p, p^dim of them, so they
+fit only tiny hom spaces and primes.  The library answers the same
+questions by linear algebra on End(x); the tests compare the two.  The
+flat Ext route solves a hom basis out of every projective of a resolution
+where the library reads Hom(P_v, y) as y e_v.
 """
 
-from dctkit import exactlin, repcat
+from dctkit import exactlin, homological, repcat
 from dctkit.exactlin import Matrix
 from dctkit.repcat import Morphism
 
@@ -111,3 +113,38 @@ def scan_right_minimalize(g: Morphism) -> Morphism:
         kept, inc = repcat.image(phi_n)
         assert kept.total_dim < x.total_dim
         g = g @ inc
+
+
+def flat_ext_space(x, y, i):
+    """(reps, proj) of Ext^i(x, y) in flat coordinates on Hom(P_i, y)."""
+    res = homological.resolution(x)
+    hom_i = repcat.hom_space_matrix(res.projective(i), y)
+    coords = exactlin.kernel_basis(repcat.hom_composites(res.differential(i + 1), y))
+    cocycles = exactlin.canonical_basis(hom_i @ coords)
+    if i == 0:
+        coboundaries = Matrix.zeros(y.field, hom_i.rows, 0)
+    else:
+        coboundaries = repcat.hom_coimage(res.differential(i), y)
+    return exactlin.quotient(cocycles, coboundaries)
+
+
+def flat_ext_dim(x, y, i):
+    """dim Ext^i(x, y) from ranks of Hom(d, y) on hom bases."""
+    res = homological.resolution(x)
+    post = repcat.hom_composites(res.differential(i + 1), y)
+    cocycles = post.cols - exactlin.rank(post)
+    if i == 0:
+        return cocycles
+    return cocycles - exactlin.rank(repcat.hom_composites(res.differential(i), y))
+
+
+def flat_ext_map_post(x, f, i):
+    """Matrix of Ext^i(x, f), each class pushed through f as a morphism."""
+    src_reps, _ = flat_ext_space(x, f.domain, i)
+    dst_reps, dst_proj = flat_ext_space(x, f.codomain, i)
+    p_i = homological.resolution(x).projective(i)
+    cols = []
+    for vec in src_reps.columns():
+        rep = repcat.morphism_from_vec(p_i, f.domain, vec)
+        cols.append(dst_proj @ Matrix.column(x.field, repcat.hom_vec(f @ rep)))
+    return exactlin.hstack(cols, field=x.field, rows=dst_reps.cols)

@@ -292,3 +292,11 @@ def test_bound_below_one_is_an_input_error():
                 "kind": "input",
                 "message": f"argument --bound: must be at least 1, got {bound}",
             }
+
+
+def test_ext_far_past_the_resolution_answers():
+    r = run_cli(
+        "ext", "--workspace", FLAG, "--from", "S1", "--to", "S3", "--degree", "1000000000"
+    )
+    assert r.returncode == 0
+    assert payload(r)["dim"] == 0

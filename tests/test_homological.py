@@ -1,11 +1,17 @@
 """Resolutions, extensions, the transpose, and the higher translate."""
 
+import functools
+import itertools
 import pathlib
+import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dctkit import ext_dim, gldim, pd, tau_d, tau_d_minus
-from dctkit import homological, repcat, workspace
+from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, homological
+from dctkit import ext_dim, gldim, pd, repcat, tau_d, tau_d_minus, workspace
 from dctkit.artheory import enumerate_indecomposables
 from dctkit.homological import (
     ext_map_post,
@@ -13,6 +19,7 @@ from dctkit.homological import (
     injectively_stable_dim,
     is_injective,
     is_projective,
+    proj_hom,
     projectively_stable_dim,
     resolution,
     syzygy,
@@ -22,9 +29,11 @@ from dctkit.homological import (
     transpose,
     tr_d,
 )
-from dctkit.repcat import are_isomorphic, duality, hom_dim, simple
+from dctkit.repcat import Morphism, are_isomorphic, duality, hom_dim, simple
+from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space
 
-DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def test_resolution_of_end_simple_walks_the_line(flag, flag_mods):
@@ -158,4 +167,138 @@ def test_ext_dim_from_ranks_matches_ext_space(p):
     for x in ws.modules.values():
         for y in ws.modules.values():
             for i in range(4):
-                assert ext_dim(x, y, i) == ext_space(x, y, i).dim
+                assert ext_dim(x, y, i) == ext_space(x, y, i).dim == flat_ext_dim(x, y, i)
+
+
+# -- Ext in Yoneda coordinates against the flat route -----------------------
+
+
+def commutative_square(p):
+    """1 -> 2 -> 4 and 1 -> 3 -> 4 with ab = ce: a relation that is not a path."""
+    arrows = [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("e", "3", "4")]
+    q = Quiver(["1", "2", "3", "4"], arrows)
+    return build_algebra(q, [[(1, ["a", "b"]), (-1, ["c", "e"])]], 3, PrimeField(p))
+
+
+@functools.lru_cache(maxsize=None)
+def ext_group(name, p):
+    """Modules to compare Ext on: a bound-2 universe with its two-summand sums,
+    or the named modules (Xsum included) of a KA_n/rad^2 document."""
+    if name.startswith("ka") and name[2:].isdigit():
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import kafamily
+        finally:
+            sys.path.pop(0)
+        inst = kafamily.ka_document(int(name[2:]), p, random.Random(p))
+        ws = workspace.parse(inst.doc)
+        return tuple(ws.modules[k] for k in sorted(ws.modules))
+    extra = []
+    if name == "square":
+        algebra = commutative_square(p)
+    elif name == "kronecker":
+        # and the brick (id, c) for c the companion matrix of an irreducible
+        # t^2 + at + b: its presentation mixes both arrows, with signs
+        f = PrimeField(p)
+        kronecker = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+        algebra = build_algebra(kronecker, [], 2, f)
+        a, b = next((a, b) for a, b in itertools.product(range(p), repeat=2)
+                    if all((t * t + a * t + b) % p for t in range(p)))
+        c = Matrix(f, [[0, -b], [1, -a]], 2)
+        extra = [Module(algebra, [2, 2], [Matrix.identity(f, 2), c])]
+    else:
+        algebra = workspace.load(str(DATA / f"{name}.json"), p).algebra
+    universe = enumerate_indecomposables(algebra, 2) + extra
+    pairs = itertools.combinations_with_replacement(universe, 2)
+    return tuple(universe + [repcat.direct_sum(list(pair))[0] for pair in pairs])
+
+
+EXT_GROUPS = [
+    (name, p) for name in ("ka2", "ka3rad2", "square", "kronecker") for p in (2, 3, 5)
+] + [(f"ka{n}", p) for n in range(3, 7) for p in (2, 3, 7)]
+
+
+@pytest.mark.parametrize("name, p", EXT_GROUPS)
+def test_ext_matches_the_flat_oracle(name, p):
+    mods = ext_group(name, p)
+    for x in mods:
+        for y in mods:
+            for i in range(5):
+                dim = flat_ext_dim(x, y, i)
+                assert ext_dim(x, y, i) == dim, (x, y, i)
+                assert ext_space(x, y, i).dim == dim, (x, y, i)
+
+
+@pytest.mark.parametrize("name, p", EXT_GROUPS)
+def test_ext_into_a_simple_counts_the_resolution(name, p):
+    # a minimal resolution has Hom(d, S_v) = 0, so Ext^i(x, S_v) is Hom(P_i, S_v)
+    mods = ext_group(name, p)
+    algebra = mods[0].algebra
+    simples = [simple(algebra, v) for v in range(algebra.quiver.n_vertices)]
+    for x in mods:
+        for v, s in enumerate(simples):
+            for i in (0, 1, 2, 3, 4, 50):
+                count = resolution(x).vertices(i).count(v)
+                assert ext_dim(x, s, i) == count == ext_space(x, s, i).dim, (x, v, i)
+
+
+@pytest.mark.parametrize("name, p", [("ka3rad2", 3), ("square", 3), ("kronecker", 5), ("ka5", 3)])
+def test_differentials_are_rebuilt_from_their_tables(name, p):
+    for x in ext_group(name, p):
+        res = resolution(x)
+        algebra = x.algebra
+        for i in range(1, 4):
+            dom, _, projs = repcat.direct_sum(
+                [repcat.projective(algebra, u) for u in res.vertices(i)], algebra=algebra
+            )
+            cod, incs, _ = repcat.direct_sum(
+                [repcat.projective(algebra, v) for v in res.vertices(i - 1)], algebra=algebra
+            )
+            d = Morphism.zero(dom, cod)
+            for k, (u, line) in enumerate(zip(res.vertices(i), res.elements(i))):
+                for j, (v, vec) in enumerate(zip(res.vertices(i - 1), line)):
+                    d = d + incs[j] @ proj_hom(algebra, u, v, vec) @ projs[k]
+            assert d.comps == res.differential(i).comps, (x, i)
+
+
+def random_morphism(x, y, rng):
+    f = Morphism.zero(x, y)
+    for b in repcat.hom_basis(x, y):
+        f = f + b.scale(rng.randrange(x.field.p))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    group=st.sampled_from([("ka3rad2", 3), ("square", 3), ("kronecker", 3), ("ka4", 2)]),
+    picks=st.tuples(*[st.integers(0, 10**6)] * 4),
+    i=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_ext_map_post_is_a_functor(group, picks, i, seed):
+    mods = ext_group(*group)
+    x = mods[picks[0] % len(mods)]
+    # targets with Ext^i(x, -) nonzero where there are any, so the maps are not all zero
+    targets = [m for m in mods if ext_dim(x, m, i)] or mods
+    y, y1, y2 = (targets[k % len(targets)] for k in picks[1:])
+    rng = random.Random(seed)
+    f, g = random_morphism(y, y1, rng), random_morphism(y1, y2, rng)
+    field = x.field
+    assert ext_map_post(x, Morphism.identity(y), i) == Matrix.identity(field, ext_dim(x, y, i))
+    assert ext_map_post(x, g @ f, i) == ext_map_post(x, g, i) @ ext_map_post(x, f, i)
+    for h in (f, g, g @ f):
+        assert exactlin.rank(ext_map_post(x, h, i)) == exactlin.rank(flat_ext_map_post(x, h, i))
+    reps, _ = flat_ext_space(x, y, i)
+    assert reps.cols == ext_space(x, y, i).dim
+
+
+def test_ext_far_past_the_resolution_stops_at_its_zero_term():
+    ws = workspace.load(str(DATA / "ka3rad2.json"), 2)
+    x, y = ws.module("S1"), ws.module("S3")
+    assert ext_dim(x, y, 10**9) == 0
+    assert ext_space(x, y, 10**9).dim == 0
+    res = resolution(x)
+    assert res.projective(10**9) is res.projective(pd(x) + 1)
+    assert res.syzygy(10**9).is_zero() and res.differential(10**9).is_zero()
+    # the stored terms stop at the first zero one
+    assert len(res._projs) <= pd(x) + 2
