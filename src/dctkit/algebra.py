@@ -186,6 +186,7 @@ class BoundQuiverAlgebra:
         self.bound = bound
         self.field = field
         self._opposite: Optional["BoundQuiverAlgebra"] = None
+        self._projectives: Dict[int, object] = {}  # kept by repcat.projective
         if _internal is not None:
             (self.path_basis, self._nf) = _internal
         else:

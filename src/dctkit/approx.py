@@ -107,11 +107,7 @@ def right_approximation(cat: AddCategory, x: Module) -> Morphism:
         for f in repcat.hom_basis(g, x):
             summands.append(g)
             pieces.append(f)
-    if not summands:
-        z = repcat.zero_module(x.algebra)
-        return Morphism.zero(z, x)
-    _, out, _, _ = repcat.glue_columns(x, summands, pieces)
-    return out
+    return repcat.glue_columns(x, summands, pieces)[1]
 
 
 def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:

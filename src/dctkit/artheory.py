@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import approx, config, dexact, exactlin, homological, repcat
@@ -47,30 +46,22 @@ def enumerate_indecomposables(
     reproducible: by total dimension, then dimension vector, then matrix
     counter.
     """
-    if total_dim_bound < 1:
-        return []
     quiver = algebra.quiver
     field = algebra.field
-    nv = quiver.n_vertices
     limit = config.scan_cap(cap)
-    dim_vectors = sorted(
-        (
-            t
-            for t in product(range(total_dim_bound + 1), repeat=nv)
-            if 1 <= sum(t) <= total_dim_bound
-        ),
-        key=lambda t: (sum(t), t),
-    )
-    found: List[Module] = []
+    sizes: List[Tuple[Tuple[int, ...], int]] = []
     budget = 0
-    for dims in dim_vectors:
-        exponent = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
-        count = field.p**exponent
+    # the whole budget is checked before anything is scanned
+    for dims in _dimension_vectors(quiver.n_vertices, total_dim_bound):
+        count = field.p ** sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
         budget += count
         if budget > limit:
             raise CapExceeded.over(
                 "enumerate_indecomposables", dims, f"{budget}+ arrow-matrix assignments", limit
             )
+        sizes.append((dims, count))
+    found: List[Module] = []
+    for dims, count in sizes:
         for counter in range(count):
             maps = []
             rem = counter
@@ -87,6 +78,20 @@ def enumerate_indecomposables(
             if repcat.is_indecomposable(m):
                 found.append(m)
     return repcat.iso_classes(found)[0]
+
+
+def _dimension_vectors(n: int, bound: int):
+    """Dimension vectors of n >= 1 entries and total 1..bound, lazily, by (total, vector)."""
+
+    def summing_to(k: int, total: int):
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in summing_to(k - 1, total - first):
+                yield (first,) + rest
+
+    return (t for total in range(1, bound + 1) for t in summing_to(n, total))
 
 
 # -- rigidity and the cluster-tilting certificate ----------------------------

@@ -122,23 +122,11 @@ def is_chain_map(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> bo
 # -- hom-exactness tests -----------------------------------------------------
 
 
-def _in_hom_basis(space: Matrix, flat: Matrix) -> Matrix:
-    """Hom-basis coordinates of flat columns lying in the hom space `space`."""
-    sol = exactlin.solve(space, flat)
-    if sol is None:
-        raise InvalidMorphism("composite left the hom space, which cannot happen")
-    return sol
-
-
-def hom_induced_matrix(g: Module, f: Morphism) -> Matrix:
-    """Matrix of Hom(g, f) from hom-basis coordinates to hom-basis coordinates."""
-    return _in_hom_basis(repcat.hom_space_matrix(g, f.codomain), repcat.hom_composites(g, f))
-
-
 def _first_inexact_position(mats: List[Matrix]) -> Optional[int]:
     """First failure of 0 -> V_0 -> ... -> V_n being exact away from V_n.
 
-    mats[i] maps V_i to V_{i+1}; returns the failing position, None if exact.
+    mats[i] maps V_i into V_{i+1}, or injectively into a space holding it:
+    only ranks are taken.  Returns the failing position, None if exact.
     """
     for i, m in enumerate(mats):
         nullity = m.cols - exactlin.rank(m)
@@ -151,7 +139,7 @@ def _first_inexact_position(mats: List[Matrix]) -> Optional[int]:
 def is_left_d_exact(seq: DSequence, cat: AddCategory) -> bool:
     """Hom(G, -) of the sequence is exact away from its last spot, for every generator G."""
     return all(
-        _first_inexact_position([hom_induced_matrix(g, f) for f in seq.maps]) is None
+        _first_inexact_position([repcat.hom_composites(g, f) for f in seq.maps]) is None
         for g in cat.generators
     )
 
@@ -284,8 +272,7 @@ def pullback(f: Morphism, g: Morphism):
     if f.codomain is not g.codomain:
         raise DimensionMismatch("pullback legs must share a codomain")
     total, _, projs = repcat.direct_sum([f.domain, g.domain])
-    combined = (f @ projs[0]) - (g @ projs[1])
-    p, incl = repcat.kernel(combined)
+    p, incl = repcat.kernel(repcat.block_map(total, f.codomain, [[f, -g]]))
     return p, projs[0] @ incl, projs[1] @ incl, incl
 
 
@@ -297,21 +284,8 @@ def pushout(f: Morphism, g: Morphism):
     if f.domain is not g.domain:
         raise DimensionMismatch("pushout legs must share a domain")
     total, incs, _ = repcat.direct_sum([f.codomain, g.codomain])
-    combined = (incs[0] @ f) - (incs[1] @ g)
-    q, proj = repcat.cokernel(combined)
+    q, proj = repcat.cokernel(repcat.block_map(f.domain, total, [[f], [-g]]))
     return q, proj @ incs[0], proj @ incs[1], proj
-
-
-def _pair_into_sum(src: Module, total: Module, first: Morphism, second: Morphism) -> Morphism:
-    """The map src -> total whose blocks are the two given legs."""
-    comps = []
-    for v in range(len(src.dims)):
-        comps.append(
-            exactlin.vstack(
-                [first.comps[v], second.comps[v]], field=src.field, cols=src.dims[v]
-            )
-        )
-    return Morphism(src, total, comps, _skip_check=True)
 
 
 # -- pullback and pushout staircases ----------------------------------------
@@ -338,8 +312,8 @@ def _pullback_staircase(cat: AddCategory, bottom: DSequence, fmap: Morphism):
             top_maps_rev.append(r @ approx)
             downs_rev.append(q @ approx)
             zero_leg = Morphism.zero(bottom.terms[i - 2], alpha.domain)
-            pair = _pair_into_sum(
-                bottom.terms[i - 2], incl.codomain, bottom.maps[i - 2], zero_leg
+            pair = repcat.block_map(
+                bottom.terms[i - 2], incl.codomain, [[bottom.maps[i - 2]], [zero_leg]]
             )
             delta = repcat.factor_through(pair, incl)
             if delta is None:
@@ -378,7 +352,7 @@ def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism):
     morphism, incl, next_obj = _pullback_staircase(cat, tail, fmap)
     left = seq.left_term
     zero_leg = Morphism.zero(left, next_obj)
-    pair = _pair_into_sum(left, incl.codomain, seq.maps[0], zero_leg)
+    pair = repcat.block_map(left, incl.codomain, [[seq.maps[0]], [zero_leg]])
     induced = repcat.factor_through(pair, incl)
     if induced is None:
         raise InvalidMorphism("left term failed to land in the stage-one pullback")
@@ -424,26 +398,16 @@ def mapping_cone(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> DS
     if not is_chain_map(src, dst, phis):
         raise InvalidMorphism("cone input is not a chain map")
     n = len(src.terms)
-    algebra = src.terms[0].algebra
-    zero = repcat.zero_module(algebra)
+    zero = repcat.zero_module(src.terms[0].algebra)
     src_ext = list(src.terms) + [zero]
     dst_ext = [zero] + list(dst.terms)
-    terms = []
-    sums = []
-    for i in range(n + 1):
-        total, incs, projs = repcat.direct_sum([src_ext[i], dst_ext[i]])
-        terms.append(total)
-        sums.append((incs, projs))
+    terms = [repcat.direct_sum([s, t])[0] for s, t in zip(src_ext, dst_ext)]
     maps = []
     for i in range(n):
-        incs_next, projs_cur = sums[i + 1][0], sums[i][1]
-        out = Morphism.zero(terms[i], terms[i + 1])
-        if i < n - 1:
-            out = out - (incs_next[0] @ src.maps[i] @ projs_cur[0])
-        out = out + (incs_next[1] @ phis[i] @ projs_cur[0])
-        if i > 0:
-            out = out + (incs_next[1] @ dst.maps[i - 1] @ projs_cur[1])
-        maps.append(out)
+        top = -src.maps[i] if i < n - 1 else Morphism.zero(src_ext[i], zero)
+        below = dst.maps[i - 1] if i > 0 else Morphism.zero(zero, dst_ext[i + 1])
+        grid = [[top, Morphism.zero(dst_ext[i], src_ext[i + 1])], [phis[i], below]]
+        maps.append(repcat.block_map(terms[i], terms[i + 1], grid))
     return DSequence(terms, maps)
 
 
@@ -487,7 +451,7 @@ def long_exact_extension_ok(seq: DSequence, x: Module) -> bool:
     the last spot, then that the leftover at the last spot matches the
     kernel of the induced map on Ext^d between the first two terms.
     """
-    mats = [hom_induced_matrix(x, f) for f in seq.maps]
+    mats = [repcat.hom_composites(x, f) for f in seq.maps]
     if _first_inexact_position(mats) is not None:
         return False
     defect = defect_contravariant(seq, x).dim

@@ -5,15 +5,15 @@ step from projective covers, cached on the module, and stopped at their
 first zero term.  Each differential is read once as a table of algebra
 elements.  Hom out of a projective needs no hom basis: by Yoneda a map
 P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext is cocycles
-modulo coboundaries in those coordinates.  The transpose of a module is
-the cokernel of the dualized minimal presentation, realized concretely
-over the opposite algebra through path reversal.
+modulo coboundaries in those coordinates.  The transpose Tr x is the
+cokernel of Hom(d_1, A), the same matrix in the Yoneda coordinates of Ext
+read at every projective P_w of A at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import config, exactlin, repcat
 from .algebra import BoundQuiverAlgebra
@@ -236,54 +236,21 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
 # -- transpose and higher translates --------------------------------------
 
 
-def proj_hom(algebra: BoundQuiverAlgebra, u, v, xvec: Sequence[int]) -> Morphism:
-    """Left multiplication by an element as a map of projectives at u -> at v.
-
-    xvec holds algebra coordinates of an element supported on paths from
-    v to u; the map sends a residue path q to (element * q).
-    """
-    pu = repcat.projective(algebra, u)
-    pv = repcat.projective(algebra, v)
-    quiver = algebra.quiver
-    comps = []
-    for w in range(quiver.n_vertices):
-        src_idx = algebra.basis_indices_between(u, w)
-        dst_idx = algebra.basis_indices_between(v, w)
-        dst_pos = {i: k for k, i in enumerate(dst_idx)}
-        m = [[0] * len(src_idx) for _ in dst_idx]
-        for col, i in enumerate(src_idx):
-            unit = [0] * algebra.dim
-            unit[i] = 1
-            for j, e in enumerate(algebra.multiply(xvec, unit)):
-                if e:
-                    m[dst_pos[j]][col] = e
-        comps.append(Matrix(algebra.field, m, len(src_idx)))
-    return Morphism(pu, pv, comps)
-
-
 def transpose(x: Module) -> Module:
-    """Cokernel of the dualized minimal presentation, over the opposite algebra."""
-    algebra = x.algebra
-    opp = algebra.opposite()
-    res = resolution(x)
-    verts0, verts1 = res.vertices(0), res.vertices(1)
-    # dual side: one op-projective per original summand
-    dom, _, dom_projs = repcat.direct_sum(
-        [repcat.projective(opp, v) for v in verts0], algebra=opp
+    """Tr x, the cokernel of Hom(d_1, A) over the opposite algebra.
+
+    Hom(P_v, A) = A e_v is the opposite projective at v, and its part at
+    a vertex w is e_w A e_v = P_w e_v, in the same path-basis order.  So
+    the component at w of Hom(d_1, A) is Hom(d_1, P_w) in Yoneda coordinates.
+    """
+    algebra, opp, res = x.algebra, x.algebra.opposite(), resolution(x)
+    dom, cod = (
+        repcat.direct_sum([repcat.projective(opp, v) for v in res.vertices(i)], algebra=opp)[0]
+        for i in (0, 1)
     )
-    cod, cod_incs, _ = repcat.direct_sum(
-        [repcat.projective(opp, u) for u in verts1], algebra=opp
-    )
-    t = Morphism.zero(dom, cod)
-    for l, (u, line) in enumerate(zip(verts1, res.elements(1))):
-        for k, (v, xvec) in enumerate(zip(verts0, line)):
-            if not any(xvec):
-                continue
-            # the reversal of an element has the same coordinates over the
-            # reversed-path basis, so xvec can be reused verbatim
-            piece = proj_hom(opp, v, u, xvec)
-            t = t + (cod_incs[l] @ piece @ dom_projs[k])
-    coker, _ = repcat.cokernel(t)
+    n = algebra.quiver.n_vertices
+    comps = [_hom_out(res, 1, repcat.projective(algebra, w)) for w in range(n)]
+    coker, _ = repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))
     return coker
 
 

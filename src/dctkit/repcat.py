@@ -340,14 +340,14 @@ def _solve_composite(composites: Matrix, g: Morphism, x: Module, y: Module):
 
 def factor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     """Find h with f @ h = g, where g: W -> N and f: M -> N; None if impossible."""
-    if g.codomain is not f.codomain and g.codomain.dims != f.codomain.dims:
+    if not _same_module(g.codomain, f.codomain):
         raise DimensionMismatch("codomains differ")
     return _solve_composite(hom_composites(g.domain, f), g, g.domain, f.domain)
 
 
 def cofactor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     """Find h with h @ f = g, where g: L -> W and f: L -> M; None if impossible."""
-    if g.domain is not f.domain and g.domain.dims != f.domain.dims:
+    if not _same_module(g.domain, f.domain):
         raise DimensionMismatch("domains differ")
     return _solve_composite(hom_composites(f, g.codomain), g, f.codomain, g.codomain)
 
@@ -466,9 +466,14 @@ def simple(algebra: BoundQuiverAlgebra, v) -> Module:
 
 
 def projective(algebra: BoundQuiverAlgebra, v) -> Module:
-    """The indecomposable projective at v: residue paths starting at v."""
+    """The indecomposable projective at v: residue paths starting at v.
+
+    Built once and kept on the algebra, so every call returns one object.
+    """
     quiver = algebra.quiver
     vi = quiver.vertex_index(v) if isinstance(v, str) else v
+    if vi in algebra._projectives:
+        return algebra._projectives[vi]
     idx = algebra.basis_indices_from(vi)
     by_vertex: List[List[int]] = [[] for _ in range(quiver.n_vertices)]
     for i in idx:
@@ -492,7 +497,8 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
                         raise InvalidModule("normal form does not preserve path targets")
                     m[row][k] = e
         maps.append(Matrix(field, m, dims[a.source]))
-    return Module(algebra, dims, maps, _skip_check=True)
+    pv = algebra._projectives[vi] = Module(algebra, dims, maps, _skip_check=True)
+    return pv
 
 
 def injective(algebra: BoundQuiverAlgebra, v) -> Module:
@@ -565,22 +571,32 @@ def direct_sum(mods: Sequence[Module], algebra=None):
     return total, incs, projs
 
 
+def block_map(dom: Module, cod: Module, grid: Sequence[Sequence[Morphism]]) -> Morphism:
+    """The map between direct sums dom -> cod whose (k, j) block is grid[k][j].
+
+    grid[k][j] maps the j-th summand of dom to the k-th summand of cod; at
+    each vertex the blocks are stacked side by side, then row on row.
+    """
+    comps = []
+    for v in range(len(dom.dims)):
+        if all(grid):
+            rows = [exactlin.hstack([f.comps[v] for f in row]) for row in grid]
+            comps.append(exactlin.vstack(rows, field=dom.field, cols=dom.dims[v]))
+        else:  # dom is a sum of nothing
+            comps.append(Matrix.zeros(dom.field, cod.dims[v], 0))
+    return Morphism(dom, cod, comps, _skip_check=True)
+
+
 def glue_columns(cod: Module, summands: Sequence[Module], pieces: Sequence[Morphism]):
     """Assemble (sum of summands) -> cod from one morphism per summand."""
     total, incs, projs = direct_sum(list(summands), algebra=cod.algebra)
-    out = Morphism.zero(total, cod)
-    for piece, proj in zip(pieces, projs):
-        out = out + (piece @ proj)
-    return total, out, incs, projs
+    return total, block_map(total, cod, [pieces]), incs, projs
 
 
 def glue_rows(dom: Module, summands: Sequence[Module], pieces: Sequence[Morphism]):
     """Assemble dom -> (sum of summands) from one morphism per summand."""
     total, incs, projs = direct_sum(list(summands), algebra=dom.algebra)
-    out = Morphism.zero(dom, total)
-    for piece, inc in zip(pieces, incs):
-        out = out + (inc @ piece)
-    return total, out, incs, projs
+    return total, block_map(dom, total, [[piece] for piece in pieces]), incs, projs
 
 
 # -- radical series, covers, envelopes -----------------------------------

@@ -4,7 +4,10 @@ Each scan walks every vector of a space over F_p, p^dim of them, so they
 fit only tiny hom spaces and primes.  The library answers the same
 questions by linear algebra on End(x); the tests compare the two.  The
 flat Ext route solves a hom basis out of every projective of a resolution
-where the library reads Hom(P_v, y) as y e_v.
+where the library reads Hom(P_v, y) as y e_v.  Maps between direct sums
+were once sums of inc o f o proj, and the transpose was glued from maps
+between opposite projectives; the library stacks blocks and reads Tr off
+the Yoneda matrix of Ext instead.
 """
 
 from dctkit import exactlin, homological, repcat
@@ -148,3 +151,56 @@ def flat_ext_map_post(x, f, i):
         rep = repcat.morphism_from_vec(p_i, f.domain, vec)
         cols.append(dst_proj @ Matrix.column(x.field, repcat.hom_vec(f @ rep)))
     return exactlin.hstack(cols, field=x.field, rows=dst_reps.cols)
+
+
+def summed_block_map(dom_sum, cod_sum, grid):
+    """repcat.block_map as a sum of inc_k o grid[k][j] o proj_j.
+
+    dom_sum and cod_sum are direct_sum results (total, incs, projs).
+    """
+    (dom, _, projs), (cod, incs, _) = dom_sum, cod_sum
+    out = Morphism.zero(dom, cod)
+    for inc, row in zip(incs, grid):
+        for proj, f in zip(projs, row):
+            out = out + inc @ f @ proj
+    return out
+
+
+def proj_hom(algebra, u, v, xvec):
+    """Left multiplication by an element as a map of projectives at u -> at v.
+
+    xvec holds algebra coordinates of an element supported on paths from
+    v to u; the map sends a residue path q to (element * q).
+    """
+    pu = repcat.projective(algebra, u)
+    pv = repcat.projective(algebra, v)
+    comps = []
+    for w in range(algebra.quiver.n_vertices):
+        src_idx = algebra.basis_indices_between(u, w)
+        dst_idx = algebra.basis_indices_between(v, w)
+        dst_pos = {i: k for k, i in enumerate(dst_idx)}
+        m = [[0] * len(src_idx) for _ in dst_idx]
+        for col, i in enumerate(src_idx):
+            unit = [0] * algebra.dim
+            unit[i] = 1
+            for j, e in enumerate(algebra.multiply(xvec, unit)):
+                if e:
+                    m[dst_pos[j]][col] = e
+        comps.append(Matrix(algebra.field, m, len(src_idx)))
+    return Morphism(pu, pv, comps)
+
+
+def glued_transpose(x):
+    """Tr x as the cokernel of proj_hom maps between opposite projectives."""
+    opp = x.algebra.opposite()
+    res = homological.resolution(x)
+    verts0, verts1 = res.vertices(0), res.vertices(1)
+    dom_sum = repcat.direct_sum([repcat.projective(opp, v) for v in verts0], algebra=opp)
+    cod_sum = repcat.direct_sum([repcat.projective(opp, u) for u in verts1], algebra=opp)
+    # the reversal of an element has the same coordinates over the
+    # reversed-path basis, so each table entry is reused verbatim
+    grid = [
+        [proj_hom(opp, v, u, xvec) for v, xvec in zip(verts0, line)]
+        for u, line in zip(verts1, res.elements(1))
+    ]
+    return repcat.cokernel(summed_block_map(dom_sum, cod_sum, grid))[0]

@@ -11,7 +11,7 @@ KA2 = str(DATA / "ka2.json")
 FLAG = str(DATA / "ka3rad2.json")
 
 
-def run_cli(*args, threads=None):
+def run_cli(*args, threads=None, timeout=None):
     env = dict(os.environ)
     if threads is not None:
         env["DCT_THREADS"] = str(threads)
@@ -20,6 +20,7 @@ def run_cli(*args, threads=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -300,3 +301,16 @@ def test_ext_far_past_the_resolution_answers():
     )
     assert r.returncode == 0
     assert payload(r)["dim"] == 0
+
+
+def test_a_huge_bound_is_refused_before_any_scan():
+    # the budget is summed over dimension vectors lazily, so the refusal
+    # comes at the first vector over the cap, not after listing 10^27 of them
+    r = run_cli("enumerate", "--workspace", FLAG, "--bound", "1000000000", timeout=5)
+    assert r.returncode == 2
+    assert payload(r)["error"] == {
+        "code": 2,
+        "kind": "cap",
+        "message": "enumerate_indecomposables on dimension vector (0,3,5) needs 88723+ "
+        "arrow-matrix assignments, over the cap 65536; raise --cap",
+    }

@@ -2,7 +2,9 @@
 
 ``ext_dim``, ``ext_space`` and ``ext_map_post``, and every function of
 ``homological`` they reach, may not fall back to the flat hom-space route,
-which solves a hom basis out of each projective of the resolution.
+which solves a hom basis out of each projective of the resolution.  The
+transpose reads the same matrix, and may not glue maps between opposite
+projectives (``proj_hom``) instead.
 """
 
 import ast
@@ -22,13 +24,17 @@ def _names(node):
             yield sub.lineno, sub.attr
 
 
-def test_ext_stays_in_yoneda_coordinates():
+def _definitions():
     tree = ast.parse((PACKAGE / "homological.py").read_text(encoding="utf-8"))
-    defs = {
+    return {
         node.name: node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+
+
+def test_ext_stays_in_yoneda_coordinates():
+    defs = _definitions()
     assert EXT <= set(defs), "the check is not looking at the library"
     reached, todo = set(), sorted(EXT)
     while todo:
@@ -44,3 +50,9 @@ def test_ext_stays_in_yoneda_coordinates():
         if ref in FLAT
     )
     assert not stray, "Ext falls back to flat hom coordinates: " + ", ".join(stray)
+
+
+def test_transpose_reads_the_yoneda_matrix():
+    names = {name for _, name in _names(_definitions()["transpose"])}
+    assert "_hom_out" in names, "the check is not looking at the transpose"
+    assert "proj_hom" not in names, "the transpose glues maps between projectives"

@@ -19,7 +19,6 @@ from dctkit.homological import (
     injectively_stable_dim,
     is_injective,
     is_projective,
-    proj_hom,
     projectively_stable_dim,
     resolution,
     syzygy,
@@ -30,7 +29,7 @@ from dctkit.homological import (
     tr_d,
 )
 from dctkit.repcat import Morphism, are_isomorphic, duality, hom_dim, simple
-from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space
+from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space, glued_transpose, proj_hom
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -227,6 +226,14 @@ def test_ext_matches_the_flat_oracle(name, p):
                 dim = flat_ext_dim(x, y, i)
                 assert ext_dim(x, y, i) == dim, (x, y, i)
                 assert ext_space(x, y, i).dim == dim, (x, y, i)
+
+
+@pytest.mark.parametrize("name, p", EXT_GROUPS)
+def test_transpose_matches_the_glued_oracle(name, p):
+    for x in ext_group(name, p):
+        tr, glued = transpose(x), glued_transpose(x)
+        assert tr.algebra is glued.algebra is x.algebra.opposite()
+        assert (tr.dims, tr.maps) == (glued.dims, glued.maps), x
 
 
 @pytest.mark.parametrize("name, p", EXT_GROUPS)

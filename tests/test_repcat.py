@@ -1,13 +1,19 @@
 """Modules, morphisms, and the additive structure of the representation category."""
 
+import functools
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctkit import DimensionMismatch, InvalidModule, InvalidMorphism, Matrix, Module, Morphism
 from dctkit import repcat, workspace
+from dctkit.artheory import enumerate_indecomposables
 from dctkit.repcat import (
     are_isomorphic,
+    block_map,
     cokernel,
     decompose,
     direct_sum,
@@ -33,6 +39,7 @@ from dctkit.repcat import (
     top,
     zero_module,
 )
+from scan_oracles import summed_block_map
 
 
 def test_module_validation_checks_relations(flag, f2):
@@ -238,7 +245,7 @@ def test_composition_needs_the_same_middle_module(flag_mods):
     with pytest.raises(DimensionMismatch):
         Morphism.identity(P1) @ Morphism.identity(s12)
     # an entrywise-equal copy of the middle module is accepted
-    copy = repcat.projective(P1.algebra, 0)
+    copy = Module(P1.algebra, P1.dims, P1.maps)
     assert (Morphism.identity(P1) @ Morphism.identity(copy)).codomain is P1
 
 
@@ -254,9 +261,73 @@ def test_addition_needs_the_same_modules(flag_mods):
         with pytest.raises(DimensionMismatch):
             op(e, Morphism.zero(s12, P1))
     # an entrywise-equal copy of the modules is accepted
-    copy = repcat.projective(P1.algebra, 0)
+    copy = Module(P1.algebra, P1.dims, P1.maps)
     total = Morphism.identity(P1) + Morphism.zero(copy, copy)
     assert total.domain is P1 and total == Morphism.identity(P1)
+
+
+def test_factoring_needs_the_same_module(ka2, ka2_mods):
+    S1, S2, P1 = ka2_mods["S1"], ka2_mods["S2"], ka2_mods["P1"]
+    # Z has P1's dimension vector, but its arrow acts by zero
+    z = Module(ka2, P1.dims, [Matrix.zeros(ka2.field, 1, 1)])
+    socle_map = repcat.hom_basis(S2, P1)[0]
+    onto_top = repcat.hom_basis(P1, S1)[0]
+    with pytest.raises(DimensionMismatch):
+        repcat.factor_through(socle_map, Morphism.identity(z))
+    with pytest.raises(DimensionMismatch):
+        repcat.cofactor_through(onto_top, Morphism.identity(z))
+    # an entrywise-equal copy is still the same module
+    copy = Module(ka2, P1.dims, P1.maps)
+    assert repcat.factor_through(socle_map, Morphism.identity(copy)) is not None
+    assert repcat.cofactor_through(onto_top, Morphism.identity(copy)) is not None
+
+
+def test_projectives_are_built_once_per_algebra(flag, flag_mods):
+    for v in range(flag.quiver.n_vertices):
+        assert projective(flag, v) is projective(flag, v)
+        assert projective(flag, flag.quiver.vertices[v]) is projective(flag, v)
+    assert flag_mods["P1"] is projective(flag, 0)
+    # a cover with two summands at vertex 1 uses the one projective twice
+    total, _, _ = direct_sum([flag_mods["S1"], flag_mods["S1"], flag_mods["S2"]])
+    _, _, verts, incs, _ = repcat._projective_cover(total)
+    assert verts == [0, 0, 1]
+    assert incs[0].domain is incs[1].domain is projective(flag, 0)
+    assert incs[2].domain is projective(flag, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def block_universe(p):
+    """The bound-2 indecomposables of KA_3/rad^2 over F_p, and the zero module."""
+    ws = workspace.load(str(pathlib.Path(__file__).parent / "data" / "ka3rad2.json"), p)
+    return tuple(enumerate_indecomposables(ws.algebra, 2)) + (zero_module(ws.algebra),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    rows=st.lists(st.integers(0, 10**6), max_size=3),
+    cols=st.lists(st.integers(0, 10**6), max_size=3),
+    seed=st.integers(0, 2**32),
+)
+def test_block_map_is_the_sum_of_its_blocks(p, rows, cols, seed):
+    mods = block_universe(p)
+    dom_mods = [mods[j % len(mods)] for j in cols]
+    cod_mods = [mods[k % len(mods)] for k in rows]
+    dom_sum = direct_sum(dom_mods, algebra=mods[0].algebra)
+    cod_sum = direct_sum(cod_mods, algebra=mods[0].algebra)
+    rng = random.Random(seed)
+
+    def block(x, y):
+        f = Morphism.zero(x, y)
+        for b in hom_basis(x, y):
+            f = f + b.scale(rng.randrange(p))
+        return f
+
+    grid = [[block(x, y) for x in dom_mods] for y in cod_mods]
+    f = block_map(dom_sum[0], cod_sum[0], grid)
+    assert f.domain is dom_sum[0] and f.codomain is cod_sum[0]
+    assert f.comps == summed_block_map(dom_sum, cod_sum, grid).comps
+    Morphism(f.domain, f.codomain, f.comps)  # intertwines the arrows
 
 
 def test_hom_composites_columns_are_the_composites(flag_mods):
