@@ -287,8 +287,13 @@ def verify_tau_d_equivalence(cat: AddCategory) -> TauEquivalenceReport:
 
 
 @dataclass
-class DefectFormulaReport:
-    """Contravariant defect at X versus covariant defect at the translate."""
+class ComparisonReport:
+    """One row per compared pair, and whether every row agrees.
+
+    verify_defect_formula compares the contravariant defect at X with the
+    covariant defect at its translate; verify_ar_duality compares stable
+    hom dimensions with top-degree extension dimensions.
+    """
 
     rows: List[Dict[str, object]]
     ok: bool
@@ -297,7 +302,7 @@ class DefectFormulaReport:
         return self.ok
 
 
-def verify_defect_formula(seq: DSequence, cat: AddCategory) -> DefectFormulaReport:
+def verify_defect_formula(seq: DSequence, cat: AddCategory) -> ComparisonReport:
     """Compare both defect dimensions of a sequence over the whole pool."""
     pool, nonproj, _, translate = _pool_translates(cat)
     rows: List[Dict[str, object]] = []
@@ -309,21 +314,10 @@ def verify_defect_formula(seq: DSequence, cat: AddCategory) -> DefectFormulaRepo
         rows.append({"x": i, "contravariant": lhs, "covariant": rhs, "ok": good})
         if not good:
             ok = False
-    return DefectFormulaReport(rows, ok)
+    return ComparisonReport(rows, ok)
 
 
-@dataclass
-class ARDualityReport:
-    """Stable hom dimensions against top-degree extension dimensions."""
-
-    rows: List[Dict[str, object]]
-    ok: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_ar_duality(cat: AddCategory) -> ARDualityReport:
+def verify_ar_duality(cat: AddCategory) -> ComparisonReport:
     """dim of stable Hom(X, Y) must equal dim of Ext^d(Y, translate of X)."""
     pool, nonproj, _, translate = _pool_translates(cat)
     d = cat.d
@@ -337,7 +331,7 @@ def verify_ar_duality(cat: AddCategory) -> ARDualityReport:
             rows.append({"x": i, "y": j, "stable_hom": lhs, "ext": rhs, "ok": good})
             if not good:
                 ok = False
-    return ARDualityReport(rows, ok)
+    return ComparisonReport(rows, ok)
 
 
 # -- determined morphisms ----------------------------------------------------
@@ -790,10 +784,6 @@ def domdim_end(cat: AddCategory):
     for i in range(1, limit + 1):
         if homological.ext_dim(m, m, i) != 0:
             return i + 1
-    gd = homological.gldim(cat.algebra)
-    if gd <= limit:
-        return math.inf
-    raise CapExceeded.over(
-        "domdim_end", m.dims, f"Ext degrees past {limit} (gldim {gd})", limit,
-        "config.RESOLUTION_CAP",
-    )
+    # Ext vanishes past gldim, which is at most the limit (gldim raises CapExceeded past it)
+    homological.gldim(cat.algebra)
+    return math.inf

@@ -21,7 +21,6 @@ the dual sequence.  Dualizing back returns the very modules started from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import exactlin, homological, repcat
@@ -414,34 +413,16 @@ def mapping_cone(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> DS
 # -- defects ----------------------------------------------------------------
 
 
-@dataclass
-class DefectSpace:
-    """A hom space modulo the part hit through the sequence's end map."""
-
-    ambient: Matrix
-    image: Matrix
-    reps: Matrix
-    proj: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.reps.cols
-
-
-def defect_contravariant(seq: DSequence, x: Module) -> DefectSpace:
+def defect_contravariant(seq: DSequence, x: Module) -> exactlin.Quotient:
     """Hom(x, right end) modulo maps lifting along the end map."""
     ambient = repcat.hom_space_matrix(x, seq.right_term)
-    image = repcat.hom_image(x, seq.right_map)
-    reps, proj = exactlin.quotient(ambient, image)
-    return DefectSpace(ambient, image, reps, proj)
+    return exactlin.quotient(ambient, repcat.hom_image(x, seq.right_map))
 
 
-def defect_covariant(seq: DSequence, y: Module) -> DefectSpace:
+def defect_covariant(seq: DSequence, y: Module) -> exactlin.Quotient:
     """Hom(left end, y) modulo maps extending along the start map."""
     ambient = repcat.hom_space_matrix(seq.left_term, y)
-    image = repcat.hom_coimage(seq.left_map, y)
-    reps, proj = exactlin.quotient(ambient, image)
-    return DefectSpace(ambient, image, reps, proj)
+    return exactlin.quotient(ambient, repcat.hom_coimage(seq.left_map, y))
 
 
 def long_exact_extension_ok(seq: DSequence, x: Module) -> bool:

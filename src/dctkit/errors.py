@@ -6,7 +6,7 @@ class DctError(Exception):
 
 
 class DimensionMismatch(DctError, ValueError):
-    """Operands have incompatible shapes or live over different fields."""
+    """Operands have incompatible shapes or live over different fields or algebras."""
 
 
 class NotAdmissible(DctError, ValueError):
@@ -25,7 +25,7 @@ class InvalidModule(DctError, ValueError):
 
 
 class InvalidMorphism(DctError, ValueError):
-    """Vertex components fail to intertwine the arrow actions."""
+    """Vertex components fail to intertwine the arrows, or the modules lie over two algebras."""
 
 
 class InvalidSubmodule(DctError, ValueError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -459,13 +459,26 @@ def all_subspaces(field: PrimeField, n: int) -> List[Matrix]:
     return out
 
 
-def quotient(v: Matrix, u: Matrix):
+class Quotient(NamedTuple):
+    """A space modulo an image: class representatives and the class projection."""
+
+    reps: Matrix
+    proj: Matrix
+
+    @property
+    def dim(self) -> int:
+        return self.reps.cols
+
+
+def quotient(v: Matrix, u: Matrix) -> Quotient:
     """Quotient of span(v) by span(u).
 
-    Returns (c, q) where the columns of c extend a basis of u meet v to one
-    of v (representatives of the quotient) and q is a projection matrix from
-    the ambient space onto the quotient coordinates with q @ u = 0 and
-    q @ c = identity.  Vectors outside span(u) + span(v) are sent to zero.
+    Returns Quotient(reps, proj), which unpacks as a pair.  The columns of
+    reps extend a basis of u meet v to one of v (representatives of the
+    quotient), and proj is a projection matrix from the ambient space onto
+    the quotient coordinates with proj @ u = 0 and proj @ reps = identity.
+    Vectors outside span(u) + span(v) are sent to zero.  Ext spaces,
+    defects and cokernels are all presented this way.
 
     The representatives are the columns of the canonical basis of v that
     are independent of u and of the earlier ones.  Standard vectors extend
@@ -486,4 +499,4 @@ def quotient(v: Matrix, u: Matrix):
     picked = [j - u.cols for j in pivots if u.cols <= j < u.cols + vb.cols]
     c = _select_columns(vb, picked)
     q = tuple([tuple(row[search:]) for row in a[in_u : in_u + len(picked)]])
-    return c, Matrix(field, q, n, _reduced=True)
+    return Quotient(c, Matrix(field, q, n, _reduced=True))

@@ -1,4 +1,4 @@
-"""Resolutions, Ext and Tor spaces, the transpose, and higher translates.
+"""Resolutions, Ext and Tor, the transpose, and higher translates.
 
 Everything is computed from minimal projective resolutions, built step by
 step from projective covers, cached on the module, and stopped at their
@@ -7,12 +7,13 @@ elements.  Hom out of a projective needs no hom basis: by Yoneda a map
 P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext is cocycles
 modulo coboundaries in those coordinates.  The transpose Tr x is the
 cokernel of Hom(d_1, A), the same matrix in the Yoneda coordinates of Ext
-read at every projective P_w of A at once.
+read at every projective P_w of A at once.  Tensor products and Tor need
+no coordinates of their own: by adjunction D(m (x) n) = Hom(n, D m) and
+D Tor_i(m, n) = Ext^i(n, D m), with D the duality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import config, exactlin, repcat
@@ -130,7 +131,7 @@ def is_injective(x: Module) -> bool:
 def pd(x: Module) -> int:
     """Projective dimension; -1 for the zero module.
 
-    Raises CapExceeded when the minimal resolution does not stop within
+    Raises CapExceeded when the minimal resolution is longer than
     config.RESOLUTION_CAP.
     """
     if x.is_zero():
@@ -138,8 +139,8 @@ def pd(x: Module) -> int:
     cap = config.RESOLUTION_CAP
     res = resolution(x)
     for i in range(cap + 1):
-        if res.projective(i).is_zero():
-            return i - 1
+        if res.syzygy(i + 1).is_zero():
+            return i
     raise CapExceeded.over(
         "pd", x.dims, f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP"
     )
@@ -174,47 +175,33 @@ def _hom_out(res: ProjResolution, i: int, y: Module) -> Matrix:
     return exactlin.vstack(rows, field=field, cols=sum(y.dims[v] for v in vs))
 
 
-@dataclass
-class ExtSpace:
-    """An Ext space in the Yoneda coordinates (+)_j y_{v_j} of Hom(P_i, y).
+def ext_space(x: Module, y: Module, i: int) -> exactlin.Quotient:
+    """Ext^i(x, y) as cocycles modulo coboundaries (i >= 0).
 
-    P_i is step i of the resolution of x, with summands P_{v_j}.
-    `cocycles` and `coboundaries` are column spans in those coordinates,
-    `reps` lists class representatives and `proj` sends a cocycle vector
-    to its class coordinates.
+    The coordinates are the Yoneda ones, (+)_j y_{v_j} = Hom(P_i, y) for
+    P_i step i of the resolution of x with summands P_{v_j}: `reps` lists
+    class representatives there and `proj` sends a cocycle vector to its
+    class coordinates.
     """
-
-    x: Module
-    y: Module
-    degree: int
-    cocycles: Matrix
-    coboundaries: Matrix
-    reps: Matrix
-    proj: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.reps.cols
-
-
-def ext_space(x: Module, y: Module, i: int) -> ExtSpace:
-    """Ext^i(x, y) presented by cocycles modulo coboundaries (i >= 0)."""
     if i < 0:
         raise ValueError("negative Ext degree")
+    if x.algebra is not y.algebra:
+        raise DimensionMismatch("Ext between modules over different algebras")
     res = resolution(x)
     cocycles = exactlin.kernel_basis(_hom_out(res, i + 1, y))
     if i == 0:
         coboundaries = Matrix.zeros(y.field, cocycles.rows, 0)
     else:
         coboundaries = exactlin.canonical_basis(_hom_out(res, i, y))
-    reps, proj = exactlin.quotient(cocycles, coboundaries)
-    return ExtSpace(x, y, i, cocycles, coboundaries, reps, proj)
+    return exactlin.quotient(cocycles, coboundaries)
 
 
 def ext_dim(x: Module, y: Module, i: int) -> int:
     """dim Ext^i(x, y): dim Hom(P_i, y) minus two ranks (i >= 0)."""
     if i < 0:
         raise ValueError("negative Ext degree")
+    if x.algebra is not y.algebra:
+        raise DimensionMismatch("Ext between modules over different algebras")
     res = resolution(x)
     cochains = sum(y.dims[v] for v in res.vertices(i))
     if cochains == 0:
@@ -292,91 +279,28 @@ def injectively_stable_dim(x: Module, y: Module) -> int:
 # -- tensor products and Tor ----------------------------------------------
 
 
-@dataclass
-class TensorSpace:
-    """m (x) n over the algebra, as a quotient of the vertexwise products.
-
-    Ambient coordinates run over the vertices in order, each block listing
-    the products of basis vectors row-major (m index outer, n index inner).
-    `reps` are class representatives, `proj` the class projection.
-    """
-
-    m: Module
-    n: Module
-    offsets: Tuple[int, ...]
-    total: int
-    reps: Matrix
-    proj: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.reps.cols
-
-
-def tensor_space(m: Module, n: Module) -> TensorSpace:
-    """Tensor of a module with one over the opposite algebra."""
-    algebra = m.algebra
-    if n.algebra is not algebra.opposite():
-        raise DimensionMismatch("tensor factors live over mismatched algebras")
-    field = m.field
-    quiver = algebra.quiver
-    offsets, at = [], 0
-    for v in range(quiver.n_vertices):
-        offsets.append(at)
-        at += m.dims[v] * n.dims[v]
-    total = at
-    rel_cols = []
-    for a in quiver.arrows:
-        ai = quiver.arrow_index(a.name)
-        s, t = a.source, a.target
-        ma = m.maps[ai].entries  # m dims: s -> t
-        na = n.maps[ai].entries  # op arrow runs t -> s on n
-        for i in range(m.dims[s]):
-            for j in range(n.dims[t]):
-                col = [0] * total
-                for r in range(m.dims[t]):
-                    col[offsets[t] + r * n.dims[t] + j] += ma[r][i]
-                for k in range(n.dims[s]):
-                    col[offsets[s] + i * n.dims[s] + k] -= na[k][j]
-                rel_cols.append(col)
-    rel = exactlin.canonical_basis(Matrix.from_columns(field, rel_cols, total))
-    reps, proj = exactlin.quotient(Matrix.identity(field, total), rel)
-    return TensorSpace(m, n, tuple(offsets), total, reps, proj)
-
-
 def tensor_dim(m: Module, n: Module) -> int:
-    return tensor_space(m, n).dim
-
-
-def _tensor_ambient_map(m: Module, f: Morphism) -> Matrix:
-    """Vertexwise matrix of id_m (x) f on ambient tensor coordinates."""
-    field = m.field
-    blocks = []
-    for v in range(len(m.dims)):
-        # id (x) f_v: one copy of f_v per basis vector of m at v
-        blocks.extend([f.comps[v]] * m.dims[v])
-    return exactlin.block_diag(field, blocks)
+    """dim m (x) n, for n over the opposite algebra: D(m (x) n) = Hom(n, D m)."""
+    return repcat.hom_dim(n, repcat.duality(m))
 
 
 def tensor_map(m: Module, f: Morphism) -> Matrix:
-    """Matrix of id_m (x) f between tensor quotient spaces."""
-    src = tensor_space(m, f.domain)
-    dst = tensor_space(m, f.codomain)
-    amb = _tensor_ambient_map(m, f)
-    return dst.proj @ amb @ src.reps
+    """Matrix of id_m (x) f, the transpose of Hom(f, D m) on hom bases.
+
+    The coordinates of m (x) n are dual to hom_basis(n, D m).
+    """
+    dm = repcat.duality(m)
+    hom_f = exactlin.solve(
+        repcat.hom_space_matrix(f.domain, dm), repcat.hom_composites(f, dm)
+    )
+    return hom_f.transpose()
 
 
 def tor_dim(m: Module, n: Module, i: int) -> int:
-    """Tor_i of a module and one over the opposite algebra (i >= 0)."""
+    """Tor_i(m, n) for n over the opposite algebra (i >= 0).
+
+    D Tor_i(m, n) = Ext^i(n, D m), so both have one dimension.
+    """
     if i < 0:
         raise ValueError("negative Tor degree")
-    if i == 0:
-        return tensor_dim(m, n)
-    res = resolution(n)
-    res.extend_to(i + 1)
-    d_i = res.differential(i)
-    d_next = res.differential(i + 1)
-    inner = tensor_map(m, d_i)
-    outer = tensor_map(m, d_next)
-    ker_dim = inner.cols - exactlin.rank(inner)
-    return ker_dim - exactlin.rank(outer)
+    return ext_dim(n, repcat.duality(m), i)

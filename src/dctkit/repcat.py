@@ -117,6 +117,8 @@ class Morphism:
         self.domain = domain
         self.codomain = codomain
         self.comps: Tuple[Matrix, ...] = tuple(comps)
+        if domain.algebra is not codomain.algebra:
+            raise InvalidMorphism("domain and codomain lie over different algebras")
         if len(self.comps) != domain.algebra.quiver.n_vertices:
             raise InvalidMorphism("wrong number of vertex components")
         for v, c in enumerate(self.comps):
@@ -252,6 +254,8 @@ def morphism_from_vec(x: Module, y: Module, vec, _skip_check=False) -> Morphism:
 
 def _hom_data(x: Module, y: Module) -> Tuple[Tuple[Morphism, ...], Matrix]:
     """Canonical basis of Hom(x, y) and its flat matrix, cached on the domain."""
+    if x.algebra is not y.algebra:
+        raise DimensionMismatch("Hom between modules over different algebras")
     key = ("hom", id(y))
     cached = x._cache.get(key)
     if cached is not None and cached[0] is y:
@@ -652,19 +656,9 @@ def top(x: Module) -> Tuple[Module, Morphism]:
 
 
 def socle(x: Module) -> Tuple[Module, Morphism]:
-    """The largest semisimple submodule: joint kernels of outgoing arrows."""
-    field = x.field
-    quiver = x.algebra.quiver
-    spans = []
-    for v in range(quiver.n_vertices):
-        pieces = [
-            x.maps[quiver.arrow_index(a.name)]
-            for a in quiver.arrows
-            if a.source == v
-        ]
-        stacked = exactlin.vstack(pieces, field=field, cols=x.dims[v])
-        spans.append(exactlin.kernel_basis(stacked))
-    return _submodule_from_bases(x, spans)
+    """The largest semisimple submodule, the dual of the top of D x."""
+    incl = duality_morphism(top(duality(x))[1])
+    return incl.domain, incl
 
 
 def projective_cover(x: Module):

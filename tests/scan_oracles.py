@@ -7,10 +7,13 @@ flat Ext route solves a hom basis out of every projective of a resolution
 where the library reads Hom(P_v, y) as y e_v.  Maps between direct sums
 were once sums of inc o f o proj, and the transpose was glued from maps
 between opposite projectives; the library stacks blocks and reads Tr off
-the Yoneda matrix of Ext instead.
+the Yoneda matrix of Ext instead.  Tensor products were once vertexwise
+products modulo the arrow relations, and the socle the joint kernel of
+the outgoing arrows; the library reads both through the duality D.
 """
 
 from dctkit import exactlin, homological, repcat
+from dctkit.errors import DimensionMismatch
 from dctkit.exactlin import Matrix
 from dctkit.repcat import Morphism
 
@@ -204,3 +207,69 @@ def glued_transpose(x):
         for u, line in zip(verts1, res.elements(1))
     ]
     return repcat.cokernel(summed_block_map(dom_sum, cod_sum, grid))[0]
+
+
+def _ambient_tensor(m, n):
+    """m (x) n as (reps, proj) on the vertexwise products, n over the opposite algebra.
+
+    Ambient coordinates run over the vertices in order, each block listing
+    the products of basis vectors row-major (m index outer, n index inner).
+    """
+    algebra = m.algebra
+    if n.algebra is not algebra.opposite():
+        raise DimensionMismatch("tensor factors live over mismatched algebras")
+    field, quiver = m.field, algebra.quiver
+    offsets, total = [], 0
+    for v in range(quiver.n_vertices):
+        offsets.append(total)
+        total += m.dims[v] * n.dims[v]
+    rel_cols = []
+    for ai, a in enumerate(quiver.arrows):
+        s, t = a.source, a.target
+        ma = m.maps[ai].entries  # m dims: s -> t
+        na = n.maps[ai].entries  # op arrow runs t -> s on n
+        for i in range(m.dims[s]):
+            for j in range(n.dims[t]):
+                col = [0] * total
+                for r in range(m.dims[t]):
+                    col[offsets[t] + r * n.dims[t] + j] += ma[r][i]
+                for k in range(n.dims[s]):
+                    col[offsets[s] + i * n.dims[s] + k] -= na[k][j]
+                rel_cols.append(col)
+    rel = exactlin.canonical_basis(Matrix.from_columns(field, rel_cols, total))
+    return exactlin.quotient(Matrix.identity(field, total), rel)
+
+
+def ambient_tensor_dim(m, n):
+    return _ambient_tensor(m, n).dim
+
+
+def ambient_tensor_map(m, f):
+    """Matrix of id_m (x) f between the quotients of vertexwise products."""
+    blocks = []
+    for v in range(len(m.dims)):
+        # id (x) f_v: one copy of f_v per basis vector of m at v
+        blocks.extend([f.comps[v]] * m.dims[v])
+    amb = exactlin.block_diag(m.field, blocks)
+    return _ambient_tensor(m, f.codomain).proj @ amb @ _ambient_tensor(m, f.domain).reps
+
+
+def ambient_tor_dim(m, n, i):
+    """Tor_i(m, n) as the homology of m (x) the resolution of n."""
+    if i == 0:
+        return ambient_tensor_dim(m, n)
+    res = homological.resolution(n)
+    inner = ambient_tensor_map(m, res.differential(i))
+    outer = ambient_tensor_map(m, res.differential(i + 1))
+    return inner.cols - exactlin.rank(inner) - exactlin.rank(outer)
+
+
+def joint_kernel_socle(x):
+    """The socle as the joint kernels of the outgoing arrows at each vertex."""
+    quiver = x.algebra.quiver
+    spans = []
+    for v in range(quiver.n_vertices):
+        pieces = [x.maps[ai] for ai, a in enumerate(quiver.arrows) if a.source == v]
+        stacked = exactlin.vstack(pieces, field=x.field, cols=x.dims[v])
+        spans.append(exactlin.kernel_basis(stacked))
+    return repcat.submodule(x, spans)

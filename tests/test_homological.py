@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, homological
+from dctkit import CapExceeded, DimensionMismatch, Matrix, Module, PrimeField, Quiver
+from dctkit import build_algebra, config, exactlin, homological
 from dctkit import ext_dim, gldim, pd, repcat, tau_d, tau_d_minus, workspace
 from dctkit.artheory import enumerate_indecomposables
 from dctkit.homological import (
@@ -28,7 +29,8 @@ from dctkit.homological import (
     transpose,
     tr_d,
 )
-from dctkit.repcat import Morphism, are_isomorphic, duality, hom_dim, simple
+from dctkit.repcat import Morphism, are_isomorphic, duality, hom_basis, hom_dim, simple
+from scan_oracles import ambient_tensor_dim, ambient_tensor_map, ambient_tor_dim
 from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space, glued_transpose, proj_hom
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -53,6 +55,40 @@ def test_pd_and_gldim(flag, ka2, flag_mods, ka2_mods):
     assert pd(flag_mods["S1"]) == 2
     assert gldim(flag) == 2
     assert gldim(ka2) == 1
+
+
+@pytest.mark.parametrize("n", [33, 34])
+def test_pd_answers_at_exactly_the_resolution_cap(n):
+    # S1 on the line with n vertices and rad^2 = 0 has a resolution of length n - 1
+    names = [str(k) for k in range(1, n + 1)]
+    arrows = [(f"a{k}", names[k - 1], names[k]) for k in range(1, n)]
+    relations = [[(1, [f"a{k}", f"a{k + 1}"])] for k in range(1, n - 1)]
+    algebra = build_algebra(Quiver(names, arrows), relations, 2, PrimeField(2))
+    s1 = simple(algebra, 0)
+    assert config.RESOLUTION_CAP == 32
+    if n - 1 <= config.RESOLUTION_CAP:
+        assert pd(s1) == n - 1
+    else:
+        with pytest.raises(CapExceeded, match="needs a resolution longer than 32"):
+            pd(s1)
+
+
+def test_hom_and_ext_refuse_modules_over_different_algebras(flag_mods):
+    mods = list(flag_mods.values())
+    for x in mods:
+        for y in mods:
+            dy = duality(y)
+            assert dy.algebra is not x.algebra
+            for call in (
+                lambda: hom_dim(x, dy),
+                lambda: ext_dim(x, dy, 1),
+                lambda: ext_space(x, dy, 1),
+                # tensor factors on the same side
+                lambda: tensor_dim(x, y),
+                lambda: tor_dim(x, y, 1),
+            ):
+                with pytest.raises(DimensionMismatch):
+                    call()
 
 
 def test_projectivity_and_injectivity_tests(flag_mods):
@@ -226,6 +262,35 @@ def test_ext_matches_the_flat_oracle(name, p):
                 dim = flat_ext_dim(x, y, i)
                 assert ext_dim(x, y, i) == dim, (x, y, i)
                 assert ext_space(x, y, i).dim == dim, (x, y, i)
+
+
+@pytest.mark.parametrize("name, p", EXT_GROUPS)
+def test_tor_matches_the_ambient_oracle(name, p):
+    mods = ext_group(name, p)
+    for m in mods:
+        for y in mods:
+            n = duality(y)
+            assert tensor_dim(m, n) == ambient_tensor_dim(m, n), (m, y)
+            for i in range(5):
+                assert tor_dim(m, n, i) == ambient_tor_dim(m, n, i), (m, y, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(group=st.sampled_from(EXT_GROUPS), picks=st.tuples(*[st.integers(0, 10**6)] * 6))
+def test_tensor_map_matches_the_ambient_oracle(group, picks):
+    def pick(seq, k):
+        return seq[picks[k] % len(seq)]
+
+    mods = ext_group(*group)
+    duals = [duality(y) for y in mods]
+    m, n1 = pick(mods, 0), pick(duals, 1)
+    # targets with a nonzero map in, the source itself among them
+    n2 = pick([n for n in duals if hom_dim(n1, n)], 2)
+    n3 = pick([n for n in duals if hom_dim(n2, n)], 3)
+    f, g = pick(hom_basis(n1, n2), 4), pick(hom_basis(n2, n3), 5)
+    for h in (f, g, g @ f):
+        assert exactlin.rank(tensor_map(m, h)) == exactlin.rank(ambient_tensor_map(m, h))
+    assert tensor_map(m, g @ f) == tensor_map(m, g) @ tensor_map(m, f)
 
 
 @pytest.mark.parametrize("name, p", EXT_GROUPS)

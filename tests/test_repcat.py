@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctkit import DimensionMismatch, InvalidModule, InvalidMorphism, Matrix, Module, Morphism
-from dctkit import repcat, workspace
+from dctkit import exactlin, repcat, workspace
 from dctkit.artheory import enumerate_indecomposables
 from dctkit.repcat import (
     are_isomorphic,
@@ -39,7 +39,7 @@ from dctkit.repcat import (
     top,
     zero_module,
 )
-from scan_oracles import summed_block_map
+from scan_oracles import joint_kernel_socle, summed_block_map
 
 
 def test_module_validation_checks_relations(flag, f2):
@@ -170,6 +170,29 @@ def test_radical_top_socle(flag_mods):
     assert tuple(t.dims) == (1, 0, 0)
     s, _ = socle(P2)
     assert tuple(s.dims) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_socle_is_the_joint_kernel_of_the_outgoing_arrows(fixture, p):
+    alg = workspace.load(str(pathlib.Path(__file__).parent / "data" / fixture), p).algebra
+    universe = enumerate_indecomposables(alg, 2)
+    pairs = [direct_sum([x, y])[0] for i, x in enumerate(universe) for y in universe[i:]]
+    for x in universe + pairs:
+        s, incl = socle(x)
+        assert incl.domain is s and incl.codomain is x and incl.is_mono()
+        _, oracle = joint_kernel_socle(x)
+        for v in range(len(x.dims)):
+            assert exactlin.subspace_eq(incl.comps[v], oracle.comps[v]), (x, v)
+
+
+def test_morphisms_need_one_algebra(flag_mods):
+    for x in flag_mods.values():
+        dx = duality(x)
+        with pytest.raises(InvalidMorphism):
+            Morphism.zero(x, dx)
+        with pytest.raises(InvalidMorphism):
+            Morphism(x, dx, [Matrix.identity(x.field, d) for d in x.dims])
 
 
 def test_projective_cover_and_injective_envelope(flag_mods, flag):
