@@ -16,7 +16,6 @@ from .approx import (
 )
 from .artheory import (
     EndSubmodule,
-    all_end_submodules,
     d_almost_split,
     determined_morphism,
     domdim_end,
@@ -77,7 +76,6 @@ __all__ = [
     "Quiver",
     "VerificationFailed",
     "WorkspaceError",
-    "all_end_submodules",
     "build_algebra",
     "build_left_d_exact",
     "d_almost_split",

@@ -2,11 +2,14 @@
 
 A presentation is a quiver, a list of parallel-path relations, and a
 nilpotency bound N asserting rad^N = 0 in the quotient.  The algebra is
-realized linearly: a canonical basis of residue classes of paths of length
-below N is carved out of the span of all such paths by row-reducing the
-span of truncated products u*r*v, and admissibility of the relation ideal
-is certified by bounded-degree ideal membership for every path of length
-exactly N (a failure reports a witness path).
+realized linearly by one reduction of the relation ideal.  A multiple u*r*w
+of a relation combines paths from the source of u to the target of w, so
+the multiples are filed under those (source, target) blocks and each block
+is row-reduced on its own.  The non-pivot paths of length below N form the
+canonical basis and the reduced rows give normal forms, with terms of length
+N or more dropped.  Admissibility is certified by bounded-degree ideal
+membership for every path of length exactly N, reducing the same way but
+skipping the multiples such a drop would touch (a failure reports a witness).
 
 Paths are written in traversal order: the word (a, b) means "walk a, then
 b", so it composes when target(a) = source(b).  Products in the algebra
@@ -133,7 +136,7 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[Path]:
         out.extend(new)
         if len(out) > config.PATH_CAP:
             raise CapExceeded.over(
-                f"path enumeration to length {max_len} (the quiver has too many cycles)", None,
+                f"path enumeration to length {max_len}", None,
                 f"{len(out)}+ paths", config.PATH_CAP, "config.PATH_CAP",
             )
         frontier = new
@@ -196,85 +199,82 @@ class BoundQuiverAlgebra:
     # -- construction -------------------------------------------------
 
     def _build_basis(self):
-        quiver, field, n = self.quiver, self.field, self.bound
-        short = [p for p in _enumerate_paths(quiver, n - 1)]
-        index = {p: i for i, p in enumerate(short)}
-        span_rows = []
-        for rel in self.relations:
-            for u in short:
-                if u.target(quiver) != rel.source:
-                    continue
-                for w in short:
-                    if w.source != rel.target:
-                        continue
-                    if len(u) + len(w) > n - 2:
-                        continue
-                    vec = [0] * len(short)
-                    for coeff, t in rel.terms:
-                        full = u.arrows + t.arrows + w.arrows
-                        if len(full) < n:
-                            vec[index[Path(u.source, full)]] += coeff
-                    vec = [x % field.p for x in vec]
-                    if any(vec):
-                        span_rows.append(vec)
-        pivots = _reduce_rows(field.p, span_rows, len(short))
-        pivot_set = set(pivots)
-        basis = [p for i, p in enumerate(short) if i not in pivot_set]
-        basis_pos = [i for i in range(len(short)) if i not in pivot_set]
-        # normal form of the i-th short path, as coordinates over the basis
-        reduced_of = dict(zip(pivots, span_rows))
+        quiver, p = self.quiver, self.field.p
+        short = _enumerate_paths(quiver, self.bound - 1)
+        blocks, reduced = self._reduce_ideal(short, self.bound - 1, truncate=True)
+        basis = [path for path in short if path not in reduced]
+        position = {path: i for i, path in enumerate(basis)}
+        # normal form of each short path, as coordinates over the basis
         nf = {}
-        for i, p in enumerate(short):
-            if i in reduced_of:
-                row = reduced_of[i]
-                nf[p] = tuple([-row[j] % field.p for j in basis_pos])
+        for path in short:
+            vec = [0] * len(basis)
+            if path in position:
+                vec[position[path]] = 1
             else:
-                nf[p] = tuple([int(j == i) for j in basis_pos])
-        self._check_admissible(short)
+                for other, x in zip(blocks[path.source, path.target(quiver)], reduced[path]):
+                    if other in position:
+                        vec[position[other]] = -x % p
+            nf[path] = tuple(vec)
+        self._check_admissible()
         return tuple(basis), nf
 
-    def _check_admissible(self, short):
-        quiver, field, n = self.quiver, self.field, self.bound
-        max_rel = max((max(len(t) for _, t in r.terms) for r in self.relations), default=0)
-        degree = n + max_rel
+    def _check_admissible(self):
+        quiver, n = self.quiver, self.bound
+        degree = n + max((len(t) for r in self.relations for _, t in r.terms), default=0)
         full = _enumerate_paths(quiver, degree)
-        top = [p for p in full if len(p) == n]
+        top = [path for path in full if len(path) == n]
         if not top:
             return
-        index = {p: i for i, p in enumerate(full)}
-        cert_rows = []
-        for rel in self.relations:
-            rel_max = max(len(t) for _, t in rel.terms)
-            for u in full:
-                if u.target(quiver) != rel.source:
-                    continue
-                for w in full:
-                    if w.source != rel.target:
-                        continue
-                    if len(u) + len(w) + rel_max > degree:
-                        continue
-                    vec = [0] * len(full)
-                    for coeff, t in rel.terms:
-                        vec[index[Path(u.source, u.arrows + t.arrows + w.arrows)]] += coeff
-                    vec = [x % field.p for x in vec]
-                    if any(vec):
-                        cert_rows.append(vec)
-        pivots = _reduce_rows(field.p, cert_rows, len(full))
-        pivot_of = {c: r for r, c in enumerate(pivots)}
+        reduced = self._reduce_ideal(full, degree, truncate=False)[1]
+        # with fully reduced rows, a path lies in the span exactly when its row is itself
         for path in top:
-            vec = [0] * len(full)
-            vec[index[path]] = 1
-            for c in range(len(full)):
-                if vec[c] and c in pivot_of:
-                    lead, row = vec[c], cert_rows[pivot_of[c]]
-                    vec = [(x - lead * y) % field.p for x, y in zip(vec, row)]
-            if any(vec):
+            if sum(map(bool, reduced.get(path, ()))) != 1:
                 names = tuple(quiver.arrows[i].name for i in path.arrows)
                 raise NotAdmissible(
                     f"path {'*'.join(names)} of length {n} does not lie in the "
                     "relation ideal; the nilpotency bound is not witnessed",
                     witness=names,
                 )
+
+    def _reduce_ideal(self, paths, max_len, truncate):
+        """Fully reduced rows spanning the relation ideal, one (source, target) block at a time.
+
+        `paths` are all paths of length <= max_len, shortest first.  A multiple
+        u*r*w lies in the block of paths from u.source to w.target, and
+        blocks share no columns, so the pivots are those of one reduction
+        over all paths.  A term longer than max_len is dropped when
+        `truncate` (sound once rad^N = 0 is assumed), and otherwise its
+        multiple is skipped.  Returns the paths of each block and, for each
+        pivot path, its reduced row over its block.
+        """
+        quiver, p = self.quiver, self.field.p
+        blocks, column, ending, starting = {}, {}, {}, {}
+        for path in paths:
+            key = (path.source, path.target(quiver))
+            column[path] = len(blocks.setdefault(key, []))
+            blocks[key].append(path)
+            ending.setdefault(key[1], []).append(path)
+            starting.setdefault(key[0], []).append(path)
+        rows = {key: [] for key in blocks}
+        for rel in self.relations:
+            lengths = [len(t) for _, t in rel.terms]
+            room = max_len - (min(lengths) if truncate else max(lengths))
+            for u in ending.get(rel.source, ()):
+                for w in starting.get(rel.target, ()):
+                    if len(u) + len(w) > room:
+                        break
+                    key = (u.source, w.target(quiver))
+                    vec = [0] * len(blocks[key])
+                    for coeff, t in rel.terms:
+                        word = u.arrows + t.arrows + w.arrows
+                        if len(word) <= max_len:
+                            vec[column[Path(u.source, word)]] += coeff
+                    rows[key].append([x % p for x in vec])
+        reduced = {}
+        for key, block in blocks.items():
+            pivots = _reduce_rows(p, rows[key], len(block))
+            reduced.update(zip([block[c] for c in pivots], rows[key]))
+        return blocks, reduced
 
     # -- basic structure ----------------------------------------------
 

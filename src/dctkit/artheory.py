@@ -492,26 +492,6 @@ def _scan_space(field, count_exponent: int, cap, operation: str, dims) -> int:
     return total
 
 
-def all_end_submodules(x: Module, n: Module, cap=None) -> List[EndSubmodule]:
-    """Every subspace of Hom(x, n) closed under End(x)-precomposition.
-
-    Enumerates all subspaces of the hom space (so the hom dimension and
-    the field must be tiny) and keeps the closed ones, in the canonical
-    subspace order.
-    """
-    m = repcat.hom_dim(x, n)
-    field = x.field
-    _scan_space(field, m * m, cap, "all_end_submodules of Hom(x, n)", n.dims)
-    space = repcat.hom_space_matrix(x, n)
-    out: List[EndSubmodule] = []
-    for coords in exactlin.all_subspaces(field, m):
-        try:
-            out.append(EndSubmodule(x, n, space @ coords))
-        except InvalidSubmodule:
-            continue
-    return out
-
-
 def _largest_admissible_submodule(
     x: Module, n: Module, h: EndSubmodule, cap=None
 ) -> Tuple[Module, Morphism]:

@@ -430,35 +430,6 @@ def intersect(u: Matrix, v: Matrix) -> Matrix:
     return canonical_basis(u @ coeff)
 
 
-def all_subspaces(field: PrimeField, n: int) -> List[Matrix]:
-    """Every subspace of field^n, each as its reduced echelon basis.
-
-    Enumerated by rank, then pivot set, then the free entries; feasible
-    only for very small n and p, which is all the callers need.
-    """
-    from itertools import combinations
-
-    out = [Matrix.zeros(field, n, 0)]
-    for r in range(1, n + 1):
-        for pivots in combinations(range(n), r):
-            free = [
-                (j, c)
-                for j in range(r)
-                for c in range(pivots[j] + 1, n)
-                if c not in pivots
-            ]
-            for counter in range(field.p ** len(free)):
-                data = [[0] * r for _ in range(n)]
-                for j in range(r):
-                    data[pivots[j]][j] = 1
-                rem = counter
-                for j, c in free:
-                    data[c][j] = rem % field.p
-                    rem //= field.p
-                out.append(Matrix(field, data, r))
-    return out
-
-
 class Quotient(NamedTuple):
     """A space modulo an image: class representatives and the class projection."""
 

@@ -29,6 +29,8 @@ class ProjResolution:
     Index 0 is the cover of the module itself; `differential(i)` is the
     map from step i to step i-1 for i >= 1.  Once a kernel is zero the
     lists stop growing: every later term is that zero module, with zero maps.
+    Covers stop at step config.RESOLUTION_CAP + 1, the last one Ext in
+    degree RESOLUTION_CAP reads; a resolution still running there is refused.
     """
 
     def __init__(self, x: Module):
@@ -42,10 +44,16 @@ class ProjResolution:
         self._elements: dict = {}
 
     def extend_to(self, n: int) -> None:
+        cap = config.RESOLUTION_CAP
         while len(self._projs) <= n and not self._projs[-1].is_zero():
             k, incl = self._kernels[-1]
             if k.is_zero():  # the first zero term itself: it needs no cover
                 p, epi, verts = k, Morphism.identity(k), []
+            elif len(self._projs) > cap + 1:
+                raise CapExceeded.over(
+                    f"projective resolution to step {n}", self.module.dims,
+                    f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP",
+                )
             else:
                 p, epi, verts = repcat.projective_cover(k)
             self._projs.append(p)

@@ -9,11 +9,19 @@ were once sums of inc o f o proj, and the transpose was glued from maps
 between opposite projectives; the library stacks blocks and reads Tr off
 the Yoneda matrix of Ext instead.  Tensor products were once vertexwise
 products modulo the arrow relations, and the socle the joint kernel of
-the outgoing arrows; the library reads both through the duality D.
+the outgoing arrows; the library reads both through the duality D.  A
+bound quiver algebra was once built by one dense reduction of every
+relation multiple over every path; the library reduces each (source,
+target) block of paths on its own.  The subspace walks that list every
+End(x)-submodule of a hom space have no caller in the library.
 """
 
+import itertools
+
 from dctkit import exactlin, homological, repcat
-from dctkit.errors import DimensionMismatch
+from dctkit.algebra import Path, _enumerate_paths, _parse_relations
+from dctkit.artheory import EndSubmodule
+from dctkit.errors import DimensionMismatch, InvalidSubmodule, NotAdmissible
 from dctkit.exactlin import Matrix
 from dctkit.repcat import Morphism
 
@@ -273,3 +281,134 @@ def joint_kernel_socle(x):
         stacked = exactlin.vstack(pieces, field=x.field, cols=x.dims[v])
         spans.append(exactlin.kernel_basis(stacked))
     return repcat.submodule(x, spans)
+
+
+def dense_presentation(quiver, relations, bound, field):
+    """(path_basis, normal forms) of kQ/I by one dense reduction over all paths.
+
+    This is how BoundQuiverAlgebra was once built: every relation multiple
+    u*r*w is a row over every path, u and w run over all pairs of paths,
+    and one matrix is reduced.  Raises NotAdmissible as build_algebra does.
+    """
+    rels = _parse_relations(quiver, relations, field)
+    short = _enumerate_paths(quiver, bound - 1)
+    index = {p: i for i, p in enumerate(short)}
+    span_rows = []
+    for rel in rels:
+        for u in short:
+            if u.target(quiver) != rel.source:
+                continue
+            for w in short:
+                if w.source != rel.target:
+                    continue
+                if len(u) + len(w) > bound - 2:
+                    continue
+                vec = [0] * len(short)
+                for coeff, t in rel.terms:
+                    full = u.arrows + t.arrows + w.arrows
+                    if len(full) < bound:
+                        vec[index[Path(u.source, full)]] += coeff
+                vec = [x % field.p for x in vec]
+                if any(vec):
+                    span_rows.append(vec)
+    pivots = exactlin._reduce_rows(field.p, span_rows, len(short))
+    pivot_set = set(pivots)
+    basis = [p for i, p in enumerate(short) if i not in pivot_set]
+    basis_pos = [i for i in range(len(short)) if i not in pivot_set]
+    reduced_of = dict(zip(pivots, span_rows))
+    nf = {}
+    for i, p in enumerate(short):
+        if i in reduced_of:
+            row = reduced_of[i]
+            nf[p] = tuple([-row[j] % field.p for j in basis_pos])
+        else:
+            nf[p] = tuple([int(j == i) for j in basis_pos])
+    _dense_check_admissible(quiver, rels, bound, field)
+    return tuple(basis), nf
+
+
+def _dense_check_admissible(quiver, rels, n, field):
+    """Raise NotAdmissible unless every length-n path lies in the relation ideal."""
+    max_rel = max((max(len(t) for _, t in r.terms) for r in rels), default=0)
+    degree = n + max_rel
+    full = _enumerate_paths(quiver, degree)
+    top = [p for p in full if len(p) == n]
+    if not top:
+        return
+    index = {p: i for i, p in enumerate(full)}
+    cert_rows = []
+    for rel in rels:
+        rel_max = max(len(t) for _, t in rel.terms)
+        for u in full:
+            if u.target(quiver) != rel.source:
+                continue
+            for w in full:
+                if w.source != rel.target:
+                    continue
+                if len(u) + len(w) + rel_max > degree:
+                    continue
+                vec = [0] * len(full)
+                for coeff, t in rel.terms:
+                    vec[index[Path(u.source, u.arrows + t.arrows + w.arrows)]] += coeff
+                vec = [x % field.p for x in vec]
+                if any(vec):
+                    cert_rows.append(vec)
+    pivots = exactlin._reduce_rows(field.p, cert_rows, len(full))
+    pivot_of = {c: r for r, c in enumerate(pivots)}
+    for path in top:
+        vec = [0] * len(full)
+        vec[index[path]] = 1
+        for c in range(len(full)):
+            if vec[c] and c in pivot_of:
+                lead, row = vec[c], cert_rows[pivot_of[c]]
+                vec = [(x - lead * y) % field.p for x, y in zip(vec, row)]
+        if any(vec):
+            names = tuple(quiver.arrows[i].name for i in path.arrows)
+            raise NotAdmissible(
+                f"path {'*'.join(names)} of length {n} does not lie in the "
+                "relation ideal; the nilpotency bound is not witnessed",
+                witness=names,
+            )
+
+
+def all_subspaces(field, n):
+    """Every subspace of field^n, each as its reduced echelon basis.
+
+    Enumerated by rank, then pivot set, then the free entries; feasible
+    only for very small n and p.
+    """
+    out = [Matrix.zeros(field, n, 0)]
+    for r in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free = [
+                (j, c)
+                for j in range(r)
+                for c in range(pivots[j] + 1, n)
+                if c not in pivots
+            ]
+            for counter in range(field.p ** len(free)):
+                data = [[0] * r for _ in range(n)]
+                for j in range(r):
+                    data[pivots[j]][j] = 1
+                rem = counter
+                for j, c in free:
+                    data[c][j] = rem % field.p
+                    rem //= field.p
+                out.append(Matrix(field, data, r))
+    return out
+
+
+def all_end_submodules(x, n):
+    """Every subspace of Hom(x, n) closed under End(x)-precomposition.
+
+    Walks all subspaces of the hom space and keeps the closed ones, in the
+    canonical subspace order, so the hom dimension and the field must be tiny.
+    """
+    space = repcat.hom_space_matrix(x, n)
+    out = []
+    for coords in all_subspaces(x.field, repcat.hom_dim(x, n)):
+        try:
+            out.append(EndSubmodule(x, n, space @ coords))
+        except InvalidSubmodule:
+            continue
+    return out

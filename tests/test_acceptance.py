@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from dctkit import (
     AddCategory,
     Morphism,
-    all_end_submodules,
     build_left_d_exact,
     d_almost_split,
     defect_contravariant,
@@ -39,6 +38,7 @@ from dctkit import (
 )
 from dctkit import dexact, exactlin, homological, repcat
 from dctkit.homological import tr_d, tor_dim, tensor_dim, tensor_map
+from scan_oracles import all_end_submodules
 
 DATA = pathlib.Path(__file__).parent / "data"
 KA2_WS = str(DATA / "ka2.json")

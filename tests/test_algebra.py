@@ -1,6 +1,6 @@
 import pytest
 
-from dctkit import NotAdmissible, PrimeField, Quiver, build_algebra
+from dctkit import CapExceeded, NotAdmissible, PrimeField, Quiver, build_algebra, config
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,18 @@ def test_bound_must_be_reached_by_relations(f2):
     with pytest.raises(NotAdmissible) as exc:
         build_algebra(q, [], 2, f2)
     assert exc.value.witness is not None
+
+
+def test_path_cap_refusal_on_an_acyclic_quiver(f2, monkeypatch):
+    # the line 1 -> ... -> 8 has 8 + 7 + 6 = 21 paths up to length 2, and no cycle
+    names = [str(k) for k in range(1, 9)]
+    q = Quiver(names, [(f"a{k}", names[k - 1], names[k]) for k in range(1, 8)])
+    monkeypatch.setattr(config, "PATH_CAP", 20)
+    with pytest.raises(CapExceeded) as exc:
+        build_algebra(q, [], 8, f2)
+    assert str(exc.value) == (
+        "path enumeration to length 7 needs 21+ paths, over the cap 20; raise config.PATH_CAP"
+    )
 
 
 def test_loop_algebra_truncation(f2):

@@ -16,7 +16,6 @@ from dctkit import (
 )
 from dctkit import artheory, config, dexact, exactlin, homological, repcat
 from dctkit.artheory import (
-    all_end_submodules,
     d_almost_split,
     determined_morphism,
     domdim_end,
@@ -32,6 +31,7 @@ from dctkit.artheory import (
     verify_defect_formula,
     verify_tau_d_equivalence,
 )
+from scan_oracles import all_end_submodules
 
 
 # -- enumeration --------------------------------------------------------------

@@ -303,6 +303,36 @@ def test_ext_far_past_the_resolution_answers():
     assert payload(r)["dim"] == 0
 
 
+DUAL_NUMBERS = {
+    "field": 2,
+    "bound": 2,
+    "d": 2,
+    "quiver": {"vertices": ["1"], "arrows": [{"name": "x", "source": "1", "target": "1"}]},
+    "relations": [[[1, ["x", "x"]]]],
+    "modules": {"S": {"dims": {"1": 1}}},
+}
+
+
+def test_a_resolution_that_never_stops_is_refused_past_the_cap(tmp_path):
+    # over k[x]/x^2 every syzygy of S is S again, so the resolution never stops
+    p = tmp_path / "dual.json"
+    p.write_text(json.dumps(DUAL_NUMBERS))
+    ws = ["--workspace", str(p)]
+    assert payload(run_cli("ext", *ws, "--from", "S", "--to", "S", "--degree", "32"))["dim"] == 1
+    refusal = (
+        "projective resolution to step {} on dimension vector (1) needs a resolution "
+        "longer than 32, over the cap 32; raise config.RESOLUTION_CAP"
+    )
+    for args, step in [
+        (["ext", "--from", "S", "--to", "S", "--degree", "1000000000"], 1000000000),
+        (["resolve", "--module", "S", "--length", "1000000000"], 34),
+        (["tau-d", "--module", "S", "--d", "1000000000"], 999999998),
+    ]:
+        r = run_cli(*args, *ws, timeout=5)
+        assert r.returncode == 2
+        assert payload(r)["error"] == {"code": 2, "kind": "cap", "message": refusal.format(step)}
+
+
 def test_a_huge_bound_is_refused_before_any_scan():
     # the budget is summed over dimension vectors lazily, so the refusal
     # comes at the first vector over the cap, not after listing 10^27 of them

@@ -9,7 +9,6 @@ from dctkit.errors import DimensionMismatch
 from dctkit.exactlin import (
     Matrix,
     PrimeField,
-    all_subspaces,
     canonical_basis,
     contains,
     hstack,
@@ -27,6 +26,7 @@ from dctkit.exactlin import (
     subspace_sum,
     vstack,
 )
+from scan_oracles import all_subspaces
 
 
 def _random_matrix(field, rows, cols, rng):

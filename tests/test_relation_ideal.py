@@ -1,0 +1,127 @@
+"""The blockwise relation ideal against the dense reduction it replaced.
+
+BoundQuiverAlgebra reduces the relation multiples u*r*w of each (source,
+target) block of paths on its own.  ``scan_oracles.dense_presentation``
+reduces them all over every path at once.  Both must give the same path
+basis, the same normal forms and the same NotAdmissible witness and
+message.
+"""
+
+import json
+import pathlib
+import random
+
+import pytest
+
+from dctkit import NotAdmissible, PrimeField, Quiver, build_algebra
+from scan_oracles import dense_presentation
+from type_a import higher_auslander, higher_auslander_dim
+
+DATA = pathlib.Path(__file__).parent / "data"
+SMALL_TYPE_A = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4), (6, 2)]
+
+
+def _outcome(build, quiver, relations, bound, field):
+    """(path basis, normal forms) or (witness, message) of one presentation."""
+    try:
+        return build(quiver, relations, bound, field)
+    except NotAdmissible as exc:
+        return exc.witness, str(exc)
+
+
+def _library(quiver, relations, bound, field):
+    alg = build_algebra(quiver, relations, bound, field)
+    return alg.path_basis, alg._nf
+
+
+def assert_matches_oracle(quiver, relations, bound, field):
+    got = _outcome(_library, quiver, relations, bound, field)
+    assert got == _outcome(dense_presentation, quiver, relations, bound, field)
+    return got
+
+
+def _fixture(name):
+    doc = json.loads((DATA / name).read_text())
+    q = doc["quiver"]
+    quiver = Quiver(q["vertices"], [(a["name"], a["source"], a["target"]) for a in q["arrows"]])
+    return quiver, doc["relations"], doc["bound"]
+
+
+def _ka_rad2(n):
+    quiver = Quiver([str(i) for i in range(1, n + 1)], [
+        (f"a{i}", str(i), str(i + 1)) for i in range(1, n)
+    ])
+    return quiver, [[(1, [f"a{i}", f"a{i + 1}"])] for i in range(1, n - 1)], 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", ["ka2.json", "ka3rad2.json"])
+def test_fixtures_match_the_dense_reduction(name, p):
+    basis, _ = assert_matches_oracle(*_fixture(name), PrimeField(p))
+    assert len(basis) == {"ka2.json": 3, "ka3rad2.json": 5}[name]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ka_rad2_matches_the_dense_reduction(n):
+    for p in (2, 3):
+        basis, _ = assert_matches_oracle(*_ka_rad2(n), PrimeField(p))
+        assert len(basis) == 2 * n - 1
+
+
+@pytest.mark.parametrize("s, d", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_type_a_matches_the_dense_reduction(s, d):
+    vertices, arrows, relations, bound = higher_auslander(s, d)
+    for p in (2, 3):
+        basis, _ = assert_matches_oracle(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+        assert len(basis) == higher_auslander_dim(s, d)
+
+
+@pytest.mark.parametrize("s, d", SMALL_TYPE_A)
+def test_type_a_dimension_is_the_closed_form(s, d):
+    vertices, arrows, relations, bound = higher_auslander(s, d)
+    alg = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(2))
+    assert alg.dim == higher_auslander_dim(s, d)
+
+
+def _random_presentation(rng):
+    """A small presentation: loops, non-homogeneous relations, bounds that may be too small.
+
+    Three loops at one vertex already give 1093 paths up to the certificate's
+    degree, which the dense oracle crawls through, so one vertex gets two arrows.
+    """
+    vertices = [str(v) for v in range(rng.randint(1, 3))]
+    arrows = [
+        (f"x{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(1, min(3, len(vertices) + 1)))
+    ]
+    words, layer = [], [[a] for a in arrows]
+    for _ in range(3):
+        words += layer
+        layer = [w + [a] for w in layer for a in arrows if a[1] == w[-1][2]]
+    parallel = {}
+    for w in words:
+        if len(w) >= 2:
+            parallel.setdefault((w[0][1], w[-1][2]), []).append([a[0] for a in w])
+    relations = []
+    for _ in range(rng.randint(0, 4) if parallel else 0):
+        terms = parallel[rng.choice(sorted(parallel))]
+        if rng.random() < 0.5:
+            terms = [w for w in terms if len(w) == len(terms[0])]
+        chosen = rng.sample(terms, min(rng.randint(1, 3), len(terms)))
+        relations.append([(rng.choice([-3, -2, -1, 1, 2, 3]), w) for w in chosen])
+    bound = rng.randint(1, 3)
+    if bound > 1 and rng.random() < 0.5:
+        # kill every path of length N, so that the shorter relations shape the normal forms
+        relations += [[(1, [a[0] for a in w])] for w in words if len(w) == bound]
+    return Quiver(vertices, arrows), relations, bound
+
+
+def test_random_presentations_match_the_dense_reduction():
+    refused = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        field = PrimeField(rng.choice([2, 3, 5]))
+        outcome = assert_matches_oracle(*_random_presentation(rng), field)
+        refused += isinstance(outcome[1], str)
+    # both kinds of outcome are exercised
+    assert 40 <= refused <= 200

@@ -1,8 +1,8 @@
-"""p^k scans stay in the two subspace searches that still need them.
+"""p^k scans stay in the one subspace search that still needs them.
 
 ``artheory._scan_space`` budgets a walk over every vector of a space over
-F_p, p^dim of them.  Library code may use it only inside the routines
-listed here, which search subspaces by design; splitting, isomorphism and
+F_p, p^dim of them.  Library code may use it only inside the routine
+listed here, which searches subspaces by design; splitting, isomorphism and
 radicals are linear algebra on End(x) and must not enumerate.
 """
 
@@ -11,7 +11,7 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dctkit"
 SCANNERS = {"_scan_space", "_combination"}
-ALLOWED = {"all_end_submodules", "_largest_admissible_submodule"}
+ALLOWED = {"_largest_admissible_submodule"}
 
 
 def _scanner_uses(tree):
