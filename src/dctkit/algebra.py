@@ -19,16 +19,14 @@ a vertex v the span of residue paths starting at v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import config
 from .errors import CapExceeded, DimensionMismatch, NotAdmissible
 from .exactlin import PrimeField, _reduce_rows
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int
@@ -91,8 +89,7 @@ class Quiver:
         return f"Quiver({list(self.vertices)}; {arrows})"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A directed path, stored as arrow indices in traversal order.
 
     The source vertex is carried explicitly so that length-zero paths
@@ -106,11 +103,11 @@ class Path:
         return quiver.arrows[self.arrows[-1]].target if self.arrows else self.source
 
     def __len__(self):
+        # The path's length, not the record's field count.
         return len(self.arrows)
 
 
-@dataclass(frozen=True)
-class RelationElement:
+class RelationElement(NamedTuple):
     """A linear combination of parallel paths of length at least two."""
 
     terms: Tuple[Tuple[int, Path], ...]

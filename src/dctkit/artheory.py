@@ -14,8 +14,7 @@ post-verified before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import approx, config, dexact, exactlin, homological, repcat
 from .algebra import BoundQuiverAlgebra
@@ -97,8 +96,7 @@ def _dimension_vectors(n: int, bound: int):
 # -- rigidity and the cluster-tilting certificate ----------------------------
 
 
-@dataclass
-class RigidityReport:
+class RigidityReport(NamedTuple):
     """Self-extension table of an additive subcategory in degrees < d."""
 
     d: int
@@ -125,8 +123,7 @@ def is_d_rigid(cat: AddCategory) -> RigidityReport:
     return RigidityReport(cat.d, ok, table)
 
 
-@dataclass
-class ClusterTiltingReport:
+class ClusterTiltingReport(NamedTuple):
     """Certificate comparing an additive subcategory with both orthogonals."""
 
     d: int
@@ -219,8 +216,7 @@ def _pool_translates(cat: AddCategory):
     return pool, nonproj, noninj, translate
 
 
-@dataclass
-class TauEquivalenceReport:
+class TauEquivalenceReport(NamedTuple):
     """Numerical check that the higher translation is an equivalence."""
 
     pairs: List[Dict[str, int]]
@@ -286,8 +282,7 @@ def verify_tau_d_equivalence(cat: AddCategory) -> TauEquivalenceReport:
     return TauEquivalenceReport(pairs, bijection, inverses_ok, stable_rows, stable_ok, ok)
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """One row per compared pair, and whether every row agrees.
 
     verify_defect_formula compares the contravariant defect at X with the
@@ -337,8 +332,7 @@ def verify_ar_duality(cat: AddCategory) -> ComparisonReport:
 # -- determined morphisms ----------------------------------------------------
 
 
-@dataclass
-class DeterminedReport:
+class DeterminedReport(NamedTuple):
     """Outcome of the brute-force determinedness test, with a witness."""
 
     ok: bool
@@ -379,8 +373,7 @@ def is_right_X_determined(g: Morphism, x: Module, universe: Sequence[Module]) ->
     return DeterminedReport(True, None, None)
 
 
-@dataclass
-class DeterminerReport:
+class DeterminerReport(NamedTuple):
     """Confirmation that the canonical objects determine a sequence's end map."""
 
     with_regular_ok: bool

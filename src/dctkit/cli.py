@@ -21,12 +21,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from . import artheory, dexact, homological, repcat, workspace
+from . import repcat, workspace
 from .approx import AddCategory
-from .dexact import DSequence
 from .errors import (
     CapExceeded,
     DctError,
@@ -35,6 +33,11 @@ from .errors import (
 )
 from .repcat import Module, Morphism
 from .workspace import Workspace
+
+# Only the runners that need homological, dexact or artheory import them, so
+# a command loads just the layers it runs.
+if TYPE_CHECKING:
+    from .dexact import DSequence
 
 
 class UsageError(WorkspaceError):
@@ -205,6 +208,11 @@ def emit_dot(ws: Workspace, seq: Optional[DSequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _doc(report) -> dict:
+    """A report record as a JSON object, with the records inside it as objects too."""
+    return {k: _doc(v) if hasattr(v, "_asdict") else v for k, v in report._asdict().items()}
+
+
 def _sequence_doc(ws: Workspace, seq: DSequence) -> dict:
     return {
         "d": seq.d,
@@ -228,7 +236,11 @@ def _sequence_from_args(ws: Workspace, cat: AddCategory, args) -> DSequence:
     if has_map == has_target:
         raise UsageError("give exactly one of --map and --target")
     if has_map:
+        from . import dexact
+
         return dexact.build_left_d_exact(cat, ws.morphism(args.map_name))
+    from . import artheory
+
     return artheory.d_almost_split(cat, ws.module(args.target))
 
 
@@ -257,6 +269,8 @@ def _run_hom(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_ext(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import homological
+
     if args.degree < 0:
         raise UsageError("--degree must be non-negative")
     x, y = ws.module(args.src), ws.module(args.dst)
@@ -265,6 +279,8 @@ def _run_ext(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_resolve(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import homological
+
     if args.length < 0:
         raise UsageError("--length must be non-negative")
     x = ws.module(args.module)
@@ -285,6 +301,8 @@ def _run_resolve(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_tau_d(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import homological
+
     x = ws.module(args.module)
     out = homological.tau_d_minus(x, ws.d) if args.minus else homological.tau_d(x, ws.d)
     return (
@@ -313,6 +331,8 @@ def _run_decompose(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     bound = _dim_bound(ws, args)
     classes = artheory.enumerate_indecomposables(ws.algebra, bound, args.cap)
     return (
@@ -329,18 +349,22 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_d_rigid(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     report = artheory.is_d_rigid(ws.category(args.category))
-    doc = asdict(report)
+    doc = _doc(report)
     doc["category"] = args.category
     return doc, 0
 
 
 def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     cat = ws.category(args.category)
     bound = _dim_bound(ws, args)
     universe = artheory.enumerate_indecomposables(ws.algebra, bound, args.cap)
     report = artheory.is_d_cluster_tilting(cat, universe)
-    doc = asdict(report)
+    doc = _doc(report)
     doc["category"] = args.category
     doc["bound"] = bound
     doc["universe_size"] = len(universe)
@@ -348,6 +372,8 @@ def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_build_d_exact(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import dexact
+
     cat = ws.category(args.category)
     seq = dexact.build_left_d_exact(cat, ws.morphism(args.map_name))
     doc = _sequence_doc(ws, seq)
@@ -357,6 +383,8 @@ def _run_build_d_exact(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_defect(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import dexact
+
     cat = ws.category(args.category)
     seq = _sequence_from_args(ws, cat, args)
     x = ws.module(args.x_name)
@@ -371,22 +399,28 @@ def _run_defect(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_verify_defect_formula(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     cat = ws.category(args.category)
     seq = _sequence_from_args(ws, cat, args)
     report = artheory.verify_defect_formula(seq, cat)
-    doc = asdict(report)
+    doc = _doc(report)
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
 
 
 def _run_verify_ar_duality(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     report = artheory.verify_ar_duality(ws.category(args.category))
-    doc = asdict(report)
+    doc = _doc(report)
     doc["category"] = args.category
     return doc, 0 if report.ok else 1
 
 
 def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     cat = ws.category(args.category)
     x = ws.module(args.x_name)
     n = ws.module(args.target)
@@ -415,6 +449,8 @@ def _run_determined(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_dass(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     cat = ws.category(args.category)
     seq = artheory.d_almost_split(cat, ws.module(args.target))
     doc = _sequence_doc(ws, seq)
@@ -424,6 +460,8 @@ def _run_dass(ws: Workspace, args) -> Tuple[dict, int]:
 
 
 def _run_gldim_end(ws: Workspace, args) -> Tuple[dict, int]:
+    from . import artheory
+
     cat = ws.category(args.category)
     gl = artheory.gldim_end(cat)
     dom = artheory.domdim_end(cat)

@@ -11,7 +11,6 @@ bit-for-bit once the document has been canonicalized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
@@ -21,16 +20,23 @@ from .exactlin import Matrix, PrimeField
 from .repcat import Module, Morphism
 
 
-@dataclass
 class Workspace:
     """Parsed workspace: live objects plus the canonical source document."""
 
-    algebra: BoundQuiverAlgebra
-    d: int
-    modules: Dict[str, Module]
-    categories: Dict[str, AddCategory]
-    morphisms: Dict[str, Morphism]
-    doc: dict
+    def __init__(self, algebra: BoundQuiverAlgebra, d: int, modules: Dict[str, Module],
+                 categories: Dict[str, AddCategory], morphisms: Dict[str, Morphism], doc: dict):
+        self.algebra = algebra
+        self.d = d
+        self.modules = modules
+        self.categories = categories
+        self.morphisms = morphisms
+        self.doc = doc
+
+    def __eq__(self, other):
+        # Field-wise, like the record it is; defining __eq__ leaves it unhashable.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def module(self, name: str) -> Module:
         try:

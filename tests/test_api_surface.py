@@ -2,12 +2,14 @@
 
 A definition counts as used when its name occurs somewhere in ``src/`` or
 ``tests/`` outside its own body: as a plain name or an attribute.  An
-imported name counts in ``src/`` (the re-exports in ``__init__.py``, say)
+imported name counts in ``src/`` (``from .repcat import Module``, say)
 but not in ``tests/``: a test that only imports a function does not use
 it.  Matching is
 by bare name, so the check is coarse, but it is enough to stop dead API
 from piling up again.  A method that overrides one of a base class outside
-the package (``argparse.ArgumentParser.error``, say) is used by that base.
+the package (``argparse.ArgumentParser.error``, say) is used by that base,
+and the PEP 562 hooks ``__getattr__`` and ``__dir__`` of ``__init__.py`` are
+used by Python itself: attribute access and ``dir()`` on the package.
 """
 
 import ast
@@ -16,10 +18,15 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dctkit"
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _parse(paths):
     return {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+
+
+def _module_hook(path, name):
+    return path.name == "__init__.py" and name in MODULE_HOOKS
 
 
 def _overrides(path, cls_name, name):
@@ -32,7 +39,9 @@ def _definitions(trees):
     out = []
     for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _module_hook(
+                path, node.name
+            ):
                 out.append((node.name, path, node.lineno, node.end_lineno))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:

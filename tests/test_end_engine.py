@@ -298,6 +298,30 @@ def test_a_rebased_module_is_isomorphic_to_itself(parts, seed):
         assert scan_isomorphism(x, y) is not None
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    parts=st.sampled_from(
+        [fixture_modules(f, p) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+    ).flatmap(lambda group: st.lists(st.sampled_from(group), min_size=1, max_size=3)),
+    cut=st.sampled_from(["sum", "submodule", "quotient"]),
+    seed=st.integers(0, 2**32),
+)
+def test_hom_from_projectives_and_into_injectives_reads_vertex_dimensions(parts, cut, seed):
+    """dim Hom(P_v, X) = dim X_v = dim Hom(X, I_v) at every vertex v."""
+    rng = random.Random(seed)
+    x = rebased_sum(parts, rng)
+    if cut != "sum":
+        field = x.field
+        spans = [Matrix(field, [[rng.randrange(field.p)] for _ in range(d)], 1) for d in x.dims]
+        sub, incl = repcat.submodule_generated(x, spans)
+        x = sub if cut == "submodule" else repcat.cokernel(incl)[0]
+    algebra = x.algebra
+    x = Module(algebra, x.dims, x.maps)  # the relations hold
+    for v in range(algebra.quiver.n_vertices):
+        into = repcat.hom_dim(x, repcat.injective(algebra, v))
+        assert repcat.hom_dim(repcat.projective(algebra, v), x) == x.dims[v] == into
+
+
 # -- reach ------------------------------------------------------------------
 
 
