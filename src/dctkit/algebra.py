@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import config
 from .errors import CapExceeded, DimensionMismatch, NotAdmissible
-from .exactlin import PrimeField, _reduce_rows
+from .exactlin import PrimeField
 
 
 class Arrow(NamedTuple):
@@ -191,6 +191,11 @@ class BoundQuiverAlgebra:
             (self.path_basis, self._nf) = _internal
         else:
             self.path_basis, self._nf = self._build_basis()
+        self._between, self._from = {}, {}  # basis indices, in path-basis order
+        for i, path in enumerate(self.path_basis):
+            key = (path.source, path.target(quiver))
+            self._between[key] = self._between.get(key, ()) + (i,)
+            self._from[path.source] = self._from.get(path.source, ()) + (i,)
         self._mult: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
 
     # -- construction -------------------------------------------------
@@ -208,9 +213,10 @@ class BoundQuiverAlgebra:
             if path in position:
                 vec[position[path]] = 1
             else:
-                for other, x in zip(blocks[path.source, path.target(quiver)], reduced[path]):
-                    if other in position:
-                        vec[position[other]] = -x % p
+                block = blocks[path.source, path.target(quiver)]
+                for c, x in reduced[path].items():
+                    if block[c] in position:
+                        vec[position[block[c]]] = -x % p
             nf[path] = tuple(vec)
         self._check_admissible()
         return tuple(basis), nf
@@ -225,7 +231,7 @@ class BoundQuiverAlgebra:
         reduced = self._reduce_ideal(full, degree, truncate=False)[1]
         # with fully reduced rows, a path lies in the span exactly when its row is itself
         for path in top:
-            if sum(map(bool, reduced.get(path, ()))) != 1:
+            if len(reduced.get(path, ())) != 1:
                 names = tuple(quiver.arrows[i].name for i in path.arrows)
                 raise NotAdmissible(
                     f"path {'*'.join(names)} of length {n} does not lie in the "
@@ -241,8 +247,11 @@ class BoundQuiverAlgebra:
         blocks share no columns, so the pivots are those of one reduction
         over all paths.  A term longer than max_len is dropped when
         `truncate` (sound once rad^N = 0 is assumed), and otherwise its
-        multiple is skipped.  Returns the paths of each block and, for each
-        pivot path, its reduced row over its block.
+        multiple is skipped.  Each multiple is reduced against the fully
+        reduced pivot rows found so far; as the reduced echelon form is
+        unique, they end as one reduction of the block would leave them.
+        Returns the paths of each block and, for each pivot path, its
+        reduced row over its block as a {column: entry} dict.
         """
         quiver, p = self.quiver, self.field.p
         blocks, column, ending, starting = {}, {}, {}, {}
@@ -252,7 +261,7 @@ class BoundQuiverAlgebra:
             blocks[key].append(path)
             ending.setdefault(key[1], []).append(path)
             starting.setdefault(key[0], []).append(path)
-        rows = {key: [] for key in blocks}
+        pivots = {key: {} for key in blocks}
         for rel in self.relations:
             lengths = [len(t) for _, t in rel.terms]
             room = max_len - (min(lengths) if truncate else max(lengths))
@@ -260,17 +269,33 @@ class BoundQuiverAlgebra:
                 for w in starting.get(rel.target, ()):
                     if len(u) + len(w) > room:
                         break
-                    key = (u.source, w.target(quiver))
-                    vec = [0] * len(blocks[key])
+                    rows = pivots[u.source, w.target(quiver)]
+                    row = {}
                     for coeff, t in rel.terms:
                         word = u.arrows + t.arrows + w.arrows
                         if len(word) <= max_len:
-                            vec[column[Path(u.source, word)]] += coeff
-                    rows[key].append([x % p for x in vec])
+                            c = column[Path(u.source, word)]
+                            row[c] = row.get(c, 0) + coeff
+                    # pivot rows vanish at every other pivot column, so one pass clears them
+                    for c, x in [(c, x) for c, x in row.items() if c in rows]:
+                        for k, y in rows[c].items():
+                            row[k] = row.get(k, 0) - x * y
+                    row = {k: x % p for k, x in row.items() if x % p}
+                    if row:
+                        lead = min(row)
+                        inv = pow(row[lead], p - 2, p)
+                        row = {k: x * inv % p for k, x in row.items()}
+                        for other in rows.values():
+                            x = other.get(lead)
+                            if x:
+                                for k, y in row.items():
+                                    other[k] = (other.get(k, 0) - x * y) % p
+                                for k in [k for k, y in other.items() if not y]:
+                                    del other[k]
+                        rows[lead] = row
         reduced = {}
         for key, block in blocks.items():
-            pivots = _reduce_rows(p, rows[key], len(block))
-            reduced.update(zip([block[c] for c in pivots], rows[key]))
+            reduced.update((block[c], row) for c, row in pivots[key].items())
         return blocks, reduced
 
     # -- basic structure ----------------------------------------------
@@ -282,16 +307,12 @@ class BoundQuiverAlgebra:
     def basis_target(self, i: int) -> int:
         return self.path_basis[i].target(self.quiver)
 
-    def basis_indices_from(self, v: int) -> List[int]:
-        return [i for i, p in enumerate(self.path_basis) if p.source == v]
+    def basis_indices_from(self, v: int) -> Tuple[int, ...]:
+        return self._from.get(v, ())
 
-    def basis_indices_between(self, u: int, v: int) -> List[int]:
+    def basis_indices_between(self, u: int, v: int) -> Tuple[int, ...]:
         """Basis paths from u to v, in path-basis order (as projective() lays them out)."""
-        return [
-            i
-            for i, p in enumerate(self.path_basis)
-            if p.source == u and p.target(self.quiver) == v
-        ]
+        return self._between.get((u, v), ())
 
     def _basis_product(self, i: int, j: int) -> Optional[Tuple[int, ...]]:
         """Coordinates of basis_i * basis_j, or None for zero."""

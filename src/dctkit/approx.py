@@ -107,7 +107,7 @@ def right_approximation(cat: AddCategory, x: Module) -> Morphism:
         for f in repcat.hom_basis(g, x):
             summands.append(g)
             pieces.append(f)
-    return repcat.glue_columns(x, summands, pieces)[1]
+    return repcat.block_map(repcat.sum_module(summands, x.algebra), x, [pieces])
 
 
 def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:
@@ -158,10 +158,8 @@ def minimal_cover(
                     kept.append((j, b))
                     orbit = repcat.hom_composites(z, pieces[j] @ b)
                     span = exactlin.subspace_sum(span, orbit)
-    _, g_min, _, _ = repcat.glue_columns(
-        y, [b.domain for _, b in kept], [pieces[j] @ b for j, b in kept]
-    )
-    return g_min, kept
+    dom = repcat.sum_module([b.domain for _, b in kept], y.algebra)
+    return repcat.block_map(dom, y, [[pieces[j] @ b for j, b in kept]]), kept
 
 
 def right_minimalize(g: Morphism) -> Tuple[Morphism, Morphism]:
@@ -172,9 +170,8 @@ def right_minimalize(g: Morphism) -> Tuple[Morphism, Morphism]:
     parts = repcat.split_summands(g.domain)
     pieces = [g @ inc for _, inc, _ in parts]
     _, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces)
-    _, incl, _, _ = repcat.glue_columns(
-        g.domain, [b.domain for _, b in kept], [parts[j][1] @ b for j, b in kept]
-    )
+    dom = repcat.sum_module([b.domain for _, b in kept], g.domain.algebra)
+    incl = repcat.block_map(dom, g.domain, [[parts[j][1] @ b for j, b in kept]])
     return g @ incl, incl
 
 

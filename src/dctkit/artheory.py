@@ -392,7 +392,7 @@ def right_determiner_check(seq: DSequence, cat: AddCategory) -> DeterminerReport
     g = seq.right_map
     t = homological.tau_d_minus(seq.left_term, cat.d)
     reg, _, _ = repcat.regular(cat.algebra)
-    combined, _, _ = repcat.direct_sum([reg, t])
+    combined = repcat.sum_module([reg, t])
     rep = is_right_X_determined(g, combined, universe)
     if not rep.ok:
         raise VerificationFailed(
@@ -588,7 +588,9 @@ def determined_morphism(
     # (3) spanning set of the preimage plus a projective cover
     gens = [repcat.morphism_from_vec(x, n_h, vec) for vec in pre_flat.columns()]
     x_parts = repcat.split_summands(x)
-    _, paug, _, p_incs, _ = repcat._projective_cover(n_h)
+    _, paug, verts = repcat.projective_cover(n_h)
+    algebra = n_h.algebra
+    _, p_incs, _ = repcat.direct_sum([repcat.projective(algebra, v) for v in verts], algebra)
     summands = [z for _ in gens for z, _, _ in x_parts] + [inc.domain for inc in p_incs]
     pieces = [f @ inc for f in gens for _, inc, _ in x_parts] + [paug @ inc for inc in p_incs]
     gmin, _ = approx.minimal_cover(n_h, summands, pieces)

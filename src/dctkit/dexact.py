@@ -400,7 +400,7 @@ def mapping_cone(src: DSequence, dst: DSequence, phis: Sequence[Morphism]) -> DS
     zero = repcat.zero_module(src.terms[0].algebra)
     src_ext = list(src.terms) + [zero]
     dst_ext = [zero] + list(dst.terms)
-    terms = [repcat.direct_sum([s, t])[0] for s, t in zip(src_ext, dst_ext)]
+    terms = [repcat.sum_module([s, t]) for s, t in zip(src_ext, dst_ext)]
     maps = []
     for i in range(n):
         top = -src.maps[i] if i < n - 1 else Morphism.zero(src_ext[i], zero)

@@ -129,7 +129,9 @@ def syzygy(x: Module, k: int) -> Module:
 
 
 def is_projective(x: Module) -> bool:
-    return resolution(x).syzygy(1).is_zero()
+    """Whether x is its own projective cover: sum_v dim (top x)_v * dim P_v = dim x."""
+    tops = enumerate(repcat._top_reps(x))
+    return sum(len(js) * repcat.projective(x.algebra, v).total_dim for v, js in tops) == x.total_dim
 
 
 def is_injective(x: Module) -> bool:
@@ -240,7 +242,7 @@ def transpose(x: Module) -> Module:
     """
     algebra, opp, res = x.algebra, x.algebra.opposite(), resolution(x)
     dom, cod = (
-        repcat.direct_sum([repcat.projective(opp, v) for v in res.vertices(i)], algebra=opp)[0]
+        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
         for i in (0, 1)
     )
     n = algebra.quiver.n_vertices

@@ -81,11 +81,12 @@ class Module:
         return self.total_dim == 0
 
     def path_action(self, path: Path) -> Matrix:
-        """The matrix of acting by a path, target-space x source-space."""
-        m = Matrix.identity(self.field, self.dims[path.source])
-        for a in path.arrows:
-            m = self.maps[a] @ m
-        return m
+        """The matrix of acting by a path, target-space x source-space; kept on the module."""
+        actions, source, arrows = self._cache.setdefault("paths", {}), path.source, path.arrows
+        if path not in actions:
+            actions[path] = (self.maps[arrows[-1]] @ self.path_action(Path(source, arrows[:-1]))
+                             if arrows else Matrix.identity(self.field, self.dims[source]))
+        return actions[path]
 
     def __repr__(self):
         return f"Module(dims={list(self.dims)})"
@@ -542,23 +543,25 @@ def duality_morphism(f: Morphism) -> Morphism:
     )
 
 
+def sum_module(mods: Sequence[Module], algebra=None) -> Module:
+    """The direct sum of mods as a module: block-diagonal arrow matrices."""
+    if not mods and algebra is None:
+        raise ValueError("empty direct sum needs an explicit algebra")
+    alg = algebra if algebra is not None else mods[0].algebra
+    dims = [sum(m.dims[v] for m in mods) for v in range(alg.quiver.n_vertices)]
+    maps = [exactlin.block_diag(alg.field, [m.maps[i] for m in mods])
+            for i in range(len(alg.quiver.arrows))]
+    return Module(alg, dims, maps, _skip_check=True)
+
+
 def direct_sum(mods: Sequence[Module], algebra=None):
     """Finite direct sum.
 
     Returns:
         (sum module, inclusions, projections), all in the input order.
     """
-    if not mods and algebra is None:
-        raise ValueError("empty direct sum needs an explicit algebra")
-    alg = algebra if algebra is not None else mods[0].algebra
-    field = alg.field
-    quiver = alg.quiver
-    dims = [sum(m.dims[v] for m in mods) for v in range(quiver.n_vertices)]
-    maps = []
-    for a in quiver.arrows:
-        i = quiver.arrow_index(a.name)
-        maps.append(exactlin.block_diag(field, [m.maps[i] for m in mods]))
-    total = Module(alg, dims, maps, _skip_check=True)
+    total = sum_module(mods, algebra)
+    field, quiver, dims = total.field, total.algebra.quiver, total.dims
     incs, projs = [], []
     offsets = [0] * quiver.n_vertices
     for m in mods:
@@ -626,19 +629,28 @@ def radical(x: Module) -> Tuple[Module, Morphism]:
     return _submodule_from_bases(x, _radical_spans(x))
 
 
-def _top_data(x: Module):
-    """Vertexwise complements of the radical with their projections."""
-    reps, projs = [], []
-    for v, span in enumerate(_radical_spans(x)):
-        c, q = exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span)
-        reps.append(c)
-        projs.append(q)
-    return reps, projs
+def _top_reps(x: Module) -> List[List[int]]:
+    """Per vertex, the j with e_j outside the radical plus the earlier e_i.
+
+    These are the columns of quotient(I, radical).reps.  e_j lies inside exactly
+    when a radical vector ends at j: a pivot of the arrow images read right to left.
+    """
+    p, arrows = x.field.p, x.algebra.quiver.arrows
+    reps = []
+    for v, n in enumerate(x.dims):
+        rows = [list(c[::-1]) for i, a in enumerate(arrows) if a.target == v
+                for c in x.maps[i].columns()]
+        ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
+        reps.append([j for j in range(n) if j not in ends])
+    return reps
 
 
 def top(x: Module) -> Tuple[Module, Morphism]:
     """The largest semisimple quotient, with the projection onto it."""
-    reps, projs = _top_data(x)
+    reps, projs = zip(*[
+        exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span)
+        for v, span in enumerate(_radical_spans(x))
+    ])
     field = x.field
     quiver = x.algebra.quiver
     dims = [c.cols for c in reps]
@@ -668,37 +680,23 @@ def projective_cover(x: Module):
         (P, epi, vertices) where P is a direct sum of indecomposable
         projectives, epi: P -> x is the cover, and vertices lists the
         vertex (index) of each summand in order.
+
+    P sums the algebra's projectives P_v, one per top generator e_j at v;
+    the epi sends the basis path q: v -> w of that summand to x.q e_j.
     """
-    return _projective_cover(x)[:3]
-
-
-def _projective_cover(x: Module):
-    """projective_cover, plus the inclusions and projections of its summands."""
-    reps, _ = _top_data(x)
-    quiver = x.algebra.quiver
-    summand_vertices = []
-    summands = []
-    pieces = []
-    for v in range(quiver.n_vertices):
-        for k in range(reps[v].cols):
-            gen = reps[v].col(k)
-            pv = projective(x.algebra, v)
-            comps = []
-            for w in range(quiver.n_vertices):
-                cols = []
-                for i in x.algebra.basis_indices_between(v, w):
-                    path = x.algebra.path_basis[i]
-                    cols.append(x.path_action(path) @ gen)
-                comps.append(
-                    exactlin.hstack(cols, field=x.field, rows=x.dims[w])
-                )
-            summands.append(pv)
-            summand_vertices.append(v)
-            pieces.append(Morphism(pv, x, comps, _skip_check=True))
-    total, epi, incs, projs = glue_columns(x, summands, pieces)
+    algebra = x.algebra
+    gens = [(v, j) for v, reps in enumerate(_top_reps(x)) for j in reps]
+    total = sum_module([projective(algebra, v) for v, _ in gens], algebra)
+    comps = []
+    for w in range(len(x.dims)):
+        cols = [[r[j] for r in x.path_action(algebra.path_basis[i]).entries]
+                for v, j in gens for i in algebra.basis_indices_between(v, w)]
+        comps.append(Matrix(x.field, tuple(zip(*cols)), len(cols), _reduced=True) if cols
+                     else Matrix.zeros(x.field, x.dims[w], 0))
+    epi = Morphism(total, x, comps, _skip_check=True)
     if not epi.is_epi():
         raise InvalidModule("projective cover failed to be surjective")
-    return total, epi, summand_vertices, incs, projs
+    return total, epi, [v for v, _ in gens]
 
 
 def injective_envelope(x: Module) -> Tuple[Module, Morphism]:

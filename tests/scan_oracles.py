@@ -4,16 +4,19 @@ Each scan walks every vector of a space over F_p, p^dim of them, so they
 fit only tiny hom spaces and primes.  The library answers the same
 questions by linear algebra on End(x); the tests compare the two.  The
 flat Ext route solves a hom basis out of every projective of a resolution
-where the library reads Hom(P_v, y) as y e_v.  Maps between direct sums
-were once sums of inc o f o proj, and the transpose was glued from maps
-between opposite projectives; the library stacks blocks and reads Tr off
-the Yoneda matrix of Ext instead.  Tensor products were once vertexwise
-products modulo the arrow relations, and the socle the joint kernel of
-the outgoing arrows; the library reads both through the duality D.  A
-bound quiver algebra was once built by one dense reduction of every
-relation multiple over every path; the library reduces each (source,
-target) block of paths on its own.  The subspace walks that list every
-End(x)-submodule of a hom space have no caller in the library.
+where the library reads Hom(P_v, y) as y e_v.  A projective cover was
+once glued from one morphism per top generator; the library lays the
+cached projectives side by side and reads the epi off the path actions.
+Maps between direct sums were once sums of inc o f o proj, and the
+transpose was glued from maps between opposite projectives; the library
+stacks blocks and reads Tr off the Yoneda matrix of Ext instead.  Tensor
+products were once vertexwise products modulo the arrow relations, and
+the socle the joint kernel of the outgoing arrows; the library reads both
+through the duality D.  A bound quiver algebra was once built by one
+dense reduction of every relation multiple over every path; the library
+reduces each (source, target) block of paths on its own.  The subspace
+walks that list every End(x)-submodule of a hom space have no caller in
+the library.
 """
 
 import itertools
@@ -175,6 +178,35 @@ def summed_block_map(dom_sum, cod_sum, grid):
         for proj, f in zip(projs, row):
             out = out + inc @ f @ proj
     return out
+
+
+def top_quotient_reps(x):
+    """Per vertex, the complement of the radical that quotient(I, radical) picks."""
+    return [
+        exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span).reps
+        for v, span in enumerate(repcat._radical_spans(x))
+    ]
+
+
+def glued_projective_cover(x):
+    """The projective cover glued from one Morphism P_v -> x per top generator.
+
+    Returns (P, epi, vertices, inclusions, projections), P a direct_sum.
+    """
+    algebra = x.algebra
+    verts, summands, pieces = [], [], []
+    for v, reps in enumerate(top_quotient_reps(x)):
+        for k in range(reps.cols):
+            comps = []
+            for w in range(algebra.quiver.n_vertices):
+                cols = [x.path_action(algebra.path_basis[i]) @ reps.col(k)
+                        for i in algebra.basis_indices_between(v, w)]
+                comps.append(exactlin.hstack(cols, field=x.field, rows=x.dims[w]))
+            verts.append(v)
+            summands.append(repcat.projective(algebra, v))
+            pieces.append(Morphism(summands[-1], x, comps))
+    total, epi, incs, projs = repcat.glue_columns(x, summands, pieces)
+    return total, epi, verts, incs, projs
 
 
 def proj_hom(algebra, u, v, xvec):

@@ -20,11 +20,13 @@ from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, 
 from dctkit.repcat import Morphism
 from scan_oracles import (
     combinations,
+    glued_projective_cover,
     pairwise_rad,
     scan_idempotent,
     scan_isomorphism,
     scan_rad_between,
     split_rule_is_radical,
+    top_quotient_reps,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -298,16 +300,14 @@ def test_a_rebased_module_is_isomorphic_to_itself(parts, seed):
         assert scan_isomorphism(x, y) is not None
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    parts=st.sampled_from(
-        [fixture_modules(f, p) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
-    ).flatmap(lambda group: st.lists(st.sampled_from(group), min_size=1, max_size=3)),
-    cut=st.sampled_from(["sum", "submodule", "quotient"]),
-    seed=st.integers(0, 2**32),
-)
-def test_hom_from_projectives_and_into_injectives_reads_vertex_dimensions(parts, cut, seed):
-    """dim Hom(P_v, X) = dim X_v = dim Hom(X, I_v) at every vertex v."""
+fixture_parts = st.sampled_from(
+    [fixture_modules(f, p) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+).flatmap(lambda group: st.lists(st.sampled_from(group), min_size=1, max_size=3))
+cuts = st.sampled_from(["sum", "submodule", "quotient"])
+
+
+def random_module(parts, cut, seed):
+    """A rebased sum of parts, or a random cyclic submodule of it, or the quotient by one."""
     rng = random.Random(seed)
     x = rebased_sum(parts, rng)
     if cut != "sum":
@@ -315,11 +315,31 @@ def test_hom_from_projectives_and_into_injectives_reads_vertex_dimensions(parts,
         spans = [Matrix(field, [[rng.randrange(field.p)] for _ in range(d)], 1) for d in x.dims]
         sub, incl = repcat.submodule_generated(x, spans)
         x = sub if cut == "submodule" else repcat.cokernel(incl)[0]
+    return Module(x.algebra, x.dims, x.maps)  # the relations hold
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=fixture_parts, cut=cuts, seed=st.integers(0, 2**32))
+def test_hom_from_projectives_and_into_injectives_reads_vertex_dimensions(parts, cut, seed):
+    """dim Hom(P_v, X) = dim X_v = dim Hom(X, I_v) at every vertex v."""
+    x = random_module(parts, cut, seed)
     algebra = x.algebra
-    x = Module(algebra, x.dims, x.maps)  # the relations hold
     for v in range(algebra.quiver.n_vertices):
         into = repcat.hom_dim(x, repcat.injective(algebra, v))
         assert repcat.hom_dim(repcat.projective(algebra, v), x) == x.dims[v] == into
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=fixture_parts, cut=cuts, seed=st.integers(0, 2**32))
+def test_projective_cover_equals_the_glued_cover(parts, cut, seed):
+    x = random_module(parts, cut, seed)
+    for v, (js, reps) in enumerate(zip(repcat._top_reps(x), top_quotient_reps(x))):
+        assert reps == exactlin._select_columns(Matrix.identity(x.field, x.dims[v]), js)
+    cover, epi, verts = repcat.projective_cover(x)
+    glued, glued_epi, glued_verts, _, _ = glued_projective_cover(x)
+    assert verts == glued_verts
+    assert (cover.dims, cover.maps) == (glued.dims, glued.maps)
+    assert epi.comps == glued_epi.comps
 
 
 # -- reach ------------------------------------------------------------------

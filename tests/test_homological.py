@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctkit import CapExceeded, DimensionMismatch, Matrix, Module, PrimeField, Quiver
-from dctkit import build_algebra, config, exactlin, homological
+from dctkit import approx, build_algebra, config, exactlin, homological
 from dctkit import ext_dim, gldim, pd, repcat, tau_d, tau_d_minus, workspace
 from dctkit.artheory import enumerate_indecomposables
 from dctkit.homological import (
@@ -291,6 +291,41 @@ def test_tensor_map_matches_the_ambient_oracle(group, picks):
     for h in (f, g, g @ f):
         assert exactlin.rank(tensor_map(m, h)) == exactlin.rank(ambient_tensor_map(m, h))
     assert tensor_map(m, g @ f) == tensor_map(m, g) @ tensor_map(m, f)
+
+
+@pytest.mark.parametrize("name, p", [
+    (name, p) for name in ("ka2", "ka3rad2", "ka3", "ka4", "ka5", "ka6") for p in (2, 3)
+])
+def test_projectivity_by_counting_matches_the_resolution(name, p):
+    """x is projective exactly when its first syzygy is zero, and injective when D x is."""
+    mods = ext_group(name, p)
+    for x in mods + tuple(enumerate_indecomposables(mods[0].algebra, 2)):
+        assert is_projective(x) == resolution(x).syzygy(1).is_zero(), x
+        assert is_injective(x) == resolution(duality(x)).syzygy(1).is_zero(), x
+
+
+def test_resolutions_and_minimal_covers_need_no_direct_sum(monkeypatch):
+    """Covers, Ext, Tr, tau_d and minimal_cover build their sums without structure maps."""
+
+    def answers(ws):
+        mods = [ws.modules[k] for k in sorted(ws.modules)]
+        out = []
+        for x in mods:
+            out.append([ext_dim(x, y, i) for y in mods for i in range(3)])
+            out.append((transpose(x).dims, tau_d(x, 2).dims))
+            pairs = [(z, b) for z in mods for b in hom_basis(z, x)]
+            g, _ = approx.minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs])
+            out.append((g.domain.dims, g.comps))
+        return out
+
+    before, after = (workspace.load(str(DATA / "ka3rad2.json"), 2) for _ in range(2))
+    expected = answers(before)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct_sum was called")
+
+    monkeypatch.setattr(repcat, "direct_sum", refuse)
+    assert answers(after) == expected
 
 
 @pytest.mark.parametrize("name, p", EXT_GROUPS)

@@ -310,12 +310,12 @@ def test_projectives_are_built_once_per_algebra(flag, flag_mods):
         assert projective(flag, v) is projective(flag, v)
         assert projective(flag, flag.quiver.vertices[v]) is projective(flag, v)
     assert flag_mods["P1"] is projective(flag, 0)
-    # a cover with two summands at vertex 1 uses the one projective twice
+    # a cover with two summands at vertex 1 is the sum of the one projective twice
     total, _, _ = direct_sum([flag_mods["S1"], flag_mods["S1"], flag_mods["S2"]])
-    _, _, verts, incs, _ = repcat._projective_cover(total)
+    cover, _, verts = projective_cover(total)
     assert verts == [0, 0, 1]
-    assert incs[0].domain is incs[1].domain is projective(flag, 0)
-    assert incs[2].domain is projective(flag, 1)
+    glued = repcat.sum_module([projective(flag, 0)] * 2 + [projective(flag, 1)])
+    assert (cover.dims, cover.maps) == (glued.dims, glued.maps)
 
 
 @functools.lru_cache(maxsize=None)
