@@ -25,9 +25,9 @@ class AddCategory:
     """The additive closure of a finite list of modules, with a size d.
 
     The additive generator M, the direct sum of the generators, is built
-    once and keeps its inclusions and projections; each generator is split
-    into indecomposables once, so the summands of M are known and never
-    have to be rediscovered by splitting M itself.
+    once as a plain sum module; each generator is split into
+    indecomposables once, so the summands of M are known and never have
+    to be rediscovered by splitting M itself.
     """
 
     def __init__(self, generators: Sequence[Module], d: int):
@@ -41,13 +41,13 @@ class AddCategory:
             if g.algebra is not self.algebra:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
-        self._sum = repcat.direct_sum(list(self.generators), algebra=self.algebra)
+        self._sum = repcat.sum_module(self.generators, self.algebra)
         self._cache: Dict[str, object] = {}
         self._dual: Optional[AddCategory] = None
 
     def additive_generator(self) -> Module:
         """The direct sum of the generators: the same module on every call."""
-        return self._sum[0]
+        return self._sum
 
     def dual(self) -> "AddCategory":
         """The closure of the dual generators over the opposite algebra, built once."""
@@ -61,22 +61,12 @@ class AddCategory:
             self._cache[name] = compute()
         return self._cache[name]
 
-    def _generator_parts(self) -> List[Tuple[Module, Morphism, Morphism]]:
-        """Indecomposable summands of M with their inclusions into and projections from M."""
-
-        def compute():
-            _, incs, projs = self._sum
-            return [
-                (z, incs[i] @ inc, proj @ projs[i])
-                for i, g in enumerate(self.generators)
-                for z, inc, proj in repcat.split_summands(g)
-            ]
-
-        return self._cached("parts", compute)
-
     def _summand_pool(self) -> List[Module]:
+        """One indecomposable summand of M per isomorphism class, in generator order."""
+
         def compute():
-            return repcat.iso_classes([z for z, _, _ in self._generator_parts()])[0]
+            parts = [z for g in self.generators for z, _, _ in repcat.split_summands(g)]
+            return repcat.iso_classes(parts)[0]
 
         return self._cached("pool", compute)
 

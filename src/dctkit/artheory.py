@@ -1,14 +1,14 @@
 """Cluster-tilting certificates, the higher translation, and almost-split data.
 
-Everything here runs over a finite, explicitly enumerated universe of
-indecomposables.  The certifier compares an additive subcategory against
-both orthogonality conditions by brute force; the verification routines
-re-check the structural identities (translation equivalence, defect
-formula, duality of dimensions) numerically, with exact arithmetic and
-zero tolerance.  Determined morphisms are produced by an eight-step
-construction that mirrors the abstract existence argument but replaces
-each existence quantifier with a finite search, and every output is
-post-verified before it is returned.
+The certifier compares an additive subcategory with both orthogonality
+conditions over an enumerated universe of indecomposables; the
+verification routines re-check the structural identities with exact
+arithmetic and zero tolerance.  Almost-split maps and gldim End(M) cover
+rad(-, Z) by the summands of M and resolve by minimal right
+approximations of kernels, as `dexact.build_left_d_exact` does.
+Determined morphisms follow the eight steps of the existence argument;
+only the largest admissible submodule still scans, under the scan cap.
+Every output is post-verified before it is returned.
 """
 
 from __future__ import annotations
@@ -391,8 +391,7 @@ def right_determiner_check(seq: DSequence, cat: AddCategory) -> DeterminerReport
     universe = cat._summand_pool()
     g = seq.right_map
     t = homological.tau_d_minus(seq.left_term, cat.d)
-    reg, _, _ = repcat.regular(cat.algebra)
-    combined = repcat.sum_module([reg, t])
+    combined = repcat.sum_module([repcat.regular(cat.algebra), t])
     rep = is_right_X_determined(g, combined, universe)
     if not rep.ok:
         raise VerificationFailed(
@@ -529,7 +528,7 @@ def _defect_cover_map(seq: DSequence, target: Module) -> Morphism:
     """Minimal cover of the covariant defect at the target, as a single map.
 
     Lifts a basis of (defect modulo its radical part) to maps out of the
-    left term; gluing them gives a map into a multiple of the target
+    left term; stacked, they give a map into a multiple of the target
     whose induced transformation covers the defect functor minimally.
     """
     left = seq.left_term
@@ -550,8 +549,8 @@ def _defect_cover_map(seq: DSequence, target: Module) -> Morphism:
         repcat.morphism_from_vec(left, target, vec)
         for vec in (dc.reps @ gen_classes).columns()
     ]
-    _, hmap, _, _ = repcat.glue_rows(left, [target] * len(mors), mors)
-    return hmap
+    cod = repcat.sum_module([target] * len(mors), left.algebra)
+    return repcat.block_map(left, cod, [[f] for f in mors])
 
 
 def determined_morphism(
@@ -624,32 +623,32 @@ def determined_morphism(
 # -- almost-split data -------------------------------------------------------
 
 
-def _minimal_cover(cat: AddCategory, y: Module, flat: Matrix) -> Morphism:
-    """Right-minimal version of the map M^k -> y glued from k flat columns.
+def _radical_cover(cat: AddCategory, n: Module) -> Morphism:
+    """Minimal cover of rad(-, n) on add M, from the radical maps out of the pool.
 
-    M^k is never built: each column is composed with the kept summands of M.
+    rad is an ideal and every pool member is a summand of M, so the maps
+    in rad_hom_basis(z, n), z in the pool, span rad(-, n) on add M.
     """
-    m = cat.additive_generator()
-    parts = cat._generator_parts()
-    mors = [repcat.morphism_from_vec(m, y, vec) for vec in flat.columns()]
-    summands = [z for _ in mors for z, _, _ in parts]
-    pieces = [f @ inc for f in mors for _, inc, _ in parts]
-    g, _ = approx.minimal_cover(y, summands, pieces)
+    pieces = [
+        (z, repcat.morphism_from_vec(z, n, vec))
+        for z in cat._summand_pool()
+        for vec in repcat.rad_hom_basis(z, n).columns()
+    ]
+    g, _ = approx.minimal_cover(n, [z for z, _ in pieces], [f for _, f in pieces])
     return g
 
 
 def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
     """The minimal right almost split map onto an indecomposable member.
 
-    Assembled from a basis of the radical maps out of the additive
-    generator, then right-minimalized.  The almost-split property is
-    verified exhaustively over the pool before returning.
+    The minimal cover of rad(-, n) by the pool members.  The almost-split
+    property is verified exhaustively over the pool before returning.
     """
     if not repcat.is_indecomposable(n):
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n):
         raise InvalidModule("the target must lie in the subcategory")
-    g = _minimal_cover(cat, n, repcat.rad_hom_basis(cat.additive_generator(), n))
+    g = _radical_cover(cat, n)
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
     for vi, v in enumerate(cat._summand_pool()):
@@ -713,21 +712,21 @@ def d_almost_split(cat: AddCategory, n: Module) -> DSequence:
 def _functor_pd(cat: AddCategory, nj: Module) -> int:
     """Projective dimension of the simple functor attached to a pool member.
 
-    Walks the tower: cover the radical maps into nj minimally, then
-    repeatedly cover the kernel of postcomposition (evaluated at the
-    additive generator) until it vanishes, for at most RESOLUTION_CAP steps.
+    Resolves it on add M: cover rad(-, nj) minimally, then, since
+    Hom(M, -) is left exact, cover each kernel by its minimal right
+    approximation (the step `dexact.build_left_d_exact` takes) until the
+    approximation is zero, for at most RESOLUTION_CAP steps.
     """
-    m = cat.additive_generator()
-    rad_flat = repcat.rad_hom_basis(m, nj)
-    if rad_flat.cols == 0:
+    r = _radical_cover(cat, nj)
+    if r.domain.is_zero():
         return 0
-    r = _minimal_cover(cat, nj, rad_flat)
     limit = config.RESOLUTION_CAP
     for k in range(limit):
-        ker = exactlin.kernel_basis(repcat.hom_composites(m, r))
-        if ker.cols == 0:
+        ker, incl = repcat.kernel(r)
+        cover = approx.minimal_right_approximation(cat, ker)
+        if cover.domain.is_zero():
             return k + 1
-        r = _minimal_cover(cat, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker)
+        r = incl @ cover
     raise CapExceeded.over(
         "gldim_end", nj.dims, f"a functor resolution longer than {limit}", limit,
         "config.RESOLUTION_CAP",
@@ -738,7 +737,7 @@ def gldim_end(cat: AddCategory) -> int:
     """Global dimension of the endomorphism algebra of the additive generator.
 
     Computed as the maximum projective dimension of the simple functors,
-    one per pool member, via towers of minimal covers.
+    one per pool member, via their minimal add M-resolutions.
     """
     return max(_functor_pd(cat, nj) for nj in cat._summand_pool())
 

@@ -511,11 +511,9 @@ def injective(algebra: BoundQuiverAlgebra, v) -> Module:
     return duality(projective(algebra.opposite(), v))
 
 
-def regular(algebra: BoundQuiverAlgebra):
-    """The algebra as a right module over itself, with its projective summands."""
-    return direct_sum(
-        [projective(algebra, v) for v in range(algebra.quiver.n_vertices)]
-    )
+def regular(algebra: BoundQuiverAlgebra) -> Module:
+    """The algebra as a right module over itself: the sum of its projectives."""
+    return sum_module([projective(algebra, v) for v in range(algebra.quiver.n_vertices)])
 
 
 def duality(x: Module) -> Module:
@@ -592,18 +590,6 @@ def block_map(dom: Module, cod: Module, grid: Sequence[Sequence[Morphism]]) -> M
         else:  # dom is a sum of nothing
             comps.append(Matrix.zeros(dom.field, cod.dims[v], 0))
     return Morphism(dom, cod, comps, _skip_check=True)
-
-
-def glue_columns(cod: Module, summands: Sequence[Module], pieces: Sequence[Morphism]):
-    """Assemble (sum of summands) -> cod from one morphism per summand."""
-    total, incs, projs = direct_sum(list(summands), algebra=cod.algebra)
-    return total, block_map(total, cod, [pieces]), incs, projs
-
-
-def glue_rows(dom: Module, summands: Sequence[Module], pieces: Sequence[Morphism]):
-    """Assemble dom -> (sum of summands) from one morphism per summand."""
-    total, incs, projs = direct_sum(list(summands), algebra=dom.algebra)
-    return total, block_map(dom, total, [[piece] for piece in pieces]), incs, projs
 
 
 # -- radical series, covers, envelopes -----------------------------------
@@ -930,7 +916,8 @@ def split_summands(x: Module) -> List[Tuple[Module, Morphism, Morphism]]:
         return [(x, Morphism.identity(x), Morphism.identity(x))]
     a, inc_a = image(e)
     b, inc_b = kernel(e)
-    total, theta, _, projs = glue_columns(x, [a, b], [inc_a, inc_b])
+    total, _, projs = direct_sum([a, b], x.algebra)
+    theta = block_map(total, x, [[inc_a, inc_b]])
     theta_inv = theta.inverse()
     out = []
     for piece, proj in ((a, projs[0]), (b, projs[1])):

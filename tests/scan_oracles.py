@@ -16,12 +16,15 @@ through the duality D.  A bound quiver algebra was once built by one
 dense reduction of every relation multiple over every path; the library
 reduces each (source, target) block of paths on its own.  The subspace
 walks that list every End(x)-submodule of a hom space have no caller in
-the library.
+the library.  gldim End(M) was once a tower of minimal covers glued from
+(flat column of Hom(M, y)) x (summand of M) pieces; the library covers
+rad(-, Z) by the pool members and resolves by minimal right
+add M-approximations of kernels instead.
 """
 
 import itertools
 
-from dctkit import exactlin, homological, repcat
+from dctkit import approx, config, exactlin, homological, repcat
 from dctkit.algebra import Path, _enumerate_paths, _parse_relations
 from dctkit.artheory import EndSubmodule
 from dctkit.errors import DimensionMismatch, InvalidSubmodule, NotAdmissible
@@ -205,8 +208,8 @@ def glued_projective_cover(x):
             verts.append(v)
             summands.append(repcat.projective(algebra, v))
             pieces.append(Morphism(summands[-1], x, comps))
-    total, epi, incs, projs = repcat.glue_columns(x, summands, pieces)
-    return total, epi, verts, incs, projs
+    total, incs, projs = repcat.direct_sum(summands, algebra)
+    return total, repcat.block_map(total, x, [pieces]), verts, incs, projs
 
 
 def proj_hom(algebra, u, v, xvec):
@@ -444,3 +447,45 @@ def all_end_submodules(x, n):
         except InvalidSubmodule:
             continue
     return out
+
+
+def generator_parts(cat):
+    """M = the direct sum of the generators, and its indecomposable summands with inclusions."""
+    m, incs, _ = repcat.direct_sum(list(cat.generators), cat.algebra)
+    parts = [
+        (z, incs[i] @ inc)
+        for i, g in enumerate(cat.generators)
+        for z, inc, _ in repcat.split_summands(g)
+    ]
+    return m, parts
+
+
+def flat_minimal_cover(m, parts, y, flat):
+    """Right-minimal version of the map M^k -> y glued from k flat columns of Hom(M, y).
+
+    M^k is never built: each column is composed with every summand of M.
+    """
+    mors = [repcat.morphism_from_vec(m, y, vec) for vec in flat.columns()]
+    summands = [z for _ in mors for z, _ in parts]
+    pieces = [f @ inc for f in mors for _, inc in parts]
+    return approx.minimal_cover(y, summands, pieces)[0]
+
+
+def tower_functor_pd(m, parts, nj):
+    """pd of the simple functor at nj: cover rad(M, nj), then each kernel of Hom(M, r)."""
+    rad_flat = repcat.rad_hom_basis(m, nj)
+    if rad_flat.cols == 0:
+        return 0
+    r = flat_minimal_cover(m, parts, nj, rad_flat)
+    for k in range(config.RESOLUTION_CAP):
+        ker = exactlin.kernel_basis(repcat.hom_composites(m, r))
+        if ker.cols == 0:
+            return k + 1
+        r = flat_minimal_cover(m, parts, r.domain, repcat.hom_space_matrix(m, r.domain) @ ker)
+    raise AssertionError("the functor tower did not stop by config.RESOLUTION_CAP")
+
+
+def tower_gldim_end(cat):
+    """gldim End(M) as the largest pd of a simple functor, by functor towers over M."""
+    m, parts = generator_parts(cat)
+    return max(tower_functor_pd(m, parts, nj) for nj in cat._summand_pool())

@@ -17,7 +17,7 @@ from dctkit.approx import (
 )
 from dctkit.artheory import d_almost_split, gldim_end, right_almost_split
 from dctkit.homological import is_projective
-from dctkit.repcat import Morphism, are_isomorphic, direct_sum, hom_dim, rad_hom_basis
+from dctkit.repcat import Morphism, are_isomorphic, block_map, direct_sum, hom_dim, rad_hom_basis
 from scan_oracles import pairwise_rad, scan_rad_between, scan_right_minimalize
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -68,16 +68,15 @@ def test_minimalize_strips_zero_summands(flag_cat, flag_mods, flag):
     s1, p1 = flag_mods["S1"], flag_mods["P1"]
     q = repcat.hom_basis(p1, s1)[0]
     # pad the cover with an irrelevant summand
-    total, out, _, _ = repcat.glue_columns(
-        s1, [p1, flag_mods["P2"]], [q, Morphism.zero(flag_mods["P2"], s1)]
-    )
+    total, _, _ = direct_sum([p1, flag_mods["P2"]])
+    out = block_map(total, s1, [[q, Morphism.zero(flag_mods["P2"], s1)]])
     gmin, incl = right_minimalize(out)
     assert is_right_minimal(gmin)
     assert are_isomorphic(gmin.domain, p1)
     # the inclusion splits the domain back into the padded sum
     assert (out @ incl).comps == gmin.comps
     # a second copy of the same piece is redundant too
-    _, twice, _, _ = repcat.glue_columns(s1, [p1, p1], [q, q])
+    twice = block_map(direct_sum([p1, p1])[0], s1, [[q, q]])
     gmin, incl = right_minimalize(twice)
     assert is_right_minimal(gmin)
     assert are_isomorphic(gmin.domain, p1)
@@ -174,7 +173,7 @@ def test_minimal_cover_matches_the_scan_oracle(fixture, p):
         if is_projective(n):
             continue
         mors = [repcat.morphism_from_vec(m, n, v) for v in rad_hom_basis(m, n).columns()]
-        _, glued, _, _ = repcat.glue_columns(n, [m] * len(mors), mors)
+        glued = block_map(direct_sum([m] * len(mors), cat.algebra)[0], n, [mors])
         _same_minimal_map(right_almost_split(cat, n), scan_right_minimalize(glued))
     for name in sorted(ws.modules):
         x = ws.module(name)
@@ -187,7 +186,7 @@ def test_minimal_cover_drops_radical_composites(f2):
     loop = build_algebra(Quiver(["1"], [("a", "1", "1")]), [[(1, ["a", "a"])]], 2, f2)
     p = repcat.projective(loop, 0)
     x = Morphism(p, p, [p.maps[0]])
-    _, g, _, _ = repcat.glue_columns(p, [p, p], [x, Morphism.identity(p)])
+    g = block_map(direct_sum([p, p])[0], p, [[x, Morphism.identity(p)]])
     gmin, _ = right_minimalize(g)
     assert gmin.domain.dims == p.dims
     assert not is_right_minimal(g) and is_right_minimal(gmin)
@@ -202,7 +201,7 @@ def test_minimal_cover_uses_whole_endomorphism_orbits(f2):
     z = Module(kronecker, [2, 2], [Matrix.identity(f2, 2), c])
     assert repcat.is_indecomposable(z) and hom_dim(z, z) == 2
     w = Morphism(z, z, [c, c])
-    _, g, _, _ = repcat.glue_columns(z, [z, z], [Morphism.identity(z), w])
+    g = block_map(direct_sum([z, z])[0], z, [[Morphism.identity(z), w]])
     gmin, _ = right_minimalize(g)
     assert gmin.domain.dims == z.dims
     assert not is_right_minimal(g) and is_right_minimal(gmin)

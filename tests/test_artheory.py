@@ -247,7 +247,7 @@ def test_zero_map_is_not_determined_by_the_end_simple(flag, flag_cat, flag_mods)
     # the witness is a map that the empty image cannot absorb
     assert not w.is_zero()
     # the same zero map IS determined by a big enough object
-    reg, _, _ = repcat.regular(flag)
+    reg = repcat.regular(flag)
     t = homological.tau_d_minus(repcat.zero_module(flag), 2)
     assert is_right_X_determined(z, reg, pool).ok
 

@@ -1,0 +1,95 @@
+"""gldim End(M) against the functor tower over M that it replaced.
+
+`artheory.gldim_end` covers rad(-, Z) by the pool members and resolves by
+minimal right add M-approximations of kernels.  `scan_oracles.tower_gldim_end`
+keeps the old route: each step composes every flat column of Hom(M, y) with
+every summand of M.  Both must agree on the fixtures, on KA_n/rad^2 with
+M = proj + inj, on the tau_d^- orbit categories of the higher Auslander
+algebras A_s^(d) and on those categories with one summand dropped.
+"""
+
+import pathlib
+
+import pytest
+
+from dctkit import AddCategory, PrimeField, Quiver, build_algebra
+from dctkit import homological, repcat, workspace
+from dctkit.artheory import d_almost_split, gldim_end, is_d_rigid, right_almost_split
+from scan_oracles import tower_gldim_end
+from type_a import higher_auslander, ka_rad2
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def orbit_pool(algebra, d):
+    """The indecomposables tau_d^-k P, one per isomorphism class, in orbit order."""
+    pool = []
+    todo = [repcat.projective(algebra, v) for v in range(algebra.quiver.n_vertices)]
+    while todo:
+        x = todo.pop(0)
+        if x.is_zero() or any(repcat.are_isomorphic(x, y) for y in pool):
+            continue
+        pool.append(x)
+        todo += [z for z, _ in repcat.decompose(homological.tau_d_minus(x, d))]
+    return pool
+
+
+def build(presentation, p):
+    vertices, arrows, relations, bound = presentation
+    return build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_fixtures_match_the_tower(fixture, p):
+    cat = workspace.load(str(DATA / fixture), p).category("M")
+    assert gldim_end(cat) == tower_gldim_end(cat) == {"ka2.json": 2, "ka3rad2.json": 3}[fixture]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("p", [2, 3])
+def test_ka_rad2_proj_inj_matches_the_tower(n, p):
+    # proj + inj is d-rigid for every d < n and (n-1)-cluster-tilting, so the
+    # higher Auslander certificate (d-rigid, gldim End <= d + 1) holds only at d = n - 1
+    algebra = build(ka_rad2(n), p)
+    gens = [f(algebra, v) for f in (repcat.projective, repcat.injective) for v in range(n)]
+    for d in range(1, n + 1):
+        cat = AddCategory(gens, d)
+        gldim = gldim_end(cat)
+        assert gldim == tower_gldim_end(cat) == n
+        rigid = is_d_rigid(cat).ok
+        assert rigid == (d < n)
+        assert (rigid and gldim <= d + 1) == (d == n - 1)
+
+
+@pytest.mark.parametrize("s, d", [(3, 2), (2, 3), (3, 3), (4, 2)])
+def test_orbit_categories_match_the_tower(s, d):
+    algebra = build(higher_auslander(s, d), 2)
+    pool = orbit_pool(algebra, d)
+    cat = AddCategory(pool, d)
+    assert gldim_end(cat) == tower_gldim_end(cat) == d + 1
+    # dropping a summand that is neither projective nor injective keeps M a
+    # generator-cogenerator but leaves it short of cluster tilting
+    middle = [
+        i for i, x in enumerate(pool)
+        if not homological.is_projective(x) and not homological.is_injective(x)
+    ]
+    assert bool(middle) == (s > 2)
+    for i in middle:
+        dropped = AddCategory(pool[:i] + pool[i + 1:], d)
+        assert dropped.is_generating_cogenerating()
+        assert gldim_end(dropped) == tower_gldim_end(dropped) == 2 * d + 1
+
+
+def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeypatch):
+    def refuse(self):
+        raise AssertionError("additive_generator was called")
+
+    monkeypatch.setattr(AddCategory, "additive_generator", refuse)
+    m = flag_mods
+    cat = AddCategory([m["P1"], m["P2"], m["S3"], m["S1"]], 2)
+    assert gldim_end(cat) == 3
+    assert list(right_almost_split(cat, m["S1"]).domain.dims) == [1, 1, 0]
+    assert [list(t.dims) for t in d_almost_split(cat, m["S1"]).terms] == [
+        [0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]
+    ]

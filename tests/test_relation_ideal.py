@@ -15,7 +15,7 @@ import pytest
 
 from dctkit import NotAdmissible, PrimeField, Quiver, build_algebra
 from scan_oracles import dense_presentation
-from type_a import higher_auslander, higher_auslander_dim
+from type_a import higher_auslander, higher_auslander_dim, ka_rad2
 
 DATA = pathlib.Path(__file__).parent / "data"
 SMALL_TYPE_A = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4), (6, 2)]
@@ -48,10 +48,8 @@ def _fixture(name):
 
 
 def _ka_rad2(n):
-    quiver = Quiver([str(i) for i in range(1, n + 1)], [
-        (f"a{i}", str(i), str(i + 1)) for i in range(1, n)
-    ])
-    return quiver, [[(1, [f"a{i}", f"a{i + 1}"])] for i in range(1, n - 1)], 2
+    vertices, arrows, relations, bound = ka_rad2(n)
+    return Quiver(vertices, arrows), relations, bound
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -19,8 +19,6 @@ from dctkit.repcat import (
     direct_sum,
     duality,
     find_isomorphism,
-    glue_columns,
-    glue_rows,
     hom_basis,
     hom_dim,
     hom_image,
@@ -132,14 +130,16 @@ def test_direct_sum_and_glue_round_trip(ka2_mods, f2):
     for i in range(2):
         assert (projs[i] @ incs[i]).is_mono() and (projs[i] @ incs[i]).is_epi()
     assert (projs[0] @ incs[1]).is_zero()
-    # glue_rows: one source, a leg into each summand
+    # a column of blocks: one source, a leg into each summand
     q = repcat.hom_basis(P1, S1)[0]
     ident = Morphism.identity(S1)
-    tot, out, _, _ = glue_rows(S1, [S1, P1], [ident, Morphism.zero(S1, P1)])
+    tot, _, _ = direct_sum([S1, P1])
+    out = block_map(S1, tot, [[ident], [Morphism.zero(S1, P1)]])
     assert out.domain is S1 and out.codomain is tot
     assert out.is_mono()
-    # glue_columns: one target, a leg out of each summand
-    tot2, into, _, _ = glue_columns(S1, [P1, S1], [q, ident])
+    # a row of blocks: one target, a leg out of each summand
+    tot2, _, _ = direct_sum([P1, S1])
+    into = block_map(tot2, S1, [[q, ident]])
     assert into.codomain is S1
     assert into.is_epi()
 

@@ -6,7 +6,7 @@ arrow t -> t + e_i whenever t + e_i is non-decreasing.  For i < j the two
 paths t -> t + e_i + e_j commute when both exist; when only one exists,
 it is zero.  Every path has length at most d(s - 1), so the nilpotency
 bound is d(s - 1) + 1.  (s, d) = (2, 2) is the flagship KA_3/rad^2 and
-d = 1 gives KA_s.  Nothing here imports dctkit.
+d = 1 gives KA_s.  KA_n/rad^2 is here too.  Nothing here imports dctkit.
 """
 
 from itertools import combinations_with_replacement
@@ -48,6 +48,13 @@ def higher_auslander(s, d):
                 relations.append([(sign, w) for sign, w in zip((1, -1), words)])
     relations = [rel for rel in relations if rel]
     return [_label(t) for t in vertices], arrows, relations, d * (s - 1) + 1
+
+
+def ka_rad2(n):
+    """(vertices, arrows, relations, bound) of KA_n/rad^2: the line 1 -> ... -> n, composites zero."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    relations = [[(1, [f"a{i}", f"a{i + 1}"])] for i in range(1, n - 1)]
+    return [str(i) for i in range(1, n + 1)], arrows, relations, 2
 
 
 def higher_auslander_dim(s, d):
