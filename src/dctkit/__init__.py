@@ -101,54 +101,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AddCategory",
-    "BoundQuiverAlgebra",
-    "CapExceeded",
-    "DSequence",
-    "DctError",
-    "DimensionMismatch",
-    "EndSubmodule",
-    "InvalidModule",
-    "InvalidMorphism",
-    "InvalidSubmodule",
-    "Matrix",
-    "Module",
-    "Morphism",
-    "NotAdmissible",
-    "PrimeField",
-    "Quiver",
-    "VerificationFailed",
-    "WorkspaceError",
-    "build_algebra",
-    "build_left_d_exact",
-    "d_almost_split",
-    "d_pullback_complete",
-    "d_pushout_complete",
-    "decompose",
-    "defect_contravariant",
-    "defect_covariant",
-    "determined_morphism",
-    "domdim_end",
-    "enumerate_indecomposables",
-    "ext_dim",
-    "gldim",
-    "gldim_end",
-    "hom_dim",
-    "is_contractible",
-    "is_d_cluster_tilting",
-    "is_d_exact",
-    "is_d_rigid",
-    "is_right_X_determined",
-    "minimal_left_approximation",
-    "minimal_right_approximation",
-    "pd",
-    "right_almost_split",
-    "right_determiner_check",
-    "tau_d",
-    "tau_d_minus",
-    "verify_ar_duality",
-    "verify_defect_formula",
-    "verify_tau_d_equivalence",
-    "__version__",
-]
+__all__ = sorted(_HOME) + ["__version__"]

@@ -8,12 +8,14 @@ that are independent modulo the radical and the orbits kept before.  This
 is linear algebra only; no endomorphism of a glued sum is ever searched.
 The radical rad(x, y) and the sorting of indecomposables into isomorphism
 classes live in repcat (`rad_hom_basis`, `iso_classes`).  Left-sided
-notions go through the vector-space duality.
+notions go through the vector-space duality.  `add_resolution` is the one
+loop that covers kernels by minimal right approximations; d-exact
+completions and gldim End(M) both read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import exactlin, repcat
 from .errors import DimensionMismatch
@@ -178,6 +180,19 @@ def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
     pairs = [(z, b) for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
     g, _ = minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs])
     return g
+
+
+def add_resolution(cat: AddCategory, g: Morphism) -> Iterator[Morphism]:
+    """The add M-resolution of g, lazily: g, then incl @ (its minimal right approximation).
+
+    After each map r comes the kernel inclusion of r composed with the
+    minimal right approximation of that kernel.  The maps go on forever
+    once one is out of zero: the caller decides where to stop.
+    """
+    while True:
+        yield g
+        k, incl = repcat.kernel(g)
+        g = incl @ minimal_right_approximation(cat, k)
 
 
 def minimal_left_approximation(cat: AddCategory, x: Module) -> Morphism:

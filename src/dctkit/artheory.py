@@ -4,8 +4,9 @@ The certifier compares an additive subcategory with both orthogonality
 conditions over an enumerated universe of indecomposables; the
 verification routines re-check the structural identities with exact
 arithmetic and zero tolerance.  Almost-split maps and gldim End(M) cover
-rad(-, Z) by the summands of M and resolve by minimal right
-approximations of kernels, as `dexact.build_left_d_exact` does.
+rad(-, Z) by the summands of M; the d-almost-split sequence and the
+resolutions of the simple functors are then read off one add M-resolution,
+`approx.add_resolution`.
 Determined morphisms follow the eight steps of the existence argument;
 only the largest admissible submodule still scans, under the scan cap.
 Every output is post-verified before it is returned.
@@ -14,6 +15,7 @@ Every output is post-verified before it is returned.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import approx, config, dexact, exactlin, homological, repcat
@@ -71,10 +73,8 @@ def enumerate_indecomposables(
                     data[k // c][k % c] = rem % field.p
                     rem //= field.p
                 maps.append(Matrix(field, data, c))
-            if not repcat.relations_hold(algebra, list(dims), maps):
-                continue
             m = Module(algebra, list(dims), maps, _skip_check=True)
-            if repcat.is_indecomposable(m):
+            if repcat.relations_hold(m) and repcat.is_indecomposable(m):
                 found.append(m)
     return repcat.iso_classes(found)[0]
 
@@ -623,19 +623,21 @@ def determined_morphism(
 # -- almost-split data -------------------------------------------------------
 
 
-def _radical_cover(cat: AddCategory, n: Module) -> Morphism:
-    """Minimal cover of rad(-, n) on add M, from the radical maps out of the pool.
+def _radical_cover(cat: AddCategory, n: Module) -> Tuple[Morphism, List[Matrix]]:
+    """Minimal cover of rad(-, n) on add M, with rad_hom_basis(z, n) for each pool member z.
 
     rad is an ideal and every pool member is a summand of M, so the maps
     in rad_hom_basis(z, n), z in the pool, span rad(-, n) on add M.
     """
+    pool = cat._summand_pool()
+    rads = [repcat.rad_hom_basis(z, n) for z in pool]
     pieces = [
         (z, repcat.morphism_from_vec(z, n, vec))
-        for z in cat._summand_pool()
-        for vec in repcat.rad_hom_basis(z, n).columns()
+        for z, rad in zip(pool, rads)
+        for vec in rad.columns()
     ]
     g, _ = approx.minimal_cover(n, [z for z, _ in pieces], [f for _, f in pieces])
-    return g
+    return g, rads
 
 
 def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
@@ -648,11 +650,10 @@ def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n):
         raise InvalidModule("the target must lie in the subcategory")
-    g = _radical_cover(cat, n)
+    g, rads = _radical_cover(cat, n)
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
-    for vi, v in enumerate(cat._summand_pool()):
-        needed = repcat.rad_hom_basis(v, n)
+    for vi, (v, needed) in enumerate(zip(cat._summand_pool(), rads)):
         if not exactlin.subspace_leq(needed, repcat.hom_image(v, g)):
             raise VerificationFailed(
                 f"a non-retraction from pool index {vi} does not factor"
@@ -713,20 +714,16 @@ def _functor_pd(cat: AddCategory, nj: Module) -> int:
     """Projective dimension of the simple functor attached to a pool member.
 
     Resolves it on add M: cover rad(-, nj) minimally, then, since
-    Hom(M, -) is left exact, cover each kernel by its minimal right
-    approximation (the step `dexact.build_left_d_exact` takes) until the
-    approximation is zero, for at most RESOLUTION_CAP steps.
+    Hom(M, -) is left exact, take the add M-resolution of that cover
+    (`approx.add_resolution`, as `dexact.build_left_d_exact` does).  The
+    dimension is the number of maps before the first one out of zero, at
+    most RESOLUTION_CAP.
     """
-    r = _radical_cover(cat, nj)
-    if r.domain.is_zero():
-        return 0
     limit = config.RESOLUTION_CAP
-    for k in range(limit):
-        ker, incl = repcat.kernel(r)
-        cover = approx.minimal_right_approximation(cat, ker)
-        if cover.domain.is_zero():
-            return k + 1
-        r = incl @ cover
+    maps = islice(approx.add_resolution(cat, _radical_cover(cat, nj)[0]), limit + 1)
+    for k, r in enumerate(maps):
+        if r.domain.is_zero():
+            return k
     raise CapExceeded.over(
         "gldim_end", nj.dims, f"a functor resolution longer than {limit}", limit,
         "config.RESOLUTION_CAP",

@@ -274,7 +274,7 @@ def _run_ext(ws: Workspace, args) -> Tuple[dict, int]:
     if args.degree < 0:
         raise UsageError("--degree must be non-negative")
     x, y = ws.module(args.src), ws.module(args.dst)
-    dim = repcat.hom_dim(x, y) if args.degree == 0 else homological.ext_dim(x, y, args.degree)
+    dim = homological.ext_dim(x, y, args.degree)
     return {"from": args.src, "to": args.dst, "degree": args.degree, "dim": dim}, 0
 
 

@@ -11,7 +11,9 @@ degrees, so the returned homotopy is canonical.  Pullbacks of a sequence
 tail along a map into its end are built as a staircase of classical
 pullbacks interleaved with right approximations; the defining property —
 the mapping cone of the resulting morphism of complexes is left d-exact —
-is what the tests check.
+is what the tests check.  The left d-exact completion of a map g is the
+first d maps of its add M-resolution (`approx.add_resolution`), closed by
+the kernel of the last one.
 
 Every right-hand construction is its left-hand twin under the duality D,
 which is strictly involutive: the right test is the left test on the dual
@@ -21,10 +23,11 @@ the dual sequence.  Dualizing back returns the very modules started from.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from . import exactlin, homological, repcat
-from .approx import AddCategory, minimal_right_approximation
+from .approx import AddCategory, add_resolution, minimal_right_approximation
 from .errors import DimensionMismatch, InvalidMorphism, VerificationFailed
 from .exactlin import Matrix
 from .repcat import Module, Morphism
@@ -445,22 +448,12 @@ def long_exact_extension_ok(seq: DSequence, x: Module) -> bool:
 
 
 def build_left_d_exact(cat: AddCategory, g: Morphism) -> DSequence:
-    """Resolve the kernel of g by minimal right approximations, d-1 times.
+    """The first d maps of the add M-resolution of g, then the last kernel.
 
-    Starting from g: C -> N, each step takes the kernel of the last map
-    and covers it by a minimal right approximation; the final
-    kernel is kept as the left term, giving d+2 terms in total.
+    Starting from g: C -> N, `add_resolution` covers the kernel of each
+    map by a minimal right approximation; the kernel of the d-th map is
+    kept as the left term, giving d+2 terms in total.
     """
-    maps_rev: List[Morphism] = [g]
-    terms_rev: List[Module] = [g.codomain, g.domain]
-    cur = g
-    for _ in range(cat.d - 1):
-        k, incl = repcat.kernel(cur)
-        approx = minimal_right_approximation(cat, k)
-        cur = incl @ approx
-        maps_rev.append(cur)
-        terms_rev.append(cur.domain)
-    k, incl = repcat.kernel(cur)
-    maps_rev.append(incl)
-    terms_rev.append(k)
-    return DSequence(list(reversed(terms_rev)), list(reversed(maps_rev)))
+    maps = list(islice(add_resolution(cat, g), cat.d))
+    maps = [repcat.kernel(maps[-1])[1]] + maps[::-1]
+    return DSequence([f.domain for f in maps] + [g.codomain], maps)

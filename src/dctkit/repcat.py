@@ -65,9 +65,9 @@ class Module:
                     f"matrix for arrow {a.name} has shape {m.rows}x{m.cols}, "
                     f"expected {self.dims[a.target]}x{self.dims[a.source]}"
                 )
-        if not _skip_check and not relations_hold(algebra, self.dims, self.maps):
-            raise InvalidModule("a relation does not vanish on this representation")
         self._cache: Dict = {}
+        if not _skip_check and not relations_hold(self):
+            raise InvalidModule("a relation does not vanish on this representation")
 
     @property
     def field(self):
@@ -92,15 +92,12 @@ class Module:
         return f"Module(dims={list(self.dims)})"
 
 
-def relations_hold(algebra: BoundQuiverAlgebra, dims, maps) -> bool:
-    dims = tuple(dims)
-    for rel in algebra.relations:
-        total = Matrix.zeros(algebra.field, dims[rel.target], dims[rel.source])
+def relations_hold(x: Module) -> bool:
+    """Whether every relation acts on x as zero: the sum of its terms' path actions."""
+    for rel in x.algebra.relations:
+        total = Matrix.zeros(x.field, x.dims[rel.target], x.dims[rel.source])
         for coeff, path in rel.terms:
-            m = Matrix.identity(algebra.field, dims[path.source])
-            for a in path.arrows:
-                m = maps[a] @ m
-            total = total + m.scale(coeff)
+            total = total + x.path_action(path).scale(coeff)
         if not total.is_zero():
             return False
     return True
@@ -126,8 +123,7 @@ class Morphism:
             if (c.rows, c.cols) != (codomain.dims[v], domain.dims[v]):
                 raise InvalidMorphism(f"component at vertex {v} has wrong shape")
         if not _skip_check:
-            for a in domain.algebra.quiver.arrows:
-                i = domain.algebra.quiver.arrow_index(a.name)
+            for i, a in enumerate(domain.algebra.quiver.arrows):
                 lhs = self.comps[a.target] @ domain.maps[i]
                 rhs = codomain.maps[i] @ self.comps[a.source]
                 if lhs != rhs:
@@ -202,15 +198,6 @@ class Morphism:
 
     def is_iso(self) -> bool:
         return all(exactlin.is_invertible(c) for c in self.comps)
-
-    def inverse(self) -> "Morphism":
-        comps = []
-        for c in self.comps:
-            inv = exactlin.inverse(c)
-            if inv is None:
-                raise InvalidMorphism("morphism is not invertible")
-            comps.append(inv)
-        return Morphism(self.codomain, self.domain, comps, _skip_check=True)
 
     def __eq__(self, other):
         return (
@@ -396,8 +383,7 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
         projs.append(q)
         comps.append(c.cols)
     maps = []
-    for a in y.algebra.quiver.arrows:
-        i = y.algebra.quiver.arrow_index(a.name)
+    for i, a in enumerate(y.algebra.quiver.arrows):
         maps.append(projs[a.target] @ y.maps[i] @ secs[a.source])
     coker = Module(y.algebra, comps, maps, _skip_check=True)
     proj = Morphism(y, coker, projs, _skip_check=True)
@@ -407,8 +393,7 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
 def _submodule_from_bases(x: Module, bases: Sequence[Matrix]) -> Tuple[Module, Morphism]:
     """Wrap arrow-invariant vertex subspaces as a module with inclusion."""
     maps = []
-    for a in x.algebra.quiver.arrows:
-        i = x.algebra.quiver.arrow_index(a.name)
+    for i, a in enumerate(x.algebra.quiver.arrows):
         rhs = x.maps[i] @ bases[a.source]
         sol = exactlin.solve(bases[a.target], rhs)
         if sol is None:
@@ -436,8 +421,7 @@ def submodule_generated(x: Module, spans: Sequence[Matrix]) -> Tuple[Module, Mor
     cur = [exactlin.canonical_basis(s) for s in spans]
     while True:
         changed = False
-        for a in x.algebra.quiver.arrows:
-            i = x.algebra.quiver.arrow_index(a.name)
+        for i, a in enumerate(x.algebra.quiver.arrows):
             pushed = x.maps[i] @ cur[a.source]
             if pushed.cols and not exactlin.contains(cur[a.target], pushed):
                 cur[a.target] = exactlin.subspace_sum(cur[a.target], pushed)
@@ -487,11 +471,11 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
     dims = [len(b) for b in by_vertex]
     field = algebra.field
     maps = []
-    for a in quiver.arrows:
+    for ai, a in enumerate(quiver.arrows):
         m = [[0] * dims[a.source] for _ in range(dims[a.target])]
         for k, i in enumerate(by_vertex[a.source]):
             path = algebra.path_basis[i]
-            word = path.arrows + (quiver.arrow_index(a.name),)
+            word = path.arrows + (ai,)
             if len(word) >= algebra.bound:
                 continue
             vec = algebra._nf[Path(path.source, word)]
@@ -632,25 +616,8 @@ def _top_reps(x: Module) -> List[List[int]]:
 
 
 def top(x: Module) -> Tuple[Module, Morphism]:
-    """The largest semisimple quotient, with the projection onto it."""
-    reps, projs = zip(*[
-        exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span)
-        for v, span in enumerate(_radical_spans(x))
-    ])
-    field = x.field
-    quiver = x.algebra.quiver
-    dims = [c.cols for c in reps]
-    maps = []
-    for a in quiver.arrows:
-        maps.append(Matrix.zeros(field, dims[a.target], dims[a.source]))
-    t = Module(x.algebra, dims, maps, _skip_check=True)
-    proj = Morphism(x, t, projs, _skip_check=True)
-    # arrows land in the radical, so the projection really is a morphism
-    for a in quiver.arrows:
-        i = quiver.arrow_index(a.name)
-        if not (projs[a.target] @ x.maps[i]).is_zero():
-            raise InvalidModule("radical complement leaked through an arrow")
-    return t, proj
+    """The largest semisimple quotient x / rad x, with the projection onto it."""
+    return cokernel(radical(x)[1])
 
 
 def socle(x: Module) -> Tuple[Module, Morphism]:
@@ -914,16 +881,13 @@ def split_summands(x: Module) -> List[Tuple[Module, Morphism, Morphism]]:
     e = nontrivial_idempotent(x)
     if e is None:
         return [(x, Morphism.identity(x), Morphism.identity(x))]
-    a, inc_a = image(e)
-    b, inc_b = kernel(e)
-    total, _, projs = direct_sum([a, b], x.algebra)
-    theta = block_map(total, x, [[inc_a, inc_b]])
-    theta_inv = theta.inverse()
+    # x = Im e + Ker e, and e, 1 - e are the projections onto them: corestrict each
     out = []
-    for piece, proj in ((a, projs[0]), (b, projs[1])):
-        back = proj @ theta_inv
+    for (piece, inc), f in zip((image(e), kernel(e)), (e, Morphism.identity(x) - e)):
+        comps = [exactlin.solve(i, c) for i, c in zip(inc.comps, f.comps)]
+        back = Morphism(x, piece, comps, _skip_check=True)
         for z, inc_z, proj_z in split_summands(piece):
-            out.append((z, (inc_a if piece is a else inc_b) @ inc_z, proj_z @ back))
+            out.append((z, inc @ inc_z, proj_z @ back))
     return out
 
 

@@ -279,9 +279,7 @@ def serialize(ws: Workspace, relations) -> dict:
             "dims": {quiver.vertices[v]: int(m.dims[v]) for v in range(quiver.n_vertices)},
             "maps": {},
         }
-        for a in quiver.arrows:
-            i = quiver.arrow_index(a.name)
-            mat = m.maps[i]
+        for a, mat in zip(quiver.arrows, m.maps):
             if mat.rows * mat.cols > 0:
                 entry["maps"][a.name] = _matrix_to_doc(mat)
         doc["modules"][name] = entry

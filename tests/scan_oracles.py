@@ -183,12 +183,17 @@ def summed_block_map(dom_sum, cod_sum, grid):
     return out
 
 
-def top_quotient_reps(x):
-    """Per vertex, the complement of the radical that quotient(I, radical) picks."""
+def top_quotients(x):
+    """Per vertex, quotient(I, radical span): the top as a space modulo an image."""
     return [
-        exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span).reps
+        exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span)
         for v, span in enumerate(repcat._radical_spans(x))
     ]
+
+
+def top_quotient_reps(x):
+    """Per vertex, the complement of the radical that quotient(I, radical) picks."""
+    return [q.reps for q in top_quotients(x)]
 
 
 def glued_projective_cover(x):

@@ -27,6 +27,7 @@ from scan_oracles import (
     scan_rad_between,
     split_rule_is_radical,
     top_quotient_reps,
+    top_quotients,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -161,6 +162,9 @@ def test_splitting_and_isomorphism_match_the_scan_oracles(fixture, p):
         for _, inc, proj in parts:
             total = total + inc @ proj
         assert total == Morphism.identity(x)
+        for (i, (zi, _, proj)), (j, (zj, inc, _)) in itertools.product(enumerate(parts), repeat=2):
+            expected = Morphism.identity(zi) if i == j else Morphism.zero(zj, zi)
+            assert (proj @ inc).comps == expected.comps
     by_dims = {}
     for x in cases:
         by_dims.setdefault((id(x.algebra), x.dims), []).append(x)
@@ -175,6 +179,20 @@ def test_splitting_and_isomorphism_match_the_scan_oracles(fixture, p):
                 assert exactlin.subspace_eq(
                     repcat.rad_hom_basis(x, y), scan_rad_between(x, y)
                 )
+
+
+@pytest.mark.parametrize("fixture", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_projects_as_the_quotient_by_the_radical_spans(fixture, p):
+    rng = random.Random(5 * p)
+    mods = fixture_modules(fixture, p)
+    for pair in itertools.combinations_with_replacement(mods, 2):
+        x = rebased_sum(pair, rng)
+        t, proj = repcat.top(x)
+        quotients = top_quotients(x)
+        assert list(proj.comps) == [q.proj for q in quotients]
+        assert list(t.dims) == [q.dim for q in quotients]
+        assert all(m.is_zero() for m in t.maps)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -9,11 +9,13 @@ algebras A_s^(d) and on those categories with one summand dropped.
 """
 
 import pathlib
+from itertools import islice
 
 import pytest
 
 from dctkit import AddCategory, PrimeField, Quiver, build_algebra
 from dctkit import homological, repcat, workspace
+from dctkit.approx import add_resolution
 from dctkit.artheory import d_almost_split, gldim_end, is_d_rigid, right_almost_split
 from scan_oracles import tower_gldim_end
 from type_a import higher_auslander, ka_rad2
@@ -93,3 +95,47 @@ def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeyp
     assert [list(t.dims) for t in d_almost_split(cat, m["S1"]).terms] == [
         [0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]
     ]
+
+
+def _ka_rad2_category(n, p):
+    """KA_n/rad^2 with M = proj + inj, which is (n-1)-cluster-tilting."""
+    algebra = build(ka_rad2(n), p)
+    gens = [f(algebra, v) for f in (repcat.projective, repcat.injective) for v in range(n)]
+    return AddCategory(gens, n - 1)
+
+
+def _flagship_and_ka_rad2():
+    yield workspace.load(str(DATA / "ka3rad2.json"), 2).category("M")
+    for n in (3, 4, 5):
+        yield _ka_rad2_category(n, 2)
+
+
+def test_right_almost_split_computes_each_radical_basis_once(monkeypatch):
+    # every End is k on these categories, so rad(n, n) = 0 and the minimal
+    # cover never asks for a radical basis into n itself
+    calls = []
+    original = repcat.rad_hom_basis
+
+    def counting(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(repcat, "rad_hom_basis", counting)
+    for cat in _flagship_and_ka_rad2():
+        pool = cat._summand_pool()
+        for n in pool:
+            calls.clear()
+            right_almost_split(cat, n)
+            into_n = [x for x, y in calls if y is n]
+            assert sorted(map(id, into_n)) == sorted(map(id, pool)), n
+
+
+def test_the_d_almost_split_sequence_ends_in_the_add_resolution():
+    for cat in _flagship_and_ka_rad2():
+        for n in cat._summand_pool():
+            if homological.is_projective(n):
+                continue
+            seq = d_almost_split(cat, n)
+            tail = list(seq.maps[::-1][: cat.d])
+            resolution = islice(add_resolution(cat, right_almost_split(cat, n)), cat.d)
+            assert [f.comps for f in tail] == [r.comps for r in resolution], n
