@@ -91,24 +91,6 @@ class AddCategory:
         return self._cached("gen_cogen", compute)
 
 
-def right_approximation(cat: AddCategory, x: Module) -> Morphism:
-    """A (not necessarily minimal) right approximation: all hom bases glued."""
-    summands: List[Module] = []
-    pieces: List[Morphism] = []
-    for g in cat.generators:
-        for f in repcat.hom_basis(g, x):
-            summands.append(g)
-            pieces.append(f)
-    return repcat.block_map(repcat.sum_module(summands, x.algebra), x, [pieces])
-
-
-def is_right_approximation(cat: AddCategory, g: Morphism) -> bool:
-    for gen in cat.generators:
-        if repcat.hom_image(gen, g).cols != repcat.hom_dim(gen, g.codomain):
-            return False
-    return True
-
-
 # -- minimal versions ------------------------------------------------------
 
 

@@ -411,26 +411,6 @@ def right_determiner_check(seq: DSequence, cat: AddCategory) -> DeterminerReport
     return DeterminerReport(True, epi, translate_only)
 
 
-def factorization_check(seq: DSequence, x: Module) -> Tuple[bool, bool]:
-    """Two factorization statements that must agree for a d-exact sequence.
-
-    Returns (every map from the left term to x extends along the first
-    map, every map from the inverse translate of x to the right term
-    lifts along the last map) and raises when the two disagree.
-    """
-    f = seq.left_map
-    g = seq.right_map
-    first = repcat.hom_coimage(f, x).cols == repcat.hom_dim(seq.left_term, x)
-    t = homological.tau_d_minus(x, seq.d)
-    second = repcat.hom_image(t, g).cols == repcat.hom_dim(t, seq.right_term)
-    if first != second:
-        raise VerificationFailed(
-            f"factorization statements disagree: through-first={first}, "
-            f"through-last={second}"
-        )
-    return first, second
-
-
 class EndSubmodule:
     """A subspace of Hom(x, n) closed under precomposing with End(x).
 

@@ -309,16 +309,6 @@ def _rref_lists(m: Matrix):
     return a, _reduce_rows(m.field.p, a, m.cols)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns:
-        (reduced Matrix, pivot column indices as a tuple, rank).
-    """
-    a, pivots = _rref_lists(m)
-    return Matrix(m.field, tuple(map(tuple, a)), m.cols, _reduced=True), tuple(pivots), len(pivots)
-
-
 def rank(m: Matrix) -> int:
     if not (m.rows and m.cols):
         return 0
@@ -364,15 +354,6 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     for i, c in enumerate(pivots):
         x[c] = tuple(a[i][n:])
     return Matrix(m.field, tuple(x), k, _reduced=True)
-
-
-def inverse(m: Matrix) -> Optional[Matrix]:
-    if not m.is_square():
-        return None
-    x = solve(m, Matrix.identity(m.field, m.rows))
-    if x is None or x @ m != Matrix.identity(m.field, m.rows):
-        return None
-    return x
 
 
 def is_invertible(m: Matrix) -> bool:

@@ -1,4 +1,4 @@
-"""Resolutions, Ext and Tor, the transpose, and higher translates.
+"""Resolutions, Ext, the transpose, and higher translates.
 
 Everything is computed from minimal projective resolutions, built step by
 step from projective covers, cached on the module, and stopped at their
@@ -7,9 +7,7 @@ elements.  Hom out of a projective needs no hom basis: by Yoneda a map
 P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext is cocycles
 modulo coboundaries in those coordinates.  The transpose Tr x is the
 cokernel of Hom(d_1, A), the same matrix in the Yoneda coordinates of Ext
-read at every projective P_w of A at once.  Tensor products and Tor need
-no coordinates of their own: by adjunction D(m (x) n) = Hom(n, D m) and
-D Tor_i(m, n) = Ext^i(n, D m), with D the duality.
+read at every projective P_w of A at once.
 """
 
 from __future__ import annotations
@@ -284,33 +282,3 @@ def injectively_stable_dim(x: Module, y: Module) -> int:
     D x it needs stays cached on the dual of x.
     """
     return projectively_stable_dim(repcat.duality(y), repcat.duality(x))
-
-
-# -- tensor products and Tor ----------------------------------------------
-
-
-def tensor_dim(m: Module, n: Module) -> int:
-    """dim m (x) n, for n over the opposite algebra: D(m (x) n) = Hom(n, D m)."""
-    return repcat.hom_dim(n, repcat.duality(m))
-
-
-def tensor_map(m: Module, f: Morphism) -> Matrix:
-    """Matrix of id_m (x) f, the transpose of Hom(f, D m) on hom bases.
-
-    The coordinates of m (x) n are dual to hom_basis(n, D m).
-    """
-    dm = repcat.duality(m)
-    hom_f = exactlin.solve(
-        repcat.hom_space_matrix(f.domain, dm), repcat.hom_composites(f, dm)
-    )
-    return hom_f.transpose()
-
-
-def tor_dim(m: Module, n: Module, i: int) -> int:
-    """Tor_i(m, n) for n over the opposite algebra (i >= 0).
-
-    D Tor_i(m, n) = Ext^i(n, D m), so both have one dimension.
-    """
-    if i < 0:
-        raise ValueError("negative Tor degree")
-    return ext_dim(n, repcat.duality(m), i)

@@ -576,27 +576,7 @@ def block_map(dom: Module, cod: Module, grid: Sequence[Sequence[Morphism]]) -> M
     return Morphism(dom, cod, comps, _skip_check=True)
 
 
-# -- radical series, covers, envelopes -----------------------------------
-
-
-def _radical_spans(x: Module) -> List[Matrix]:
-    """Per vertex, the canonical basis of the span of all incoming arrow images."""
-    arrows = x.algebra.quiver.arrows
-    return [
-        exactlin.canonical_basis(
-            exactlin.hstack(
-                [x.maps[i] for i, a in enumerate(arrows) if a.target == v],
-                field=x.field,
-                rows=x.dims[v],
-            )
-        )
-        for v in range(len(x.dims))
-    ]
-
-
-def radical(x: Module) -> Tuple[Module, Morphism]:
-    """The radical x . rad(algebra): span of all arrow images."""
-    return _submodule_from_bases(x, _radical_spans(x))
+# -- tops, covers, envelopes ---------------------------------------------
 
 
 def _top_reps(x: Module) -> List[List[int]]:
@@ -613,17 +593,6 @@ def _top_reps(x: Module) -> List[List[int]]:
         ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
         reps.append([j for j in range(n) if j not in ends])
     return reps
-
-
-def top(x: Module) -> Tuple[Module, Morphism]:
-    """The largest semisimple quotient x / rad x, with the projection onto it."""
-    return cokernel(radical(x)[1])
-
-
-def socle(x: Module) -> Tuple[Module, Morphism]:
-    """The largest semisimple submodule, the dual of the top of D x."""
-    incl = duality_morphism(top(duality(x))[1])
-    return incl.domain, incl
 
 
 def projective_cover(x: Module):

@@ -20,14 +20,32 @@ the library.  gldim End(M) was once a tower of minimal covers glued from
 (flat column of Hom(M, y)) x (summand of M) pieces; the library covers
 rad(-, Z) by the pool members and resolves by minimal right
 add M-approximations of kernels instead.
+
+The last section keeps the reference routines that only tests call, so
+the library is what `dct` and `dctkit.__all__` reach: `rref`; the
+radical, top and socle of a module (`radical_spans`, `radical`, `top`,
+`socle`); `tensor_map`, the matrix of id (x) f read through
+D(m (x) n) = Hom(n, D m) (the tensor and Tor dimensions are
+`hom_dim(n, D m)` and `ext_dim(n, D m, i)`); the non-minimal
+`right_approximation` and `is_right_approximation`; `solve_homotopy`,
+`null_homotopy`, `identity_chain` and `contraction`; the classical
+`pushout`; `mapping_cone`; `long_exact_extension_ok`, the Hom-Ext
+bookkeeping of a sequence; and `factorization_check`, the two
+factorization statements of a d-exact sequence.
 """
 
 import itertools
 
-from dctkit import approx, config, exactlin, homological, repcat
+from dctkit import approx, config, dexact, exactlin, homological, repcat
 from dctkit.algebra import Path, _enumerate_paths, _parse_relations
 from dctkit.artheory import EndSubmodule
-from dctkit.errors import DimensionMismatch, InvalidSubmodule, NotAdmissible
+from dctkit.errors import (
+    DimensionMismatch,
+    InvalidMorphism,
+    InvalidSubmodule,
+    NotAdmissible,
+    VerificationFailed,
+)
 from dctkit.exactlin import Matrix
 from dctkit.repcat import Morphism
 
@@ -187,7 +205,7 @@ def top_quotients(x):
     """Per vertex, quotient(I, radical span): the top as a space modulo an image."""
     return [
         exactlin.quotient(Matrix.identity(x.field, x.dims[v]), span)
-        for v, span in enumerate(repcat._radical_spans(x))
+        for v, span in enumerate(radical_spans(x))
     ]
 
 
@@ -494,3 +512,195 @@ def tower_gldim_end(cat):
     """gldim End(M) as the largest pd of a simple functor, by functor towers over M."""
     m, parts = generator_parts(cat)
     return max(tower_functor_pd(m, parts, nj) for nj in cat._summand_pool())
+
+
+# -- references the library does not carry ----------------------------------
+
+
+def rref(m):
+    """Reduced row echelon form: (reduced Matrix, pivot columns as a tuple, rank)."""
+    a, pivots = exactlin._rref_lists(m)
+    return Matrix(m.field, a, m.cols), tuple(pivots), len(pivots)
+
+
+def radical_spans(x):
+    """Per vertex, the canonical basis of the span of all incoming arrow images."""
+    arrows = x.algebra.quiver.arrows
+    return [
+        exactlin.canonical_basis(exactlin.hstack(
+            [x.maps[i] for i, a in enumerate(arrows) if a.target == v], field=x.field, rows=n
+        ))
+        for v, n in enumerate(x.dims)
+    ]
+
+
+def radical(x):
+    """The radical x . rad(algebra), the span of all arrow images, with its inclusion."""
+    return repcat.submodule(x, radical_spans(x))
+
+
+def top(x):
+    """The largest semisimple quotient x / rad x, with the projection onto it."""
+    return repcat.cokernel(radical(x)[1])
+
+
+def socle(x):
+    """The largest semisimple submodule, the dual of the top of D x."""
+    incl = repcat.duality_morphism(top(repcat.duality(x))[1])
+    return incl.domain, incl
+
+
+def tensor_map(m, f):
+    """Matrix of id_m (x) f, the transpose of Hom(f, D m) on hom bases.
+
+    By adjunction D(m (x) n) = Hom(n, D m), so the coordinates of m (x) n
+    are dual to hom_basis(n, D m).
+    """
+    dm = repcat.duality(m)
+    hom_f = exactlin.solve(repcat.hom_space_matrix(f.domain, dm), repcat.hom_composites(f, dm))
+    return hom_f.transpose()
+
+
+def right_approximation(cat, x):
+    """A right approximation, not minimal: every generator's hom basis into x, glued."""
+    pairs = [(g, f) for g in cat.generators for f in repcat.hom_basis(g, x)]
+    dom = repcat.sum_module([g for g, _ in pairs], x.algebra)
+    return repcat.block_map(dom, x, [[f for _, f in pairs]])
+
+
+def is_right_approximation(cat, g):
+    """Whether every map from a generator into the codomain factors through g."""
+    return all(
+        repcat.hom_image(gen, g).cols == repcat.hom_dim(gen, g.codomain) for gen in cat.generators
+    )
+
+
+def solve_homotopy(src, dst, phis, zero_slots=()):
+    """Solve phi = h o a + b o h jointly over all degrees; None when no homotopy exists.
+
+    The unknown h_i maps src term i+1 to dst term i; slots listed in
+    zero_slots are pinned to the zero morphism.  The solution is canonical.
+    """
+    n = len(src.terms)
+    if len(dst.terms) != n or len(phis) != n:
+        raise DimensionMismatch("homotopy data has mismatched lengths")
+    field = src.terms[0].field
+    slots = range(n - 1)
+    widths = [
+        0 if i in zero_slots else repcat.hom_dim(src.terms[i + 1], dst.terms[i]) for i in slots
+    ]
+    heights = [repcat.hom_flat_dim(s, t) for s, t in zip(src.terms, dst.terms)]
+    system = [[0] * sum(widths) for _ in range(sum(heights))]
+
+    def place(block, r, c):
+        for k, row in enumerate(block.entries):
+            system[r + k][c : c + block.cols] = row
+
+    for i in slots:
+        if widths[i]:
+            r, c = sum(heights[:i]), sum(widths[:i])
+            # h_i enters equation i as h_i o a_i and equation i+1 as b_i o h_i
+            place(repcat.hom_composites(src.maps[i], dst.terms[i]), r, c)
+            place(repcat.hom_composites(src.terms[i + 1], dst.maps[i]), r + heights[i], c)
+    rhs = Matrix.column(field, [t for phi in phis for t in repcat.hom_vec(phi)])
+    sol = exactlin.solve(Matrix(field, system, sum(widths)), rhs)
+    if sol is None:
+        return None
+    out = []
+    for i in slots:
+        x, y, c = src.terms[i + 1], dst.terms[i], sum(widths[:i])
+        if widths[i]:
+            coords = Matrix(field, sol.entries[c : c + widths[i]], 1)
+            flat = [row[0] for row in (repcat.hom_space_matrix(x, y) @ coords).entries]
+        else:
+            flat = [0] * repcat.hom_flat_dim(x, y)
+        out.append(repcat.morphism_from_vec(x, y, flat, _skip_check=True))
+    return out
+
+
+def null_homotopy(phi):
+    """A null homotopy of a chain map, preferring one with vanishing start.
+
+    When the degree-zero component is zero, a homotopy whose first slot
+    is pinned to zero is tried first and kept when it exists.
+    """
+    if phi.maps[0].is_zero():
+        h = solve_homotopy(phi.src, phi.dst, phi.maps, zero_slots=(0,))
+        if h is not None:
+            return h
+    return solve_homotopy(phi.src, phi.dst, phi.maps)
+
+
+def identity_chain(seq):
+    return [Morphism.identity(t) for t in seq.terms]
+
+
+def contraction(seq):
+    """A null homotopy of the identity, when the complex is contractible."""
+    return solve_homotopy(seq, seq, identity_chain(seq))
+
+
+def pushout(f, g):
+    """Classical pushout of f: Z -> X and g: Z -> Y.
+
+    Returns (Q, from_x, from_y, proj) with proj the cokernel projection.
+    """
+    if f.domain is not g.domain:
+        raise DimensionMismatch("pushout legs must share a domain")
+    total, incs, _ = repcat.direct_sum([f.codomain, g.codomain])
+    q, proj = repcat.cokernel(repcat.block_map(f.domain, total, [[f], [-g]]))
+    return q, proj @ incs[0], proj @ incs[1], proj
+
+
+def mapping_cone(src, dst, phis):
+    """Cone of a chain map between complexes of equal length.
+
+    Term i is (src term i) + (dst term i-1), with the source differential
+    negated, matching the usual sign convention.
+    """
+    if not dexact.is_chain_map(src, dst, phis):
+        raise InvalidMorphism("cone input is not a chain map")
+    n = len(src.terms)
+    zero = repcat.zero_module(src.terms[0].algebra)
+    src_ext = list(src.terms) + [zero]
+    dst_ext = [zero] + list(dst.terms)
+    terms = [repcat.sum_module([s, t]) for s, t in zip(src_ext, dst_ext)]
+    maps = []
+    for i in range(n):
+        top_map = -src.maps[i] if i < n - 1 else Morphism.zero(src_ext[i], zero)
+        below = dst.maps[i - 1] if i > 0 else Morphism.zero(zero, dst_ext[i + 1])
+        grid = [[top_map, Morphism.zero(dst_ext[i], src_ext[i + 1])], [phis[i], below]]
+        maps.append(repcat.block_map(terms[i], terms[i + 1], grid))
+    return dexact.DSequence(terms, maps)
+
+
+def long_exact_extension_ok(seq, x):
+    """Dimension bookkeeping for the extension of the hom sequence by Ext^d.
+
+    Checks hom-exactness of 0 -> (x, T_0) -> ... -> (x, T_n) away from
+    the last spot, then that the leftover at the last spot matches the
+    kernel of the induced map on Ext^d between the first two terms.
+    """
+    mats = [repcat.hom_composites(x, f) for f in seq.maps]
+    if dexact._first_inexact_position(mats) is not None:
+        return False
+    defect = dexact.defect_contravariant(seq, x).dim
+    ext_mat = homological.ext_map_post(x, seq.left_map, seq.d)
+    return defect == ext_mat.cols - exactlin.rank(ext_mat)
+
+
+def factorization_check(seq, x):
+    """Two factorization statements that must agree for a d-exact sequence.
+
+    Returns (every map from the left term to x extends along the first
+    map, every map from the inverse translate of x to the right term
+    lifts along the last map) and raises when the two disagree.
+    """
+    first = repcat.hom_coimage(seq.left_map, x).cols == repcat.hom_dim(seq.left_term, x)
+    t = homological.tau_d_minus(x, seq.d)
+    second = repcat.hom_image(t, seq.right_map).cols == repcat.hom_dim(t, seq.right_term)
+    if first != second:
+        raise VerificationFailed(
+            f"factorization statements disagree: through-first={first}, through-last={second}"
+        )
+    return first, second

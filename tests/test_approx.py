@@ -8,17 +8,21 @@ from dctkit import AddCategory, Matrix, Module, Quiver, build_algebra
 from dctkit import config, exactlin, repcat, workspace
 from dctkit.approx import (
     is_left_minimal,
-    is_right_approximation,
     is_right_minimal,
     minimal_left_approximation,
     minimal_right_approximation,
-    right_approximation,
     right_minimalize,
 )
 from dctkit.artheory import d_almost_split, gldim_end, right_almost_split
 from dctkit.homological import is_projective
 from dctkit.repcat import Morphism, are_isomorphic, block_map, direct_sum, hom_dim, rad_hom_basis
-from scan_oracles import pairwise_rad, scan_rad_between, scan_right_minimalize
+from scan_oracles import (
+    is_right_approximation,
+    pairwise_rad,
+    right_approximation,
+    scan_rad_between,
+    scan_right_minimalize,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -20,7 +20,6 @@ from dctkit.artheory import (
     determined_morphism,
     domdim_end,
     enumerate_indecomposables,
-    factorization_check,
     gldim_end,
     is_d_cluster_tilting,
     is_d_rigid,
@@ -31,7 +30,7 @@ from dctkit.artheory import (
     verify_defect_formula,
     verify_tau_d_equivalence,
 )
-from scan_oracles import all_end_submodules
+from scan_oracles import all_end_submodules, factorization_check, radical
 
 
 # -- enumeration --------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_right_almost_split_at_projective_is_radical_inclusion(flag_cat, flag_mo
     g = right_almost_split(flag_cat, flag_mods["P1"])
     assert not g.is_epi()
     img, _ = repcat.image(g)
-    r, _ = repcat.radical(flag_mods["P1"])
+    r, _ = radical(flag_mods["P1"])
     assert repcat.are_isomorphic(img, r)
 
 

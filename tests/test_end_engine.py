@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, repcat, workspace
+from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, homological, repcat
+from dctkit import workspace
 from dctkit.repcat import Morphism
 from scan_oracles import (
     combinations,
@@ -26,6 +27,7 @@ from scan_oracles import (
     scan_isomorphism,
     scan_rad_between,
     split_rule_is_radical,
+    top,
     top_quotient_reps,
     top_quotients,
 )
@@ -40,11 +42,12 @@ def rebase(x: Module, rng: random.Random) -> Module:
     for d in x.dims:
         while True:
             g = Matrix(x.field, [[rng.randrange(x.field.p) for _ in range(d)] for _ in range(d)], d)
-            if exactlin.is_invertible(g):
-                changes.append(g)
+            inv = exactlin.solve(g, Matrix.identity(x.field, d))
+            if inv is not None:
+                changes.append((g, inv))
                 break
     maps = [
-        changes[a.target] @ m @ exactlin.inverse(changes[a.source])
+        changes[a.target][0] @ m @ changes[a.source][1]
         for a, m in zip(x.algebra.quiver.arrows, x.maps)
     ]
     return Module(x.algebra, x.dims, maps)
@@ -188,7 +191,7 @@ def test_top_projects_as_the_quotient_by_the_radical_spans(fixture, p):
     mods = fixture_modules(fixture, p)
     for pair in itertools.combinations_with_replacement(mods, 2):
         x = rebased_sum(pair, rng)
-        t, proj = repcat.top(x)
+        t, proj = top(x)
         quotients = top_quotients(x)
         assert list(proj.comps) == [q.proj for q in quotients]
         assert list(t.dims) == [q.dim for q in quotients]
@@ -206,6 +209,21 @@ def test_the_centre_splits_a_sum_of_two_field_bricks(p):
         e = repcat.nontrivial_idempotent(x)
         assert e is not None and e @ e == e and not e.is_zero()
         assert sorted(mult for _, mult in repcat.decompose(x)) == [1, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_rebased_sum_of_k_copies_splits_into_k_parts(p):
+    # End of k copies of a field brick is M_k(F_q), q = 8 or 9, so E/J = M_k(F_q) with
+    # k >= 3; of a simple it is M_k(F_p), and of a projective M_k(End P), with a radical
+    rng = random.Random(13 * p)
+    flag = workspace.load(str(DATA / "ka3rad2.json"), p).modules
+    for part in field_bricks(p) + [flag["S1"], flag["P1"]]:
+        for k in (3, 4):
+            x = rebased_sum([part] * k, rng)
+            [(rep, mult)] = repcat.decompose(x)
+            assert mult == k and repcat.are_isomorphic(rep, part), (part, k)
+            parts = repcat.split_summands(x)
+            assert len(parts) == k and all(repcat.are_isomorphic(z, part) for z, _, _ in parts)
 
 
 def test_a_commutative_subalgebra_with_nilpotents_yields_one():
@@ -358,6 +376,21 @@ def test_projective_cover_equals_the_glued_cover(parts, cut, seed):
     assert verts == glued_verts
     assert (cover.dims, cover.maps) == (glued.dims, glued.maps)
     assert epi.comps == glued_epi.comps
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=fixture_parts, cut=cuts, seed=st.integers(0, 2**32))
+def test_tau_and_its_inverse_round_trip(parts, cut, seed):
+    """For d = 1: tau tau^- x = x when x has no injective summand, and dually.
+
+    tau^- = Tr D and tau = D Tr, and Tr Tr y = y for y with no projective summand.
+    """
+    x = random_module(parts, cut, seed)
+    summands = [z for z, _, _ in repcat.split_summands(x)]
+    if not any(homological.is_injective(z) for z in summands):
+        assert repcat.are_isomorphic(homological.tau_d(homological.tau_d_minus(x, 1), 1), x)
+    if not any(homological.is_projective(z) for z in summands):
+        assert repcat.are_isomorphic(homological.tau_d_minus(homological.tau_d(x, 1), 1), x)
 
 
 # -- reach ------------------------------------------------------------------

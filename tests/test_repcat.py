@@ -30,14 +30,11 @@ from dctkit.repcat import (
     kernel,
     projective,
     projective_cover,
-    radical,
     simple,
-    socle,
     submodule_generated,
-    top,
     zero_module,
 )
-from scan_oracles import joint_kernel_socle, summed_block_map
+from scan_oracles import joint_kernel_socle, radical, socle, summed_block_map, top
 
 
 def test_module_validation_checks_relations(flag, f2):
