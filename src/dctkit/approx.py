@@ -72,23 +72,43 @@ class AddCategory:
 
         return self._cached("pool", compute)
 
-    def contains(self, x: Module) -> bool:
-        """Whether every indecomposable summand of x occurs in a generator."""
+    def _pool_labels(self, x: Module) -> List[Optional[int]]:
+        """Per indecomposable summand of x, the index of its pool member, or None."""
         pool = self._summand_pool()
-        summands = [z for z, _, _ in repcat.split_summands(x)]
-        return len(repcat.iso_classes(pool + summands)[0]) == len(pool)
+        _, label = repcat.iso_classes([z for z, _, _ in repcat.split_summands(x)], reps=pool)
+        return [c if c < len(pool) else None for c in label]
+
+    def contains(self, x: Module) -> bool:
+        """Whether every indecomposable summand of x occurs in a generator.
+
+        Each summand is matched against the pool alone, which is sorted once.
+        """
+        return None not in self._pool_labels(x)
+
+    def _generating_cogenerating(self) -> Tuple[bool, bool]:
+        """Whether every indecomposable projective lies inside, and every injective.
+
+        An indecomposable projective is P_v for its one top vertex v, and an
+        indecomposable injective I_v for its one socle vertex; so M generates
+        exactly when every vertex is the top of a projective pool member, and
+        cogenerates when every vertex is the socle of an injective one.  No
+        Hom is computed.
+        """
+        from . import homological  # loaded by the commands that ask, not by every process
+
+        def compute():
+            pool, n = self._summand_pool(), self.algebra.quiver.n_vertices
+            tops = {v for z in pool if homological.is_projective(z)
+                    for v, js in enumerate(repcat._top_reps(z)) if js}
+            socles = {v for z in pool if homological.is_injective(z)
+                      for v, k in enumerate(repcat._socle_dims(z)) if k}
+            return len(tops) == n, len(socles) == n
+
+        return self._cached("gen_cogen", compute)
 
     def is_generating_cogenerating(self) -> bool:
         """Whether every indecomposable projective and injective lies inside."""
-
-        def compute():
-            return all(
-                self.contains(repcat.projective(self.algebra, v))
-                and self.contains(repcat.injective(self.algebra, v))
-                for v in range(self.algebra.quiver.n_vertices)
-            )
-
-        return self._cached("gen_cogen", compute)
+        return all(self._generating_cogenerating())
 
 
 # -- minimal versions ------------------------------------------------------

@@ -41,11 +41,13 @@ def enumerate_indecomposables(
     """All indecomposables of total dimension <= bound, up to isomorphism.
 
     Scans every dimension vector and every arrow-matrix assignment over
-    the base field, keeps those satisfying the relations, filters to the
-    indecomposable ones and deduplicates by isomorphism.  The first
-    representative found (in scan order) is kept, so the output order is
-    reproducible: by total dimension, then dimension vector, then matrix
-    counter.
+    the base field and keeps the first representative of each class, in
+    scan order, so the output order is reproducible: by total dimension,
+    then dimension vector, then matrix counter.  A candidate satisfying
+    the relations is dropped when its support falls apart (it is a direct
+    sum) or when it matches a kept module of its dimension vector (equal
+    dimensions and the isomorphism test against an indecomposable prove
+    it isomorphic); only the rest have their End computed.
     """
     quiver = algebra.quiver
     field = algebra.field
@@ -63,6 +65,7 @@ def enumerate_indecomposables(
         sizes.append((dims, count))
     found: List[Module] = []
     for dims, count in sizes:
+        kept: List[Module] = []
         for counter in range(count):
             maps = []
             rem = counter
@@ -74,9 +77,13 @@ def enumerate_indecomposables(
                     rem //= field.p
                 maps.append(Matrix(field, data, c))
             m = Module(algebra, list(dims), maps, _skip_check=True)
-            if repcat.relations_hold(m) and repcat.is_indecomposable(m):
-                found.append(m)
-    return repcat.iso_classes(found)[0]
+            if not (repcat.support_is_connected(m) and repcat.relations_hold(m)):
+                continue
+            new_class = len(repcat.iso_classes([m], reps=kept)[0]) > len(kept)
+            if new_class and repcat.is_indecomposable(m):
+                kept.append(m)
+        found += kept
+    return found
 
 
 def _dimension_vectors(n: int, bound: int):
@@ -146,22 +153,37 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
     Three subsets of the universe are compared pointwise: membership in
     the additive closure, vanishing of extensions into the generators,
     and vanishing of extensions out of the generators (in all degrees
-    1..d-1).  The verdict also requires every indecomposable projective
-    and injective to be a member.
+    1..d-1).  Ext is additive and an isomorphism invariant, so a member
+    reads both of its flags off the pool members its summands match,
+    each computed once; only the other modules are resolved.  The verdict
+    also requires every indecomposable projective and injective to be a
+    member, read off the tops and socles of the pool members
+    (`AddCategory.is_generating_cogenerating`).
     """
     rigidity = is_d_rigid(cat)
     degrees = range(1, cat.d)
+    pool = cat._summand_pool()
+
+    def flags(x: Module) -> Tuple[bool, bool]:
+        into = all(homological.ext_dim(x, g, i) == 0 for g in cat.generators for i in degrees)
+        outof = all(homological.ext_dim(g, x, i) == 0 for g in cat.generators for i in degrees)
+        return into, outof
+
+    pool_flags: Dict[int, Tuple[bool, bool]] = {}
     rows: List[Dict[str, object]] = []
     witnesses: List[str] = []
     sets_match = True
     for idx, x in enumerate(universe):
-        member = cat.contains(x)
-        into = all(
-            homological.ext_dim(x, g, i) == 0 for g in cat.generators for i in degrees
-        )
-        outof = all(
-            homological.ext_dim(g, x, i) == 0 for g in cat.generators for i in degrees
-        )
+        labels = cat._pool_labels(x)
+        member = None not in labels
+        if member:
+            for c in labels:
+                if c not in pool_flags:
+                    pool_flags[c] = flags(pool[c])
+            into = all(pool_flags[c][0] for c in labels)
+            outof = all(pool_flags[c][1] for c in labels)
+        else:
+            into, outof = flags(x)
         rows.append(
             {
                 "index": idx,
@@ -177,15 +199,7 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
                 f"universe[{idx}] dims {list(x.dims)}: member={member}, "
                 f"kills-into={into}, killed-from={outof}"
             )
-    algebra = cat.algebra
-    generating = all(
-        cat.contains(repcat.projective(algebra, v))
-        for v in range(algebra.quiver.n_vertices)
-    )
-    cogenerating = all(
-        cat.contains(repcat.injective(algebra, v))
-        for v in range(algebra.quiver.n_vertices)
-    )
+    generating, cogenerating = cat._generating_cogenerating()
     if not generating:
         witnesses.append("some indecomposable projective is missing")
     if not cogenerating:

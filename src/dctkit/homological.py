@@ -133,7 +133,15 @@ def is_projective(x: Module) -> bool:
 
 
 def is_injective(x: Module) -> bool:
-    return is_projective(repcat.duality(x))
+    """Whether x is its own injective envelope: sum_v dim soc(x)_v * dim I_v = dim x.
+
+    dim I_v is the number of basis paths ending at v.
+    """
+    algebra = x.algebra
+    ends = [0] * len(x.dims)
+    for i in range(algebra.dim):
+        ends[algebra.basis_target(i)] += 1
+    return sum(s * e for s, e in zip(repcat._socle_dims(x), ends)) == x.total_dim
 
 
 def pd(x: Module) -> int:

@@ -93,14 +93,36 @@ class Module:
 
 
 def relations_hold(x: Module) -> bool:
-    """Whether every relation acts on x as zero: the sum of its terms' path actions."""
+    """Whether every relation acts on x as zero: the sum of its terms' path actions.
+
+    A one-term relation c q holds exactly when c = 0 in F_p or q acts as zero.
+    """
+    p = x.field.p
     for rel in x.algebra.relations:
-        total = Matrix.zeros(x.field, x.dims[rel.target], x.dims[rel.source])
-        for coeff, path in rel.terms:
-            total = total + x.path_action(path).scale(coeff)
-        if not total.is_zero():
+        if len(rel.terms) == 1:
+            (c, q), = rel.terms
+            if c % p and not x.path_action(q).is_zero():
+                return False
+        elif not reduce(add, (x.path_action(q).scale(c) for c, q in rel.terms)).is_zero():
             return False
     return True
+
+
+def support_is_connected(x: Module) -> bool:
+    """Whether the vertices where x is nonzero are joined by its nonzero arrow matrices.
+
+    When they are not, x is the direct sum of its restrictions to the parts.
+    """
+    support = [v for v, d in enumerate(x.dims) if d]
+    links = [(a.source, a.target) for a, m in zip(x.algebra.quiver.arrows, x.maps) if not m.is_zero()]
+    reached, grew = set(support[:1]), True
+    while grew:
+        grew = False
+        for s, t in links:
+            if (s in reached) != (t in reached):
+                reached |= {s, t}
+                grew = True
+    return len(reached) == len(support)
 
 
 def _same_module(a: Module, b: Module) -> bool:
@@ -490,11 +512,6 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
     return pv
 
 
-def injective(algebra: BoundQuiverAlgebra, v) -> Module:
-    """The indecomposable injective at v, dual of the opposite projective."""
-    return duality(projective(algebra.opposite(), v))
-
-
 def regular(algebra: BoundQuiverAlgebra) -> Module:
     """The algebra as a right module over itself: the sum of its projectives."""
     return sum_module([projective(algebra, v) for v in range(algebra.quiver.n_vertices)])
@@ -593,6 +610,14 @@ def _top_reps(x: Module) -> List[List[int]]:
         ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
         reps.append([j for j in range(n) if j not in ends])
     return reps
+
+
+def _socle_dims(x: Module) -> List[int]:
+    """Per vertex v, dim soc(x)_v: dim x_v minus the rank of the arrows out of v."""
+    p, arrows = x.field.p, x.algebra.quiver.arrows
+    return [n - len(exactlin._reduce_rows(p, [list(r) for i, a in enumerate(arrows) if a.source == v
+                                             for r in x.maps[i].entries], n))
+            for v, n in enumerate(x.dims)]
 
 
 def projective_cover(x: Module):
@@ -866,16 +891,22 @@ def decompose(x: Module) -> List[Tuple[Module, int]]:
     return [(rep, label.count(c)) for c, rep in enumerate(reps)]
 
 
-def iso_classes(mods: Sequence[Module]) -> Tuple[List[Module], List[int]]:
+def iso_classes(
+    mods: Sequence[Module], reps: Sequence[Module] = ()
+) -> Tuple[List[Module], List[int]]:
     """Sort indecomposables into isomorphism classes.
 
     Returns (reps, label): reps holds the first member of each class in
     order of first appearance, and mods[j] lies in the class of
     reps[label[j]].  A module object met again is not compared again.
+    Given reps, pairwise non-isomorphic indecomposables, the classes start
+    from them, and they are not compared with each other.  The test reads
+    End of the earlier module only, so a module that matches an earlier
+    one of its dimension vector is isomorphic to it even if it decomposes.
     """
-    reps: List[Module] = []
+    reps = list(reps)
     label: List[int] = []
-    seen: Dict[int, int] = {}
+    seen: Dict[int, int] = {id(r): c for c, r in enumerate(reps)}
     for m in mods:
         c = seen.get(id(m))
         if c is None:

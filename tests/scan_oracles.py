@@ -21,6 +21,16 @@ the library.  gldim End(M) was once a tower of minimal covers glued from
 rad(-, Z) by the pool members and resolves by minimal right
 add M-approximations of kernels instead.
 
+The cluster-tilting certificate once resolved every universe member,
+tested every P_v and I_v for membership by sorting them with the pool,
+and took its universe from a scan that computed End of every candidate
+and sorted the whole list at the end (`resolving_ct_certificate`,
+`hom_generating_cogenerating`, `sorted_contains`, `scan_enumerate`,
+`summed_relations_hold`, `injective`).  The library matches each module
+against the pool once, reads a member's Ext flags off its pool member,
+reads generation off tops and socles, and skips split supports and
+duplicates before computing End.
+
 The last section keeps the reference routines that only tests call, so
 the library is what `dct` and `dctkit.__all__` reach: `rref`; the
 radical, top and socle of a module (`radical_spans`, `radical`, `top`,
@@ -36,7 +46,7 @@ factorization statements of a d-exact sequence.
 
 import itertools
 
-from dctkit import approx, config, dexact, exactlin, homological, repcat
+from dctkit import approx, artheory, config, dexact, exactlin, homological, repcat
 from dctkit.algebra import Path, _enumerate_paths, _parse_relations
 from dctkit.artheory import EndSubmodule
 from dctkit.errors import (
@@ -512,6 +522,102 @@ def tower_gldim_end(cat):
     """gldim End(M) as the largest pd of a simple functor, by functor towers over M."""
     m, parts = generator_parts(cat)
     return max(tower_functor_pd(m, parts, nj) for nj in cat._summand_pool())
+
+
+# -- the universe certificate before it matched against the pool -------------
+
+
+def summed_relations_hold(x):
+    """Whether every relation acts on x as zero, summing scaled path actions from zero."""
+    for rel in x.algebra.relations:
+        total = Matrix.zeros(x.field, x.dims[rel.target], x.dims[rel.source])
+        for coeff, path in rel.terms:
+            total = total + x.path_action(path).scale(coeff)
+        if not total.is_zero():
+            return False
+    return True
+
+
+def scan_enumerate(algebra, bound, cap=None):
+    """Every indecomposable of total dimension <= bound, up to isomorphism, in scan order.
+
+    Each assignment of arrow matrices that satisfies the relations has its
+    End computed; the indecomposable ones are then sorted into classes.
+    """
+    field, arrows = algebra.field, algebra.quiver.arrows
+    vectors = list(artheory._dimension_vectors(algebra.quiver.n_vertices, bound))
+    exponents = [sum(dims[a.target] * dims[a.source] for a in arrows) for dims in vectors]
+    if sum(field.p**e for e in exponents) > config.scan_cap(cap):
+        raise AssertionError("the scan is over the cap")
+    found = []
+    for dims, e in zip(vectors, exponents):
+        for counter in range(field.p**e):
+            digits = [(counter // field.p**k) % field.p for k in range(e)]
+            maps = []
+            for a in arrows:
+                r, c = dims[a.target], dims[a.source]
+                maps.append(Matrix(field, [digits[i * c : (i + 1) * c] for i in range(r)], c))
+                digits = digits[r * c :]
+            m = repcat.Module(algebra, list(dims), maps, _skip_check=True)
+            if summed_relations_hold(m) and repcat.is_indecomposable(m):
+                found.append(m)
+    return repcat.iso_classes(found)[0]
+
+
+def injective(algebra, v):
+    """The indecomposable injective at v, dual of the opposite projective."""
+    return repcat.duality(repcat.projective(algebra.opposite(), v))
+
+
+def sorted_contains(cat, x):
+    """Whether x lies in add M: sorting the pool with x's summands adds no class."""
+    pool = cat._summand_pool()
+    summands = [z for z, _, _ in repcat.split_summands(x)]
+    return len(repcat.iso_classes(pool + summands)[0]) == len(pool)
+
+
+def hom_generating_cogenerating(cat):
+    """(every P_v lies in add M, every I_v does), by isomorphism tests against the pool."""
+    algebra, n = cat.algebra, cat.algebra.quiver.n_vertices
+    return (
+        all(sorted_contains(cat, repcat.projective(algebra, v)) for v in range(n)),
+        all(sorted_contains(cat, injective(algebra, v)) for v in range(n)),
+    )
+
+
+def resolving_ct_certificate(cat, universe):
+    """The cluster-tilting report with both Ext flags computed on every universe member."""
+    rigidity = artheory.is_d_rigid(cat)
+    degrees = range(1, cat.d)
+    rows, witnesses, sets_match = [], [], True
+    for idx, x in enumerate(universe):
+        member = sorted_contains(cat, x)
+        into = all(homological.ext_dim(x, g, i) == 0 for g in cat.generators for i in degrees)
+        outof = all(homological.ext_dim(g, x, i) == 0 for g in cat.generators for i in degrees)
+        rows.append({"index": idx, "dims": list(x.dims), "in_category": member,
+                     "left_orthogonal": into, "right_orthogonal": outof})
+        if not (member == into == outof):
+            sets_match = False
+            witnesses.append(
+                f"universe[{idx}] dims {list(x.dims)}: member={member}, "
+                f"kills-into={into}, killed-from={outof}"
+            )
+    generating, cogenerating = hom_generating_cogenerating(cat)
+    if not generating:
+        witnesses.append("some indecomposable projective is missing")
+    if not cogenerating:
+        witnesses.append("some indecomposable injective is missing")
+    return artheory.ClusterTiltingReport(
+        d=cat.d,
+        generator_dims=[list(g.dims) for g in cat.generators],
+        universe_dims=[list(x.dims) for x in universe],
+        rigidity=rigidity,
+        rows=rows,
+        generating=generating,
+        cogenerating=cogenerating,
+        witnesses=witnesses,
+        ok=rigidity.ok and sets_match and generating and cogenerating,
+    )
 
 
 # -- references the library does not carry ----------------------------------

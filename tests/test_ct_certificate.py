@@ -1,0 +1,183 @@
+"""The cluster-tilting certificate against the routes it replaced.
+
+The certificate matches each universe member against the pool once and
+reads a member's Ext flags off its pool member; generating and
+cogenerating are read off the tops and socles of the pool; the
+enumeration drops candidates with a split support and duplicates before
+computing their End.  Each is compared with the reference in
+``scan_oracles``, which resolves every member, tests every P_v and I_v for
+membership by isomorphism, and sorts the whole scan at the end.
+"""
+
+import pathlib
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dctkit import AddCategory, Matrix, PrimeField, Quiver, build_algebra
+from dctkit import homological, repcat, workspace
+from dctkit.artheory import enumerate_indecomposables, is_d_cluster_tilting
+from scan_oracles import (
+    hom_generating_cogenerating,
+    injective,
+    resolving_ct_certificate,
+    scan_enumerate,
+    summed_relations_hold,
+)
+from type_a import higher_auslander, ka_rad2
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+
+def ka_workspace(n, p):
+    """A seeded KA_n/rad^2 document of the benchmark family, parsed."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import kafamily
+    finally:
+        sys.path.pop(0)
+    return workspace.parse(kafamily.ka_document(n, p, random.Random(10 * n + p)).doc)
+
+
+def proj_inj(algebra):
+    """One module per class of indecomposable projectives and injectives."""
+    n = algebra.quiver.n_vertices
+    mods = [repcat.projective(algebra, v) for v in range(n)] + [injective(algebra, v) for v in range(n)]
+    return repcat.iso_classes(mods)[0]
+
+
+def three_categories(ws):
+    """proj + inj (d-CT), the same without its first generator, and a non-rigid one.
+
+    The non-rigid one adds the simple S2 at a vertex with arrows in and out;
+    KA_2 has none, so there proj + inj = mod A is taken with d = 2 instead.
+    """
+    algebra, d = ws.algebra, ws.category("M").d
+    gens = proj_inj(algebra)
+    if algebra.quiver.n_vertices > 2:
+        wrong = AddCategory(gens + [ws.module("S2")], d)
+    else:
+        wrong = AddCategory(gens, 2)
+    return [AddCategory(gens, d), AddCategory(gens[1:], d), wrong]
+
+
+CASES = [("fixture", name, p) for name in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+CASES += [("family", n, p) for n in (3, 4, 5, 6) for p in (2, 3)]
+
+
+def load(kind, which, p):
+    return workspace.load(str(DATA / which), p) if kind == "fixture" else ka_workspace(which, p)
+
+
+@pytest.mark.parametrize("kind, which, p", CASES)
+def test_universe_and_reports_match_the_resolving_certificate(kind, which, p):
+    ws = load(kind, which, p)
+    bounds = (2, 3) if kind == "fixture" else (2,)
+    for bound in bounds:
+        universe = enumerate_indecomposables(ws.algebra, bound)
+        scanned = scan_enumerate(ws.algebra, bound)
+        assert [(m.dims, m.maps) for m in universe] == [(m.dims, m.maps) for m in scanned]
+    universe = enumerate_indecomposables(ws.algebra, 2)
+    # the reference runs on a fresh copy, so no cache is shared
+    fresh = load(kind, which, p)
+    reference = scan_enumerate(fresh.algebra, 2)
+    verdicts = []
+    for cat, twin in zip(three_categories(ws), three_categories(fresh)):
+        got = is_d_cluster_tilting(cat, universe)
+        assert got == resolving_ct_certificate(twin, reference)
+        verdicts.append((got.ok, got.rigidity.ok))
+    assert verdicts == [(True, True), (False, True), (False, False)]
+
+
+def fixture_universe(name, p):
+    ws = workspace.load(str(DATA / name), p)
+    return enumerate_indecomposables(ws.algebra, 2)
+
+
+UNIVERSES = [fixture_universe(f, p) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+sums = st.sampled_from(UNIVERSES).flatmap(
+    lambda uni: st.lists(st.sampled_from(uni), min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=sums)
+def test_injectivity_by_socles_matches_projectivity_of_the_dual(parts):
+    x = repcat.sum_module(parts)
+    assert homological.is_injective(x) == homological.is_projective(repcat.duality(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=sums, d=st.integers(1, 3))
+def test_tops_and_socles_decide_generation_as_membership_does(parts, d):
+    cat = AddCategory(parts, d)
+    assert cat._generating_cogenerating() == hom_generating_cogenerating(cat)
+
+
+def random_module(algebra, rng):
+    """Random arrow matrices on a random dimension vector with entries 0..2, unchecked."""
+    field = algebra.field
+    dims = [rng.randrange(3) for _ in range(algebra.quiver.n_vertices)]
+    maps = [
+        Matrix(field, [[rng.randrange(field.p) for _ in range(dims[a.source])]
+                       for _ in range(dims[a.target])], dims[a.source])
+        for a in algebra.quiver.arrows
+    ]
+    return repcat.Module(algebra, dims, maps, _skip_check=True)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_relations_hold_matches_the_summed_relations(p):
+    """One-term (KA_4/rad^2) and two-term (A_3^(2), commutativity) relations."""
+    rng = random.Random(p)
+    for vertices, arrows, relations, bound in (ka_rad2(4), higher_auslander(3, 2)):
+        algebra = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+        held = set()
+        for _ in range(300):
+            m = random_module(algebra, rng)
+            assert repcat.relations_hold(m) == summed_relations_hold(m)
+            held.add(repcat.relations_hold(m))
+        assert held == {True, False}
+
+
+def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatch):
+    """Work budget of one certificate on KA_6/rad^2 over F_2."""
+    ws = ka_workspace(6, 2)
+    cat = ws.category("M")
+    universe = enumerate_indecomposables(ws.algebra, 2)
+    resolved, misses, generation_misses = [], [], []
+    real_init, real_hom = homological.ProjResolution.__init__, repcat._hom_data
+    real_generation = AddCategory._generating_cogenerating
+
+    def init(self, x):
+        resolved.append(x)
+        real_init(self, x)
+
+    def hom(x, y):
+        cached = x._cache.get(("hom", id(y)))
+        if cached is None or cached[0] is not y:
+            misses.append((x, y))
+        return real_hom(x, y)
+
+    def generation(self):
+        before = len(misses)
+        out = real_generation(self)
+        generation_misses.append(len(misses) - before)
+        return out
+
+    monkeypatch.setattr(homological.ProjResolution, "__init__", init)
+    monkeypatch.setattr(repcat, "_hom_data", hom)
+    monkeypatch.setattr(AddCategory, "_generating_cogenerating", generation)
+    report = is_d_cluster_tilting(cat, universe)
+    assert report.ok and generation_misses == [0]
+    members = [x for x, row in zip(universe, report.rows) if row["in_category"]]
+    assert len(members) == len(cat._summand_pool()) == 7
+    assert not {id(x) for x in members} & {id(x) for x in resolved}
+    # the generators, then the 4 universe members outside the category
+    assert len(resolved) == len(cat.generators) + len(universe) - len(members) == 11
+    # 21 when the guard was written; resolving every member took more
+    assert len(misses) <= 21

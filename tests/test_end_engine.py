@@ -22,6 +22,7 @@ from dctkit.repcat import Morphism
 from scan_oracles import (
     combinations,
     glued_projective_cover,
+    injective,
     pairwise_rad,
     scan_idempotent,
     scan_isomorphism,
@@ -361,7 +362,7 @@ def test_hom_from_projectives_and_into_injectives_reads_vertex_dimensions(parts,
     x = random_module(parts, cut, seed)
     algebra = x.algebra
     for v in range(algebra.quiver.n_vertices):
-        into = repcat.hom_dim(x, repcat.injective(algebra, v))
+        into = repcat.hom_dim(x, injective(algebra, v))
         assert repcat.hom_dim(repcat.projective(algebra, v), x) == x.dims[v] == into
 
 

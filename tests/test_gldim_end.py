@@ -17,7 +17,7 @@ from dctkit import AddCategory, PrimeField, Quiver, build_algebra
 from dctkit import homological, repcat, workspace
 from dctkit.approx import add_resolution
 from dctkit.artheory import d_almost_split, gldim_end, is_d_rigid, right_almost_split
-from scan_oracles import tower_gldim_end
+from scan_oracles import injective, tower_gldim_end
 from type_a import higher_auslander, ka_rad2
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -54,7 +54,7 @@ def test_ka_rad2_proj_inj_matches_the_tower(n, p):
     # proj + inj is d-rigid for every d < n and (n-1)-cluster-tilting, so the
     # higher Auslander certificate (d-rigid, gldim End <= d + 1) holds only at d = n - 1
     algebra = build(ka_rad2(n), p)
-    gens = [f(algebra, v) for f in (repcat.projective, repcat.injective) for v in range(n)]
+    gens = [f(algebra, v) for f in (repcat.projective, injective) for v in range(n)]
     for d in range(1, n + 1):
         cat = AddCategory(gens, d)
         gldim = gldim_end(cat)
@@ -100,7 +100,7 @@ def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeyp
 def _ka_rad2_category(n, p):
     """KA_n/rad^2 with M = proj + inj, which is (n-1)-cluster-tilting."""
     algebra = build(ka_rad2(n), p)
-    gens = [f(algebra, v) for f in (repcat.projective, repcat.injective) for v in range(n)]
+    gens = [f(algebra, v) for f in (repcat.projective, injective) for v in range(n)]
     return AddCategory(gens, n - 1)
 
 

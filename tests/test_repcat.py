@@ -23,7 +23,6 @@ from dctkit.repcat import (
     hom_dim,
     hom_image,
     image,
-    injective,
     injective_envelope,
     is_indecomposable,
     is_radical_morphism,
@@ -34,7 +33,7 @@ from dctkit.repcat import (
     submodule_generated,
     zero_module,
 )
-from scan_oracles import joint_kernel_socle, radical, socle, summed_block_map, top
+from scan_oracles import injective, joint_kernel_socle, radical, socle, summed_block_map, top
 
 
 def test_module_validation_checks_relations(flag, f2):
