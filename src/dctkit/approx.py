@@ -27,9 +27,10 @@ class AddCategory:
     """The additive closure of a finite list of modules, with a size d.
 
     The additive generator M, the direct sum of the generators, is built
-    once as a plain sum module; each generator is split into
+    on first request as a plain sum module; each generator is split into
     indecomposables once, so the summands of M are known and never have
-    to be rediscovered by splitting M itself.
+    to be rediscovered by splitting M itself.  The dual category is built
+    once, and its dual is this category again.
     """
 
     def __init__(self, generators: Sequence[Module], d: int):
@@ -43,19 +44,18 @@ class AddCategory:
             if g.algebra is not self.algebra:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
-        self._sum = repcat.sum_module(self.generators, self.algebra)
         self._cache: Dict[str, object] = {}
-        self._dual: Optional[AddCategory] = None
 
     def additive_generator(self) -> Module:
         """The direct sum of the generators: the same module on every call."""
-        return self._sum
+        return self._cached("sum", lambda: repcat.sum_module(self.generators, self.algebra))
 
     def dual(self) -> "AddCategory":
         """The closure of the dual generators over the opposite algebra, built once."""
-        if self._dual is None:
-            self._dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
-        return self._dual
+        if "dual" not in self._cache:
+            dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
+            self._cache["dual"], dual._cache["dual"] = dual, self
+        return self._cache["dual"]
 
     def _cached(self, name: str, compute):
         """compute(), kept on the category."""
@@ -163,10 +163,9 @@ def right_minimalize(g: Morphism) -> Tuple[Morphism, Morphism]:
     """
     parts = repcat.split_summands(g.domain)
     pieces = [g @ inc for _, inc, _ in parts]
-    _, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces)
-    dom = repcat.sum_module([b.domain for _, b in kept], g.domain.algebra)
-    incl = repcat.block_map(dom, g.domain, [[parts[j][1] @ b for j, b in kept]])
-    return g @ incl, incl
+    g_min, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces)
+    incl = repcat.block_map(g_min.domain, g.domain, [[parts[j][1] @ b for j, b in kept]])
+    return g_min, incl
 
 
 def is_right_minimal(g: Morphism) -> bool:

@@ -252,46 +252,29 @@ def verify_tau_d_equivalence(cat: AddCategory) -> TauEquivalenceReport:
     with the inverse translation returns the original module up to
     isomorphism, from both sides; (c) hom spaces modulo projectives
     match hom spaces modulo injectives after translating both arguments.
+    Each translate and round trip is matched against the pool by
+    `cat._pool_labels`: it is pool member j when its one summand is labelled j.
     """
     pool, nonproj, noninj, translate = _pool_translates(cat)
     d = cat.d
-    pairs: List[Dict[str, int]] = []
-    targets: List[Optional[int]] = []
-    for i in nonproj:
-        match = None
-        for j in noninj:
-            if repcat.are_isomorphic(translate[i], pool[j]):
-                match = j
-                break
-        targets.append(match)
-        pairs.append({"source": i, "target": -1 if match is None else match})
+    labels = [cat._pool_labels(translate[i]) for i in nonproj]
+    targets = [ls[0] if len(ls) == 1 and ls[0] in noninj else None for ls in labels]
+    pairs = [{"source": i, "target": -1 if t is None else t} for i, t in zip(nonproj, targets)]
     hit = [t for t in targets if t is not None]
-    bijection = (
-        all(t is not None for t in targets)
-        and len(set(hit)) == len(hit)
-        and len(hit) == len(noninj)
-    )
-    inverses_ok = True
-    for i in nonproj:
-        back = homological.tau_d_minus(translate[i], d)
-        if not repcat.are_isomorphic(back, pool[i]):
-            inverses_ok = False
-    for j in noninj:
-        forth = homological.tau_d(homological.tau_d_minus(pool[j], d), d)
-        if not repcat.are_isomorphic(forth, pool[j]):
-            inverses_ok = False
+    bijection = None not in targets and len(set(hit)) == len(hit) == len(noninj)
+    backs = [cat._pool_labels(homological.tau_d_minus(translate[i], d)) == [i] for i in nonproj]
+    forths = [
+        cat._pool_labels(homological.tau_d(homological.tau_d_minus(pool[j], d), d)) == [j]
+        for j in noninj
+    ]
+    inverses_ok = all(backs) and all(forths)
     stable_rows: List[Dict[str, object]] = []
-    stable_ok = True
     for i in nonproj:
         for j in nonproj:
             s = homological.projectively_stable_dim(pool[i], pool[j])
             c = homological.injectively_stable_dim(translate[i], translate[j])
-            good = s == c
-            stable_rows.append(
-                {"x": i, "y": j, "stable": s, "costable": c, "ok": good}
-            )
-            if not good:
-                stable_ok = False
+            stable_rows.append({"x": i, "y": j, "stable": s, "costable": c, "ok": s == c})
+    stable_ok = all(row["ok"] for row in stable_rows)
     ok = bijection and inverses_ok and stable_ok
     return TauEquivalenceReport(pairs, bijection, inverses_ok, stable_rows, stable_ok, ok)
 

@@ -50,12 +50,6 @@ class PrimeField:
             raise ValueError(f"modulus {p} exceeds the supported bound {_MAX_PRIME}")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -935,30 +935,16 @@ def _iso_between_indecomposables(x: Module, y: Module) -> Optional[Morphism]:
     return None
 
 
-def find_isomorphism(x: Module, y: Module) -> Optional[Morphism]:
-    """An isomorphism x -> y glued from isomorphisms between summands; None if none."""
-    if x.dims != y.dims:
-        return None
-    if x.is_zero():
-        return Morphism.zero(x, y)
-    if hom_dim(x, x) != hom_dim(y, y) or not hom_dim(x, y) or hom_dim(x, y) != hom_dim(y, x):
-        return None
-    targets = split_summands(y)
-    out = Morphism.zero(x, y)
-    for z, _, proj in split_summands(x):
-        for k, (w, inc, _) in enumerate(targets):
-            f = _iso_between_indecomposables(z, w)
-            if f is not None:
-                out = out + inc @ f @ proj
-                del targets[k]
-                break
-        else:
-            return None
-    return out
-
-
 def are_isomorphic(x: Module, y: Module) -> bool:
-    return find_isomorphism(x, y) is not None
+    """Krull-Schmidt: whether the summands of x and y fill the same classes, as often each.
+
+    One `iso_classes` call over the summands of both; no isomorphism is built.
+    """
+    if x.dims != y.dims:
+        return False
+    xs = [z for z, _, _ in split_summands(x)]
+    _, label = iso_classes(xs + [z for z, _, _ in split_summands(y)])
+    return sorted(label[: len(xs)]) == sorted(label[len(xs) :])
 
 
 def is_radical_morphism(f: Morphism) -> bool:

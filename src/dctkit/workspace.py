@@ -32,12 +32,6 @@ class Workspace:
         self.morphisms = morphisms
         self.doc = doc
 
-    def __eq__(self, other):
-        # Field-wise, like the record it is; defining __eq__ leaves it unhashable.
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
     def module(self, name: str) -> Module:
         try:
             return self.modules[name]

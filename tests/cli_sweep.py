@@ -11,7 +11,7 @@ code and stdout.
     python tests/cli_sweep.py > tests/data/cli_golden.json
 
 writes the golden that `test_cli_golden.py` compares against, at the
-fields it checks (2 and 3); pass other fields as arguments to sweep them.
+fields it checks (2, 3, 5 and 7); pass other fields as arguments to sweep them.
 """
 
 import contextlib
@@ -25,7 +25,7 @@ from dctkit import cli
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 FIXTURES = ("ka2.json", "ka3rad2.json")
-GOLDEN_FIELDS = (2, 3)
+GOLDEN_FIELDS = (2, 3, 5, 7)
 
 
 def _fixture_commands(name):

@@ -31,6 +31,12 @@ against the pool once, reads a member's Ext flags off its pool member,
 reads generation off tops and socles, and skips split supports and
 duplicates before computing End.
 
+Isomorphism was once a glued map: `find_isomorphism` pairs the
+summands of x and y one by one, and the tau_d report tried every
+translate against every non-injective pool member with it
+(`pairwise_tau_d_report`).  The library sorts summands into classes with
+`iso_classes` and builds no isomorphism.
+
 The last section keeps the reference routines that only tests call, so
 the library is what `dct` and `dctkit.__all__` reach: `rref`; the
 radical, top and socle of a module (`radical_spans`, `radical`, `top`,
@@ -104,13 +110,36 @@ def scan_rad_between(x, y):
     return exactlin.canonical_basis(Matrix.from_columns(x.field, cols, n))
 
 
+def find_isomorphism(x, y):
+    """An isomorphism x -> y glued from isomorphisms between summands; None if none."""
+    if x.dims != y.dims:
+        return None
+    if x.is_zero():
+        return Morphism.zero(x, y)
+    there, back = repcat.hom_dim(x, y), repcat.hom_dim(y, x)
+    if repcat.hom_dim(x, x) != repcat.hom_dim(y, y) or not there or there != back:
+        return None
+    targets = list(repcat.split_summands(y))
+    out = Morphism.zero(x, y)
+    for z, _, proj in repcat.split_summands(x):
+        for k, (w, inc, _) in enumerate(targets):
+            f = repcat._iso_between_indecomposables(z, w)
+            if f is not None:
+                out = out + inc @ f @ proj
+                del targets[k]
+                break
+        else:
+            return None
+    return out
+
+
 def iso_rad_between(x, y):
     """Flat span of the non-isomorphisms between indecomposables x and y.
 
     That is all of Hom(x, y) unless some f: x -> y is an isomorphism, and
     then f o rad End(x).
     """
-    f = Morphism.identity(x) if x is y else repcat.find_isomorphism(x, y)
+    f = Morphism.identity(x) if x is y else find_isomorphism(x, y)
     if f is None:
         return repcat.hom_space_matrix(x, y)
     return exactlin.canonical_basis(repcat.hom_composites(x, f) @ repcat._end_algebra(x)[1])
@@ -618,6 +647,41 @@ def resolving_ct_certificate(cat, universe):
         witnesses=witnesses,
         ok=rigidity.ok and sets_match and generating and cogenerating,
     )
+
+
+# -- the tau_d report before it matched against the pool ---------------------
+
+
+def pairwise_tau_d_report(cat):
+    """verify_tau_d_equivalence by explicit isomorphisms, pair by pair.
+
+    Each translate is tried against every non-injective pool member, and
+    each round trip against its start, with `find_isomorphism`.
+    """
+
+    def iso(a, b):
+        return find_isomorphism(a, b) is not None
+
+    pool, nonproj, noninj, translate = artheory._pool_translates(cat)
+    d = cat.d
+    targets = [next((j for j in noninj if iso(translate[i], pool[j])), None) for i in nonproj]
+    pairs = [{"source": i, "target": -1 if t is None else t} for i, t in zip(nonproj, targets)]
+    hit = [t for t in targets if t is not None]
+    bijection = None not in targets and len(set(hit)) == len(hit) == len(noninj)
+    backs = [iso(homological.tau_d_minus(translate[i], d), pool[i]) for i in nonproj]
+    forths = [
+        iso(homological.tau_d(homological.tau_d_minus(pool[j], d), d), pool[j]) for j in noninj
+    ]
+    inverses_ok = all(backs) and all(forths)
+    stable_rows = []
+    for i in nonproj:
+        for j in nonproj:
+            s = homological.projectively_stable_dim(pool[i], pool[j])
+            c = homological.injectively_stable_dim(translate[i], translate[j])
+            stable_rows.append({"x": i, "y": j, "stable": s, "costable": c, "ok": s == c})
+    stable_ok = all(row["ok"] for row in stable_rows)
+    ok = bijection and inverses_ok and stable_ok
+    return artheory.TauEquivalenceReport(pairs, bijection, inverses_ok, stable_rows, stable_ok, ok)
 
 
 # -- references the library does not carry ----------------------------------

@@ -41,6 +41,7 @@ from dctkit.homological import tr_d
 from scan_oracles import (
     all_end_submodules,
     contraction,
+    find_isomorphism,
     identity_chain,
     long_exact_extension_ok,
     null_homotopy,
@@ -65,7 +66,7 @@ def verdict(capsys, code, caption):
 
 
 def _iso(a, b):
-    return repcat.find_isomorphism(a, b) is not None
+    return find_isomorphism(a, b) is not None
 
 
 def _all_maps(src, dst):

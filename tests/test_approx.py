@@ -142,6 +142,24 @@ def test_additive_generator_is_kept_and_never_split(flag_cat, flag_mods, monkeyp
     assert cat.additive_generator() is m
 
 
+def test_the_dual_category_is_an_involution_and_glues_no_generator(flag_cat, monkeypatch):
+    glued = []
+    real = repcat.sum_module
+
+    def spy(mods, algebra):
+        glued.append(tuple(mods))
+        return real(mods, algebra)
+
+    monkeypatch.setattr(repcat, "sum_module", spy)
+    cat = AddCategory(list(flag_cat.generators), flag_cat.d)
+    dual = cat.dual()
+    assert dual.dual() is cat and cat.dual() is dual
+    assert [g.dims for g in dual.generators] == [g.dims for g in cat.generators]
+    assert not glued
+    m = cat.additive_generator()
+    assert glued == [cat.generators] and cat.additive_generator() is m
+
+
 def test_category_answers_do_not_depend_on_the_cap(monkeypatch):
     # nothing in approx scans any more, so even a cap of 1 changes no answer
     answers = []

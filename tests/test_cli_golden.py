@@ -1,8 +1,8 @@
 """Every `dct` subcommand in the fixture sweep prints the bytes it printed before.
 
 `tests/data/cli_golden.json` holds the SHA-256 of the exit code and stdout of
-each invocation in `cli_sweep.commands()`, over both fixtures at `--field` 2
-and 3; regenerate it with `python tests/cli_sweep.py` only for an intended
+each invocation in `cli_sweep.commands()`, over both fixtures at `--field` 2,
+3, 5 and 7; regenerate it with `python tests/cli_sweep.py` only for an intended
 change of the command-line output.
 """
 

@@ -18,7 +18,6 @@ from dctkit.repcat import (
     decompose,
     direct_sum,
     duality,
-    find_isomorphism,
     hom_basis,
     hom_dim,
     hom_image,
@@ -33,7 +32,15 @@ from dctkit.repcat import (
     submodule_generated,
     zero_module,
 )
-from scan_oracles import injective, joint_kernel_socle, radical, socle, summed_block_map, top
+from scan_oracles import (
+    find_isomorphism,
+    injective,
+    joint_kernel_socle,
+    radical,
+    socle,
+    summed_block_map,
+    top,
+)
 
 
 def test_module_validation_checks_relations(flag, f2):
