@@ -2,14 +2,18 @@
 
 A presentation is a quiver, a list of parallel-path relations, and a
 nilpotency bound N asserting rad^N = 0 in the quotient.  The algebra is
-realized linearly by one reduction of the relation ideal.  A multiple u*r*w
-of a relation combines paths from the source of u to the target of w, so
-the multiples are filed under those (source, target) blocks and each block
-is row-reduced on its own.  The non-pivot paths of length below N form the
-canonical basis and the reduced rows give normal forms, with terms of length
-N or more dropped.  Admissibility is certified by bounded-degree ideal
-membership for every path of length exactly N, reducing the same way but
-skipping the multiples such a drop would touch (a failure reports a witness).
+realized linearly by one reduction of the relation ideal, over the paths of
+length up to D = N + (longest relation term).  A multiple u*r*w of a
+relation combines paths from the source of u to the target of w, so the
+multiples are filed under those (source, target) blocks and each block is
+row-reduced on its own.  The reduced rows give everything at once.  Every
+path of length exactly N must be a pivot whose row is itself: that is
+bounded-degree ideal membership, and a failure reports a witness.  The
+non-pivot paths of length below N form the canonical basis.  The pivot rows,
+restricted to the basis and negated, are the normal forms, stored sparse as
+(basis index, coefficient) pairs.  Paths of length N or more vanish in the
+quotient, and a multiple with a term shorter than N has no term longer than
+D, so these are the normal forms of kQ/I.
 
 Paths are written in traversal order: the word (a, b) means "walk a, then
 b", so it composes when target(a) = source(b).  Products in the algebra
@@ -196,62 +200,50 @@ class BoundQuiverAlgebra:
             key = (path.source, path.target(quiver))
             self._between[key] = self._between.get(key, ()) + (i,)
             self._from[path.source] = self._from.get(path.source, ()) + (i,)
-        self._mult: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
 
     # -- construction -------------------------------------------------
 
     def _build_basis(self):
-        quiver, p = self.quiver, self.field.p
-        short = _enumerate_paths(quiver, self.bound - 1)
-        blocks, reduced = self._reduce_ideal(short, self.bound - 1, truncate=True)
-        basis = [path for path in short if path not in reduced]
-        position = {path: i for i, path in enumerate(basis)}
-        # normal form of each short path, as coordinates over the basis
-        nf = {}
-        for path in short:
-            vec = [0] * len(basis)
-            if path in position:
-                vec[position[path]] = 1
-            else:
-                block = blocks[path.source, path.target(quiver)]
-                for c, x in reduced[path].items():
-                    if block[c] in position:
-                        vec[position[block[c]]] = -x % p
-            nf[path] = tuple(vec)
-        self._check_admissible()
-        return tuple(basis), nf
-
-    def _check_admissible(self):
-        quiver, n = self.quiver, self.bound
+        quiver, n, p = self.quiver, self.bound, self.field.p
         degree = n + max((len(t) for r in self.relations for _, t in r.terms), default=0)
-        full = _enumerate_paths(quiver, degree)
-        top = [path for path in full if len(path) == n]
-        if not top:
-            return
-        reduced = self._reduce_ideal(full, degree, truncate=False)[1]
+        paths = _enumerate_paths(quiver, degree)
+        blocks, reduced = self._reduce_ideal(paths, degree)
         # with fully reduced rows, a path lies in the span exactly when its row is itself
-        for path in top:
-            if len(reduced.get(path, ())) != 1:
+        for path in paths:
+            if len(path) == n and len(reduced.get(path, ())) != 1:
                 names = tuple(quiver.arrows[i].name for i in path.arrows)
                 raise NotAdmissible(
                     f"path {'*'.join(names)} of length {n} does not lie in the "
                     "relation ideal; the nilpotency bound is not witnessed",
                     witness=names,
                 )
+        short = [path for path in paths if len(path) < n]
+        basis = [path for path in short if path not in reduced]
+        position = {path: i for i, path in enumerate(basis)}
+        # normal form of each short path: its nonzero (basis index, coefficient) pairs
+        nf = {}
+        for path in short:
+            if path in position:
+                nf[path] = ((position[path], 1),)
+            else:
+                block = blocks[path.source, path.target(quiver)]
+                row = sorted(reduced[path].items())
+                nf[path] = tuple((position[block[c]], -x % p) for c, x in row
+                                 if block[c] in position)
+        return tuple(basis), nf
 
-    def _reduce_ideal(self, paths, max_len, truncate):
+    def _reduce_ideal(self, paths, max_len):
         """Fully reduced rows spanning the relation ideal, one (source, target) block at a time.
 
-        `paths` are all paths of length <= max_len, shortest first.  A multiple
-        u*r*w lies in the block of paths from u.source to w.target, and
-        blocks share no columns, so the pivots are those of one reduction
-        over all paths.  A term longer than max_len is dropped when
-        `truncate` (sound once rad^N = 0 is assumed), and otherwise its
-        multiple is skipped.  Each multiple is reduced against the fully
-        reduced pivot rows found so far; as the reduced echelon form is
-        unique, they end as one reduction of the block would leave them.
-        Returns the paths of each block and, for each pivot path, its
-        reduced row over its block as a {column: entry} dict.
+        `paths` are all paths of length <= max_len, shortest first, and a
+        multiple u*r*w is used when all its terms have length <= max_len.
+        It lies in the block of paths from u.source to w.target, and blocks
+        share no columns, so the pivots are those of one reduction over all
+        paths.  Each multiple is reduced against the fully reduced pivot
+        rows found so far; as the reduced echelon form is unique, they end
+        as one reduction of the block would leave them.  Returns the paths
+        of each block and, for each pivot path, its reduced row over its
+        block as a {column: entry} dict.
         """
         quiver, p = self.quiver, self.field.p
         blocks, column, ending, starting = {}, {}, {}, {}
@@ -263,8 +255,7 @@ class BoundQuiverAlgebra:
             starting.setdefault(key[0], []).append(path)
         pivots = {key: {} for key in blocks}
         for rel in self.relations:
-            lengths = [len(t) for _, t in rel.terms]
-            room = max_len - (min(lengths) if truncate else max(lengths))
+            room = max_len - max(len(t) for _, t in rel.terms)
             for u in ending.get(rel.source, ()):
                 for w in starting.get(rel.target, ()):
                     if len(u) + len(w) > room:
@@ -272,10 +263,8 @@ class BoundQuiverAlgebra:
                     rows = pivots[u.source, w.target(quiver)]
                     row = {}
                     for coeff, t in rel.terms:
-                        word = u.arrows + t.arrows + w.arrows
-                        if len(word) <= max_len:
-                            c = column[Path(u.source, word)]
-                            row[c] = row.get(c, 0) + coeff
+                        c = column[Path(u.source, u.arrows + t.arrows + w.arrows)]
+                        row[c] = row.get(c, 0) + coeff
                     # pivot rows vanish at every other pivot column, so one pass clears them
                     for c, x in [(c, x) for c, x in row.items() if c in rows]:
                         for k, y in rows[c].items():
@@ -314,36 +303,19 @@ class BoundQuiverAlgebra:
         """Basis paths from u to v, in path-basis order (as projective() lays them out)."""
         return self._between.get((u, v), ())
 
-    def _basis_product(self, i: int, j: int) -> Optional[Tuple[int, ...]]:
-        """Coordinates of basis_i * basis_j, or None for zero."""
-        key = (i, j)
-        if key not in self._mult:
-            p, q = self.path_basis[i], self.path_basis[j]
-            if p.target(self.quiver) != q.source:
-                self._mult[key] = None
-            else:
-                word = p.arrows + q.arrows
-                if len(word) >= self.bound:
-                    self._mult[key] = None
-                else:
-                    vec = self._nf[Path(p.source, word)]
-                    self._mult[key] = vec if any(vec) else None
-        return self._mult[key]
-
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """Product of two coordinate vectors over the path basis."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("coordinate vectors of wrong length")
         p = self.field.p
-        xs = [(i, a % p) for i, a in enumerate(x) if a % p]
-        ys = [(j, b % p) for j, b in enumerate(y) if b % p]
+        xs = [(self.path_basis[i], a % p) for i, a in enumerate(x) if a % p]
+        ys = [(self.path_basis[j], b % p) for j, b in enumerate(y) if b % p]
         out = [0] * self.dim
-        for i, a in xs:
-            for j, b in ys:
-                prod = self._basis_product(i, j)
-                if prod is not None:
-                    c = a * b
-                    out = [s + c * t for s, t in zip(out, prod)]
+        for u, a in xs:
+            for w, b in ys:
+                if u.target(self.quiver) == w.source and len(u) + len(w) < self.bound:
+                    for k, c in self._nf[Path(u.source, u.arrows + w.arrows)]:
+                        out[k] += a * b * c
         return [s % p for s in out]
 
     # -- the opposite algebra -----------------------------------------

@@ -500,13 +500,11 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
             word = path.arrows + (ai,)
             if len(word) >= algebra.bound:
                 continue
-            vec = algebra._nf[Path(path.source, word)]
-            for j, e in enumerate(vec):
-                if e:
-                    w, row = pos[j]
-                    if w != a.target:
-                        raise InvalidModule("normal form does not preserve path targets")
-                    m[row][k] = e
+            for j, e in algebra._nf[Path(path.source, word)]:
+                w, row = pos[j]
+                if w != a.target:
+                    raise InvalidModule("normal form does not preserve path targets")
+                m[row][k] = e
         maps.append(Matrix(field, m, dims[a.source]))
     pv = algebra._projectives[vi] = Module(algebra, dims, maps, _skip_check=True)
     return pv

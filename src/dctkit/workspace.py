@@ -76,8 +76,28 @@ def _parse_matrix(field: PrimeField, data, rows: int, cols: int, where: str) -> 
     return Matrix(field, data, cols)
 
 
-def _matrix_to_doc(m: Matrix) -> List[List[int]]:
-    return [list(row) for row in m.entries]
+def _parse_blocks(field: PrimeField, doc: dict, key: str, labels, shapes, where: str,
+                  kind: str) -> List[Matrix]:
+    """The matrices doc[key] names by label, one per label with its (rows, cols); zero if absent."""
+    blocks = doc.get(key, {})
+    if not isinstance(blocks, dict):
+        raise WorkspaceError(f"{where}: {key!r} must be an object")
+    for label in blocks:
+        if label not in labels:
+            raise WorkspaceError(f"{where}: unknown {kind} {label!r} in {key}")
+    return [
+        _parse_matrix(field, blocks[label], r, c, f"{where}, {kind} {label!r}")
+        if label in blocks else Matrix.zeros(field, r, c)
+        for label, (r, c) in zip(labels, shapes)
+    ]
+
+
+def _blocks_doc(labels, mats) -> Dict[str, List[List[int]]]:
+    """The nonempty matrices by label, each a list of rows."""
+    return {
+        label: [list(row) for row in m.entries]
+        for label, m in zip(labels, mats) if m.rows * m.cols > 0
+    }
 
 
 def parse(doc: dict, field_override: Optional[int] = None,
@@ -149,6 +169,7 @@ def parse(doc: dict, field_override: Optional[int] = None,
     if not isinstance(modules_doc, dict):
         raise WorkspaceError("'modules' must be an object")
     modules: Dict[str, Module] = {}
+    arrow_names = [a.name for a in quiver.arrows]
     for name in modules_doc:
         mdoc = modules_doc[name]
         where = f"module {name!r}"
@@ -164,21 +185,8 @@ def parse(doc: dict, field_override: Optional[int] = None,
         for label in dims_doc:
             if label not in quiver.vertices:
                 raise WorkspaceError(f"{where}: unknown vertex {label!r} in dims")
-        maps_doc = mdoc.get("maps", {})
-        if not isinstance(maps_doc, dict):
-            raise WorkspaceError(f"{where}: 'maps' must be an object")
-        for aname in maps_doc:
-            if aname not in {a.name for a in quiver.arrows}:
-                raise WorkspaceError(f"{where}: unknown arrow {aname!r} in maps")
-        maps = []
-        for a in quiver.arrows:
-            r, c = dims[a.target], dims[a.source]
-            if a.name in maps_doc:
-                maps.append(
-                    _parse_matrix(field, maps_doc[a.name], r, c, f"{where}, arrow {a.name!r}")
-                )
-            else:
-                maps.append(Matrix.zeros(field, r, c))
+        shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
+        maps = _parse_blocks(field, mdoc, "maps", arrow_names, shapes, where, "arrow")
         modules[name] = Module(algebra, dims, maps)
 
     morphisms_doc = doc.get("morphisms", {})
@@ -195,21 +203,8 @@ def parse(doc: dict, field_override: Optional[int] = None,
         if src not in modules or dst not in modules:
             raise WorkspaceError(f"{where}: unresolvable endpoint name")
         dom, cod = modules[src], modules[dst]
-        comps_doc = fdoc.get("comps", {})
-        if not isinstance(comps_doc, dict):
-            raise WorkspaceError(f"{where}: 'comps' must be an object")
-        for label in comps_doc:
-            if label not in quiver.vertices:
-                raise WorkspaceError(f"{where}: unknown vertex {label!r} in comps")
-        comps = []
-        for v, label in enumerate(quiver.vertices):
-            r, c = cod.dims[v], dom.dims[v]
-            if label in comps_doc:
-                comps.append(
-                    _parse_matrix(field, comps_doc[label], r, c, f"{where}, vertex {label!r}")
-                )
-            else:
-                comps.append(Matrix.zeros(field, r, c))
+        shapes = list(zip(cod.dims, dom.dims))
+        comps = _parse_blocks(field, fdoc, "comps", quiver.vertices, shapes, where, "vertex")
         morphisms[name] = Morphism(dom, cod, comps)
 
     categories_doc = doc.get("categories", {})
@@ -269,27 +264,18 @@ def serialize(ws: Workspace, relations) -> dict:
     }
     for name in sorted(ws.modules):
         m = ws.modules[name]
-        entry = {
+        doc["modules"][name] = {
             "dims": {quiver.vertices[v]: int(m.dims[v]) for v in range(quiver.n_vertices)},
-            "maps": {},
+            "maps": _blocks_doc([a.name for a in quiver.arrows], m.maps),
         }
-        for a, mat in zip(quiver.arrows, m.maps):
-            if mat.rows * mat.cols > 0:
-                entry["maps"][a.name] = _matrix_to_doc(mat)
-        doc["modules"][name] = entry
     module_names = {id(m): n for n, m in ws.modules.items()}
     for name in sorted(ws.morphisms):
         f = ws.morphisms[name]
-        entry = {
+        doc["morphisms"][name] = {
             "from": module_names[id(f.domain)],
             "to": module_names[id(f.codomain)],
-            "comps": {},
+            "comps": _blocks_doc(quiver.vertices, f.comps),
         }
-        for v, label in enumerate(quiver.vertices):
-            c = f.comps[v]
-            if c.rows * c.cols > 0:
-                entry["comps"][label] = _matrix_to_doc(c)
-        doc["morphisms"][name] = entry
     for name in sorted(ws.categories):
         cat = ws.categories[name]
         doc["categories"][name] = {

@@ -34,7 +34,7 @@ def test_path_cap_refusal_on_an_acyclic_quiver(f2, monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         build_algebra(q, [], 8, f2)
     assert str(exc.value) == (
-        "path enumeration to length 7 needs 21+ paths, over the cap 20; raise config.PATH_CAP"
+        "path enumeration to length 8 needs 21+ paths, over the cap 20; raise config.PATH_CAP"
     )
 
 

@@ -13,12 +13,13 @@ import random
 
 import pytest
 
-from dctkit import NotAdmissible, PrimeField, Quiver, build_algebra
+from dctkit import NotAdmissible, PrimeField, Quiver, algebra, build_algebra
 from scan_oracles import dense_presentation
-from type_a import higher_auslander, higher_auslander_dim, ka_rad2
+from type_a import higher_auslander, higher_auslander_dim, ka_rad2, nakayama
 
 DATA = pathlib.Path(__file__).parent / "data"
 SMALL_TYPE_A = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4), (6, 2)]
+NAKAYAMA = [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3), (7, 4)]
 
 
 def _outcome(build, quiver, relations, bound, field):
@@ -30,8 +31,17 @@ def _outcome(build, quiver, relations, bound, field):
 
 
 def _library(quiver, relations, bound, field):
+    """The library's basis, with its sparse normal forms expanded to the oracle's dense tuples."""
     alg = build_algebra(quiver, relations, bound, field)
-    return alg.path_basis, alg._nf
+    dense = {}
+    for path, pairs in alg._nf.items():
+        indices = [i for i, _ in pairs]
+        assert indices == sorted(set(indices)) and all(c for _, c in pairs)
+        vec = [0] * alg.dim
+        for i, c in pairs:
+            vec[i] = c
+        dense[path] = tuple(vec)
+    return alg.path_basis, dense
 
 
 def assert_matches_oracle(quiver, relations, bound, field):
@@ -59,6 +69,19 @@ def test_fixtures_match_the_dense_reduction(name, p):
     assert len(basis) == {"ka2.json": 3, "ka3rad2.json": 5}[name]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_normal_forms_of_several_terms_match_the_dense_reduction(p):
+    # a*d + b*d + c*d = 0 makes a*d a combination of two basis paths at every p
+    arrows = [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2"), ("d", "2", "3"), ("e", "2", "3")]
+    relations = [
+        [(1, ["a", "d"]), (1, ["b", "d"]), (1, ["c", "d"])],
+        [(1, ["a", "e"]), (2, ["b", "e"]), (3, ["c", "e"])],
+    ]
+    quiver = Quiver(["1", "2", "3"], arrows)
+    _, nf = assert_matches_oracle(quiver, relations, 3, PrimeField(p))
+    assert max(sum(map(bool, vec)) for vec in nf.values()) == 2
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_ka_rad2_matches_the_dense_reduction(n):
     for p in (2, 3):
@@ -79,6 +102,54 @@ def test_type_a_dimension_is_the_closed_form(s, d):
     vertices, arrows, relations, bound = higher_auslander(s, d)
     alg = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(2))
     assert alg.dim == higher_auslander_dim(s, d)
+
+
+@pytest.mark.parametrize("n, l", NAKAYAMA)
+def test_nakayama_matches_the_dense_reduction(n, l):
+    vertices, arrows, relations, bound = nakayama(n, l)
+    quiver = Quiver(vertices, arrows)
+    for p in (2, 3):
+        basis, _ = assert_matches_oracle(quiver, relations, bound, PrimeField(p))
+        assert len(basis) == n * l
+        # relations one arrow longer leave the paths of length l outside the ideal
+        witness, message = assert_matches_oracle(quiver, nakayama(n, l + 1)[2], l, PrimeField(p))
+        assert len(witness) == l and "does not lie in the relation ideal" in message
+
+
+def _presentations():
+    yield _fixture("ka2.json")
+    yield _fixture("ka3rad2.json")
+    for n in (3, 4, 5, 6):
+        yield _ka_rad2(n)
+    for s in (3, 4):
+        vertices, arrows, relations, bound = higher_auslander(s, 2)
+        yield Quiver(vertices, arrows), relations, bound
+    for n, l in NAKAYAMA:
+        vertices, arrows, relations, bound = nakayama(n, l)
+        yield Quiver(vertices, arrows), relations, bound
+
+
+def test_each_build_enumerates_once_and_reduces_once(monkeypatch):
+    calls = {"enumerate": 0, "reduce": 0}
+    enumerate_paths = algebra._enumerate_paths
+    reduce_ideal = algebra.BoundQuiverAlgebra._reduce_ideal
+
+    def counted_enumerate(*args, **kwargs):
+        calls["enumerate"] += 1
+        return enumerate_paths(*args, **kwargs)
+
+    def counted_reduce(*args, **kwargs):
+        calls["reduce"] += 1
+        return reduce_ideal(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_enumerate_paths", counted_enumerate)
+    monkeypatch.setattr(algebra.BoundQuiverAlgebra, "_reduce_ideal", counted_reduce)
+    for quiver, relations, bound in _presentations():
+        calls.update(enumerate=0, reduce=0)
+        alg = build_algebra(quiver, relations, bound, PrimeField(2))
+        assert calls == {"enumerate": 1, "reduce": 1}, (quiver, bound)
+        alg.opposite()
+        assert calls == {"enumerate": 1, "reduce": 1}, (quiver, bound)
 
 
 def _random_presentation(rng):

@@ -106,3 +106,34 @@ def test_entries_reduce_mod_p():
     base["modules"]["P1"]["maps"]["a"] = [[3]]
     ws = parse(base)
     assert ws.module("P1").maps[0][0, 0] == 1
+
+
+@pytest.mark.parametrize(
+    "section, name, key, value, message",
+    [
+        ("modules", "P1", "maps", [], "module 'P1': 'maps' must be an object"),
+        ("modules", "P1", "maps", {"a": [[1]], "x": [[1]]},
+         "module 'P1': unknown arrow 'x' in maps"),
+        ("modules", "P1", "maps", {"a": [[1, 0]]},
+         "module 'P1', arrow 'a': row 0 must be a list of 1 integers"),
+        ("modules", "P1", "maps", {"a": 1},
+         "module 'P1', arrow 'a': matrix must be a list of rows"),
+        ("modules", "P1", "maps", {"a": [[True]]},
+         "module 'P1', arrow 'a': entry (0,0) is not an integer"),
+        ("modules", "P1", "maps", {"a": [[1], [0]]},
+         "module 'P1', arrow 'a': expected 1 rows, got 2"),
+        ("morphisms", "cover1", "comps", "1", "morphism 'cover1': 'comps' must be an object"),
+        ("morphisms", "cover1", "comps", {"9": [[1]]},
+         "morphism 'cover1': unknown vertex '9' in comps"),
+        ("morphisms", "cover1", "comps", {"1": [[1, 1]]},
+         "morphism 'cover1', vertex '1': row 0 must be a list of 1 integers"),
+        ("morphisms", "cover1", "comps", {"1": [[1.5]]},
+         "morphism 'cover1', vertex '1': entry (0,0) is not an integer"),
+    ],
+)
+def test_malformed_maps_and_comps_messages(section, name, key, value, message):
+    doc = json.loads((DATA / "ka3rad2.json").read_text())
+    doc[section][name][key] = value
+    with pytest.raises(WorkspaceError) as exc:
+        parse(doc)
+    assert str(exc.value) == message

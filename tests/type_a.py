@@ -6,7 +6,8 @@ arrow t -> t + e_i whenever t + e_i is non-decreasing.  For i < j the two
 paths t -> t + e_i + e_j commute when both exist; when only one exists,
 it is zero.  Every path has length at most d(s - 1), so the nilpotency
 bound is d(s - 1) + 1.  (s, d) = (2, 2) is the flagship KA_3/rad^2 and
-d = 1 gives KA_s.  KA_n/rad^2 is here too.  Nothing here imports dctkit.
+d = 1 gives KA_s.  KA_n/rad^2 and the cyclic Nakayama algebras are here
+too.  Nothing here imports dctkit.
 """
 
 from itertools import combinations_with_replacement
@@ -55,6 +56,19 @@ def ka_rad2(n):
     arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
     relations = [[(1, [f"a{i}", f"a{i + 1}"])] for i in range(1, n - 1)]
     return [str(i) for i in range(1, n + 1)], arrows, relations, 2
+
+
+def nakayama(n, l):
+    """(vertices, arrows, relations, bound) of the cyclic quiver on n vertices, paths of length l zero.
+
+    The arrow a{i} runs from i to i + 1 (mod n), and there is one relation
+    per vertex: the path of length l starting there.  The dimension is n * l.
+    """
+    arrows = [(f"a{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    relations = [
+        [(1, [f"a{(i + k - 1) % n + 1}" for k in range(l)])] for i in range(1, n + 1)
+    ]
+    return [str(i) for i in range(1, n + 1)], arrows, relations, l
 
 
 def higher_auslander_dim(s, d):
