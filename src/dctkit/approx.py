@@ -26,11 +26,12 @@ from .repcat import Module, Morphism
 class AddCategory:
     """The additive closure of a finite list of modules, with a size d.
 
-    The additive generator M, the direct sum of the generators, is built
-    on first request as a plain sum module; each generator is split into
-    indecomposables once, so the summands of M are known and never have
-    to be rediscovered by splitting M itself.  The dual category is built
-    once, and its dual is this category again.
+    The additive generator M is the direct sum of the generators, and it
+    is never glued: each generator is split into indecomposables once and
+    its summands are sorted into the pool, one member per isomorphism
+    class, keeping each generator's pool labels.  Every question about M
+    is asked of the pool members.  The dual category is built once, and
+    its dual is this category again.
     """
 
     def __init__(self, generators: Sequence[Module], d: int):
@@ -45,10 +46,6 @@ class AddCategory:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
         self._cache: Dict[str, object] = {}
-
-    def additive_generator(self) -> Module:
-        """The direct sum of the generators: the same module on every call."""
-        return self._cached("sum", lambda: repcat.sum_module(self.generators, self.algebra))
 
     def dual(self) -> "AddCategory":
         """The closure of the dual generators over the opposite algebra, built once."""
@@ -65,10 +62,16 @@ class AddCategory:
 
     def _summand_pool(self) -> List[Module]:
         """One indecomposable summand of M per isomorphism class, in generator order."""
+        return self._split_generators()[0]
+
+    def _split_generators(self) -> Tuple[List[Module], List[List[int]]]:
+        """The pool, and per generator the pool labels of its summands: one split of each."""
 
         def compute():
-            parts = [z for g in self.generators for z, _, _ in repcat.split_summands(g)]
-            return repcat.iso_classes(parts)[0]
+            split = [[z for z, _, _ in repcat.split_summands(g)] for g in self.generators]
+            pool, label = repcat.iso_classes([z for parts in split for z in parts])
+            labels = iter(label)
+            return pool, [[next(labels) for _ in parts] for parts in split]
 
         return self._cached("pool", compute)
 

@@ -1,9 +1,10 @@
 """Cluster-tilting certificates, the higher translation, and almost-split data.
 
-The certifier compares an additive subcategory with both orthogonality
-conditions over an enumerated universe of indecomposables; the
-verification routines re-check the structural identities with exact
-arithmetic and zero tolerance.  Almost-split maps and gldim End(M) cover
+Ext between objects of add M is one table per degree over pairs of pool
+members (`_ext_table`), computed at most once per category; Ext is
+additive, so rigidity, the certificate and domdim End(M) read it and M is
+never glued.  The verification routines re-check the structural
+identities with exact arithmetic and zero tolerance.  Almost-split maps and gldim End(M) cover
 rad(-, Z) by the summands of M; the d-almost-split sequence and the
 resolutions of the simple functors are then read off one add M-resolution,
 `approx.add_resolution`.
@@ -114,20 +115,24 @@ class RigidityReport(NamedTuple):
         return self.ok
 
 
+def _ext_table(cat: AddCategory, i: int) -> List[List[int]]:
+    """dim Ext^i(z, w) over pairs (z, w) of pool members, computed once per category."""
+    pool = cat._summand_pool()
+    return cat._cached(f"ext{i}", lambda: [[homological.ext_dim(z, w, i) for w in pool]
+                                           for z in pool])
+
+
 def is_d_rigid(cat: AddCategory) -> RigidityReport:
-    """Whether all self-extensions vanish in degrees 1..d-1, with the table."""
+    """Whether all self-extensions vanish in degrees 1..d-1: `_ext_table` summed over labels."""
+    labels = cat._split_generators()[1]
     table: List[Dict[str, int]] = []
-    ok = True
     for i in range(1, cat.d):
-        for gi, g in enumerate(cat.generators):
-            for gj, g2 in enumerate(cat.generators):
-                dim = homological.ext_dim(g, g2, i)
-                table.append(
-                    {"degree": i, "source": gi, "target": gj, "dim": dim}
-                )
-                if dim != 0:
-                    ok = False
-    return RigidityReport(cat.d, ok, table)
+        ext = _ext_table(cat, i)
+        for gi, a in enumerate(labels):
+            for gj, b in enumerate(labels):
+                dim = sum(ext[s][t] for s in a for t in b)
+                table.append({"degree": i, "source": gi, "target": gj, "dim": dim})
+    return RigidityReport(cat.d, all(row["dim"] == 0 for row in table), table)
 
 
 class ClusterTiltingReport(NamedTuple):
@@ -151,11 +156,12 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
     """Certify the defining property over a complete list of indecomposables.
 
     Three subsets of the universe are compared pointwise: membership in
-    the additive closure, vanishing of extensions into the generators,
-    and vanishing of extensions out of the generators (in all degrees
-    1..d-1).  Ext is additive and an isomorphism invariant, so a member
-    reads both of its flags off the pool members its summands match,
-    each computed once; only the other modules are resolved.  The verdict
+    the additive closure, vanishing of extensions into M, and vanishing
+    of extensions out of M (in all degrees 1..d-1).  Ext is additive and
+    an isomorphism invariant, and every generator is a sum of pool
+    members, so M may be replaced by the pool: a member reads both of its
+    flags off the rows and columns of the pool tables `_ext_table` that
+    rigidity fills, and only the other modules are resolved.  The verdict
     also requires every indecomposable projective and injective to be a
     member, read off the tops and socles of the pool members
     (`AddCategory.is_generating_cogenerating`).
@@ -163,13 +169,9 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
     rigidity = is_d_rigid(cat)
     degrees = range(1, cat.d)
     pool = cat._summand_pool()
-
-    def flags(x: Module) -> Tuple[bool, bool]:
-        into = all(homological.ext_dim(x, g, i) == 0 for g in cat.generators for i in degrees)
-        outof = all(homological.ext_dim(g, x, i) == 0 for g in cat.generators for i in degrees)
-        return into, outof
-
-    pool_flags: Dict[int, Tuple[bool, bool]] = {}
+    tables = [_ext_table(cat, i) for i in degrees]
+    kills_into = [not any(any(t[c]) for t in tables) for c in range(len(pool))]
+    killed_from = [not any(row[c] for t in tables for row in t) for c in range(len(pool))]
     rows: List[Dict[str, object]] = []
     witnesses: List[str] = []
     sets_match = True
@@ -177,22 +179,13 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
         labels = cat._pool_labels(x)
         member = None not in labels
         if member:
-            for c in labels:
-                if c not in pool_flags:
-                    pool_flags[c] = flags(pool[c])
-            into = all(pool_flags[c][0] for c in labels)
-            outof = all(pool_flags[c][1] for c in labels)
+            into = all(kills_into[c] for c in labels)
+            outof = all(killed_from[c] for c in labels)
         else:
-            into, outof = flags(x)
-        rows.append(
-            {
-                "index": idx,
-                "dims": list(x.dims),
-                "in_category": member,
-                "left_orthogonal": into,
-                "right_orthogonal": outof,
-            }
-        )
+            into = all(homological.ext_dim(x, z, i) == 0 for z in pool for i in degrees)
+            outof = all(homological.ext_dim(z, x, i) == 0 for z in pool for i in degrees)
+        rows.append({"index": idx, "dims": list(x.dims), "in_category": member,
+                     "left_orthogonal": into, "right_orthogonal": outof})
         if not (member == into == outof):
             sets_match = False
             witnesses.append(
@@ -719,18 +712,17 @@ def gldim_end(cat: AddCategory) -> int:
 def domdim_end(cat: AddCategory):
     """Dominant dimension of the endomorphism algebra (external criterion).
 
-    Uses the first non-vanishing self-extension degree of the additive
-    generator plus one; this characterization of the dominant dimension
-    of the endomorphism algebra of a generator-cogenerator is imported
-    from outside the sequence calculus implemented here.  Returns
-    math.inf when every self-extension vanishes and the algebra's global
-    dimension certifies that no later degree can contribute.  Degrees
-    are bounded by config.RESOLUTION_CAP.
+    One more than the first degree i with Ext^i(M, M) nonzero, that is,
+    with a nonzero entry in the pool table `_ext_table`; this
+    characterization for a generator-cogenerator is imported from outside
+    the sequence calculus implemented here.  Returns math.inf when every
+    self-extension vanishes and the algebra's global dimension certifies
+    that no later degree can contribute.  Degrees are bounded by
+    config.RESOLUTION_CAP.
     """
-    m = cat.additive_generator()
     limit = config.RESOLUTION_CAP
     for i in range(1, limit + 1):
-        if homological.ext_dim(m, m, i) != 0:
+        if any(map(any, _ext_table(cat, i))):
             return i + 1
     # Ext vanishes past gldim, which is at most the limit (gldim raises CapExceeded past it)
     homological.gldim(cat.algebra)

@@ -195,12 +195,13 @@ def _edge_label(f: Morphism) -> str:
 
 
 def emit_dot(ws: Workspace, seq: Optional[DSequence]) -> str:
-    """Deterministic dot rendering of a sequence (or the empty digraph)."""
+    """Deterministic dot rendering of a sequence (or the empty digraph), labels escaped."""
     lines = ["digraph sequence {"]
     if seq is not None and seq.terms:
         lines.append("  rankdir=LR;")
         for i, term in enumerate(seq.terms):
             label = f"{_label_module(ws, term)} {_dims_str(term)}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{i} [label="{label}"];')
         for i, f in enumerate(seq.maps):
             lines.append(f'  n{i} -> n{i + 1} [label="{_edge_label(f)}"];')

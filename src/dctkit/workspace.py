@@ -3,14 +3,15 @@
 A workspace holds a presentation of the algebra (field, quiver,
 relations, nilpotency bound), named modules, named morphisms, named
 additive subcategories, and the global size parameter d.  Parsing
-validates everything eagerly and resolves names to live objects;
-serialization emits a canonical document, so parse/serialize round-trip
-bit-for-bit once the document has been canonicalized.
+validates everything eagerly and resolves names to live objects; the
+canonical document (`serialize`, built when `Workspace.doc` is first read)
+round-trips through parse bit-for-bit once canonicalized.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
@@ -24,13 +25,16 @@ class Workspace:
     """Parsed workspace: live objects plus the canonical source document."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, d: int, modules: Dict[str, Module],
-                 categories: Dict[str, AddCategory], morphisms: Dict[str, Morphism], doc: dict):
+                 categories: Dict[str, AddCategory], morphisms: Dict[str, Morphism], relations):
         self.algebra = algebra
         self.d = d
         self.modules = modules
         self.categories = categories
         self.morphisms = morphisms
-        self.doc = doc
+        self._relations = relations
+
+    # the canonical document (`serialize`), built the first time it is read
+    doc = cached_property(lambda self: serialize(self, self._relations))
 
     def module(self, name: str) -> Module:
         try:
@@ -226,16 +230,14 @@ def parse(doc: dict, field_override: Optional[int] = None,
             gens.append(modules[gname])
         categories[name] = AddCategory(gens, d)
 
-    ws = Workspace(
+    return Workspace(
         algebra=algebra,
         d=d,
         modules=modules,
         categories=categories,
         morphisms=morphisms,
-        doc={},
+        relations=relations,
     )
-    ws.doc = serialize(ws, relations)
-    return ws
 
 
 def serialize(ws: Workspace, relations) -> dict:

@@ -29,7 +29,10 @@ and sorted the whole list at the end (`resolving_ct_certificate`,
 `summed_relations_hold`, `injective`).  The library matches each module
 against the pool once, reads a member's Ext flags off its pool member,
 reads generation off tops and socles, and skips split supports and
-duplicates before computing End.
+duplicates before computing End.  Rigidity once asked Ext of every pair
+of generators (`pairwise_rigidity`), and domdim End(M) glued M and
+resolved it (`glued_domdim_end`); the library sums one table of Ext
+between pool members, computed once per category, and never glues M.
 
 Isomorphism was once a glued map: `find_isomorphism` pairs the
 summands of x and y one by one, and the tau_d report tried every
@@ -614,9 +617,32 @@ def hom_generating_cogenerating(cat):
     )
 
 
+def pairwise_rigidity(cat):
+    """The rigidity report with Ext computed between every pair of generators, degree by degree."""
+    table = [
+        {"degree": i, "source": gi, "target": gj, "dim": homological.ext_dim(g, h, i)}
+        for i in range(1, cat.d)
+        for gi, g in enumerate(cat.generators)
+        for gj, h in enumerate(cat.generators)
+    ]
+    return artheory.RigidityReport(cat.d, all(row["dim"] == 0 for row in table), table)
+
+
+def glued_domdim_end(cat):
+    """domdim End(M) on the glued M: one more than the first i with Ext^i(M, M) nonzero.
+
+    Returns None when Ext^i(M, M) vanishes for every i up to config.RESOLUTION_CAP.
+    """
+    m = repcat.sum_module(cat.generators)
+    for i in range(1, config.RESOLUTION_CAP + 1):
+        if homological.ext_dim(m, m, i) != 0:
+            return i + 1
+    return None
+
+
 def resolving_ct_certificate(cat, universe):
     """The cluster-tilting report with both Ext flags computed on every universe member."""
-    rigidity = artheory.is_d_rigid(cat)
+    rigidity = pairwise_rigidity(cat)
     degrees = range(1, cat.d)
     rows, witnesses, sets_match = [], [], True
     for idx, x in enumerate(universe):

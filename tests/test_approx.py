@@ -13,7 +13,14 @@ from dctkit.approx import (
     minimal_right_approximation,
     right_minimalize,
 )
-from dctkit.artheory import d_almost_split, gldim_end, right_almost_split
+from dctkit.artheory import (
+    d_almost_split,
+    domdim_end,
+    enumerate_indecomposables,
+    gldim_end,
+    is_d_cluster_tilting,
+    right_almost_split,
+)
 from dctkit.homological import is_projective
 from dctkit.repcat import Morphism, are_isomorphic, block_map, direct_sum, hom_dim, rad_hom_basis
 from scan_oracles import (
@@ -116,7 +123,7 @@ def test_approximation_of_zero_module(flag_cat, flag):
 def test_generator_radical_matches_scanning_oracle(fixture, p):
     ws = workspace.load(str(DATA / fixture), p)
     cat = ws.category("M")
-    m = cat.additive_generator()
+    m = repcat.sum_module(cat.generators)
     for n in cat._summand_pool():
         kept = rad_hom_basis(m, n)
         assert kept.rows == repcat.hom_flat_dim(m, n)
@@ -124,22 +131,23 @@ def test_generator_radical_matches_scanning_oracle(fixture, p):
 
 
 def test_additive_generator_is_kept_and_never_split(flag_cat, flag_mods, monkeypatch):
+    """No workflow glues the generators into M: each reads the pool instead."""
     cat = AddCategory(list(flag_cat.generators), flag_cat.d)
-    m = cat.additive_generator()
-    assert cat.additive_generator() is m
-    seen = []
-    real = repcat.nontrivial_idempotent
+    glued = []
+    real = repcat.sum_module
 
-    def spy(x, cap=None):
-        seen.append(x)
-        return real(x, cap)
+    def spy(mods, algebra=None):
+        glued.append(tuple(mods))
+        return real(mods, algebra)
 
-    monkeypatch.setattr(repcat, "nontrivial_idempotent", spy)
+    monkeypatch.setattr(repcat, "sum_module", spy)
     d_almost_split(cat, flag_mods["S1"])
     gldim_end(cat)
-    assert seen
-    assert all(x is not m for x in seen)
-    assert cat.additive_generator() is m
+    domdim_end(cat)
+    is_d_cluster_tilting(cat, enumerate_indecomposables(cat.algebra, 2))
+    assert glued
+    generators = [id(g) for g in cat.generators]
+    assert all([id(x) for x in mods] != generators for mods in glued)
 
 
 def test_the_dual_category_is_an_involution_and_glues_no_generator(flag_cat, monkeypatch):
@@ -156,8 +164,6 @@ def test_the_dual_category_is_an_involution_and_glues_no_generator(flag_cat, mon
     assert dual.dual() is cat and cat.dual() is dual
     assert [g.dims for g in dual.generators] == [g.dims for g in cat.generators]
     assert not glued
-    m = cat.additive_generator()
-    assert glued == [cat.generators] and cat.additive_generator() is m
 
 
 def test_category_answers_do_not_depend_on_the_cap(monkeypatch):
@@ -190,7 +196,7 @@ def _same_minimal_map(g: Morphism, h: Morphism) -> None:
 def test_minimal_cover_matches_the_scan_oracle(fixture, p):
     ws = workspace.load(str(DATA / fixture), p)
     cat = ws.category("M")
-    m = cat.additive_generator()
+    m = repcat.sum_module(cat.generators)
     for n in cat._summand_pool():
         if is_projective(n):
             continue

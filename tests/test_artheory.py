@@ -381,4 +381,5 @@ def test_domdim_end_degrees_do_not_follow_the_scan_cap(semisimple, monkeypatch):
     monkeypatch.setattr(homological, "ext_dim", counting)
     monkeypatch.setattr(config, "SCAN_CAP", 10**6)
     assert domdim_end(cat) == math.inf
-    assert 0 < len(degrees) <= config.RESOLUTION_CAP
+    # every degree up to the resolution cap is asked, and no other
+    assert set(degrees) == set(range(1, config.RESOLUTION_CAP + 1))

@@ -176,6 +176,23 @@ def test_emit_dot_writes_file(tmp_path):
     assert 'n2 -> n3 [label="epi,radical"]' in text
 
 
+def test_emit_dot_escapes_quotes_and_backslashes_in_names(tmp_path):
+    doc = json.loads(pathlib.Path(FLAG).read_text())
+    renames = {"P2": 'P"2', "S3": "S\\3"}
+    doc["modules"] = {renames.get(k, k): v for k, v in doc["modules"].items()}
+    doc["morphisms"]["cover2"]["from"] = renames["P2"]
+    doc["categories"]["M"]["generators"] = ["P1", renames["P2"], renames["S3"], "S1"]
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("emit-dot", "--workspace", str(path), "--category", "M", "--target", "S1")
+    lines = payload(r)["dot"].splitlines()
+    assert lines[2] == '  n0 [label="S\\\\3 (0,0,1)"];'
+    assert lines[3] == '  n1 [label="P\\"2 (0,1,1)"];'
+    r = run_cli("emit-dot", "--workspace", FLAG, "--category", "M", "--target", "S1")
+    flagship = payload(r)["dot"].splitlines()
+    assert lines[:2] + lines[4:] == flagship[:2] + flagship[4:]
+
+
 def test_emit_dot_without_sequence_is_empty_digraph():
     r = run_cli("emit-dot", "--workspace", FLAG, "--category", "M")
     assert payload(r)["dot"] == "digraph sequence {\n}\n"

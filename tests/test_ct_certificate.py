@@ -7,6 +7,9 @@ enumeration drops candidates with a split support and duplicates before
 computing their End.  Each is compared with the reference in
 ``scan_oracles``, which resolves every member, tests every P_v and I_v for
 membership by isomorphism, and sorts the whole scan at the end.
+Rigidity and the member flags read one table of Ext between pool
+members; ``pairwise_rigidity`` asks every pair of generators instead,
+also when a generator decomposes or two generators share a summand.
 """
 
 import pathlib
@@ -19,10 +22,11 @@ from hypothesis import strategies as st
 
 from dctkit import AddCategory, Matrix, PrimeField, Quiver, build_algebra
 from dctkit import homological, repcat, workspace
-from dctkit.artheory import enumerate_indecomposables, is_d_cluster_tilting
+from dctkit.artheory import enumerate_indecomposables, is_d_cluster_tilting, is_d_rigid
 from scan_oracles import (
     hom_generating_cogenerating,
     injective,
+    pairwise_rigidity,
     resolving_ct_certificate,
     scan_enumerate,
     summed_relations_hold,
@@ -91,6 +95,56 @@ def test_universe_and_reports_match_the_resolving_certificate(kind, which, p):
         assert got == resolving_ct_certificate(twin, reference)
         verdicts.append((got.ok, got.rigidity.ok))
     assert verdicts == [(True, True), (False, True), (False, False)]
+
+
+def shared_and_decomposable(ws, d):
+    """Categories on the fixture's generators: one glues two of them, one shares a summand.
+
+    On the flagship the simple S2 joins, so that some Ext entries are nonzero.
+    """
+    gens = list(ws.category("M").generators)
+    if "S3" in ws.modules:
+        gens.append(ws.module("S2"))
+    glue = repcat.sum_module
+    return [
+        AddCategory([glue(gens[:2])] + gens[2:], d),
+        AddCategory([glue(gens[:2]), glue(gens[1:3])] + gens[3:], d),
+    ]
+
+
+@pytest.mark.parametrize("name", ["ka2.json", "ka3rad2.json"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_reports_on_glued_generators_match_the_pairwise_reports(name, p, d):
+    ws = workspace.load(str(DATA / name), p)
+    fresh = workspace.load(str(DATA / name), p)
+    universe = enumerate_indecomposables(ws.algebra, 2)
+    reference = scan_enumerate(fresh.algebra, 2)
+    nonzero = 0
+    for cat, twin in zip(shared_and_decomposable(ws, d), shared_and_decomposable(fresh, d)):
+        rigidity = is_d_rigid(cat)
+        assert rigidity == pairwise_rigidity(twin)
+        assert is_d_cluster_tilting(cat, universe) == resolving_ct_certificate(twin, reference)
+        nonzero += sum(row["dim"] != 0 for row in rigidity.table)
+    assert nonzero
+
+
+def test_a_certificate_asks_each_ext_once(monkeypatch):
+    """ext_dim budget of one ct_check task on KA_6/rad^2 over F_2."""
+    ws = ka_workspace(6, 2)
+    asked = []
+    real = homological.ext_dim
+
+    def counting(x, y, i):
+        asked.append((id(x), id(y), i))
+        return real(x, y, i)
+
+    monkeypatch.setattr(homological, "ext_dim", counting)
+    universe = enumerate_indecomposables(ws.algebra, 2)
+    assert is_d_cluster_tilting(ws.category("M"), universe).ok
+    assert len(set(asked)) == len(asked)
+    # 720 when each member's flags asked the generators again
+    assert len(asked) <= 360
 
 
 def fixture_universe(name, p):

@@ -6,8 +6,11 @@ keeps the old route: each step composes every flat column of Hom(M, y) with
 every summand of M.  Both must agree on the fixtures, on KA_n/rad^2 with
 M = proj + inj, on the tau_d^- orbit categories of the higher Auslander
 algebras A_s^(d) and on those categories with one summand dropped.
+`artheory.domdim_end` reads the pool's Ext tables; `scan_oracles.glued_domdim_end`
+glues M and asks Ext^i(M, M).
 """
 
+import math
 import pathlib
 from itertools import islice
 
@@ -16,8 +19,8 @@ import pytest
 from dctkit import AddCategory, PrimeField, Quiver, build_algebra
 from dctkit import homological, repcat, workspace
 from dctkit.approx import add_resolution
-from dctkit.artheory import d_almost_split, gldim_end, is_d_rigid, right_almost_split
-from scan_oracles import injective, tower_gldim_end
+from dctkit.artheory import d_almost_split, domdim_end, gldim_end, is_d_rigid, right_almost_split
+from scan_oracles import glued_domdim_end, injective, tower_gldim_end
 from type_a import higher_auslander, ka_rad2
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -83,13 +86,36 @@ def test_orbit_categories_match_the_tower(s, d):
         assert gldim_end(dropped) == tower_gldim_end(dropped) == 2 * d + 1
 
 
-def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeypatch):
-    def refuse(self):
-        raise AssertionError("additive_generator was called")
+DOMDIM_CASES = [("fixture", name, p) for name in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+DOMDIM_CASES += [("ka_rad2", n, 2) for n in (3, 4, 5, 6)]
+DOMDIM_CASES += [("orbit", sd, 2) for sd in ((3, 2), (2, 3), (3, 3), (4, 2))]
 
-    monkeypatch.setattr(AddCategory, "additive_generator", refuse)
+
+@pytest.mark.parametrize("kind, which, p", DOMDIM_CASES, ids=str)
+def test_domdim_end_matches_the_glued_generator(kind, which, p):
+    if kind == "fixture":
+        cat = workspace.load(str(DATA / which), p).category("M")
+    elif kind == "ka_rad2":
+        cat = _ka_rad2_category(which, p)
+    else:
+        s, d = which
+        cat = AddCategory(orbit_pool(build(higher_auslander(s, d), p), d), d)
+    glued = glued_domdim_end(cat)
+    assert domdim_end(cat) == (math.inf if glued is None else glued)
+    assert domdim_end(cat) >= cat.d + 1
+
+
+def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeypatch):
     m = flag_mods
     cat = AddCategory([m["P1"], m["P2"], m["S3"], m["S1"]], 2)
+    real = repcat.sum_module
+
+    def refuse(mods, algebra=None):
+        if [id(x) for x in mods] == [id(g) for g in cat.generators]:
+            raise AssertionError("the generators were glued into M")
+        return real(mods, algebra)
+
+    monkeypatch.setattr(repcat, "sum_module", refuse)
     assert gldim_end(cat) == 3
     assert list(right_almost_split(cat, m["S1"]).domain.dims) == [1, 1, 0]
     assert [list(t.dims) for t in d_almost_split(cat, m["S1"]).terms] == [

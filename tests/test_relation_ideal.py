@@ -185,6 +185,20 @@ def _random_presentation(rng):
     return Quiver(vertices, arrows), relations, bound
 
 
+def _two_loop_presentation(rng):
+    """Two loops at one vertex, N = 3, and three-term relations among the paths of length 2.
+
+    `_random_presentation` never draws a normal form of two or more terms;
+    two such relations among the four paths of length 2 often do.
+    """
+    words = [[a, b] for a in ("x", "y") for b in ("x", "y")]
+    relations = [
+        [(rng.choice([1, -1, 2]), w) for w in rng.sample(words, 3)]
+        for _ in range(rng.randint(1, 3))
+    ]
+    return Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")]), relations, 3
+
+
 def test_random_presentations_match_the_dense_reduction():
     refused = 0
     for seed in range(240):
@@ -194,3 +208,10 @@ def test_random_presentations_match_the_dense_reduction():
         refused += isinstance(outcome[1], str)
     # both kinds of outcome are exercised
     assert 40 <= refused <= 200
+    several = 0
+    for seed in range(240, 280):
+        rng = random.Random(seed)
+        field = PrimeField(rng.choice([2, 3, 5]))
+        _, nf = assert_matches_oracle(*_two_loop_presentation(rng), field)
+        several += not isinstance(nf, str) and max(sum(map(bool, v)) for v in nf.values()) >= 2
+    assert several

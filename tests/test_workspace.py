@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from dctkit import NotAdmissible, WorkspaceError
+from dctkit import NotAdmissible, WorkspaceError, workspace
 from dctkit.workspace import dumps, load, parse
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -28,6 +28,21 @@ def test_canonical_form_is_a_fixed_point():
     assert ws.doc["modules"]["S1"]["dims"] == {"1": 1, "2": 0, "3": 0}
     # and omits empty matrices
     assert ws.doc["modules"]["S1"]["maps"] == {}
+
+
+def test_parse_serializes_only_when_the_document_is_read(monkeypatch):
+    calls = []
+    real = workspace.serialize
+
+    def counting(ws, relations):
+        calls.append(ws)
+        return real(ws, relations)
+
+    monkeypatch.setattr(workspace, "serialize", counting)
+    ws = load(str(DATA / "ka3rad2.json"))
+    assert calls == []
+    assert ws.doc is ws.doc
+    assert calls == [ws]
 
 
 def test_dumps_is_deterministic():
