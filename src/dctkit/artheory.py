@@ -620,6 +620,11 @@ def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n):
         raise InvalidModule("the target must lie in the subcategory")
+    return _right_almost_split(cat, n)
+
+
+def _right_almost_split(cat: AddCategory, n: Module) -> Morphism:
+    """`right_almost_split` on a member n already checked indecomposable."""
     g, rads = _radical_cover(cat, n)
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
@@ -645,7 +650,7 @@ def d_almost_split(cat: AddCategory, n: Module) -> DSequence:
         raise InvalidModule("no such sequence ends at a projective module")
     if not cat.contains(n):
         raise InvalidModule("the end term must lie in the subcategory")
-    g = right_almost_split(cat, n)
+    g = _right_almost_split(cat, n)
     if not g.is_epi():
         raise VerificationFailed(
             "right almost split map onto a non-projective must be surjective"
@@ -715,15 +720,17 @@ def domdim_end(cat: AddCategory):
     One more than the first degree i with Ext^i(M, M) nonzero, that is,
     with a nonzero entry in the pool table `_ext_table`; this
     characterization for a generator-cogenerator is imported from outside
-    the sequence calculus implemented here.  Returns math.inf when every
-    self-extension vanishes and the algebra's global dimension certifies
-    that no later degree can contribute.  Degrees are bounded by
+    the sequence calculus implemented here.  Ext^i(z, -) vanishes once step
+    i of the resolution of z is zero, so the answer is math.inf when Ext
+    vanishes up to a degree past every pool member's resolution, at most
     config.RESOLUTION_CAP.
     """
-    limit = config.RESOLUTION_CAP
+    limit, running = config.RESOLUTION_CAP, cat._summand_pool()
     for i in range(1, limit + 1):
         if any(map(any, _ext_table(cat, i))):
             return i + 1
-    # Ext vanishes past gldim, which is at most the limit (gldim raises CapExceeded past it)
-    homological.gldim(cat.algebra)
-    return math.inf
+        running = [z for z in running if homological.resolution(z).vertices(i + 1)]
+        if not running:
+            return math.inf
+    raise CapExceeded.over("domdim_end", running[0].dims, f"a resolution longer than {limit}",
+                           limit, "config.RESOLUTION_CAP")

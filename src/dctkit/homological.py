@@ -1,18 +1,18 @@
 """Resolutions, Ext, the transpose, and higher translates.
 
-Everything is computed from minimal projective resolutions, built step by
-step from projective covers, cached on the module, and stopped at their
-first zero term.  Each differential is read once as a table of algebra
-elements.  Hom out of a projective needs no hom basis: by Yoneda a map
-P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext is cocycles
-modulo coboundaries in those coordinates.  The transpose Tr x is the
-cokernel of Hom(d_1, A), the same matrix in the Yoneda coordinates of Ext
-read at every projective P_w of A at once.
+Everything is read off the minimal projective resolution of a module: one
+list of steps, each a projective cover and its kernel, cached on the module
+and stopped at its first zero term.  Each differential is read once as a
+table of algebra elements.  Hom out of a projective needs no hom basis: by
+Yoneda a map P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext
+is cocycles modulo coboundaries in those coordinates.  Tr_d x, the
+transpose of Omega^{d-1} x, is the cokernel of Hom(d_d, A), read off x's own
+resolution in those coordinates at every projective P_w of A at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import config, exactlin, repcat
 from .algebra import BoundQuiverAlgebra
@@ -21,61 +21,61 @@ from .exactlin import Matrix
 from .repcat import Module, Morphism
 
 
+class _Step(NamedTuple):
+    """Step i: the cover P_i -> Omega^i x, the vertices of its summands, and its kernel."""
+
+    cover: Morphism
+    vertices: List[int]
+    inclusion: Morphism  # Omega^{i+1} x -> P_i
+
+
 class ProjResolution:
     """A minimal projective resolution, extended lazily to its first zero term.
 
-    Index 0 is the cover of the module itself; `differential(i)` is the
-    map from step i to step i-1 for i >= 1.  Once a kernel is zero the
-    lists stop growing: every later term is that zero module, with zero maps.
+    Step 0 covers the module itself; `differential(i)` is the map from
+    step i to step i-1 for i >= 1.  Once a kernel is zero the steps stop
+    growing: every later term is that zero module, with zero maps.
     Covers stop at step config.RESOLUTION_CAP + 1, the last one Ext in
     degree RESOLUTION_CAP reads; a resolution still running there is refused.
     """
 
     def __init__(self, x: Module):
         self.module = x
-        p0, aug, verts = repcat.projective_cover(x)
-        self.augmentation = aug
-        self._projs: List[Module] = [p0]
-        self._verts: List[List[int]] = [verts]
-        self._diffs: List[Optional[Morphism]] = [None]
-        self._kernels: List[Tuple[Module, Morphism]] = [repcat.kernel(aug)]
+        self._steps: List[_Step] = []
         self._elements: dict = {}
 
-    def extend_to(self, n: int) -> None:
-        cap = config.RESOLUTION_CAP
-        while len(self._projs) <= n and not self._projs[-1].is_zero():
-            k, incl = self._kernels[-1]
-            if k.is_zero():  # the first zero term itself: it needs no cover
-                p, epi, verts = k, Morphism.identity(k), []
-            elif len(self._projs) > cap + 1:
+    @property
+    def augmentation(self) -> Morphism:
+        return self._steps[self._step(0)].cover
+
+    def _step(self, i: int) -> int:
+        """Where step i is stored, once covered: past the first zero term, at that term."""
+        cap, steps = config.RESOLUTION_CAP, self._steps
+        while len(steps) <= i and (not steps or steps[-1].vertices):
+            m = steps[-1].inclusion.domain if steps else self.module
+            if m.is_zero():  # the first zero term: it needs no cover and is its own kernel
+                steps.append(_Step(Morphism.identity(m), [], Morphism.identity(m)))
+            elif len(steps) > cap + 1:
                 raise CapExceeded.over(
-                    f"projective resolution to step {n}", self.module.dims,
+                    f"projective resolution to step {i}", self.module.dims,
                     f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP",
                 )
             else:
-                p, epi, verts = repcat.projective_cover(k)
-            self._projs.append(p)
-            self._verts.append(verts)
-            self._diffs.append(incl @ epi)
-            self._kernels.append(repcat.kernel(epi))
-
-    def _step(self, i: int) -> int:
-        """Where step i is stored: past the first zero term, at that term."""
-        self.extend_to(i)
-        return min(i, len(self._projs) - 1)
+                _, epi, verts = repcat.projective_cover(m)
+                steps.append(_Step(epi, verts, repcat.kernel(epi)[1]))
+        return min(i, len(steps) - 1)
 
     def projective(self, i: int) -> Module:
-        return self._projs[self._step(i)]
+        return self._steps[self._step(i)].cover.domain
 
     def vertices(self, i: int) -> List[int]:
-        return self._verts[self._step(i)]
+        return self._steps[self._step(i)].vertices
 
     def differential(self, i: int) -> Morphism:
         if i < 1:
             raise ValueError("differentials start at index 1")
-        if self._step(i) < i:
-            return Morphism.zero(self._projs[-1], self._projs[-1])
-        return self._diffs[i]
+        at = self._step(i)  # past the first zero term, whose cover and inclusion are identities
+        return self._steps[min(i - 1, at)].inclusion @ self._steps[at].cover
 
     def elements(self, i: int) -> List[List[Tuple[int, ...]]]:
         """The differential d_i as a table of algebra elements (i >= 1).
@@ -83,7 +83,8 @@ class ProjResolution:
         Entry (k, j) holds the algebra coordinates of the image of the
         trivial path e_u, u the k-th vertex of step i, in the j-th summand
         P_v of step i - 1: a combination of the paths from v to u, read
-        off the trivial-path column.  Cached; empty once step i is zero.
+        off the cover's trivial-path column and the kernel inclusion of
+        step i - 1.  Cached; empty once step i is zero.
         """
         if self._step(i) < i:
             return []
@@ -91,17 +92,16 @@ class ProjResolution:
         if table is None:
             algebra = self.module.algebra
             between = algebra.basis_indices_between
-            us, vs, d = self._verts[i], self._verts[i - 1], self._diffs[i]
+            (cover, us, _), prev = self._steps[i], self._steps[i - 1]
             table = []
             for k, u in enumerate(us):
                 col = sum(len(between(w, u)) for w in us[:k])
-                column = [row[col] for row in d.comps[u].entries]
-                line, at = [], 0
-                for v in vs:
+                image = iter((prev.inclusion.comps[u] @ cover.comps[u].col(col)).columns()[0])
+                line = []
+                for v in prev.vertices:
                     vec = [0] * algebra.dim
                     for q in between(v, u):
-                        vec[q] = column[at]
-                        at += 1
+                        vec[q] = next(image)
                     line.append(tuple(vec))
                 table.append(line)
             self._elements[i] = table
@@ -111,7 +111,7 @@ class ProjResolution:
         """The k-th syzygy; k = 0 gives the module back."""
         if k == 0:
             return self.module
-        return self._kernels[self._step(k - 1)][0]
+        return self._steps[self._step(k - 1)].inclusion.domain
 
 
 def resolution(x: Module) -> ProjResolution:
@@ -120,10 +120,6 @@ def resolution(x: Module) -> ProjResolution:
         res = ProjResolution(x)
         x._cache["resolution"] = res
     return res
-
-
-def syzygy(x: Module, k: int) -> Module:
-    return resolution(x).syzygy(k)
 
 
 def is_projective(x: Module) -> bool:
@@ -239,29 +235,25 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
 # -- transpose and higher translates --------------------------------------
 
 
-def transpose(x: Module) -> Module:
-    """Tr x, the cokernel of Hom(d_1, A) over the opposite algebra.
-
-    Hom(P_v, A) = A e_v is the opposite projective at v, and its part at
-    a vertex w is e_w A e_v = P_w e_v, in the same path-basis order.  So
-    the component at w of Hom(d_1, A) is Hom(d_1, P_w) in Yoneda coordinates.
-    """
-    algebra, opp, res = x.algebra, x.algebra.opposite(), resolution(x)
-    dom, cod = (
-        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
-        for i in (0, 1)
-    )
-    n = algebra.quiver.n_vertices
-    comps = [_hom_out(res, 1, repcat.projective(algebra, w)) for w in range(n)]
-    coker, _ = repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))
-    return coker
-
-
 def tr_d(x: Module, d: int) -> Module:
-    """Transpose of the (d-1)-th syzygy; a module over the opposite algebra."""
+    """Tr Omega^{d-1} x over the opposite algebra, from steps d-1 and d of x's resolution.
+
+    Hom(P_v, A) = A e_v is the opposite projective at v, and its part at a
+    vertex w is e_w A e_v = P_w e_v, in the same path-basis order.  So the
+    component at w of Hom(d_d, A) is Hom(d_d, P_w) in Yoneda coordinates.
+    """
     if d < 1:
         raise ValueError("the dimension parameter must be at least 1")
-    return transpose(syzygy(x, d - 1))
+    res = resolution(x)
+    res.syzygy(d - 1)  # a resolution too long for Omega^{d-1} x is refused at step d-2
+    algebra, opp = x.algebra, x.algebra.opposite()
+    dom, cod = (
+        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
+        for i in (d - 1, d)
+    )
+    comps = [_hom_out(res, d, repcat.projective(algebra, w))
+             for w in range(algebra.quiver.n_vertices)]
+    return repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))[0]
 
 
 def tau_d(x: Module, d: int) -> Module:

@@ -9,7 +9,9 @@ once glued from one morphism per top generator; the library lays the
 cached projectives side by side and reads the epi off the path actions.
 Maps between direct sums were once sums of inc o f o proj, and the
 transpose was glued from maps between opposite projectives; the library
-stacks blocks and reads Tr off the Yoneda matrix of Ext instead.  Tensor
+stacks blocks and reads Tr off the Yoneda matrix of Ext instead.  Tr_d x
+once resolved the syzygy Omega^{d-1} x afresh (`resolved_syzygy_tr_d`);
+the library reads steps d-1 and d of x's own resolution.  Tensor
 products were once vertexwise products modulo the arrow relations, and
 the socle the joint kernel of the outgoing arrows; the library reads both
 through the duality D.  A bound quiver algebra was once built by one
@@ -315,6 +317,23 @@ def glued_transpose(x):
         for u, line in zip(verts1, res.elements(1))
     ]
     return repcat.cokernel(summed_block_map(dom_sum, cod_sum, grid))[0]
+
+
+def resolved_syzygy_tr_d(x, d):
+    """Tr_d x by the route the library once took: Omega^{d-1} x resolved afresh, then transposed.
+
+    The transpose is the cokernel of Hom(d_1, A) on that new resolution,
+    one Yoneda block per projective P_w of A.
+    """
+    y = homological.resolution(x).syzygy(d - 1)
+    algebra, opp, res = y.algebra, y.algebra.opposite(), homological.ProjResolution(y)
+    dom, cod = (
+        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
+        for i in (0, 1)
+    )
+    comps = [homological._hom_out(res, 1, repcat.projective(algebra, w))
+             for w in range(algebra.quiver.n_vertices)]
+    return repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))[0]
 
 
 def _ambient_tensor(m, n):

@@ -381,5 +381,18 @@ def test_domdim_end_degrees_do_not_follow_the_scan_cap(semisimple, monkeypatch):
     monkeypatch.setattr(homological, "ext_dim", counting)
     monkeypatch.setattr(config, "SCAN_CAP", 10**6)
     assert domdim_end(cat) == math.inf
-    # every degree up to the resolution cap is asked, and no other
-    assert set(degrees) == set(range(1, config.RESOLUTION_CAP + 1))
+    # the simples are projective, so no resolution runs past step 1
+    assert set(degrees) == {1}
+
+
+def test_domdim_end_is_refused_while_a_pool_resolution_runs_at_the_cap(flag_mods, monkeypatch):
+    m = flag_mods
+    cat = AddCategory([m["P1"], m["P2"], m["S3"], m["S1"]], 2)
+    # Ext^1 vanishes on the pool, and S1 still resolves at step 2
+    monkeypatch.setattr(config, "RESOLUTION_CAP", 1)
+    with pytest.raises(CapExceeded) as err:
+        domdim_end(cat)
+    assert str(err.value) == (
+        "domdim_end on dimension vector (1,0,0) needs a resolution longer than 1, "
+        "over the cap 1; raise config.RESOLUTION_CAP"
+    )

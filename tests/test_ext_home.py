@@ -3,8 +3,8 @@
 ``ext_dim``, ``ext_space`` and ``ext_map_post``, and every function of
 ``homological`` they reach, may not fall back to the flat hom-space route,
 which solves a hom basis out of each projective of the resolution.  The
-transpose reads the same matrix, and may not glue maps between opposite
-projectives (``proj_hom``) instead.
+transpose ``tr_d`` reads the same matrix, and may not glue maps between
+opposite projectives (``proj_hom``) instead.
 """
 
 import ast
@@ -53,6 +53,6 @@ def test_ext_stays_in_yoneda_coordinates():
 
 
 def test_transpose_reads_the_yoneda_matrix():
-    names = {name for _, name in _names(_definitions()["transpose"])}
+    names = {name for _, name in _names(_definitions()["tr_d"])}
     assert "_hom_out" in names, "the check is not looking at the transpose"
     assert "proj_hom" not in names, "the transpose glues maps between projectives"

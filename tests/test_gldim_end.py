@@ -7,21 +7,25 @@ every summand of M.  Both must agree on the fixtures, on KA_n/rad^2 with
 M = proj + inj, on the tau_d^- orbit categories of the higher Auslander
 algebras A_s^(d) and on those categories with one summand dropped.
 `artheory.domdim_end` reads the pool's Ext tables; `scan_oracles.glued_domdim_end`
-glues M and asks Ext^i(M, M).
+glues M and asks Ext^i(M, M).  On the orbit categories, tau_d and tau_d^-
+are checked to be mutually inverse on the pool.
 """
 
+import functools
 import math
 import pathlib
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctkit import AddCategory, PrimeField, Quiver, build_algebra
 from dctkit import homological, repcat, workspace
 from dctkit.approx import add_resolution
 from dctkit.artheory import d_almost_split, domdim_end, gldim_end, is_d_rigid, right_almost_split
 from scan_oracles import glued_domdim_end, injective, tower_gldim_end
-from type_a import higher_auslander, ka_rad2
+from type_a import higher_auslander, ka_rad2, nakayama
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -86,6 +90,32 @@ def test_orbit_categories_match_the_tower(s, d):
         assert gldim_end(dropped) == tower_gldim_end(dropped) == 2 * d + 1
 
 
+@functools.lru_cache(maxsize=None)
+def orbit_category_pool(kind, which, p):
+    """The tau_d^- orbit pool of A_s^(d), or of KA_n/rad^2 at d = n - 1, and its d."""
+    if kind == "auslander":
+        s, d = which
+        return orbit_pool(build(higher_auslander(s, d), p), d), d
+    return orbit_pool(build(ka_rad2(which), p), which - 1), which - 1
+
+
+ORBIT_CASES = [("auslander", (s, d)) for s in (2, 3, 4) for d in (2, 3)]
+ORBIT_CASES += [("ka_rad2", n) for n in (3, 4, 5, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(ORBIT_CASES), p=st.sampled_from([2, 3]), pick=st.integers(0, 10**6))
+def test_tau_d_and_its_inverse_round_trip_on_orbit_categories(case, p, pick):
+    """For d >= 2 on a d-cluster-tilting orbit category: tau_d tau_d^- z = z for a
+    non-injective member z, and tau_d^- tau_d z = z for a non-projective one."""
+    pool, d = orbit_category_pool(*case, p)
+    z = pool[pick % len(pool)]
+    if not homological.is_injective(z):
+        assert repcat.are_isomorphic(homological.tau_d(homological.tau_d_minus(z, d), d), z)
+    if not homological.is_projective(z):
+        assert repcat.are_isomorphic(homological.tau_d_minus(homological.tau_d(z, d), d), z)
+
+
 DOMDIM_CASES = [("fixture", name, p) for name in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
 DOMDIM_CASES += [("ka_rad2", n, 2) for n in (3, 4, 5, 6)]
 DOMDIM_CASES += [("orbit", sd, 2) for sd in ((3, 2), (2, 3), (3, 3), (4, 2))]
@@ -105,6 +135,16 @@ def test_domdim_end_matches_the_glued_generator(kind, which, p):
     assert domdim_end(cat) >= cat.d + 1
 
 
+@pytest.mark.parametrize("n, l", [(2, 2), (3, 2), (4, 3)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_domdim_end_of_a_self_injective_algebra_is_infinite(n, l, d):
+    # M = A: every pool member is projective, so no Ext is asked past degree 1,
+    # although the simples of A have infinite projective dimension
+    algebra = build(nakayama(n, l), 2)
+    cat = AddCategory([repcat.projective(algebra, v) for v in range(n)], d)
+    assert domdim_end(cat) == math.inf
+
+
 def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeypatch):
     m = flag_mods
     cat = AddCategory([m["P1"], m["P2"], m["S3"], m["S1"]], 2)
@@ -121,6 +161,22 @@ def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeyp
     assert [list(t.dims) for t in d_almost_split(cat, m["S1"]).terms] == [
         [0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0]
     ]
+
+
+def test_d_almost_split_splits_its_end_term_once(monkeypatch):
+    cat = _ka_rad2_category(6, 2)
+    ends = [z for z in cat._summand_pool() if not homological.is_projective(z)]
+    calls = []
+    real = repcat.split_summands
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(repcat, "split_summands", counting)
+    for n in ends:
+        d_almost_split(cat, n)
+    assert [sum(x is n for x in calls) for n in ends] == [1] * len(ends)
 
 
 def _ka_rad2_category(n, p):

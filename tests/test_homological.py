@@ -22,13 +22,13 @@ from dctkit.homological import (
     is_projective,
     projectively_stable_dim,
     resolution,
-    syzygy,
-    transpose,
     tr_d,
 )
 from dctkit.repcat import Morphism, are_isomorphic, duality, hom_basis, hom_dim, simple
 from scan_oracles import ambient_tensor_dim, ambient_tensor_map, ambient_tor_dim, tensor_map
 from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space, glued_transpose, proj_hom
+from scan_oracles import injective, resolved_syzygy_tr_d
+from type_a import higher_auslander, nakayama
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -115,19 +115,19 @@ def test_ext_vanishes_beyond_global_dimension(flag, flag_mods):
 
 
 def test_syzygy_is_kernel_of_cover(flag_mods):
-    s = syzygy(flag_mods["S1"], 1)
+    s = resolution(flag_mods["S1"]).syzygy(1)
     assert tuple(s.dims) == (0, 1, 0)
-    s2 = syzygy(flag_mods["S1"], 2)
+    s2 = resolution(flag_mods["S1"]).syzygy(2)
     assert tuple(s2.dims) == (0, 0, 1)
 
 
 def test_transpose_swaps_sides(ka2, ka2_mods):
-    tr = transpose(ka2_mods["S1"])
+    tr = tr_d(ka2_mods["S1"], 1)
     # over the opposite algebra
     assert tr.algebra is ka2.opposite()
     assert not tr.is_zero()
     # transpose of a projective vanishes
-    trp = transpose(ka2_mods["P1"])
+    trp = tr_d(ka2_mods["P1"], 1)
     assert trp.is_zero()
 
 
@@ -312,7 +312,7 @@ def test_resolutions_and_minimal_covers_need_no_direct_sum(monkeypatch):
         out = []
         for x in mods:
             out.append([ext_dim(x, y, i) for y in mods for i in range(3)])
-            out.append((transpose(x).dims, tau_d(x, 2).dims))
+            out.append((tr_d(x, 1).dims, tau_d(x, 2).dims))
             pairs = [(z, b) for z in mods for b in hom_basis(z, x)]
             g, _ = approx.minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs])
             out.append((g.domain.dims, g.comps))
@@ -331,9 +331,54 @@ def test_resolutions_and_minimal_covers_need_no_direct_sum(monkeypatch):
 @pytest.mark.parametrize("name, p", EXT_GROUPS)
 def test_transpose_matches_the_glued_oracle(name, p):
     for x in ext_group(name, p):
-        tr, glued = transpose(x), glued_transpose(x)
+        tr, glued = tr_d(x, 1), glued_transpose(x)
         assert tr.algebra is glued.algebra is x.algebra.opposite()
         assert (tr.dims, tr.maps) == (glued.dims, glued.maps), x
+
+
+def tr_d_group(kind, which, p):
+    """Modules to compare tr_d on: the named modules of a fixture or of a KA_n/rad^2
+    document, or the simples, projectives and injectives of A_s^(d) or nakayama(n, l)."""
+    if kind == "fixture":
+        ws = workspace.load(str(DATA / which), p)
+        return [ws.modules[k] for k in sorted(ws.modules)]
+    if kind == "ka":
+        return ext_group(f"ka{which}", p)
+    present = higher_auslander if kind == "auslander" else nakayama
+    vertices, arrows, relations, bound = present(*which)
+    algebra = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+    return [f(algebra, v) for f in (simple, repcat.projective, injective) for v in range(len(vertices))]
+
+
+TR_D_CASES = [("fixture", name) for name in ("ka2.json", "ka3rad2.json")]
+TR_D_CASES += [("ka", n) for n in range(3, 7)]
+TR_D_CASES += [("auslander", (s, d)) for s in range(2, 5) for d in range(1, 4)]
+TR_D_CASES += [("nakayama", (3, 2))]
+
+
+@pytest.mark.parametrize("kind, which", TR_D_CASES, ids=str)
+@pytest.mark.parametrize("p", [2, 3])
+def test_tr_d_matches_the_resolved_syzygy(kind, which, p):
+    for x in tr_d_group(kind, which, p):
+        for d in range(1, 5):
+            tr, oracle = tr_d(x, d), resolved_syzygy_tr_d(x, d)
+            assert tr.algebra is oracle.algebra is x.algebra.opposite()
+            assert (tr.dims, tr.maps) == (oracle.dims, oracle.maps), (x, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tau_d_resolves_only_its_argument(flag, d, monkeypatch):
+    resolved = []
+    real_init = homological.ProjResolution.__init__
+
+    def init(self, x):
+        resolved.append(x)
+        real_init(self, x)
+
+    monkeypatch.setattr(homological.ProjResolution, "__init__", init)
+    x = simple(flag, 0)
+    tau_d(x, d)
+    assert resolved == [x]
 
 
 @pytest.mark.parametrize("name, p", EXT_GROUPS)
@@ -408,4 +453,4 @@ def test_ext_far_past_the_resolution_stops_at_its_zero_term():
     assert res.projective(10**9) is res.projective(pd(x) + 1)
     assert res.syzygy(10**9).is_zero() and res.differential(10**9).is_zero()
     # the stored terms stop at the first zero one
-    assert len(res._projs) <= pd(x) + 2
+    assert len(res._steps) <= pd(x) + 2
