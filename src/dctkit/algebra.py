@@ -59,6 +59,11 @@ class Quiver:
             arr.append(Arrow(name, self._vindex[str(src)], self._vindex[str(tgt)]))
         self.arrows: Tuple[Arrow, ...] = tuple(arr)
         self._aindex = {a.name: i for i, a in enumerate(self.arrows)}
+        # per vertex, the indices of the arrows ending and starting there
+        self.arrows_into: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(i for i, a in enumerate(arr) if a.target == v) for v in range(len(vertices)))
+        self.arrows_out: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(i for i, a in enumerate(arr) if a.source == v) for v in range(len(vertices)))
 
     @property
     def n_vertices(self) -> int:
@@ -130,10 +135,8 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[Path]:
     for _ in range(max_len):
         new = []
         for path in frontier:
-            at = path.target(quiver)
-            for i, a in enumerate(quiver.arrows):
-                if a.source == at:
-                    new.append(Path(path.source, path.arrows + (i,)))
+            for i in quiver.arrows_out[path.target(quiver)]:
+                new.append(Path(path.source, path.arrows + (i,)))
         out.extend(new)
         if len(out) > config.PATH_CAP:
             raise CapExceeded.over(

@@ -101,10 +101,8 @@ class AddCategory:
 
         def compute():
             pool, n = self._summand_pool(), self.algebra.quiver.n_vertices
-            tops = {v for z in pool if homological.is_projective(z)
-                    for v, js in enumerate(repcat._top_reps(z)) if js}
-            socles = {v for z in pool if homological.is_injective(z)
-                      for v, k in enumerate(repcat._socle_dims(z)) if k}
+            tops = {v for z in pool if homological.is_projective(z) for v in repcat._top_vertices(z)}
+            socles = {v for z in pool if homological.is_injective(z) for v in repcat._socle_vertices(z)}
             return len(tops) == n, len(socles) == n
 
         return self._cached("gen_cogen", compute)

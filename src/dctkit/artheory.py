@@ -467,8 +467,7 @@ def _largest_admissible_submodule(
     """
     field = n.field
     quiver = n.algebra.quiver
-    _, aug, _ = repcat.projective_cover(n)
-    through_proj = repcat.hom_image(x, aug)
+    through_proj = repcat.hom_image(x, homological.resolution(n).augmentation)
     spans = [Matrix.zeros(field, n.dims[v], 0) for v in range(quiver.n_vertices)]
     for v in range(quiver.n_vertices):
         dv = n.dims[v]

@@ -9,13 +9,18 @@ nonzero entry in the current column, so pivots, kernels and canonical
 bases are bit-for-bit reproducible.
 
 Subspaces of F_p^n are represented by matrices whose columns span them.
+
+Zero and identity blocks cost nothing: there is one PrimeField per p,
+and `Matrix.zeros` and `Matrix.identity` return one shared matrix per
+(p, rows, cols), which a product with an empty side returns too.  Most
+blocks met here are of this kind (vertex components of modules that
+vanish at a vertex, composites through such components).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
@@ -39,22 +44,28 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The prime field F_p, p prime and below the supported bound."""
+    """The prime field F_p, p prime and below the supported bound.
+
+    There is one instance per p: PrimeField(p) is PrimeField(p), so fields
+    compare by identity.
+    """
 
     __slots__ = ("p",)
+    _instances: Dict[int, "PrimeField"] = {}
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not a prime")
         if p >= _MAX_PRIME:
             raise ValueError(f"modulus {p} exceeds the supported bound {_MAX_PRIME}")
-        self.p = p
+        field = cls._instances.get(p)
+        if field is None:
+            field = cls._instances[p] = object.__new__(cls)
+            field.p = int(p)
+        return field
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -89,13 +100,24 @@ class Matrix:
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else (cols or 0)
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, _zero_rows(rows, cols), cols, _reduced=True)
+    @staticmethod
+    def zeros(field: PrimeField, rows: int, cols: int) -> "Matrix":
+        """The rows x cols zero matrix, one shared instance per (p, rows, cols)."""
+        key = (field.p, rows, cols)
+        m = _ZEROS.get(key)
+        if m is None:
+            m = _ZEROS[key] = Matrix(field, ((0,) * cols,) * rows, cols, _reduced=True)
+        return m
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, _identity_rows(n), n, _reduced=True)
+    @staticmethod
+    def identity(field: PrimeField, n: int) -> "Matrix":
+        """The n x n identity matrix, one shared instance per (p, n)."""
+        key = (field.p, n)
+        m = _IDENTITIES.get(key)
+        if m is None:
+            rows = tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
+            m = _IDENTITIES[key] = Matrix(field, rows, n, _reduced=True)
+        return m
 
     @classmethod
     def column(cls, field: PrimeField, entries: Sequence[int]) -> "Matrix":
@@ -136,7 +158,7 @@ class Matrix:
         return Matrix(self.field, t, self.rows, _reduced=True)
 
     def _check(self, other: "Matrix"):
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise DimensionMismatch("mixed fields")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -180,7 +202,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and (self.field is other.field or self.field == other.field)
+            and self.field is other.field
             and self.cols == other.cols
             and self.entries == other.entries
         )
@@ -199,14 +221,9 @@ class Matrix:
         return f"Matrix(F{self.field.p}, {[list(r) for r in self.entries]})"
 
 
-@lru_cache(maxsize=None)
-def _zero_rows(rows: int, cols: int):
-    return ((0,) * cols,) * rows
-
-
-@lru_cache(maxsize=None)
-def _identity_rows(n: int):
-    return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
+# The shared zero and identity matrices, keyed on p and the shape.
+_ZEROS: Dict[Tuple[int, int, int], Matrix] = {}
+_IDENTITIES: Dict[Tuple[int, int], Matrix] = {}
 
 
 def _product_rows(p: int, a, b, n: int):
@@ -263,7 +280,9 @@ def block_diag(field: PrimeField, ms: Iterable[Matrix]) -> Matrix:
 
 
 def _reduce_rows(p: int, a: List[list], search: int) -> List[int]:
-    """Row-reduce the reduced-residue row lists `a` in place; returns the pivot columns.
+    """Row-reduce the list `a` of reduced-residue rows in place; returns the pivot columns.
+
+    Rows may be tuples; a row that changes is replaced by a new list.
 
     Pivot selection is "first nonzero in column order": columns are walked
     left to right and the first row at or below the current one with a
@@ -437,7 +456,7 @@ def quotient(v: Matrix, u: Matrix) -> Quotient:
     field = v.field
     n = v.rows
     vb = canonical_basis(v)
-    ident = _identity_rows(n)
+    ident = Matrix.identity(field, n).entries
     a = [list(r + s + e + e) for r, s, e in zip(u.entries, vb.entries, ident)]
     search = u.cols + vb.cols + n
     pivots = _reduce_rows(field.p, a, search)

@@ -7,7 +7,10 @@ matrices intertwining the arrow actions.
 
 Hom spaces are computed exactly as kernels of the intertwining system and
 always come back in the same canonical order, so everything downstream
-(approximations, resolutions, splittings) is deterministic.
+(approximations, resolutions, splittings) is deterministic.  Zero Homs
+solve no system: Hom(x, y) = 0 whenever y vanishes on the top of x or x
+on the socle of y, and each module keeps its top and socle, its identity
+and its hom bases once computed.
 
 Indecomposability, splitting and isomorphism are linear algebra on
 E = End(x) over its hom basis: the radical J = rad E by lifted traces,
@@ -163,12 +166,12 @@ class Morphism:
 
     @classmethod
     def identity(cls, module: Module) -> "Morphism":
-        return cls(
-            module,
-            module,
-            [Matrix.identity(module.field, d) for d in module.dims],
-            _skip_check=True,
-        )
+        """The identity of module, one object per module."""
+        ident = module._cache.get("identity")
+        if ident is None:
+            comps = [Matrix.identity(module.field, d) for d in module.dims]
+            ident = module._cache["identity"] = cls(module, module, comps, _skip_check=True)
+        return ident
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         """Composition self after other.
@@ -250,14 +253,17 @@ def hom_vec(f: Morphism) -> List[int]:
 
 def morphism_from_vec(x: Module, y: Module, vec, _skip_check=False) -> Morphism:
     """The morphism whose flattening (see hom_vec) is vec, entries taken mod p."""
-    p = x.field.p
+    field, p = x.field, x.field.p
     vec = tuple([t % p for t in vec])
     comps = []
     at = 0
     for v in range(len(x.dims)):
         r, c = y.dims[v], x.dims[v]
-        rows = tuple([vec[at + i * c : at + (i + 1) * c] for i in range(r)])
-        comps.append(Matrix(x.field, rows, c, _reduced=True))
+        if r and c:
+            rows = tuple([vec[at + i * c : at + (i + 1) * c] for i in range(r)])
+            comps.append(Matrix(field, rows, c, _reduced=True))
+        else:
+            comps.append(Matrix.zeros(field, r, c))
         at += r * c
     return Morphism(x, y, comps, _skip_check=_skip_check)
 
@@ -270,9 +276,29 @@ def _hom_data(x: Module, y: Module) -> Tuple[Tuple[Morphism, ...], Matrix]:
     cached = x._cache.get(key)
     if cached is not None and cached[0] is y:
         return cached[1:]
-    field = x.field
-    p = field.p
     n = hom_flat_dim(x, y)
+    if not n or _hom_is_zero(x, y):
+        basis, k = (), Matrix.zeros(x.field, n, 0)
+    else:
+        k = _hom_kernel(x, y, n)
+        basis = tuple(morphism_from_vec(x, y, col, _skip_check=True) for col in k.columns())
+    x._cache[key] = (y, basis, k)
+    return basis, k
+
+
+def _hom_is_zero(x: Module, y: Module) -> bool:
+    """Whether Hom(x, y) = 0 shows on tops and socles, with no system solved.
+
+    The image of a nonzero map x -> y has a top, a quotient of top x, and
+    a socle inside soc y; so y is nonzero at some top vertex of x and x
+    at some socle vertex of y.
+    """
+    return not (any(y.dims[v] for v in _top_vertices(x)) and any(x.dims[v] for v in _socle_vertices(y)))
+
+
+def _hom_kernel(x: Module, y: Module, n: int) -> Matrix:
+    """The canonical kernel of the intertwining system of Hom(x, y), n flat unknowns."""
+    p = x.field.p
     offsets = []
     at = 0
     for v in range(len(x.dims)):
@@ -294,10 +320,7 @@ def _hom_data(x: Module, y: Module) -> Tuple[Tuple[Morphism, ...], Matrix]:
                     row[offsets[s] + k * xs + c] -= ya[r][k]
                 if any(row):
                     rows.append(tuple([e % p for e in row]))
-    k = exactlin.kernel_basis(Matrix(field, tuple(rows), n, _reduced=True))
-    basis = tuple(morphism_from_vec(x, y, col, _skip_check=True) for col in k.columns())
-    x._cache[key] = (y, basis, k)
-    return basis, k
+    return exactlin.kernel_basis(Matrix(x.field, tuple(rows), n, _reduced=True))
 
 
 def hom_basis(x: Module, y: Module) -> Tuple[Morphism, ...]:
@@ -326,10 +349,12 @@ def hom_composites(a, b) -> Matrix:
     f = a if pre else b
     x, y = (f.codomain, b) if pre else (a, f.domain)
     x2, y2 = (f.domain, b) if pre else (a, f.codomain)
+    p, product = x.field.p, exactlin._product_rows
     columns = []
     for h in hom_basis(x, y):
-        parts = [hv @ c if pre else c @ hv for hv, c in zip(h.comps, f.comps)]
-        columns.append([t for m in parts for row in m.entries for t in row])
+        factors = zip(h.comps, f.comps) if pre else zip(f.comps, h.comps)
+        columns.append([t for left, right in factors
+                        for row in product(p, left.entries, right.entries, right.cols) for t in row])
     return Matrix.from_columns(x.field, columns, hom_flat_dim(x2, y2))
 
 
@@ -594,28 +619,53 @@ def block_map(dom: Module, cod: Module, grid: Sequence[Sequence[Morphism]]) -> M
 # -- tops, covers, envelopes ---------------------------------------------
 
 
-def _top_reps(x: Module) -> List[List[int]]:
-    """Per vertex, the j with e_j outside the radical plus the earlier e_i.
+def _top_reps(x: Module) -> Tuple[Tuple[int, ...], ...]:
+    """Per vertex, the j with e_j outside the radical plus the earlier e_i; kept on x.
 
     These are the columns of quotient(I, radical).reps.  e_j lies inside exactly
     when a radical vector ends at j: a pivot of the arrow images read right to left.
     """
-    p, arrows = x.field.p, x.algebra.quiver.arrows
-    reps = []
-    for v, n in enumerate(x.dims):
-        rows = [list(c[::-1]) for i, a in enumerate(arrows) if a.target == v
-                for c in x.maps[i].columns()]
-        ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
-        reps.append([j for j in range(n) if j not in ends])
+    reps = x._cache.get("top")
+    if reps is None:
+        p, into, maps = x.field.p, x.algebra.quiver.arrows_into, x.maps
+        out = []
+        for v, n in enumerate(x.dims):
+            rows = [c[::-1] for i in into[v] for c in zip(*maps[i].entries)] if n else None
+            if rows:
+                ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
+                out.append(tuple([j for j in range(n) if j not in ends]))
+            else:
+                out.append(tuple(range(n)))
+        reps = x._cache["top"] = tuple(out)
     return reps
 
 
-def _socle_dims(x: Module) -> List[int]:
-    """Per vertex v, dim soc(x)_v: dim x_v minus the rank of the arrows out of v."""
-    p, arrows = x.field.p, x.algebra.quiver.arrows
-    return [n - len(exactlin._reduce_rows(p, [list(r) for i, a in enumerate(arrows) if a.source == v
-                                             for r in x.maps[i].entries], n))
-            for v, n in enumerate(x.dims)]
+def _socle_dims(x: Module) -> Tuple[int, ...]:
+    """Per vertex v, dim soc(x)_v: dim x_v minus the rank of the arrows out of v; kept on x."""
+    dims = x._cache.get("socle")
+    if dims is None:
+        p, out, maps = x.field.p, x.algebra.quiver.arrows_out, x.maps
+        dims = x._cache["socle"] = tuple([
+            n and n - len(exactlin._reduce_rows(p, [r for i in out[v] for r in maps[i].entries], n))
+            for v, n in enumerate(x.dims)
+        ])
+    return dims
+
+
+def _top_vertices(x: Module) -> Tuple[int, ...]:
+    """The vertices where top x is nonzero, kept on x."""
+    tops = x._cache.get("top vertices")
+    if tops is None:
+        tops = x._cache["top vertices"] = tuple([v for v, js in enumerate(_top_reps(x)) if js])
+    return tops
+
+
+def _socle_vertices(x: Module) -> Tuple[int, ...]:
+    """The vertices where soc x is nonzero, kept on x."""
+    socles = x._cache.get("socle vertices")
+    if socles is None:
+        socles = x._cache["socle vertices"] = tuple([v for v, k in enumerate(_socle_dims(x)) if k])
+    return socles
 
 
 def projective_cover(x: Module):

@@ -36,6 +36,11 @@ of generators (`pairwise_rigidity`), and domdim End(M) glued M and
 resolved it (`glued_domdim_end`); the library sums one table of Ext
 between pool members, computed once per category, and never glues M.
 
+Every Hom was once the kernel of its whole intertwining system
+(`intertwining_kernel`, built here column by column from the flat unit
+maps); the library reads zero Homs off tops and socles and solves no
+system for them.
+
 Isomorphism was once a glued map: `find_isomorphism` pairs the
 summands of x and y one by one, and the tau_d report tried every
 translate against every non-injective pool member with it
@@ -230,6 +235,23 @@ def flat_ext_map_post(x, f, i):
         rep = repcat.morphism_from_vec(p_i, f.domain, vec)
         cols.append(dst_proj @ Matrix.column(x.field, repcat.hom_vec(f @ rep)))
     return exactlin.hstack(cols, field=x.field, rows=dst_reps.cols)
+
+
+def intertwining_kernel(x, y):
+    """The canonical kernel of the whole intertwining system of Hom(x, y), flat coordinates.
+
+    Column j of the system holds f_t X_a - Y_a f_s, arrow after arrow, for
+    f the j-th flat unit map x -> y.  No zero Hom is decided in advance.
+    """
+    n, arrows = repcat.hom_flat_dim(x, y), x.algebra.quiver.arrows
+    height = sum(y.dims[a.target] * x.dims[a.source] for a in arrows)
+    columns = []
+    for j in range(n):
+        f = repcat.morphism_from_vec(x, y, [int(i == j) for i in range(n)], _skip_check=True)
+        defects = [f.comps[a.target] @ x.maps[i] - y.maps[i] @ f.comps[a.source]
+                   for i, a in enumerate(arrows)]
+        columns.append([t for m in defects for row in m.entries for t in row])
+    return exactlin.kernel_basis(Matrix.from_columns(x.field, columns, height))
 
 
 def summed_block_map(dom_sum, cod_sum, grid):

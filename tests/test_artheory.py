@@ -234,6 +234,28 @@ def test_every_end_submodule_is_realized(flag_cat, flag_mods):
     assert checked >= 25
 
 
+def test_determined_morphism_covers_no_module_that_has_a_resolution(flag_cat, monkeypatch):
+    """The trace condition reads n's cover off its resolution instead of covering n again."""
+    again = []
+    real = repcat.projective_cover
+
+    def spy(x):
+        res = x._cache.get("resolution")
+        if res is not None and res._steps:
+            again.append(x)
+        return real(x)
+
+    pool = flag_cat._summand_pool()
+    for n in pool:
+        homological.resolution(n).augmentation
+    monkeypatch.setattr(repcat, "projective_cover", spy)
+    for x in pool:
+        for n in pool:
+            for h in (EndSubmodule.full(x, n), EndSubmodule.radical(x, n)):
+                determined_morphism(flag_cat, x, n, h)
+    assert again == []
+
+
 def test_zero_map_is_not_determined_by_the_end_simple(flag, flag_cat, flag_mods):
     S1 = flag_mods["S1"]
     z = Morphism.zero(repcat.zero_module(flag), S1)

@@ -10,6 +10,8 @@ membership by isomorphism, and sorts the whole scan at the end.
 Rigidity and the member flags read one table of Ext between pool
 members; ``pairwise_rigidity`` asks every pair of generators instead,
 also when a generator decomposes or two generators share a summand.
+Work guards count the resolutions, hom bases and intertwining systems
+that the certificate and ``gldim_end`` compute.
 """
 
 import pathlib
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from dctkit import AddCategory, Matrix, PrimeField, Quiver, build_algebra
 from dctkit import homological, repcat, workspace
-from dctkit.artheory import enumerate_indecomposables, is_d_cluster_tilting, is_d_rigid
+from dctkit.artheory import enumerate_indecomposables, gldim_end, is_d_cluster_tilting, is_d_rigid
 from scan_oracles import (
     hom_generating_cogenerating,
     injective,
@@ -235,3 +237,29 @@ def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatc
     assert len(resolved) == len(cat.generators) + len(universe) - len(members) == 11
     # 21 when the guard was written; resolving every member took more
     assert len(misses) <= 21
+
+
+def test_gldim_end_and_the_certificate_solve_only_nonzero_hom_systems(monkeypatch):
+    """Work budget of the intertwining systems solved on KA_6/rad^2 over F_2.
+
+    Tops and socles decide the zero Homs; every system left has a nonzero kernel.
+    """
+    solved = []
+    real = repcat._hom_kernel
+
+    def counting(x, y, n):
+        solved.append((x, y))
+        return real(x, y, n)
+
+    monkeypatch.setattr(repcat, "_hom_kernel", counting)
+    assert gldim_end(ka_workspace(6, 2).category("M")) == 6
+    # 28 when the guard was written; solving every Hom asked took 196
+    assert len(solved) <= 28
+    assert all(repcat.hom_dim(x, y) for x, y in solved)
+    ws = ka_workspace(6, 2)
+    universe = enumerate_indecomposables(ws.algebra, 2)
+    solved.clear()
+    assert is_d_cluster_tilting(ws.category("M"), universe).ok
+    # 21 when the guard was written, as many as its hom cache misses
+    assert len(solved) <= 21
+    assert all(repcat.hom_dim(x, y) for x, y in solved)
