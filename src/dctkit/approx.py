@@ -8,7 +8,8 @@ that are independent modulo the radical and the orbits kept before.  This
 is linear algebra only; no endomorphism of a glued sum is ever searched.
 The radical rad(x, y) and the sorting of indecomposables into isomorphism
 classes live in repcat (`rad_hom_basis`, `iso_classes`).  Left-sided
-notions go through the vector-space duality.  `add_resolution` is the one
+notions go through the vector-space duality, over the dual category, whose
+pool is the duals of this one's.  `add_resolution` is the one
 loop that covers kernels by minimal right approximations; d-exact
 completions and gldim End(M) both read it.
 """
@@ -30,8 +31,8 @@ class AddCategory:
     is never glued: each generator is split into indecomposables once and
     its summands are sorted into the pool, one member per isomorphism
     class, keeping each generator's pool labels.  Every question about M
-    is asked of the pool members.  The dual category is built once, and
-    its dual is this category again.
+    is asked of the pool members.  The dual category is built once from
+    the duals of the pool, and its dual is this category again.
     """
 
     def __init__(self, generators: Sequence[Module], d: int):
@@ -48,9 +49,16 @@ class AddCategory:
         self._cache: Dict[str, object] = {}
 
     def dual(self) -> "AddCategory":
-        """The closure of the dual generators over the opposite algebra, built once."""
+        """The closure of the dual generators over the opposite algebra, built once.
+
+        D is an exact duality, so the duals of the pool are one indecomposable
+        per isomorphism class, in the same order: the dual category takes them
+        and this category's generator labels, and splits nothing again.
+        """
         if "dual" not in self._cache:
+            pool, labels = self._split_generators()
             dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
+            dual._cache["pool"] = [repcat.duality(z) for z in pool], labels
             self._cache["dual"], dual._cache["dual"] = dual, self
         return self._cache["dual"]
 
@@ -101,8 +109,10 @@ class AddCategory:
 
         def compute():
             pool, n = self._summand_pool(), self.algebra.quiver.n_vertices
-            tops = {v for z in pool if homological.is_projective(z) for v in repcat._top_vertices(z)}
-            socles = {v for z in pool if homological.is_injective(z) for v in repcat._socle_vertices(z)}
+            tops = {v for z in pool if homological.is_projective(z)
+                    for v, js in enumerate(repcat._top_reps(z)) if js}
+            socles = {v for z in pool if homological.is_injective(z)
+                      for v, k in enumerate(repcat._socle_dims(z)) if k}
             return len(tops) == n, len(socles) == n
 
         return self._cached("gen_cogen", compute)

@@ -291,15 +291,11 @@ def verify_defect_formula(seq: DSequence, cat: AddCategory) -> ComparisonReport:
     """Compare both defect dimensions of a sequence over the whole pool."""
     pool, nonproj, _, translate = _pool_translates(cat)
     rows: List[Dict[str, object]] = []
-    ok = True
     for i in nonproj:
         lhs = dexact.defect_contravariant(seq, pool[i]).dim
         rhs = dexact.defect_covariant(seq, translate[i]).dim
-        good = lhs == rhs
-        rows.append({"x": i, "contravariant": lhs, "covariant": rhs, "ok": good})
-        if not good:
-            ok = False
-    return ComparisonReport(rows, ok)
+        rows.append({"x": i, "contravariant": lhs, "covariant": rhs, "ok": lhs == rhs})
+    return ComparisonReport(rows, all(row["ok"] for row in rows))
 
 
 def verify_ar_duality(cat: AddCategory) -> ComparisonReport:
@@ -307,16 +303,12 @@ def verify_ar_duality(cat: AddCategory) -> ComparisonReport:
     pool, nonproj, _, translate = _pool_translates(cat)
     d = cat.d
     rows: List[Dict[str, object]] = []
-    ok = True
     for i in nonproj:
         for j, y in enumerate(pool):
             lhs = homological.projectively_stable_dim(pool[i], y)
             rhs = homological.ext_dim(y, translate[i], d)
-            good = lhs == rhs
-            rows.append({"x": i, "y": j, "stable_hom": lhs, "ext": rhs, "ok": good})
-            if not good:
-                ok = False
-    return ComparisonReport(rows, ok)
+            rows.append({"x": i, "y": j, "stable_hom": lhs, "ext": rhs, "ok": lhs == rhs})
+    return ComparisonReport(rows, all(row["ok"] for row in rows))
 
 
 # -- determined morphisms ----------------------------------------------------
@@ -654,8 +646,7 @@ def d_almost_split(cat: AddCategory, n: Module) -> DSequence:
         raise VerificationFailed(
             "right almost split map onto a non-projective must be surjective"
         )
-    built = dexact.build_left_d_exact(cat, g)
-    seq = DSequence(built.terms, built.maps, category=cat, _skip_check=True)
+    seq = dexact.build_left_d_exact(cat, g)
     for i, mmap in enumerate(seq.maps[1:-1], start=1):
         if not repcat.is_radical_morphism(mmap):
             raise VerificationFailed(f"interior map {i} is not radical")

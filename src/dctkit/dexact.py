@@ -1,10 +1,11 @@
 """Longer-than-short exact sequences and their calculus.
 
 A DSequence is a complex T_0 -> T_1 -> ... -> T_n with zero composites,
-usually with d+2 terms.  Hom-exactness against the generators of an
-additive category is what the one-sided exactness tests measure: applying
-Hom(G, -) (left test) or Hom(-, G) (right test) must give vector-space
-sequences that are exact at every spot except the trailing one.
+usually with d+2 terms.  Hom-exactness against the additive generator M
+of a category is what the one-sided exactness tests measure: applying
+Hom(M, -) (left test) or Hom(-, M) (right test) must give vector-space
+sequences that are exact at every spot except the trailing one.  Both are
+asked of the category's pool, one indecomposable summand of M per class.
 
 A sequence is contractible when its end map splits.  The d-pullback of
 a sequence along a map into its end is a staircase of classical
@@ -135,15 +136,22 @@ def _first_inexact_position(mats: List[Matrix]) -> Optional[int]:
 
 
 def is_left_d_exact(seq: DSequence, cat: AddCategory) -> bool:
-    """Hom(G, -) of the sequence is exact away from its last spot, for every generator G."""
+    """Hom(M, -) of the sequence is exact away from its last spot.
+
+    Hom(M, -) is the sum of Hom(z, -) over the pool members z, so each
+    pool member is tested on its own and M is never glued.
+    """
     return all(
-        _first_inexact_position([repcat.hom_composites(g, f) for f in seq.maps]) is None
-        for g in cat.generators
+        _first_inexact_position([repcat.hom_composites(z, f) for f in seq.maps]) is None
+        for z in cat._summand_pool()
     )
 
 
 def is_right_d_exact(seq: DSequence, cat: AddCategory) -> bool:
-    """Hom(-, G) exactness: the left test on the dual sequence over cat.dual()."""
+    """Hom(-, M) exactness: the left test on the dual sequence over cat.dual().
+
+    The dual category's pool is the duals of this one's, so nothing is split again.
+    """
     return is_left_d_exact(_dual_sequence(seq), cat.dual())
 
 
@@ -285,8 +293,9 @@ def build_left_d_exact(cat: AddCategory, g: Morphism) -> DSequence:
 
     Starting from g: C -> N, `add_resolution` covers the kernel of each
     map by a minimal right approximation; the kernel of the d-th map is
-    kept as the left term, giving d+2 terms in total.
+    kept as the left term, giving d+2 terms in total.  The sequence
+    carries cat as its category.
     """
     maps = list(islice(add_resolution(cat, g), cat.d))
     maps = [repcat.kernel(maps[-1])[1]] + maps[::-1]
-    return DSequence([f.domain for f in maps] + [g.codomain], maps)
+    return DSequence([f.domain for f in maps] + [g.codomain], maps, category=cat)

@@ -131,7 +131,9 @@ def is_projective(x: Module) -> bool:
 def is_injective(x: Module) -> bool:
     """Whether x is its own injective envelope: sum_v dim soc(x)_v * dim I_v = dim x.
 
-    dim I_v is the number of basis paths ending at v.
+    dim I_v is the number of basis paths ending at v.  The socle is counted
+    (`repcat._socle_dims`), not read through D: building D x would cost
+    several times the count.
     """
     algebra = x.algebra
     ends = [0] * len(x.dims)

@@ -293,7 +293,8 @@ def _hom_is_zero(x: Module, y: Module) -> bool:
     a socle inside soc y; so y is nonzero at some top vertex of x and x
     at some socle vertex of y.
     """
-    return not (any(y.dims[v] for v in _top_vertices(x)) and any(x.dims[v] for v in _socle_vertices(y)))
+    return not (any(js and n for js, n in zip(_top_reps(x), y.dims))
+                and any(k and n for k, n in zip(_socle_dims(y), x.dims)))
 
 
 def _hom_kernel(x: Module, y: Module, n: int) -> Matrix:
@@ -641,7 +642,12 @@ def _top_reps(x: Module) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _socle_dims(x: Module) -> Tuple[int, ...]:
-    """Per vertex v, dim soc(x)_v: dim x_v minus the rank of the arrows out of v; kept on x."""
+    """Per vertex v, dim soc(x)_v: dim x_v minus the rank of the arrows out of v; kept on x.
+
+    Counted here, not read as the top of D x: the zero test asks the socle
+    of every fresh kernel, and building D x costs several times the count
+    (about 19 against 2.5 us per module on KA_n/rad^2).
+    """
     dims = x._cache.get("socle")
     if dims is None:
         p, out, maps = x.field.p, x.algebra.quiver.arrows_out, x.maps
@@ -650,22 +656,6 @@ def _socle_dims(x: Module) -> Tuple[int, ...]:
             for v, n in enumerate(x.dims)
         ])
     return dims
-
-
-def _top_vertices(x: Module) -> Tuple[int, ...]:
-    """The vertices where top x is nonzero, kept on x."""
-    tops = x._cache.get("top vertices")
-    if tops is None:
-        tops = x._cache["top vertices"] = tuple([v for v, js in enumerate(_top_reps(x)) if js])
-    return tops
-
-
-def _socle_vertices(x: Module) -> Tuple[int, ...]:
-    """The vertices where soc x is nonzero, kept on x."""
-    socles = x._cache.get("socle vertices")
-    if socles is None:
-        socles = x._cache["socle vertices"] = tuple([v for v, k in enumerate(_socle_dims(x)) if k])
-    return socles
 
 
 def projective_cover(x: Module):
@@ -864,46 +854,39 @@ def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
     a zero divisor z of B gives the right identity of the left ideal Bz,
     an idempotent of B, which e -> 3e^2 - 2e^3 lifts over J.  The answer is
     kept on x.  cap, when given, bounds the dim End(x)^2 structure
-    constants the call may compute.
+    constants the call may compute.  The library never passes it; the
+    tracer test of `perfbench` does, to provoke a refusal.
     """
     basis = hom_basis(x, x)
     if cap is not None and len(basis) ** 2 > cap:
         needed = f"{len(basis) ** 2} End structure constants"
         raise CapExceeded.over("nontrivial_idempotent", x.dims, needed, cap, "cap")
-    if "idempotent" not in x._cache:
-        x._cache["idempotent"] = _find_idempotent(x, basis)
-    return x._cache["idempotent"]
-
-
-def _find_idempotent(x: Module, basis) -> Optional[Morphism]:
-    ident = Morphism.identity(x)
-    for b in basis:
-        if b != ident and b @ b == b and not b.is_zero():
-            return b
-    if len(basis) < 2:
-        return None
-    field = x.field
-    mult, rad = _end_algebra(x)
-    reps, proj = exactlin.quotient(Matrix.identity(field, len(basis)), rad)
-    if reps.cols == 1:  # End(x)/J = k
-        return None
-    quot = [proj @ _combine(mult, r) @ reps for r in reps.columns()]
-    space = hom_space_matrix(x, x)
-    z = _zero_divisor(quot, proj @ exactlin.solve(space, Matrix.column(field, hom_vec(ident))))
-    if z is None:
-        return None
-    ideal = exactlin.canonical_basis(exactlin.hstack([q @ z for q in quot]))
-    cols = ideal.columns()
-    ebar = exactlin.solve(
-        exactlin.vstack([_combine(quot, c) @ ideal for c in cols]),
-        Matrix.column(field, [t for c in cols for t in c]),
-    )
-    lift = space @ reps @ ideal @ ebar
-    f = morphism_from_vec(x, x, [r[0] for r in lift.entries], _skip_check=True)
-    while f @ f != f:
-        sq = f @ f
-        f = sq.scale(3) - (sq @ f).scale(2)
-    return f
+    if "idempotent" in x._cache:
+        return x._cache["idempotent"]
+    field, ident = x.field, Morphism.identity(x)
+    e = next((b for b in basis if b != ident and b @ b == b), None)
+    z = None
+    if e is None and len(basis) > 1:
+        mult, rad = _end_algebra(x)
+        reps, proj = exactlin.quotient(Matrix.identity(field, len(basis)), rad)
+        space = hom_space_matrix(x, x)
+        if reps.cols > 1:  # End(x)/J = k has no zero divisor
+            quot = [proj @ _combine(mult, r) @ reps for r in reps.columns()]
+            z = _zero_divisor(quot, proj @ exactlin.solve(space, Matrix.column(field, hom_vec(ident))))
+    if z is not None:
+        ideal = exactlin.canonical_basis(exactlin.hstack([q @ z for q in quot]))
+        cols = ideal.columns()
+        ebar = exactlin.solve(
+            exactlin.vstack([_combine(quot, c) @ ideal for c in cols]),
+            Matrix.column(field, [t for c in cols for t in c]),
+        )
+        lift = space @ reps @ ideal @ ebar
+        e = morphism_from_vec(x, x, [r[0] for r in lift.entries], _skip_check=True)
+        while e @ e != e:
+            sq = e @ e
+            e = sq.scale(3) - (sq @ e).scale(2)
+    x._cache["idempotent"] = e
+    return e
 
 
 def is_indecomposable(x: Module) -> bool:

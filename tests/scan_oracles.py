@@ -47,6 +47,11 @@ translate against every non-injective pool member with it
 (`pairwise_tau_d_report`).  The library sorts summands into classes with
 `iso_classes` and builds no isomorphism.
 
+The one-sided exactness tests once asked Hom(G, -) and Hom(-, G) of each
+generator G (`generator_left_d_exact`, `generator_right_d_exact`); the
+library asks the pool members, and the dual category takes the duals of
+the pool.
+
 The last section keeps the reference routines that only tests call, so
 the library is what `dct` and `dctkit.__all__` reach: `rref`; the
 radical, top and socle of a module (`radical_spans`, `radical`, `top`,
@@ -749,6 +754,37 @@ def pairwise_tau_d_report(cat):
     stable_ok = all(row["ok"] for row in stable_rows)
     ok = bijection and inverses_ok and stable_ok
     return artheory.TauEquivalenceReport(pairs, bijection, inverses_ok, stable_rows, stable_ok, ok)
+
+
+# -- one-sided exactness, generator by generator ------------------------------
+
+
+def _exact_but_at_the_end(mats):
+    """Whether 0 -> V_0 -> ... -> V_n, mats[i]: V_i -> V_(i+1) read by rank only,
+    is exact at every spot but the last."""
+    prev_rank = 0
+    for m in mats:
+        rank = exactlin.rank(m)
+        if m.cols - rank != prev_rank:
+            return False
+        prev_rank = rank
+    return True
+
+
+def generator_left_d_exact(seq, cat):
+    """Hom(G, -) rank test for each generator G: 0 -> (G, T_0) -> ... -> (G, T_n)."""
+    return all(
+        _exact_but_at_the_end([repcat.hom_composites(g, f) for f in seq.maps])
+        for g in cat.generators
+    )
+
+
+def generator_right_d_exact(seq, cat):
+    """Hom(-, G) rank test for each generator G: 0 -> (T_n, G) -> ... -> (T_0, G)."""
+    return all(
+        _exact_but_at_the_end([repcat.hom_composites(f, g) for f in reversed(seq.maps)])
+        for g in cat.generators
+    )
 
 
 # -- references the library does not carry ----------------------------------

@@ -14,7 +14,9 @@ from dctkit.approx import (
     right_minimalize,
 )
 from dctkit.artheory import (
+    EndSubmodule,
     d_almost_split,
+    determined_morphism,
     domdim_end,
     enumerate_indecomposables,
     gldim_end,
@@ -164,6 +166,32 @@ def test_the_dual_category_is_an_involution_and_glues_no_generator(flag_cat, mon
     assert dual.dual() is cat and cat.dual() is dual
     assert [g.dims for g in dual.generators] == [g.dims for g in cat.generators]
     assert not glued
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_dual_category_takes_the_dual_pool_and_splits_nothing_over_the_opposite(
+    p, monkeypatch
+):
+    ws = workspace.load(str(DATA / "ka3rad2.json"), p)
+    cat, s1 = ws.category("M"), ws.module("S1")
+    split = []
+    real = repcat.split_summands
+
+    def spy(x):
+        split.append(x)
+        return real(x)
+
+    monkeypatch.setattr(repcat, "split_summands", spy)
+    dual = cat.dual()
+    assert dual.dual() is cat
+    (pool, labels), (dual_pool, dual_labels) = cat._split_generators(), dual._split_generators()
+    assert len(dual_pool) == len(pool)
+    assert all(w is repcat.duality(z) for w, z in zip(dual_pool, pool))
+    assert dual_labels == labels
+    for x in pool:
+        minimal_left_approximation(cat, x)
+    determined_morphism(cat, s1, s1, EndSubmodule.zero(s1, s1))
+    assert split and all(x.algebra is cat.algebra for x in split)
 
 
 def test_category_answers_do_not_depend_on_the_cap(monkeypatch):

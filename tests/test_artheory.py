@@ -30,7 +30,13 @@ from dctkit.artheory import (
     verify_defect_formula,
     verify_tau_d_equivalence,
 )
-from scan_oracles import all_end_submodules, factorization_check, radical
+from scan_oracles import (
+    all_end_submodules,
+    factorization_check,
+    flat_ext_dim,
+    intertwining_kernel,
+    radical,
+)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -187,6 +193,61 @@ def test_ar_duality_all_pairs(ka2_cat, flag_cat):
         assert report.rows  # at least the non-projective pool entries
         for row in report.rows:
             assert row["stable_hom"] == row["ext"]
+
+
+# -- the comparison reports can say no -------------------------------------------
+
+
+def flat_defects(seq, x, y):
+    """(contravariant at x, covariant at y), read off whole intertwining systems.
+
+    Each Hom is `intertwining_kernel`, and each defect is its dimension minus
+    the rank of the maps that lift along the end map or extend along the start.
+    """
+    start, end, field = seq.left_map, seq.right_map, x.field
+
+    def rank_of(maps, rows):
+        return exactlin.rank(Matrix.from_columns(field, [repcat.hom_vec(f) for f in maps], rows))
+
+    lifted = [end @ repcat.morphism_from_vec(x, end.domain, c)
+              for c in intertwining_kernel(x, end.domain).columns()]
+    extended = [repcat.morphism_from_vec(start.codomain, y, c) @ start
+                for c in intertwining_kernel(start.codomain, y).columns()]
+    right, left = seq.right_term, seq.left_term
+    return (
+        intertwining_kernel(x, right).cols - rank_of(lifted, repcat.hom_flat_dim(x, right)),
+        intertwining_kernel(left, y).cols - rank_of(extended, repcat.hom_flat_dim(left, y)),
+    )
+
+
+def test_ar_duality_fails_on_the_flagship_at_d_3(flag, flag_cat):
+    cat = AddCategory(flag_cat.generators, 3)
+    report = verify_ar_duality(cat)
+    assert not report.ok
+    assert [row for row in report.rows if not row["ok"]] == [
+        {"x": 3, "y": 3, "stable_hom": 1, "ext": 0, "ok": False}
+    ]
+    s1 = cat._summand_pool()[3]
+    assert s1.dims == (1, 0, 0)
+    # nothing S1 -> S1 factors through a projective, since Hom(S1, P_v) = 0 for every v
+    assert intertwining_kernel(s1, s1).cols == 1
+    assert all(intertwining_kernel(s1, repcat.projective(flag, v)).cols == 0 for v in range(3))
+    assert flat_ext_dim(s1, homological.tau_d(s1, 3), 3) == 0
+
+
+@pytest.mark.parametrize("which", ["flagship", "ka2"])
+def test_defect_formula_fails_past_the_category_size(which, flag_cat, flag_mods, ka2_cat, ka2_mods):
+    # the flagship M at d = 3 resolving cover1, and KA_2's M at d = 2 resolving quot
+    base, mods, x = (flag_cat, flag_mods, 3) if which == "flagship" else (ka2_cat, ka2_mods, 0)
+    cat = AddCategory(base.generators, 3 if which == "flagship" else 2)
+    seq = dexact.build_left_d_exact(cat, repcat.hom_basis(mods["P1"], mods["S1"])[0])
+    report = verify_defect_formula(seq, cat)
+    assert not report.ok
+    assert [row for row in report.rows if not row["ok"]] == [
+        {"x": x, "contravariant": 1, "covariant": 0, "ok": False}
+    ]
+    z = cat._summand_pool()[x]
+    assert flat_defects(seq, z, homological.tau_d(z, cat.d)) == (1, 0)
 
 
 # -- determined morphisms --------------------------------------------------------

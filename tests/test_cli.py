@@ -142,6 +142,16 @@ def test_defect_and_formula_commands():
     assert payload(r)["ok"] is True
 
 
+def test_both_comparison_commands_exit_one_when_the_comparison_fails(capsys):
+    from dctkit import cli
+
+    for command, extra in (("verify-defect-formula", ["--map", "cover1"]), ("verify-ar-duality", [])):
+        code = cli.main([command, "--workspace", FLAG, "--category", "M", "--d", "3", *extra])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["ok"] is False and doc["category"] == "M", command
+        assert [row["x"] for row in doc["rows"] if not row["ok"]] == [3], command
+
+
 def test_determined_command():
     r = run_cli("determined", "--workspace", FLAG, "--category", "M",
                 "--x", "S1", "--target", "S1", "--submodule", "zero")

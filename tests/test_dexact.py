@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from dctkit import DSequence, Matrix, Module, Morphism
+from dctkit import AddCategory, DSequence, Matrix, Module, Morphism
 from dctkit import dexact, exactlin, repcat, workspace
 from dctkit.dexact import (
     ComplexMorphism,
@@ -24,6 +24,8 @@ from dctkit.dexact import (
 from dctkit.errors import DimensionMismatch, InvalidMorphism
 from scan_oracles import (
     contraction,
+    generator_left_d_exact,
+    generator_right_d_exact,
     identity_chain,
     long_exact_extension_ok,
     mapping_cone,
@@ -77,33 +79,48 @@ def test_exactness_certificates(ka2_ses, ka2_cat, flag_seq, flag_cat):
     assert is_exact_complex(flag_seq)
 
 
-def _right_d_exact_oracle(seq, cat):
-    """Hom(-, G) rank test: 0 -> (T_n, G) -> ... -> (T_0, G) exact but at the end."""
-    for g in cat.generators:
-        prev_rank = 0
-        for f in reversed(seq.maps):
-            m = repcat.hom_composites(f, g)
-            rank = exactlin.rank(m)
-            if m.cols - rank != prev_rank:
-                return False
-            prev_rank = rank
-    return True
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_right_d_exactness_matches_the_rank_oracle(p):
-    verdicts = []
+def _fixture_sequences(p):
+    """(category, sequence) for build_left_d_exact of every hom-basis map between the
+    named modules of both fixtures."""
     for fixture in ("ka2.json", "ka3rad2.json"):
         ws = workspace.load(str(pathlib.Path(__file__).parent / "data" / fixture), p)
         cat = ws.category("M")
         for x in ws.modules.values():
             for y in ws.modules.values():
                 for g in repcat.hom_basis(x, y):
-                    seq = build_left_d_exact(cat, g)
-                    verdict = is_right_d_exact(seq, cat)
-                    assert verdict == _right_d_exact_oracle(seq, cat)
-                    verdicts.append(verdict)
+                    yield cat, build_left_d_exact(cat, g)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_right_d_exactness_matches_the_rank_oracle(p):
+    verdicts = []
+    for cat, seq in _fixture_sequences(p):
+        verdict = is_right_d_exact(seq, cat)
+        assert verdict == generator_right_d_exact(seq, cat)
+        verdicts.append(verdict)
     assert (verdicts.count(True), verdicts.count(False)) == (10, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pool_exactness_matches_the_generator_oracle_with_a_glued_generator(p):
+    """Asked of the pool, both tests agree with every generator's, and with
+    the same category given a generator glued from two.  Each built sequence
+    is tested as it is and with its left term replaced by zero."""
+    verdicts = []
+    for cat, built in _fixture_sequences(p):
+        gens = cat.generators
+        glued = AddCategory([repcat.sum_module(gens[:2])] + list(gens[2:]), cat.d)
+        zero = repcat.zero_module(cat.algebra)
+        cut = DSequence([zero] + list(built.terms[1:]),
+                        [Morphism.zero(zero, built.terms[1])] + list(built.maps[1:]))
+        for seq in (built, cut):
+            for c in (cat, glued):
+                left, right = is_left_d_exact(seq, c), is_right_d_exact(seq, c)
+                assert left == generator_left_d_exact(seq, c)
+                assert right == generator_right_d_exact(seq, c)
+                verdicts.append((left, right))
+    assert verdicts[::2] == verdicts[1::2]
+    assert {left for left, _ in verdicts} == {right for _, right in verdicts} == {True, False}
 
 
 def test_non_exact_sequence_is_rejected(flag_cat, flag_mods):
@@ -117,6 +134,16 @@ def test_non_exact_sequence_is_rejected(flag_cat, flag_mods):
     )
     assert not is_left_d_exact(seq, flag_cat)
     assert not is_exact_complex(seq)
+
+
+def test_a_complex_exact_at_its_ends_but_not_in_the_middle_is_not_exact(ka2_mods):
+    # S2 -> P1 -0-> P1 -> S1: a mono, then an epi, but Ker 0 = P1 is not Im(S2 -> P1)
+    S1, S2, P1 = ka2_mods["S1"], ka2_mods["S2"], ka2_mods["P1"]
+    incl, quot = repcat.hom_basis(S2, P1)[0], repcat.hom_basis(P1, S1)[0]
+    seq = DSequence([S2, P1, P1, S1], [incl, Morphism.zero(P1, P1), quot])
+    assert incl.is_mono() and quot.is_epi()
+    assert not is_exact_complex(seq)
+    assert is_exact_complex(DSequence([S2, P1, S1], [incl, quot]))
 
 
 def test_contractible_iff_split(ka2_mods, flag_mods, flag_cat, flag_seq):

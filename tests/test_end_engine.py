@@ -244,6 +244,29 @@ def test_a_commutative_subalgebra_with_nilpotents_yields_one():
     assert (repcat._combine(quot, z.columns()[0]) @ z).is_zero()
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_simple_algebra_yields_a_zero_divisor_from_z_of_a_basis_element(p, monkeypatch):
+    # B = M_2(F_p) on the units I, I + E12, I + E21, [[1, 1], [1, 0]]: its centre is F_p, a
+    # field, so the zero divisor must come from the search over Z[a]
+    f = PrimeField(p)
+    units = [(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)]
+    basis = Matrix.from_columns(f, units, 4)
+
+    def times(a, b):
+        return [sum(a[2 * r + k] * b[2 * k + c] for k in range(2)) for r in range(2) for c in range(2)]
+
+    quot = [exactlin.solve(basis, Matrix.from_columns(f, [times(a, b) for b in units], 4))
+            for a in units]
+    calls = []
+    real = repcat._commutative_zero_divisor
+    monkeypatch.setattr(repcat, "_commutative_zero_divisor",
+                        lambda *args: calls.append(args) or real(*args))
+    z = repcat._zero_divisor(quot, Matrix.column(f, [1, 0, 0, 0]))
+    assert len(calls) >= 2
+    assert z is not None and not z.is_zero()
+    assert exactlin.rank(repcat._combine(quot, z.columns()[0])) < 4
+
+
 # -- the radical rad(x, y) ----------------------------------------------------
 
 
