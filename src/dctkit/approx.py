@@ -125,13 +125,11 @@ class AddCategory:
 # -- minimal versions ------------------------------------------------------
 
 
-def minimal_cover(
-    y: Module, summands: Sequence[Module], pieces: Sequence[Morphism]
-) -> Tuple[Morphism, List[Tuple[int, Morphism]]]:
+def minimal_cover(y: Module, pieces: Sequence[Morphism]) -> Tuple[Morphism, List[Tuple[int, Morphism]]]:
     """Right-minimal version of the map glued from pieces[j]: summands[j] -> y.
 
-    Every summand must be indecomposable.  Let F be the image functor of
-    the glued map.  At each isomorphism class Z of summands, F(Z) is spanned
+    The summands are the domains, and each must be indecomposable.  Let F
+    be the image functor of the glued map.  At each isomorphism class Z of summands, F(Z) is spanned
     by the composites pieces[j] @ b, b in hom_basis(Z, summands[j]), and the
     radical of F at Z by pieces[j] o rad(Z, summands[j]).  Walking the
     composites in that order, one is kept when it lies outside the radical
@@ -143,6 +141,7 @@ def minimal_cover(
     kept[i] = (j, b) when the i-th of them is pieces[j] @ b.
     """
     field = y.field
+    summands = [f.domain for f in pieces]
     reps, label = repcat.iso_classes(summands)
     kept: List[Tuple[int, Morphism]] = []
     for c, z in enumerate(reps):
@@ -174,7 +173,7 @@ def right_minimalize(g: Morphism) -> Tuple[Morphism, Morphism]:
     """
     parts = repcat.split_summands(g.domain)
     pieces = [g @ inc for _, inc, _ in parts]
-    g_min, kept = minimal_cover(g.codomain, [z for z, _, _ in parts], pieces)
+    g_min, kept = minimal_cover(g.codomain, pieces)
     incl = repcat.block_map(g_min.domain, g.domain, [[parts[j][1] @ b for j, b in kept]])
     return g_min, incl
 
@@ -189,9 +188,8 @@ def is_left_minimal(f: Morphism) -> bool:
 
 def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
     """Minimal right approximation, covered by the pool members' hom bases into x."""
-    pairs = [(z, b) for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
-    g, _ = minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs])
-    return g
+    pieces = [b for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
+    return minimal_cover(x, pieces)[0]
 
 
 def add_resolution(cat: AddCategory, g: Morphism) -> Iterator[Morphism]:

@@ -46,9 +46,10 @@ def enumerate_indecomposables(
     scan order, so the output order is reproducible: by total dimension,
     then dimension vector, then matrix counter.  A candidate satisfying
     the relations is dropped when its support falls apart (it is a direct
-    sum) or when it matches a kept module of its dimension vector (equal
-    dimensions and the isomorphism test against an indecomposable prove
-    it isomorphic); only the rest have their End computed.
+    sum) or when a module kept before is a summand of it
+    (`repcat.summand_map`).  The scan goes by total dimension, so every
+    direct sum has a smaller summand kept before, and every duplicate its
+    class's module; End is computed only to post-verify each kept module.
     """
     quiver = algebra.quiver
     field = algebra.field
@@ -80,10 +81,12 @@ def enumerate_indecomposables(
             m = Module(algebra, list(dims), maps, _skip_check=True)
             if not (repcat.support_is_connected(m) and repcat.relations_hold(m)):
                 continue
-            new_class = len(repcat.iso_classes([m], reps=kept)[0]) > len(kept)
-            if new_class and repcat.is_indecomposable(m):
+            if all(repcat.summand_map(z, m) is None for z in kept + found):
                 kept.append(m)
         found += kept
+    for m in found:
+        if not repcat.is_indecomposable(m):
+            raise VerificationFailed(f"the kept module of dimension vector {m.dims} decomposes")
     return found
 
 
@@ -215,11 +218,12 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
 
 
 def _pool_translates(cat: AddCategory):
-    """Pool members split by projectivity/injectivity, with cached translates."""
+    """Pool members split by projectivity/injectivity, with translates kept on the category."""
     pool = cat._summand_pool()
     nonproj = [i for i, x in enumerate(pool) if not homological.is_projective(x)]
     noninj = [i for i, x in enumerate(pool) if not homological.is_injective(x)]
-    translate = {i: homological.tau_d(pool[i], cat.d) for i in nonproj}
+    translate = cat._cached("translates", lambda: {i: homological.tau_d(pool[i], cat.d)
+                                                   for i in nonproj})
     return pool, nonproj, noninj, translate
 
 
@@ -245,21 +249,22 @@ def verify_tau_d_equivalence(cat: AddCategory) -> TauEquivalenceReport:
     with the inverse translation returns the original module up to
     isomorphism, from both sides; (c) hom spaces modulo projectives
     match hom spaces modulo injectives after translating both arguments.
-    Each translate and round trip is matched against the pool by
-    `cat._pool_labels`: it is pool member j when its one summand is labelled j.
+    Each translate and round trip t is pool member j exactly when
+    `repcat.iso_classes([t], reps=pool)` labels it j; t is never split.
     """
     pool, nonproj, noninj, translate = _pool_translates(cat)
     d = cat.d
-    labels = [cat._pool_labels(translate[i]) for i in nonproj]
-    targets = [ls[0] if len(ls) == 1 and ls[0] in noninj else None for ls in labels]
+
+    def match(t: Module) -> int:
+        return repcat.iso_classes([t], reps=pool)[1][0]
+
+    targets = [j if j in noninj else None for j in (match(translate[i]) for i in nonproj)]
     pairs = [{"source": i, "target": -1 if t is None else t} for i, t in zip(nonproj, targets)]
     hit = [t for t in targets if t is not None]
     bijection = None not in targets and len(set(hit)) == len(hit) == len(noninj)
-    backs = [cat._pool_labels(homological.tau_d_minus(translate[i], d)) == [i] for i in nonproj]
-    forths = [
-        cat._pool_labels(homological.tau_d(homological.tau_d_minus(pool[j], d), d)) == [j]
-        for j in noninj
-    ]
+    backs = [match(homological.tau_d_minus(translate[i], d)) == i for i in nonproj]
+    forths = [match(homological.tau_d(homological.tau_d_minus(pool[j], d), d)) == j
+              for j in noninj]
     inverses_ok = all(backs) and all(forths)
     stable_rows: List[Dict[str, object]] = []
     for i in nonproj:
@@ -551,9 +556,8 @@ def determined_morphism(
     _, paug, verts = repcat.projective_cover(n_h)
     algebra = n_h.algebra
     _, p_incs, _ = repcat.direct_sum([repcat.projective(algebra, v) for v in verts], algebra)
-    summands = [z for _ in gens for z, _, _ in x_parts] + [inc.domain for inc in p_incs]
     pieces = [f @ inc for f in gens for _, inc, _ in x_parts] + [paug @ inc for inc in p_incs]
-    gmin, _ = approx.minimal_cover(n_h, summands, pieces)
+    gmin, _ = approx.minimal_cover(n_h, pieces)
 
     # (4) resolve into a d-exact sequence
     seq = dexact.build_left_d_exact(cat, gmin)
@@ -592,12 +596,9 @@ def _radical_cover(cat: AddCategory, n: Module) -> Tuple[Morphism, List[Matrix]]
     """
     pool = cat._summand_pool()
     rads = [repcat.rad_hom_basis(z, n) for z in pool]
-    pieces = [
-        (z, repcat.morphism_from_vec(z, n, vec))
-        for z, rad in zip(pool, rads)
-        for vec in rad.columns()
-    ]
-    g, _ = approx.minimal_cover(n, [z for z, _ in pieces], [f for _, f in pieces])
+    pieces = [repcat.morphism_from_vec(z, n, vec) for z, rad in zip(pool, rads)
+              for vec in rad.columns()]
+    g, _ = approx.minimal_cover(n, pieces)
     return g, rads
 
 

@@ -232,7 +232,7 @@ def d_pullback_complete(cat: AddCategory, seq: DSequence, fmap: Morphism):
         p, q, r, incl = pullback(delta, alpha)
         zero_leg = Morphism.zero(seq.terms[i - 1], alpha.domain)
         pair = repcat.block_map(seq.terms[i - 1], incl.codomain, [[seq.maps[i - 1]], [zero_leg]])
-        delta = repcat.factor_through(pair, incl)
+        delta = repcat.corestrict(pair, incl)
         if delta is None:
             raise InvalidMorphism(f"term {i - 1} failed to land in the pullback")
         if i > 1:

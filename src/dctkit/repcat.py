@@ -12,14 +12,15 @@ solve no system: Hom(x, y) = 0 whenever y vanishes on the top of x or x
 on the socle of y, and each module keeps its top and socle, its identity
 and its hom bases once computed.
 
-Indecomposability, splitting and isomorphism are linear algebra on
-E = End(x) over its hom basis: the radical J = rad E by lifted traces,
-then a zero divisor of the semisimple E/J, whose left ideal yields an
-idempotent that is lifted over J.  x is indecomposable exactly when E/J
-is a field, and indecomposables x, y are isomorphic exactly when some
-composite of hom-basis maps x -> y -> x lies outside J.  The radical
-rad(x, y) of the module category is read off J of y alone.  Nothing here
-enumerates a space over F_p.
+Indecomposability and splitting are linear algebra on E = End(x) over
+its hom basis: the radical J = rad E by lifted traces, then a zero
+divisor of the semisimple E/J, whose left ideal yields an idempotent
+that is lifted over J.  x is indecomposable exactly when E/J is a field.
+An indecomposable x is a summand of y exactly when some composite of
+hom-basis maps x -> y -> x is invertible (`summand_map`), and of equal
+dimension vectors that makes them isomorphic.  The radical rad(x, y) of
+the module category is read off J of y alone.  Nothing here enumerates a
+space over F_p.
 """
 
 from __future__ import annotations
@@ -96,19 +97,9 @@ class Module:
 
 
 def relations_hold(x: Module) -> bool:
-    """Whether every relation acts on x as zero: the sum of its terms' path actions.
-
-    A one-term relation c q holds exactly when c = 0 in F_p or q acts as zero.
-    """
-    p = x.field.p
-    for rel in x.algebra.relations:
-        if len(rel.terms) == 1:
-            (c, q), = rel.terms
-            if c % p and not x.path_action(q).is_zero():
-                return False
-        elif not reduce(add, (x.path_action(q).scale(c) for c, q in rel.terms)).is_zero():
-            return False
-    return True
+    """Whether every relation acts on x as zero: the sum of its terms' path actions."""
+    return all(reduce(add, (x.path_action(q).scale(c) for c, q in rel.terms)).is_zero()
+               for rel in x.algebra.relations)
 
 
 def support_is_connected(x: Module) -> bool:
@@ -390,6 +381,17 @@ def cofactor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     if not _same_module(g.domain, f.domain):
         raise DimensionMismatch("domains differ")
     return _solve_composite(hom_composites(f, g.codomain), g, f.codomain, g.codomain)
+
+
+def corestrict(f: Morphism, incl: Morphism) -> Optional[Morphism]:
+    """The h with incl @ h = f, one solve per vertex; None if f leaves the image of the mono incl.
+
+    h is unique, and it intertwines the arrows because incl @ h does.
+    """
+    comps = [exactlin.solve(i, c) for i, c in zip(incl.comps, f.comps)]
+    if any(c is None for c in comps):
+        return None
+    return Morphism(f.domain, incl.domain, comps, _skip_check=True)
 
 
 def is_split_epi(g: Morphism) -> bool:
@@ -909,8 +911,7 @@ def split_summands(x: Module) -> List[Tuple[Module, Morphism, Morphism]]:
     # x = Im e + Ker e, and e, 1 - e are the projections onto them: corestrict each
     out = []
     for (piece, inc), f in zip((image(e), kernel(e)), (e, Morphism.identity(x) - e)):
-        comps = [exactlin.solve(i, c) for i, c in zip(inc.comps, f.comps)]
-        back = Morphism(x, piece, comps, _skip_check=True)
+        back = corestrict(f, inc)
         for z, inc_z, proj_z in split_summands(piece):
             out.append((z, inc @ inc_z, proj_z @ back))
     return out
@@ -931,9 +932,10 @@ def iso_classes(
     order of first appearance, and mods[j] lies in the class of
     reps[label[j]].  A module object met again is not compared again.
     Given reps, pairwise non-isomorphic indecomposables, the classes start
-    from them, and they are not compared with each other.  The test reads
-    End of the earlier module only, so a module that matches an earlier
-    one of its dimension vector is isomorphic to it even if it decomposes.
+    from them, and they are not compared with each other.  m joins the
+    class of r when their dimension vectors agree and r is a summand of m
+    (`summand_map`): a split mono between equal dimension vectors is an
+    isomorphism, so a match is sound even when m decomposes.
     """
     reps = list(reps)
     label: List[int] = []
@@ -941,7 +943,8 @@ def iso_classes(
     for m in mods:
         c = seen.get(id(m))
         if c is None:
-            isos = (c for c, r in enumerate(reps) if _iso_between_indecomposables(r, m) is not None)
+            isos = (c for c, r in enumerate(reps)
+                    if r.dims == m.dims and summand_map(r, m) is not None)
             c = seen[id(m)] = next(isos, len(reps))
             if c == len(reps):
                 reps.append(m)
@@ -949,21 +952,19 @@ def iso_classes(
     return reps, label
 
 
-def _iso_between_indecomposables(x: Module, y: Module) -> Optional[Morphism]:
-    """An isomorphism between indecomposables x and y, or None.
+def summand_map(x: Module, y: Module) -> Optional[Morphism]:
+    """A split mono x -> y, or None, which for an indecomposable x means x is no summand of y.
 
-    x and y are isomorphic exactly when some g o f, f in hom_basis(x, y)
-    and g in hom_basis(y, x), lies outside rad End(x); that f is one.
+    If x is a summand, the composites g o f, f in hom_basis(x, y) and g in
+    hom_basis(y, x), span the local ring End(x) (Auslander, Reiten and
+    Smalo), so one is invertible; and an invertible g o f splits f, which
+    is returned.
     """
-    maps = hom_basis(x, y) if x.dims == y.dims else ()
-    if not maps:
+    if any(a > b for a, b in zip(x.dims, y.dims)):
         return None
-    rad = hom_space_matrix(x, x) @ _end_algebra(x)[1]
-    for g in hom_basis(y, x):
-        for f, col in zip(maps, hom_composites(x, g).columns()):
-            if not exactlin.contains(rad, Matrix.column(x.field, col)):
-                return f
-    return None
+    maps = hom_basis(x, y)
+    back = hom_basis(y, x) if maps else ()
+    return next((f for g in back for f in maps if (g @ f).is_iso()), None)
 
 
 def are_isomorphic(x: Module, y: Module) -> bool:

@@ -138,7 +138,7 @@ def find_isomorphism(x, y):
     out = Morphism.zero(x, y)
     for z, _, proj in repcat.split_summands(x):
         for k, (w, inc, _) in enumerate(targets):
-            f = repcat._iso_between_indecomposables(z, w)
+            f = repcat.summand_map(z, w) if z.dims == w.dims else None
             if f is not None:
                 out = out + inc @ f @ proj
                 del targets[k]
@@ -577,9 +577,7 @@ def flat_minimal_cover(m, parts, y, flat):
     M^k is never built: each column is composed with every summand of M.
     """
     mors = [repcat.morphism_from_vec(m, y, vec) for vec in flat.columns()]
-    summands = [z for _ in mors for z, _ in parts]
-    pieces = [f @ inc for f in mors for _, inc in parts]
-    return approx.minimal_cover(y, summands, pieces)[0]
+    return approx.minimal_cover(y, [f @ inc for f in mors for _, inc in parts])[0]
 
 
 def tower_functor_pd(m, parts, nj):
@@ -620,7 +618,8 @@ def scan_enumerate(algebra, bound, cap=None):
     """Every indecomposable of total dimension <= bound, up to isomorphism, in scan order.
 
     Each assignment of arrow matrices that satisfies the relations has its
-    End computed; the indecomposable ones are then sorted into classes.
+    End computed; the indecomposable ones are then sorted into classes by
+    the exhaustive `scan_isomorphism`, keeping the first of each.
     """
     field, arrows = algebra.field, algebra.quiver.arrows
     vectors = list(artheory._dimension_vectors(algebra.quiver.n_vertices, bound))
@@ -639,7 +638,11 @@ def scan_enumerate(algebra, bound, cap=None):
             m = repcat.Module(algebra, list(dims), maps, _skip_check=True)
             if summed_relations_hold(m) and repcat.is_indecomposable(m):
                 found.append(m)
-    return repcat.iso_classes(found)[0]
+    reps = []
+    for m in found:
+        if all(scan_isomorphism(r, m) is None for r in reps):
+            reps.append(m)
+    return reps
 
 
 def injective(algebra, v):

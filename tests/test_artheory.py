@@ -36,6 +36,7 @@ from scan_oracles import (
     flat_ext_dim,
     intertwining_kernel,
     radical,
+    scan_enumerate,
 )
 
 
@@ -47,6 +48,31 @@ def test_enumerate_small_line(ka2):
     assert [tuple(m.dims) for m in classes] == [(0, 1), (1, 0), (1, 1)]
     # no larger indecomposables exist over this quiver
     assert len(enumerate_indecomposables(ka2, 3, cap=1 << 20)) == 3
+
+
+def test_the_flagship_scan_computes_end_once_per_class(flag, monkeypatch):
+    """Work guard of the enumeration at bound 5 over F_2: End of the kept classes only."""
+    split = []
+    real = repcat.nontrivial_idempotent
+
+    def counting(x, cap=None):
+        split.append(x)
+        return real(x, cap)
+
+    monkeypatch.setattr(repcat, "nontrivial_idempotent", counting)
+    classes = enumerate_indecomposables(flag, 5)
+    monkeypatch.undo()
+    # 441 when every candidate that was not a known class had its End computed
+    assert len(split) == len(classes) == 5
+    scanned = scan_enumerate(flag, 5)
+    assert [(m.dims, m.maps) for m in classes] == [(m.dims, m.maps) for m in scanned]
+
+
+def test_a_kept_module_that_decomposes_is_refused(flag, monkeypatch):
+    # with no summand found, P1 + S1 (dims (2, 1, 0), the arrow a of rank 1) is kept
+    monkeypatch.setattr(repcat, "summand_map", lambda x, y: None)
+    with pytest.raises(VerificationFailed, match="decomposes"):
+        enumerate_indecomposables(flag, 3)
 
 
 def test_enumerate_flagship_universe(flag):
@@ -193,6 +219,27 @@ def test_ar_duality_all_pairs(ka2_cat, flag_cat):
         assert report.rows  # at least the non-projective pool entries
         for row in report.rows:
             assert row["stable_hom"] == row["ext"]
+
+
+def test_the_verifiers_translate_each_pool_member_once(flag_mods, monkeypatch):
+    m = flag_mods
+    cat = AddCategory([m["P1"], m["P2"], m["S3"], m["S1"]], 2)
+    seq = d_almost_split(cat, m["S1"])
+    pool = cat._summand_pool()
+    asked = []
+    real = homological.tau_d
+
+    def counting(x, d):
+        asked.append(x)
+        return real(x, d)
+
+    monkeypatch.setattr(homological, "tau_d", counting)
+    assert verify_tau_d_equivalence(cat).ok and verify_ar_duality(cat).ok
+    assert verify_defect_formula(seq, cat).ok
+    translated = [x for x in asked if any(x is z for z in pool)]
+    # 3 when each verifier translated the pool again
+    assert len(translated) == sum(not homological.is_projective(z) for z in pool) == 1
+
 
 
 # -- the comparison reports can say no -------------------------------------------

@@ -1,19 +1,20 @@
 """One home for J = rad End(x): only ``repcat`` touches the End engine.
 
-Every radical is ``repcat.rad_hom_basis`` and every sorting into
-isomorphism classes is ``repcat.iso_classes``; no other library module
-may reach past them to ``_end_algebra`` or ``_iso_between_indecomposables``.
+Every radical is ``repcat.rad_hom_basis`` and every splitting goes
+through ``repcat.nontrivial_idempotent``; no other library module may
+reach past them to ``_end_algebra``.  Sorting into isomorphism classes
+reads no J: it asks ``repcat.summand_map`` for an invertible composite.
 """
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dctkit"
-PRIVATE = {"_end_algebra", "_iso_between_indecomposables"}
+PRIVATE = {"_end_algebra"}
 
 
-def _uses(tree):
-    """Line of each reference to a private End-engine name."""
+def _uses(tree, names=PRIVATE):
+    """Line of each reference to one of names, by default the private End-engine names."""
     for node in ast.walk(tree):
         name = None
         if isinstance(node, ast.Name):
@@ -22,7 +23,7 @@ def _uses(tree):
             name = node.attr
         elif isinstance(node, ast.alias):
             name = node.name
-        if name in PRIVATE:
+        if name in names:
             yield node.lineno, name
 
 

@@ -313,8 +313,7 @@ def test_resolutions_and_minimal_covers_need_no_direct_sum(monkeypatch):
         for x in mods:
             out.append([ext_dim(x, y, i) for y in mods for i in range(3)])
             out.append((tr_d(x, 1).dims, tau_d(x, 2).dims))
-            pairs = [(z, b) for z in mods for b in hom_basis(z, x)]
-            g, _ = approx.minimal_cover(x, [z for z, _ in pairs], [b for _, b in pairs])
+            g, _ = approx.minimal_cover(x, [b for z in mods for b in hom_basis(z, x)])
             out.append((g.domain.dims, g.comps))
         return out
 

@@ -1,7 +1,9 @@
 """One isomorphism test: summands sorted by ``iso_classes``.
 
 ``are_isomorphic`` and the tau_d report read isomorphism classes off
-``repcat.iso_classes`` and build no isomorphism.  They are compared with
+``repcat.iso_classes`` and build no isomorphism; it asks ``summand_map``
+for an invertible composite x -> y -> x, which is checked against the
+known parts of rebased sums.  They are compared with
 ``scan_oracles.find_isomorphism``, which glues one from the summands,
 and with the pairwise tau_d report it once drove.  The cases include
 indecomposables with equal dimension vectors and Hom both ways that are
@@ -17,10 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctkit import AddCategory, Morphism, PrimeField, Quiver, build_algebra, repcat, workspace
-from dctkit.artheory import verify_tau_d_equivalence
-from scan_oracles import find_isomorphism, injective, pairwise_tau_d_report, scan_idempotent
-from test_end_engine import fixture_modules, rebased_sum
+from dctkit import AddCategory, Matrix, Module, Morphism, PrimeField, Quiver, build_algebra
+from dctkit import repcat, workspace
+from dctkit.artheory import enumerate_indecomposables, verify_tau_d_equivalence
+from scan_oracles import (
+    find_isomorphism,
+    injective,
+    pairwise_tau_d_report,
+    scan_idempotent,
+    scan_isomorphism,
+)
+from test_end_engine import fixture_modules, rebase, rebased_sum
 from type_a import ka_rad2
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -82,6 +91,20 @@ def test_a_hidden_sum_over_a_truncated_polynomial_ring_needs_the_idempotent_lift
         assert (proj_i @ inc_j).comps == expected.comps
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_nilpotent_composite_finds_no_summand(p):
+    # over k[x]/(x^3), P -> k[x]/(x^2) -> P is x at best: nonzero, never invertible
+    algebra = truncated_polynomials(3, p)
+    proj, simple = repcat.projective(algebra, 0), repcat.simple(algebra, 0)
+    short = Module(algebra, [2], [Matrix(algebra.field, [[0, 0], [1, 0]], 2)])
+    rng = random.Random(p)
+    y = rebased_sum([short, simple], rng)
+    there, back = repcat.hom_basis(proj, y), repcat.hom_basis(y, proj)
+    assert any(not (g @ f).is_zero() for g in back for f in there)
+    assert repcat.summand_map(proj, y) is None
+    assert repcat.summand_map(proj, rebased_sum([short, proj], rng)) is not None
+
+
 # -- the tau_d report against the pairwise one ---------------------------------
 
 
@@ -122,6 +145,23 @@ def test_the_tau_d_report_equals_the_pairwise_report(p):
     assert sum(r.ok for r in reports) == 9
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_tau_d_report_splits_no_translate(p, monkeypatch):
+    cat = workspace.load(str(DATA / "ka3rad2.json"), p).category("M")
+    cat._summand_pool()
+    split = []
+    real = repcat.split_summands
+
+    def counting(x):
+        split.append(x)
+        return real(x)
+
+    monkeypatch.setattr(repcat, "split_summands", counting)
+    assert verify_tau_d_equivalence(cat).ok
+    # 3 when each translate and round trip was split to be matched against the pool
+    assert split == []
+
+
 # -- properties over random changes of basis ----------------------------------
 
 FIXTURE_GROUPS = [fixture_modules(f, p) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
@@ -160,3 +200,39 @@ def test_are_isomorphic_agrees_with_the_glued_isomorphism(lists, seed):
     x, y = (rebased_sum(parts, rng) for parts in lists)
     for a, b in ((x, y), (y, x), (x, rebased_sum(lists[0], rng))):
         assert repcat.are_isomorphic(a, b) == (find_isomorphism(a, b) is not None)
+
+
+def ka_universes():
+    """Per prime, the indecomposables of KA_n/rad^2, n = 2..5, and of the flagship."""
+    out = []
+    for p in (2, 3):
+        for n in (2, 3, 4, 5):
+            vertices, arrows, relations, bound = ka_rad2(n)
+            algebra = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+            out.append(enumerate_indecomposables(algebra, 2))
+        flagship = workspace.load(str(DATA / "ka3rad2.json"), p).algebra
+        out.append(enumerate_indecomposables(flagship, 2))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(ka_universes()).flatmap(
+        lambda uni: st.tuples(
+            st.sampled_from(uni), st.lists(st.sampled_from(uni), min_size=1, max_size=3)
+        )
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_summand_map_finds_exactly_the_summands_of_a_rebased_sum(case, seed):
+    z, parts = case
+    rng = random.Random(seed)
+    x, y = rebase(z, rng), rebased_sum(parts, rng)
+    # the universe holds one module per class, so x's class occurs in y exactly when z is a part
+    expected = any(part is z for part in parts)
+    assert expected == any(scan_isomorphism(x, w) is not None for w, _ in repcat.decompose(y))
+    f = repcat.summand_map(x, y)
+    assert (f is not None) == expected
+    if f is not None:
+        assert f.domain is x and f.codomain is y
+        assert repcat.cofactor_through(Morphism.identity(x), f) is not None
