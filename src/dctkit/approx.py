@@ -39,8 +39,8 @@ class AddCategory:
         if d < 1:
             raise ValueError("the dimension parameter must be at least 1")
         self.generators: Tuple[Module, ...] = tuple(generators)
-        if not self.generators:
-            raise ValueError("an additive category needs at least one generator")
+        if all(g.is_zero() for g in self.generators):
+            raise ValueError("an additive category needs at least one nonzero generator")
         self.algebra = self.generators[0].algebra
         for g in self.generators:
             if g.algebra is not self.algebra:
@@ -76,7 +76,7 @@ class AddCategory:
         """The pool, and per generator the pool labels of its summands: one split of each."""
 
         def compute():
-            split = [[z for z, _, _ in repcat.split_summands(g)] for g in self.generators]
+            split = [[z for z, _ in repcat.split_summands(g)] for g in self.generators]
             pool, label = repcat.iso_classes([z for parts in split for z in parts])
             labels = iter(label)
             return pool, [[next(labels) for _ in parts] for parts in split]
@@ -86,7 +86,7 @@ class AddCategory:
     def _pool_labels(self, x: Module) -> List[Optional[int]]:
         """Per indecomposable summand of x, the index of its pool member, or None."""
         pool = self._summand_pool()
-        _, label = repcat.iso_classes([z for z, _, _ in repcat.split_summands(x)], reps=pool)
+        _, label = repcat.iso_classes([z for z, _ in repcat.split_summands(x)], reps=pool)
         return [c if c < len(pool) else None for c in label]
 
     def contains(self, x: Module) -> bool:
@@ -172,7 +172,7 @@ def right_minimalize(g: Morphism) -> Tuple[Morphism, Morphism]:
     Returns (g_min, incl) where g_min = g @ incl and incl splits.
     """
     parts = repcat.split_summands(g.domain)
-    pieces = [g @ inc for _, inc, _ in parts]
+    pieces = [g @ inc for _, inc in parts]
     g_min, kept = minimal_cover(g.codomain, pieces)
     incl = repcat.block_map(g_min.domain, g.domain, [[parts[j][1] @ b for j, b in kept]])
     return g_min, incl

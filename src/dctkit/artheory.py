@@ -556,7 +556,7 @@ def determined_morphism(
     _, paug, verts = repcat.projective_cover(n_h)
     algebra = n_h.algebra
     _, p_incs, _ = repcat.direct_sum([repcat.projective(algebra, v) for v in verts], algebra)
-    pieces = [f @ inc for f in gens for _, inc, _ in x_parts] + [paug @ inc for inc in p_incs]
+    pieces = [f @ inc for f in gens for _, inc in x_parts] + [paug @ inc for inc in p_incs]
     gmin, _ = approx.minimal_cover(n_h, pieces)
 
     # (4) resolve into a d-exact sequence
@@ -606,17 +606,14 @@ def right_almost_split(cat: AddCategory, n: Module) -> Morphism:
     """The minimal right almost split map onto an indecomposable member.
 
     The minimal cover of rad(-, n) by the pool members.  The almost-split
-    property is verified exhaustively over the pool before returning.
+    property is verified exhaustively over the pool before returning.  The
+    checks on n read its kept split and, for a pool member, its pool label,
+    so asking them again costs a lookup.
     """
     if not repcat.is_indecomposable(n):
         raise InvalidModule("the target must be indecomposable")
     if not cat.contains(n):
         raise InvalidModule("the target must lie in the subcategory")
-    return _right_almost_split(cat, n)
-
-
-def _right_almost_split(cat: AddCategory, n: Module) -> Morphism:
-    """`right_almost_split` on a member n already checked indecomposable."""
     g, rads = _radical_cover(cat, n)
     if repcat.is_split_epi(g):
         raise VerificationFailed("the assembled radical map splits")
@@ -642,7 +639,7 @@ def d_almost_split(cat: AddCategory, n: Module) -> DSequence:
         raise InvalidModule("no such sequence ends at a projective module")
     if not cat.contains(n):
         raise InvalidModule("the end term must lie in the subcategory")
-    g = _right_almost_split(cat, n)
+    g = right_almost_split(cat, n)
     if not g.is_epi():
         raise VerificationFailed(
             "right almost split map onto a non-projective must be surjective"

@@ -19,6 +19,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -49,7 +50,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The `dct` parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workspace", required=True, help="path to a workspace JSON file")
     common.add_argument("--d", type=int, default=None, help="override the workspace size parameter")

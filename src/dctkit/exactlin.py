@@ -194,8 +194,11 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c: int) -> "Matrix":
+        """c times this matrix, which is returned itself when c = 1 in F_p."""
         p = self.field.p
         c %= p
+        if c == 1:
+            return self
         out = tuple([tuple([c * x % p for x in r]) for r in self.entries])
         return Matrix(self.field, out, self.cols, _reduced=True)
 

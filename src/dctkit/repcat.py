@@ -9,13 +9,14 @@ Hom spaces are computed exactly as kernels of the intertwining system and
 always come back in the same canonical order, so everything downstream
 (approximations, resolutions, splittings) is deterministic.  Zero Homs
 solve no system: Hom(x, y) = 0 whenever y vanishes on the top of x or x
-on the socle of y, and each module keeps its top and socle, its identity
-and its hom bases once computed.
+on the socle of y, and each module keeps its top and socle, its identity,
+its hom bases and its split into indecomposables once computed.
 
-Indecomposability and splitting are linear algebra on E = End(x) over
-its hom basis: the radical J = rad E by lifted traces, then a zero
-divisor of the semisimple E/J, whose left ideal yields an idempotent
-that is lifted over J.  x is indecomposable exactly when E/J is a field.
+Splitting is linear algebra on E = End(x) over its hom basis: the
+radical J = rad E by lifted traces, then a zero divisor of the
+semisimple E/J, whose left ideal yields an idempotent that is lifted
+over J.  x is indecomposable exactly when E/J is a field.  The split is
+kept as (summand, inclusion) pairs, and every summand question reads it.
 An indecomposable x is a summand of y exactly when some composite of
 hom-basis maps x -> y -> x is invertible (`summand_map`), and of equal
 dimension vectors that makes them isomorphic.  The radical rad(x, y) of
@@ -854,17 +855,16 @@ def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
     A hom-basis element that is one already is taken first.  Otherwise x
     is indecomposable exactly when B = End(x)/J is a field; if it is not,
     a zero divisor z of B gives the right identity of the left ideal Bz,
-    an idempotent of B, which e -> 3e^2 - 2e^3 lifts over J.  The answer is
-    kept on x.  cap, when given, bounds the dim End(x)^2 structure
-    constants the call may compute.  The library never passes it; the
-    tracer test of `perfbench` does, to provoke a refusal.
+    an idempotent of B, which e -> 3e^2 - 2e^3 lifts over J.  Its one
+    library caller is `split_summands`, which keeps the split on x.  cap,
+    when given, bounds the dim End(x)^2 structure constants the call may
+    compute.  The library never passes it; the tracer test of `perfbench`
+    does, to provoke a refusal.
     """
     basis = hom_basis(x, x)
     if cap is not None and len(basis) ** 2 > cap:
         needed = f"{len(basis) ** 2} End structure constants"
         raise CapExceeded.over("nontrivial_idempotent", x.dims, needed, cap, "cap")
-    if "idempotent" in x._cache:
-        return x._cache["idempotent"]
     field, ident = x.field, Morphism.identity(x)
     e = next((b for b in basis if b != ident and b @ b == b), None)
     z = None
@@ -887,39 +887,35 @@ def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
         while e @ e != e:
             sq = e @ e
             e = sq.scale(3) - (sq @ e).scale(2)
-    x._cache["idempotent"] = e
     return e
 
 
 def is_indecomposable(x: Module) -> bool:
-    if x.is_zero():
-        return False
-    return nontrivial_idempotent(x) is None
+    return len(split_summands(x)) == 1
 
 
-def split_summands(x: Module) -> List[Tuple[Module, Morphism, Morphism]]:
-    """Split into indecomposable summands.
+def split_summands(x: Module) -> Tuple[Tuple[Module, Morphism], ...]:
+    """The indecomposable summands of x, each with its inclusion, split once and kept on x.
 
-    Returns:
-        list of (summand, inclusion, projection) with sum(inc @ proj) = id.
+    Glued, the inclusions are an isomorphism onto x.  A nontrivial
+    idempotent e splits x into Im e + Ker e, and each piece is split in turn.
     """
-    if x.is_zero():
-        return []
-    e = nontrivial_idempotent(x)
-    if e is None:
-        return [(x, Morphism.identity(x), Morphism.identity(x))]
-    # x = Im e + Ker e, and e, 1 - e are the projections onto them: corestrict each
-    out = []
-    for (piece, inc), f in zip((image(e), kernel(e)), (e, Morphism.identity(x) - e)):
-        back = corestrict(f, inc)
-        for z, inc_z, proj_z in split_summands(piece):
-            out.append((z, inc @ inc_z, proj_z @ back))
-    return out
+    parts = x._cache.get("split")
+    if parts is None:
+        if x.is_zero():
+            parts = ()
+        elif (e := nontrivial_idempotent(x)) is None:
+            parts = ((x, Morphism.identity(x)),)
+        else:
+            parts = tuple((z, inc @ inc_z) for piece, inc in (image(e), kernel(e))
+                          for z, inc_z in split_summands(piece))
+        x._cache["split"] = parts
+    return parts
 
 
 def decompose(x: Module) -> List[Tuple[Module, int]]:
     """Indecomposable summands grouped into (representative, multiplicity)."""
-    reps, label = iso_classes([z for z, _, _ in split_summands(x)])
+    reps, label = iso_classes([z for z, _ in split_summands(x)])
     return [(rep, label.count(c)) for c, rep in enumerate(reps)]
 
 
@@ -974,8 +970,8 @@ def are_isomorphic(x: Module, y: Module) -> bool:
     """
     if x.dims != y.dims:
         return False
-    xs = [z for z, _, _ in split_summands(x)]
-    _, label = iso_classes(xs + [z for z, _, _ in split_summands(y)])
+    xs = [z for z, _ in split_summands(x)]
+    _, label = iso_classes(xs + [z for z, _ in split_summands(y)])
     return sorted(label[: len(xs)]) == sorted(label[len(xs) :])
 
 

@@ -220,14 +220,13 @@ def parse(doc: dict, field_override: Optional[int] = None,
         where = f"category {name!r}"
         if not isinstance(cdoc, dict):
             raise WorkspaceError(f"{where} must be an object")
-        gen_names = _require(cdoc, "generators", list, where)
-        if not gen_names:
-            raise WorkspaceError(f"{where}: needs at least one generator")
         gens = []
-        for gname in gen_names:
+        for gname in _require(cdoc, "generators", list, where):
             if gname not in modules:
                 raise WorkspaceError(f"{where}: unknown module {gname!r}")
             gens.append(modules[gname])
+        if all(g.is_zero() for g in gens):
+            raise WorkspaceError(f"{where}: needs at least one nonzero generator")
         categories[name] = AddCategory(gens, d)
 
     return Workspace(

@@ -45,7 +45,10 @@ Isomorphism was once a glued map: `find_isomorphism` pairs the
 summands of x and y one by one, and the tau_d report tried every
 translate against every non-injective pool member with it
 (`pairwise_tau_d_report`).  The library sorts summands into classes with
-`iso_classes` and builds no isomorphism.
+`iso_classes` and builds no isomorphism.  A split once carried the
+projections onto its summands; the library keeps (summand, inclusion)
+pairs, and `split_with_projections` reads the projections off the inverse
+of the glued inclusions for the oracles that compose with them.
 
 The one-sided exactness tests once asked Hom(G, -) and Hom(-, G) of each
 generator G (`generator_left_d_exact`, `generator_right_d_exact`); the
@@ -125,6 +128,22 @@ def scan_rad_between(x, y):
     return exactlin.canonical_basis(Matrix.from_columns(x.field, cols, n))
 
 
+def split_with_projections(x):
+    """split_summands(x) as (summand, inclusion, projection) triples.
+
+    Asserts that the glued inclusions are an isomorphism onto x; the
+    projections are the blocks of its inverse.
+    """
+    parts = repcat.split_summands(x)
+    total, _, projs = repcat.direct_sum([z for z, _ in parts], x.algebra)
+    glued = repcat.block_map(total, x, [[inc for _, inc in parts]])
+    assert glued.is_iso(), x
+    back = Morphism(x, total, [
+        exactlin.solve(c, Matrix.identity(x.field, c.rows)) for c in glued.comps
+    ])
+    return [(z, inc, proj @ back) for (z, inc), proj in zip(parts, projs)]
+
+
 def find_isomorphism(x, y):
     """An isomorphism x -> y glued from isomorphisms between summands; None if none."""
     if x.dims != y.dims:
@@ -136,8 +155,8 @@ def find_isomorphism(x, y):
         return None
     targets = list(repcat.split_summands(y))
     out = Morphism.zero(x, y)
-    for z, _, proj in repcat.split_summands(x):
-        for k, (w, inc, _) in enumerate(targets):
+    for z, _, proj in split_with_projections(x):
+        for k, (w, inc) in enumerate(targets):
             f = repcat.summand_map(z, w) if z.dims == w.dims else None
             if f is not None:
                 out = out + inc @ f @ proj
@@ -163,8 +182,8 @@ def iso_rad_between(x, y):
 def pairwise_rad(x, y, between=iso_rad_between):
     """rad(x, y) glued from the radicals between the indecomposable summands of x and y."""
     pieces = []
-    for zi, _, proj_i in repcat.split_summands(x):
-        for zj, inc_j, _ in repcat.split_summands(y):
+    for zi, _, proj_i in split_with_projections(x):
+        for zj, inc_j in repcat.split_summands(y):
             for vec in between(zi, zj).columns():
                 r = repcat.morphism_from_vec(zi, zj, vec)
                 pieces.append(repcat.hom_vec(inc_j @ r @ proj_i))
@@ -176,8 +195,8 @@ def split_rule_is_radical(f):
     """True when no component of f between indecomposable summands is invertible."""
     return not any(
         (proj @ f @ inc).is_iso()
-        for _, inc, _ in repcat.split_summands(f.domain)
-        for _, _, proj in repcat.split_summands(f.codomain)
+        for _, inc in repcat.split_summands(f.domain)
+        for _, _, proj in split_with_projections(f.codomain)
     )
 
 
@@ -566,7 +585,7 @@ def generator_parts(cat):
     parts = [
         (z, incs[i] @ inc)
         for i, g in enumerate(cat.generators)
-        for z, inc, _ in repcat.split_summands(g)
+        for z, inc in repcat.split_summands(g)
     ]
     return m, parts
 
@@ -653,7 +672,7 @@ def injective(algebra, v):
 def sorted_contains(cat, x):
     """Whether x lies in add M: sorting the pool with x's summands adds no class."""
     pool = cat._summand_pool()
-    summands = [z for z, _, _ in repcat.split_summands(x)]
+    summands = [z for z, _ in repcat.split_summands(x)]
     return len(repcat.iso_classes(pool + summands)[0]) == len(pool)
 
 

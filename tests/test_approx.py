@@ -46,6 +46,12 @@ def test_category_membership_and_pool(flag_cat, flag_mods):
     assert len(pool) == 4
 
 
+def test_a_category_needs_a_nonzero_generator(flag):
+    for gens in ([], [repcat.zero_module(flag)] * 2):
+        with pytest.raises(ValueError, match="nonzero generator"):
+            AddCategory(gens, 1)
+
+
 def test_generating_cogenerating(flag_cat, flag_mods, ka2_cat):
     assert flag_cat.is_generating_cogenerating()
     assert ka2_cat.is_generating_cogenerating()

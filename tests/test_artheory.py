@@ -1,6 +1,7 @@
 """Cluster-tilting certificates, the translation, determined maps, almost-split data."""
 
 import math
+import pathlib
 
 import pytest
 
@@ -14,7 +15,7 @@ from dctkit import (
     Morphism,
     VerificationFailed,
 )
-from dctkit import artheory, config, dexact, exactlin, homological, repcat
+from dctkit import artheory, config, dexact, exactlin, homological, repcat, workspace
 from dctkit.artheory import (
     d_almost_split,
     determined_morphism,
@@ -38,6 +39,8 @@ from scan_oracles import (
     radical,
     scan_enumerate,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # -- enumeration --------------------------------------------------------------
@@ -389,6 +392,23 @@ def test_determined_morphism_validates_inputs(flag_cat, flag_mods, flag):
     h2 = EndSubmodule.zero(S2, S2)
     with pytest.raises(InvalidModule):
         determined_morphism(flag_cat, S2, S2, h2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_determined_morphism_computes_idempotents_only_to_build_the_pool(p, monkeypatch):
+    ws = workspace.load(str(DATA / "ka3rad2.json"), p)
+    cat, s1 = ws.category("M"), ws.module("S1")
+    calls = []
+    real = repcat.nontrivial_idempotent
+
+    def counting(x, cap=None):
+        calls.append(x)
+        return real(x, cap)
+
+    monkeypatch.setattr(repcat, "nontrivial_idempotent", counting)
+    determined_morphism(cat, s1, s1, EndSubmodule.zero(s1, s1))
+    # one per generator; 7 when the split was not kept on the module
+    assert [id(x) for x in calls] == [id(g) for g in cat.generators]
 
 
 def test_determiner_check_on_almost_split_rows(ka2_cat, ka2_mods, flag_cat, flag_mods):

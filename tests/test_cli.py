@@ -100,6 +100,18 @@ def test_d_rigid_verdict_false_still_exits_zero(tmp_path):
     assert payload(r)["ok"] is False
 
 
+def test_a_category_of_zero_generators_is_an_input_error(tmp_path):
+    doc = json.loads(pathlib.Path(KA2).read_text())
+    doc["modules"]["Z"] = {"dims": {}}
+    doc["categories"]["E"] = {"generators": ["Z"]}
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(doc))
+    for command in ("gldim-end", "d-rigid"):
+        r = run_cli(command, "--workspace", str(p), "--category", "E")
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+        assert payload(r)["error"]["kind"] == "input"
+
+
 def test_dass_golden_labels():
     r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1")
     assert r.returncode == 0

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctkit import Matrix, Module, PrimeField, Quiver, build_algebra, exactlin, homological, repcat
+from dctkit import AddCategory, Matrix, Module, PrimeField, Quiver, build_algebra, exactlin
+from dctkit import homological, repcat
 from dctkit import workspace
 from dctkit.repcat import Morphism
 from scan_oracles import (
@@ -29,6 +30,7 @@ from scan_oracles import (
     scan_isomorphism,
     scan_rad_between,
     split_rule_is_radical,
+    split_with_projections,
     top,
     top_quotient_reps,
     top_quotients,
@@ -162,14 +164,8 @@ def test_splitting_and_isomorphism_match_the_scan_oracles(fixture, p):
         if e is not None:
             assert e @ e == e and not e.is_zero() and e != Morphism.identity(x)
         parts = repcat.split_summands(x)
-        assert all(scan_idempotent(z) is None for z, _, _ in parts)
-        total = Morphism.zero(x, x)
-        for _, inc, proj in parts:
-            total = total + inc @ proj
-        assert total == Morphism.identity(x)
-        for (i, (zi, _, proj)), (j, (zj, inc, _)) in itertools.product(enumerate(parts), repeat=2):
-            expected = Morphism.identity(zi) if i == j else Morphism.zero(zj, zi)
-            assert (proj @ inc).comps == expected.comps
+        assert all(scan_idempotent(z) is None for z, _ in parts)
+        split_with_projections(x)  # the glued inclusions are an isomorphism onto x
     by_dims = {}
     for x in cases:
         by_dims.setdefault((id(x.algebra), x.dims), []).append(x)
@@ -225,7 +221,7 @@ def test_a_rebased_sum_of_k_copies_splits_into_k_parts(p):
             [(rep, mult)] = repcat.decompose(x)
             assert mult == k and repcat.are_isomorphic(rep, part), (part, k)
             parts = repcat.split_summands(x)
-            assert len(parts) == k and all(repcat.are_isomorphic(z, part) for z, _, _ in parts)
+            assert len(parts) == k and all(repcat.are_isomorphic(z, part) for z, _ in parts)
 
 
 def test_a_commutative_subalgebra_with_nilpotents_yields_one():
@@ -336,6 +332,38 @@ def test_decompose_returns_the_parts_of_a_rebased_sum(parts, seed):
         assert (repcat.nontrivial_idempotent(x) is None) == (scan_idempotent(x) is None)
 
 
+CATEGORIES = [AddCategory(group, 1) for group in GROUPS]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(CATEGORIES).flatmap(lambda cat: st.tuples(
+        st.just(cat), st.lists(st.sampled_from(cat.generators), min_size=1, max_size=4)
+    )),
+    seed=st.integers(0, 2**32),
+)
+def test_the_split_is_kept_and_every_summand_question_reads_it(case, seed):
+    cat, parts = case
+    cat._summand_pool()
+    x = rebased_sum(parts, random.Random(seed))
+    split = repcat.split_summands(x)
+    assert repcat.split_summands(x) is split and len(split) == len(parts)
+    assert all(scan_idempotent(z) is None for z, _ in split)
+    split_with_projections(x)  # the glued inclusions are an isomorphism onto x
+    repcat.decompose(x)
+    calls = []
+    real = repcat.nontrivial_idempotent
+    repcat.nontrivial_idempotent = lambda y, cap=None: calls.append(y) or real(y, cap)
+    try:
+        assert repcat.are_isomorphic(x, x)
+        for y in [x] + [z for z, _ in split]:
+            assert cat.contains(y)
+            assert repcat.is_indecomposable(y) == (y is not x or len(parts) == 1)
+    finally:
+        repcat.nontrivial_idempotent = real
+    assert calls == []
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     lists=st.sampled_from(GROUPS).flatmap(
@@ -411,7 +439,7 @@ def test_tau_and_its_inverse_round_trip(parts, cut, seed):
     tau^- = Tr D and tau = D Tr, and Tr Tr y = y for y with no projective summand.
     """
     x = random_module(parts, cut, seed)
-    summands = [z for z, _, _ in repcat.split_summands(x)]
+    summands = [z for z, _ in repcat.split_summands(x)]
     if not any(homological.is_injective(z) for z in summands):
         assert repcat.are_isomorphic(homological.tau_d(homological.tau_d_minus(x, 1), 1), x)
     if not any(homological.is_projective(z) for z in summands):

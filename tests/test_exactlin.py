@@ -50,6 +50,18 @@ def test_matrix_arithmetic_mod_p():
     assert (a @ Matrix.identity(f3, 2)) == a
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scaling_by_one_returns_the_matrix_itself(p):
+    field, rng = PrimeField(p), random.Random(p)
+    m = _random_matrix(field, 3, 4, rng)
+    assert m.scale(1) is m and m.scale(p + 1) is m and m.scale(1 - p) is m
+    for c in range(2, 2 * p + 1):
+        if c % p != 1:
+            scaled = m.scale(c)
+            assert scaled is not m
+            assert scaled.entries == tuple(tuple(c * x % p for x in row) for row in m.entries)
+
+
 def test_rref_is_idempotent_and_rank_agrees():
     rng = random.Random(11)
     for p in (2, 3, 5):
