@@ -54,10 +54,10 @@ class PrimeField:
     _instances: Dict[int, "PrimeField"] = {}
 
     def __new__(cls, p: int):
+        if isinstance(p, int) and p >= _MAX_PRIME:
+            raise ValueError(f"modulus {p} exceeds the supported bound {_MAX_PRIME}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not a prime")
-        if p >= _MAX_PRIME:
-            raise ValueError(f"modulus {p} exceeds the supported bound {_MAX_PRIME}")
         field = cls._instances.get(p)
         if field is None:
             field = cls._instances[p] = object.__new__(cls)

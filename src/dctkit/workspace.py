@@ -2,16 +2,20 @@
 
 A workspace holds a presentation of the algebra (field, quiver,
 relations, nilpotency bound), named modules, named morphisms, named
-additive subcategories, and the global size parameter d.  Parsing
-validates everything eagerly and resolves names to live objects; the
-canonical document (`serialize`, built when `Workspace.doc` is first read)
-round-trips through parse bit-for-bit once canonicalized.
+additive subcategories, and the global size parameter d.  Its format is
+stated once, in `workspace_schema.json`.  Parsing enforces that schema first,
+naming the JSON path of a violation, then checks what a schema cannot say
+(the prime field, names, matrix shapes, relations, morphisms, nonzero
+generators) and resolves names to live objects; the canonical document
+(`serialize`, built when `Workspace.doc` is first read) round-trips through
+parse bit-for-bit once canonicalized.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
@@ -19,6 +23,10 @@ from .approx import AddCategory
 from .errors import NotAdmissible, WorkspaceError
 from .exactlin import Matrix, PrimeField
 from .repcat import Module, Morphism
+
+# The one statement of the workspace format, enforced by `_check` before parsing.
+_SCHEMA = json.loads((Path(__file__).parent / "workspace_schema.json").read_text(encoding="utf-8"))
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
 
 
 class Workspace:
@@ -55,28 +63,48 @@ class Workspace:
             raise WorkspaceError(f"unknown morphism {name!r}") from None
 
 
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise WorkspaceError(f"{where}: missing required key {key!r}")
-    value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise WorkspaceError(f"{where}: key {key!r} must be an integer")
-    if not isinstance(value, kind):
-        raise WorkspaceError(f"{where}: key {key!r} has the wrong type")
-    return value
+def _check(value, schema: dict, where: str) -> None:
+    """Raise WorkspaceError, naming the JSON path, where value breaks schema.
+
+    Enforces the draft-07 keywords the workspace schema uses; a bool is
+    neither an integer nor any other type.
+    """
+    kind = schema.get("type")
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
+        raise WorkspaceError(f"{where}: expected {kind}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise WorkspaceError(f"{where}: must be at least {schema['minimum']}")
+    if "maximum" in schema and value > schema["maximum"]:
+        raise WorkspaceError(f"{where}: must be at most {schema['maximum']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise WorkspaceError(f"{where}: missing required key {key!r}")
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is False:
+                raise WorkspaceError(f"{where}: unknown key {key!r}")
+            if sub is not True:
+                _check(item, sub, f"{where}/{key}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise WorkspaceError(f"{where}: needs at least {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise WorkspaceError(f"{where}: allows at most {schema['maxItems']} items")
+        items = schema.get("items", True)
+        for i, item in enumerate(value):
+            sub = items if isinstance(items, dict) else items[i] if i < len(items) else True
+            if sub is not True:
+                _check(item, sub, f"{where}/{i}")
 
 
-def _parse_matrix(field: PrimeField, data, rows: int, cols: int, where: str) -> Matrix:
-    if not isinstance(data, list):
-        raise WorkspaceError(f"{where}: matrix must be a list of rows")
+def _parse_matrix(field: PrimeField, data: list, rows: int, cols: int, where: str) -> Matrix:
     if len(data) != rows:
         raise WorkspaceError(f"{where}: expected {rows} rows, got {len(data)}")
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
+        if len(row) != cols:
             raise WorkspaceError(f"{where}: row {i} must be a list of {cols} integers")
-        for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                raise WorkspaceError(f"{where}: entry ({i},{j}) is not an integer")
     return Matrix(field, data, cols)
 
 
@@ -84,8 +112,6 @@ def _parse_blocks(field: PrimeField, doc: dict, key: str, labels, shapes, where:
                   kind: str) -> List[Matrix]:
     """The matrices doc[key] names by label, one per label with its (rows, cols); zero if absent."""
     blocks = doc.get(key, {})
-    if not isinstance(blocks, dict):
-        raise WorkspaceError(f"{where}: {key!r} must be an object")
     for label in blocks:
         if label not in labels:
             raise WorkspaceError(f"{where}: unknown {kind} {label!r} in {key}")
@@ -104,14 +130,12 @@ def _blocks_doc(labels, mats) -> Dict[str, List[List[int]]]:
     }
 
 
-def parse(doc: dict, field_override: Optional[int] = None,
+def parse(doc, field_override: Optional[int] = None,
           d_override: Optional[int] = None) -> Workspace:
-    """Validate a workspace document and build all named objects."""
-    if not isinstance(doc, dict):
-        raise WorkspaceError("workspace document must be a JSON object")
-    p = field_override if field_override is not None else _require(doc, "field", int, "workspace")
-    bound = _require(doc, "bound", int, "workspace")
-    d = d_override if d_override is not None else _require(doc, "d", int, "workspace")
+    """Check a workspace document against the schema, then build all named objects."""
+    _check(doc, _SCHEMA, "workspace")
+    p = doc["field"] if field_override is None else field_override
+    d = doc["d"] if d_override is None else d_override
     if d < 1:
         raise WorkspaceError("the size parameter d must be at least 1")
     try:
@@ -119,109 +143,49 @@ def parse(doc: dict, field_override: Optional[int] = None,
     except ValueError as e:
         raise WorkspaceError(str(e)) from None
 
-    qdoc = _require(doc, "quiver", dict, "workspace")
-    vertices = _require(qdoc, "vertices", list, "quiver")
-    arrows_doc = qdoc.get("arrows", [])
-    if not isinstance(arrows_doc, list):
-        raise WorkspaceError("quiver: 'arrows' must be a list")
-    arrows = []
-    for i, arr in enumerate(arrows_doc):
-        if not isinstance(arr, dict):
-            raise WorkspaceError(f"quiver: arrow {i} must be an object")
-        arrows.append(
-            (
-                _require(arr, "name", str, f"arrow {i}"),
-                _require(arr, "source", str, f"arrow {i}"),
-                _require(arr, "target", str, f"arrow {i}"),
-            )
-        )
+    qdoc = doc["quiver"]
+    arrows = [(a["name"], a["source"], a["target"]) for a in qdoc.get("arrows", [])]
     try:
-        quiver = Quiver([str(v) for v in vertices], arrows)
+        quiver = Quiver(qdoc["vertices"], arrows)
     except ValueError as e:
         raise WorkspaceError(f"quiver: {e}") from None
 
-    relations_doc = doc.get("relations", [])
-    if not isinstance(relations_doc, list):
-        raise WorkspaceError("'relations' must be a list")
-    relations = []
-    for ri, rel in enumerate(relations_doc):
-        if not isinstance(rel, list) or not rel:
-            raise WorkspaceError(f"relation {ri} must be a nonempty list of terms")
-        terms = []
-        for ti, term in enumerate(rel):
-            if (
-                not isinstance(term, list)
-                or len(term) != 2
-                or isinstance(term[0], bool)
-                or not isinstance(term[0], int)
-                or not isinstance(term[1], list)
-            ):
-                raise WorkspaceError(
-                    f"relation {ri} term {ti} must be [coefficient, [arrow names]]"
-                )
-            terms.append((term[0] % p, [str(w) for w in term[1]]))
-        relations.append(terms)
-
+    relations = [[(coeff % p, list(word)) for coeff, word in rel]
+                 for rel in doc.get("relations", [])]
     try:
-        algebra = build_algebra(quiver, relations, bound, field)
+        algebra = build_algebra(quiver, relations, doc["bound"], field)
     except NotAdmissible:
         raise
     except ValueError as e:
         raise WorkspaceError(f"algebra presentation: {e}") from None
 
-    modules_doc = doc.get("modules", {})
-    if not isinstance(modules_doc, dict):
-        raise WorkspaceError("'modules' must be an object")
     modules: Dict[str, Module] = {}
     arrow_names = [a.name for a in quiver.arrows]
-    for name in modules_doc:
-        mdoc = modules_doc[name]
+    for name, mdoc in doc.get("modules", {}).items():
         where = f"module {name!r}"
-        if not isinstance(mdoc, dict):
-            raise WorkspaceError(f"{where} must be an object")
-        dims_doc = _require(mdoc, "dims", dict, where)
-        dims = []
-        for label in quiver.vertices:
-            value = dims_doc.get(label, 0)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise WorkspaceError(f"{where}: dimension at vertex {label!r} invalid")
-            dims.append(value)
-        for label in dims_doc:
+        for label in mdoc["dims"]:
             if label not in quiver.vertices:
                 raise WorkspaceError(f"{where}: unknown vertex {label!r} in dims")
+        dims = [mdoc["dims"].get(label, 0) for label in quiver.vertices]
         shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
         maps = _parse_blocks(field, mdoc, "maps", arrow_names, shapes, where, "arrow")
         modules[name] = Module(algebra, dims, maps)
 
-    morphisms_doc = doc.get("morphisms", {})
-    if not isinstance(morphisms_doc, dict):
-        raise WorkspaceError("'morphisms' must be an object")
     morphisms: Dict[str, Morphism] = {}
-    for name in morphisms_doc:
-        fdoc = morphisms_doc[name]
+    for name, fdoc in doc.get("morphisms", {}).items():
         where = f"morphism {name!r}"
-        if not isinstance(fdoc, dict):
-            raise WorkspaceError(f"{where} must be an object")
-        src = _require(fdoc, "from", str, where)
-        dst = _require(fdoc, "to", str, where)
-        if src not in modules or dst not in modules:
+        if fdoc["from"] not in modules or fdoc["to"] not in modules:
             raise WorkspaceError(f"{where}: unresolvable endpoint name")
-        dom, cod = modules[src], modules[dst]
+        dom, cod = modules[fdoc["from"]], modules[fdoc["to"]]
         shapes = list(zip(cod.dims, dom.dims))
         comps = _parse_blocks(field, fdoc, "comps", quiver.vertices, shapes, where, "vertex")
         morphisms[name] = Morphism(dom, cod, comps)
 
-    categories_doc = doc.get("categories", {})
-    if not isinstance(categories_doc, dict):
-        raise WorkspaceError("'categories' must be an object")
     categories: Dict[str, AddCategory] = {}
-    for name in categories_doc:
-        cdoc = categories_doc[name]
+    for name, cdoc in doc.get("categories", {}).items():
         where = f"category {name!r}"
-        if not isinstance(cdoc, dict):
-            raise WorkspaceError(f"{where} must be an object")
         gens = []
-        for gname in _require(cdoc, "generators", list, where):
+        for gname in cdoc["generators"]:
             if gname not in modules:
                 raise WorkspaceError(f"{where}: unknown module {gname!r}")
             gens.append(modules[gname])
@@ -229,14 +193,7 @@ def parse(doc: dict, field_override: Optional[int] = None,
             raise WorkspaceError(f"{where}: needs at least one nonzero generator")
         categories[name] = AddCategory(gens, d)
 
-    return Workspace(
-        algebra=algebra,
-        d=d,
-        modules=modules,
-        categories=categories,
-        morphisms=morphisms,
-        relations=relations,
-    )
+    return Workspace(algebra, d, modules, categories, morphisms, relations)
 
 
 def serialize(ws: Workspace, relations) -> dict:
