@@ -13,7 +13,8 @@ non-pivot paths of length below N form the canonical basis.  The pivot rows,
 restricted to the basis and negated, are the normal forms, stored sparse as
 (basis index, coefficient) pairs.  Paths of length N or more vanish in the
 quotient, and a multiple with a term shorter than N has no term longer than
-D, so these are the normal forms of kQ/I.
+D, so these are the normal forms of kQ/I.  They are kept as one table, basis
+path times arrow, which every product, projective and opposite reads.
 
 Paths are written in traversal order: the word (a, b) means "walk a, then
 b", so it composes when target(a) = source(b).  Products in the algebra
@@ -124,20 +125,14 @@ class RelationElement(NamedTuple):
     target: int
 
 
-def _sort_key(quiver: Quiver, path: Path):
-    return (len(path.arrows), tuple(quiver.arrows[i].name for i in path.arrows), path.source)
-
-
 def _enumerate_paths(quiver: Quiver, max_len: int) -> List[Path]:
     """All paths of length <= max_len, sorted length-lexicographically by arrow name."""
     out = [Path(v, ()) for v in range(quiver.n_vertices)]
-    frontier = list(out)
+    frontier = [(path, path.source) for path in out]  # each path with its target
     for _ in range(max_len):
-        new = []
-        for path in frontier:
-            for i in quiver.arrows_out[path.target(quiver)]:
-                new.append(Path(path.source, path.arrows + (i,)))
-        out.extend(new)
+        new = [(Path(path.source, path.arrows + (i,)), quiver.arrows[i].target)
+               for path, t in frontier for i in quiver.arrows_out[t]]
+        out.extend(path for path, _ in new)
         if len(out) > config.PATH_CAP:
             raise CapExceeded.over(
                 f"path enumeration to length {max_len}", None,
@@ -146,7 +141,8 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[Path]:
         frontier = new
         if not frontier:
             break
-    out.sort(key=lambda p: _sort_key(quiver, p))
+    names = [a.name for a in quiver.arrows]
+    out.sort(key=lambda p: (len(p.arrows), [names[i] for i in p.arrows], p.source))
     return out
 
 
@@ -185,6 +181,7 @@ class BoundQuiverAlgebra:
         bound: the nilpotency witness N (rad^N = 0).
         field: scalars.
         path_basis: residue paths forming the canonical basis.
+        _times: (basis index, arrow index) -> normal form of the product; absent is zero.
     """
 
     def __init__(self, quiver, relations, bound, field, _internal=None):
@@ -194,15 +191,11 @@ class BoundQuiverAlgebra:
         self.field = field
         self._opposite: Optional["BoundQuiverAlgebra"] = None
         self._projectives: Dict[int, object] = {}  # kept by repcat.projective
-        if _internal is not None:
-            (self.path_basis, self._nf) = _internal
-        else:
-            self.path_basis, self._nf = self._build_basis()
-        self._between, self._from = {}, {}  # basis indices, in path-basis order
+        self.path_basis, self._times = _internal or self._build_basis()
+        between = {}  # basis indices, in path-basis order
         for i, path in enumerate(self.path_basis):
-            key = (path.source, path.target(quiver))
-            self._between[key] = self._between.get(key, ()) + (i,)
-            self._from[path.source] = self._from.get(path.source, ()) + (i,)
+            between.setdefault((path.source, path.target(quiver)), []).append(i)
+        self._between = {key: tuple(idx) for key, idx in between.items()}
 
     # -- construction -------------------------------------------------
 
@@ -220,20 +213,20 @@ class BoundQuiverAlgebra:
                     "relation ideal; the nilpotency bound is not witnessed",
                     witness=names,
                 )
-        short = [path for path in paths if len(path) < n]
-        basis = [path for path in short if path not in reduced]
+        basis = [path for path in paths if len(path) < n and path not in reduced]
         position = {path: i for i, path in enumerate(basis)}
-        # normal form of each short path: its nonzero (basis index, coefficient) pairs
-        nf = {}
-        for path in short:
-            if path in position:
-                nf[path] = ((position[path], 1),)
-            else:
-                block = blocks[path.source, path.target(quiver)]
-                row = sorted(reduced[path].items())
-                nf[path] = tuple((position[block[c]], -x % p) for c, x in row
-                                 if block[c] in position)
-        return tuple(basis), nf
+        # the table: the nonzero (basis index, coefficient) pairs of each short u*a
+        times = {}
+        for i, u in enumerate(basis):
+            for a in quiver.arrows_out[u.target(quiver)] if len(u) + 1 < n else ():
+                path = Path(u.source, u.arrows + (a,))
+                if path in position:
+                    times[i, a] = ((position[path], 1),)
+                else:
+                    block = blocks[path.source, path.target(quiver)]
+                    times[i, a] = tuple((position[block[c]], -x % p) for c, x
+                                        in sorted(reduced[path].items()) if block[c] in position)
+        return tuple(basis), times
 
     def _reduce_ideal(self, paths, max_len):
         """Fully reduced rows spanning the relation ideal, one (source, target) block at a time.
@@ -300,24 +293,32 @@ class BoundQuiverAlgebra:
         return self.path_basis[i].target(self.quiver)
 
     def basis_indices_from(self, v: int) -> Tuple[int, ...]:
-        return self._from.get(v, ())
+        return tuple(i for i, path in enumerate(self.path_basis) if path.source == v)
 
     def basis_indices_between(self, u: int, v: int) -> Tuple[int, ...]:
         """Basis paths from u to v, in path-basis order (as projective() lays them out)."""
         return self._between.get((u, v), ())
 
+    def _walk(self, i: int, arrows) -> Tuple[Tuple[int, int], ...]:
+        """The normal form of basis path i followed by `arrows`, read off the table."""
+        p, vec = self.field.p, {i: 1}
+        for a in arrows:
+            out: Dict[int, int] = {}
+            for k, x in vec.items():
+                for j, c in self._times.get((k, a), ()):
+                    out[j] = (out.get(j, 0) + x * c) % p
+            vec = {j: x for j, x in out.items() if x}
+        return tuple(sorted(vec.items()))
+
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """Product of two coordinate vectors over the path basis."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("coordinate vectors of wrong length")
-        p = self.field.p
-        xs = [(self.path_basis[i], a % p) for i, a in enumerate(x) if a % p]
-        ys = [(self.path_basis[j], b % p) for j, b in enumerate(y) if b % p]
-        out = [0] * self.dim
-        for u, a in xs:
-            for w, b in ys:
-                if u.target(self.quiver) == w.source and len(u) + len(w) < self.bound:
-                    for k, c in self._nf[Path(u.source, u.arrows + w.arrows)]:
+        p, basis, out = self.field.p, self.path_basis, [0] * self.dim
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if a % p and b % p and basis[i].target(self.quiver) == basis[j].source:
+                    for k, c in self._walk(i, basis[j].arrows):
                         out[k] += a * b * c
         return [s % p for s in out]
 
@@ -328,8 +329,10 @@ class BoundQuiverAlgebra:
 
         Reversal is an anti-isomorphism, so the reversed path basis is a
         valid basis of the opposite algebra and normal forms carry over
-        coordinate for coordinate.  The operation is strictly involutive:
-        opposite() of the result is this very object again.
+        coordinate for coordinate: the opposite product of basis path q by
+        an arrow a is a*q here, the arrow a walked along q in the table.
+        The operation is strictly involutive: opposite() of the result is
+        this very object again.
         """
         if self._opposite is not None:
             return self._opposite
@@ -345,13 +348,15 @@ class BoundQuiverAlgebra:
             for rel in self.relations
         ]
         basis_op = tuple(rev(p) for p in self.path_basis)
-        nf_op = {rev(p): vec for p, vec in self._nf.items()}
+        arrow_at = {path.arrows[0]: i for i, path in enumerate(self.path_basis) if len(path) == 1}
+        times_op = {(i, a): self._walk(arrow_at[a], q.arrows) for i, q in enumerate(self.path_basis)
+                    for a in self.quiver.arrows_into[q.source] if a in arrow_at}
         opp = BoundQuiverAlgebra(
             quiver_op,
             relations_op,
             self.bound,
             self.field,
-            _internal=(basis_op, nf_op),
+            _internal=(basis_op, times_op),
         )
         opp._opposite = self
         self._opposite = opp

@@ -59,7 +59,7 @@ class Module:
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, _skip_check=False):
         self.algebra = algebra
-        self.dims: Tuple[int, ...] = tuple(int(d) for d in dims)
+        self.dims: Tuple[int, ...] = tuple(map(int, dims))
         self.maps: Tuple[Matrix, ...] = tuple(maps)
         quiver = algebra.quiver
         if len(self.dims) != quiver.n_vertices or len(self.maps) != len(quiver.arrows):
@@ -98,9 +98,20 @@ class Module:
 
 
 def relations_hold(x: Module) -> bool:
-    """Whether every relation acts on x as zero: the sum of its terms' path actions."""
-    return all(reduce(add, (x.path_action(q).scale(c) for c, q in rel.terms)).is_zero()
-               for rel in x.algebra.relations)
+    """Whether every relation acts on x as zero, by the products of arrow matrices along
+    its terms' words; a term whose path passes a vertex where x is zero adds nothing."""
+    dims, maps, p = x.dims, x.maps, x.field.p
+    for rel in x.algebra.relations:
+        total = [0] * (dims[rel.target] * dims[rel.source])
+        for c, path in rel.terms if total else ():
+            rows = maps[path.arrows[0]].entries
+            for i in path.arrows[1:]:
+                rows = rows and exactlin._product_rows(p, maps[i].entries, rows, dims[rel.source])
+            if rows:
+                total = [s + c * e for s, e in zip(total, chain.from_iterable(rows))]
+        if any(s % p for s in total):
+            return False
+    return True
 
 
 def support_is_connected(x: Module) -> bool:
@@ -508,33 +519,23 @@ def simple(algebra: BoundQuiverAlgebra, v) -> Module:
 def projective(algebra: BoundQuiverAlgebra, v) -> Module:
     """The indecomposable projective at v: residue paths starting at v.
 
-    Built once and kept on the algebra, so every call returns one object.
+    Each arrow acts on the basis paths by the algebra's multiplication
+    table.  Built once and kept on the algebra, so every call returns one object.
     """
     quiver = algebra.quiver
     vi = quiver.vertex_index(v) if isinstance(v, str) else v
     if vi in algebra._projectives:
         return algebra._projectives[vi]
-    idx = algebra.basis_indices_from(vi)
-    by_vertex: List[List[int]] = [[] for _ in range(quiver.n_vertices)]
-    for i in idx:
-        by_vertex[algebra.basis_target(i)].append(i)
-    pos = {i: (w, k) for w in range(quiver.n_vertices) for k, i in enumerate(by_vertex[w])}
-    dims = [len(b) for b in by_vertex]
-    field = algebra.field
+    by_vertex = [algebra.basis_indices_between(vi, w) for w in range(quiver.n_vertices)]
+    row_of = {i: k for idx in by_vertex for k, i in enumerate(idx)}
+    dims = [len(idx) for idx in by_vertex]
     maps = []
     for ai, a in enumerate(quiver.arrows):
         m = [[0] * dims[a.source] for _ in range(dims[a.target])]
         for k, i in enumerate(by_vertex[a.source]):
-            path = algebra.path_basis[i]
-            word = path.arrows + (ai,)
-            if len(word) >= algebra.bound:
-                continue
-            for j, e in algebra._nf[Path(path.source, word)]:
-                w, row = pos[j]
-                if w != a.target:
-                    raise InvalidModule("normal form does not preserve path targets")
-                m[row][k] = e
-        maps.append(Matrix(field, m, dims[a.source]))
+            for j, e in algebra._times.get((i, ai), ()):
+                m[row_of[j]][k] = e
+        maps.append(Matrix(algebra.field, tuple(map(tuple, m)), dims[a.source], _reduced=True))
     pv = algebra._projectives[vi] = Module(algebra, dims, maps, _skip_check=True)
     return pv
 

@@ -4,7 +4,8 @@ A workspace holds a presentation of the algebra (field, quiver,
 relations, nilpotency bound), named modules, named morphisms, named
 additive subcategories, and the global size parameter d.  Its format is
 stated once, in `workspace_schema.json`.  Parsing enforces that schema first,
-naming the JSON path of a violation, then checks what a schema cannot say
+through closures compiled from it on the first parse, naming the JSON path of
+a violation, then checks what a schema cannot say
 (the prime field, names, matrix shapes, relations, morphisms, nonzero
 generators) and resolves names to live objects; the canonical document
 (`serialize`, built when `Workspace.doc` is first read) round-trips through
@@ -27,6 +28,7 @@ from .repcat import Module, Morphism
 # The one statement of the workspace format, enforced by `_check` before parsing.
 _SCHEMA = json.loads((Path(__file__).parent / "workspace_schema.json").read_text(encoding="utf-8"))
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+_CHECKERS: Dict[int, tuple] = {}  # id(schema) -> (schema, its compiled check)
 
 
 class Workspace:
@@ -67,36 +69,62 @@ def _check(value, schema: dict, where: str) -> None:
     """Raise WorkspaceError, naming the JSON path, where value breaks schema.
 
     Enforces the draft-07 keywords the workspace schema uses; a bool is
-    neither an integer nor any other type.
+    neither an integer nor any other type.  Each schema is compiled once,
+    and a path is formatted only for a violation.
     """
-    kind = schema.get("type")
-    if kind is not None and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
-        raise WorkspaceError(f"{where}: expected {kind}")
-    if "minimum" in schema and value < schema["minimum"]:
-        raise WorkspaceError(f"{where}: must be at least {schema['minimum']}")
-    if "maximum" in schema and value > schema["maximum"]:
-        raise WorkspaceError(f"{where}: must be at most {schema['maximum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise WorkspaceError(f"{where}: missing required key {key!r}")
-        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
-        for key, item in value.items():
-            sub = props.get(key, extra)
-            if sub is False:
-                raise WorkspaceError(f"{where}: unknown key {key!r}")
-            if sub is not True:
-                _check(item, sub, f"{where}/{key}")
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            raise WorkspaceError(f"{where}: needs at least {schema['minItems']} items")
-        if len(value) > schema.get("maxItems", len(value)):
-            raise WorkspaceError(f"{where}: allows at most {schema['maxItems']} items")
-        items = schema.get("items", True)
-        for i, item in enumerate(value):
-            sub = items if isinstance(items, dict) else items[i] if i < len(items) else True
-            if sub is not True:
-                _check(item, sub, f"{where}/{i}")
+    _compile(schema)(value, (where,))
+
+
+def _violation(path: tuple, message: str) -> WorkspaceError:
+    return WorkspaceError("/".join(map(str, path)) + f": {message}")
+
+
+def _compile(schema):
+    """The closure checking a value at a JSON path against a typed schema; built once, kept."""
+    if isinstance(schema, bool):
+        return schema
+    if _CHECKERS.get(id(schema), (None,))[0] is schema:
+        return _CHECKERS[id(schema)][1]
+    kind, low, high = schema["type"], schema.get("minimum"), schema.get("maximum")
+    cls, required = _TYPES[kind], schema.get("required", ())
+    props = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    extra = _compile(schema.get("additionalProperties", True))
+    least, most, items = schema.get("minItems", 0), schema.get("maxItems"), schema.get("items", True)
+    # items of one bare type are checked in one loop; a miss rechecks them one by one
+    plain = isinstance(items, dict) and {"type"} == items.keys() and _TYPES[items["type"]]
+    items = [_compile(sub) for sub in items] if isinstance(items, list) else _compile(items)
+
+    def check(value, path) -> None:
+        if value is True or value is False or not isinstance(value, cls):
+            raise _violation(path, f"expected {kind}")
+        if low is not None and value < low:
+            raise _violation(path, f"must be at least {low}")
+        if high is not None and value > high:
+            raise _violation(path, f"must be at most {high}")
+        if kind == "object":
+            for key in required:
+                if key not in value:
+                    raise _violation(path, f"missing required key {key!r}")
+            for key, item in value.items():
+                sub = props.get(key, extra)
+                if sub is False:
+                    raise _violation(path, f"unknown key {key!r}")
+                if sub is not True:
+                    sub(item, path + (key,))
+        elif kind == "array":
+            if len(value) < least:
+                raise _violation(path, f"needs at least {least} items")
+            if most is not None and len(value) > most:
+                raise _violation(path, f"allows at most {most} items")
+            if plain and all([type(item) is plain for item in value]):
+                return
+            for i, item in enumerate(value):
+                sub = (items[i] if i < len(items) else True) if isinstance(items, list) else items
+                if sub is not True:
+                    sub(item, path + (i,))
+
+    _CHECKERS[id(schema)] = (schema, check)
+    return check
 
 
 def _parse_matrix(field: PrimeField, data: list, rows: int, cols: int, where: str) -> Matrix:

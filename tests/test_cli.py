@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 DATA = pathlib.Path(__file__).parent / "data"
 KA2 = str(DATA / "ka2.json")
 FLAG = str(DATA / "ka3rad2.json")
@@ -370,6 +372,20 @@ def test_a_resolution_that_never_stops_is_refused_past_the_cap(tmp_path):
         r = run_cli(*args, *ws, timeout=5)
         assert r.returncode == 2
         assert payload(r)["error"] == {"code": 2, "kind": "cap", "message": refusal.format(step)}
+
+
+@pytest.mark.parametrize("d", [10**9, 10**30])
+def test_dass_past_the_resolution_cap_is_refused_at_once(d):
+    # an add M-resolution of d maps is never built past config.RESOLUTION_CAP
+    r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1", "--d", str(d),
+                timeout=5)
+    assert r.returncode == 2
+    assert payload(r)["error"] == {
+        "code": 2,
+        "kind": "cap",
+        "message": f"the add M-resolution of the start map needs {d} maps, over the cap 32; "
+                   "raise config.RESOLUTION_CAP",
+    }
 
 
 def test_a_huge_bound_is_refused_before_any_scan():

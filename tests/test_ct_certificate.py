@@ -14,6 +14,7 @@ Work guards count the resolutions, hom bases and intertwining systems
 that the certificate and ``gldim_end`` compute.
 """
 
+import functools
 import pathlib
 import random
 import sys
@@ -33,7 +34,7 @@ from scan_oracles import (
     scan_enumerate,
     summed_relations_hold,
 )
-from type_a import higher_auslander, ka_rad2
+from type_a import higher_auslander, ka_rad2, nakayama
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -198,6 +199,39 @@ def test_relations_hold_matches_the_summed_relations(p):
             assert repcat.relations_hold(m) == summed_relations_hold(m)
             held.add(repcat.relations_hold(m))
         assert held == {True, False}
+
+
+# cyclic Nakayama algebras (words of length 3), commutativity relations, monomial rad^2
+RELATION_PRESENTATIONS = [nakayama(3, 3), nakayama(4, 3), higher_auslander(3, 2), ka_rad2(4)]
+
+
+@functools.lru_cache(maxsize=None)
+def relation_algebra(which, p):
+    vertices, arrows, relations, bound = RELATION_PRESENTATIONS[which]
+    return build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+
+
+@st.composite
+def unchecked_modules(draw):
+    """Arrow matrices drawn freely on a dimension vector with entries 0..2, so some
+    relation paths pass a vertex where the module is zero."""
+    algebra = relation_algebra(draw(st.integers(0, len(RELATION_PRESENTATIONS) - 1)),
+                               draw(st.sampled_from([2, 3, 5])))
+    p, n = algebra.field.p, algebra.quiver.n_vertices
+    dims = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    maps = [
+        Matrix(algebra.field, draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=dims[a.source], max_size=dims[a.source]),
+            min_size=dims[a.target], max_size=dims[a.target])), dims[a.source])
+        for a in algebra.quiver.arrows
+    ]
+    return repcat.Module(algebra, dims, maps, _skip_check=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=unchecked_modules())
+def test_relation_products_match_the_summed_path_actions(m):
+    assert repcat.relations_hold(m) == summed_relations_hold(m)
 
 
 def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dctkit import CapExceeded, DimensionMismatch, Matrix, Module, PrimeField, Quiver
 from dctkit import approx, build_algebra, config, exactlin, homological
 from dctkit import ext_dim, gldim, pd, repcat, tau_d, tau_d_minus, workspace
-from dctkit.artheory import enumerate_indecomposables
+from dctkit.artheory import d_almost_split, enumerate_indecomposables, verify_defect_formula
 from dctkit.homological import (
     ext_map_post,
     ext_space,
@@ -453,3 +453,35 @@ def test_ext_far_past_the_resolution_stops_at_its_zero_term():
     assert res.syzygy(10**9).is_zero() and res.differential(10**9).is_zero()
     # the stored terms stop at the first zero one
     assert len(res._steps) <= pd(x) + 2
+
+
+def _ka_document(n):
+    """The seeded KA_n/rad^2 workspace document of the benchmark family over F_2."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import kafamily
+    finally:
+        sys.path.pop(0)
+    return kafamily.ka_document(n, 2, random.Random(n)).doc
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_each_transpose_is_computed_once_per_module_and_d(n, monkeypatch):
+    ws = workspace.parse(_ka_document(n))
+    cat, x = ws.category("M"), ws.module("S1")
+    assert tau_d(x, cat.d) is tau_d(x, cat.d)
+    made, tr = {}, homological.tr_d
+
+    def spy(x, d):
+        out = tr(x, d)
+        made.setdefault((x, d), []).append(out)
+        return out
+
+    monkeypatch.setattr(homological, "tr_d", spy)
+    ws = workspace.parse(_ka_document(n))
+    cat = ws.category("M")
+    seq = d_almost_split(cat, ws.module("S1"))
+    assert verify_defect_formula(seq, cat).ok
+    # the defect formula asks again for a transpose d_almost_split made, and gets it back
+    assert max(map(len, made.values())) > 1
+    assert all(len({id(out) for out in outs}) == 1 for outs in made.values())

@@ -31,10 +31,15 @@ def _outcome(build, quiver, relations, bound, field):
 
 
 def _library(quiver, relations, bound, field):
-    """The library's basis, with its sparse normal forms expanded to the oracle's dense tuples."""
+    """The library's basis, with every short path's sparse normal form expanded to a dense tuple.
+
+    The normal form of a path is its source vertex walked along the path's
+    arrows in the algebra's multiplication table.
+    """
     alg = build_algebra(quiver, relations, bound, field)
     dense = {}
-    for path, pairs in alg._nf.items():
+    for path in algebra._enumerate_paths(quiver, bound - 1):
+        pairs = alg._walk(alg.path_basis.index(algebra.Path(path.source, ())), path.arrows)
         indices = [i for i, _ in pairs]
         assert indices == sorted(set(indices)) and all(c for _, c in pairs)
         vec = [0] * alg.dim

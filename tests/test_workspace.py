@@ -336,3 +336,53 @@ def test_one_node_mutations_parse_as_the_schema_says_and_every_command_answers_i
     for argv in COMMANDS:
         code, _ = _cli(argv, doc, tmp_path_factory.getbasetemp() / "mutant.json")
         assert code in (0, 1, 2)
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("quiver", "arrows", 1, "name"), 7, "workspace/quiver/arrows/1/name: expected string"),
+    (("modules", "P2", "maps", "b", 0), "1", "workspace/modules/P2/maps/b/0: expected array"),
+    (("quiver", "arrows", 0, "source"), _DELETE,
+     "workspace/quiver/arrows/0: missing required key 'source'"),
+    (("morphisms", "cover2", "from"), _DELETE,
+     "workspace/morphisms/cover2: missing required key 'from'"),
+    (("morphisms", "cover1", "extra"), 1, "workspace/morphisms/cover1: unknown key 'extra'"),
+    (("quiver", "arrows", 0, "extra"), "a", "workspace/quiver/arrows/0: unknown key 'extra'"),
+    (("relations", 0), [], "workspace/relations/0: needs at least 1 items"),
+    (("categories", "M", "generators"), [],
+     "workspace/categories/M/generators: needs at least 1 items"),
+    (("relations", 0, 0), [1, ["a", "b"], 1], "workspace/relations/0/0: allows at most 2 items"),
+    (("relations", 0, 0), [1], "workspace/relations/0/0: needs at least 2 items"),
+    (("modules", "P1", "dims", "2"), -1, "workspace/modules/P1/dims/2: must be at least 0"),
+    (("modules", "P1", "dims", "2"), 1025, "workspace/modules/P1/dims/2: must be at most 1024"),
+    (("relations", 0, 0, 0), "1", "workspace/relations/0/0/0: expected integer"),
+    (("relations", 0, 0, 1), "ab", "workspace/relations/0/0/1: expected array"),
+    (("relations", 0, 0, 1, 1), False, "workspace/relations/0/0/1/1: expected string"),
+    (("quiver", "vertices", 2), None, "workspace/quiver/vertices/2: expected string"),
+    (("modules", "P1", "maps", "a", 0, 0), 1.5,
+     "workspace/modules/P1/maps/a/0/0: expected integer"),
+])
+def test_schema_messages_name_the_keyword_and_the_nested_path(path, value, message):
+    """One message per schema keyword, each met below the top level, pinned byte for byte."""
+    doc = copy.deepcopy(FIXTURES["ka3rad2"])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    assert not REFERENCE.is_valid(doc)
+    with pytest.raises(WorkspaceError) as exc:
+        parse(doc)
+    assert str(exc.value) == message
+    with pytest.raises(WorkspaceError) as exc:
+        workspace._check(doc, SCHEMA, "workspace")
+    assert str(exc.value) == message
+
+
+def test_every_subschema_states_its_type():
+    """The compiled check gives each schema the closure its type needs, so each names one."""
+    assert all(sub.get("type") in workspace._TYPES for sub in _subschemas(SCHEMA))
