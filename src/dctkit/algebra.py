@@ -25,6 +25,7 @@ a vertex v the span of residue paths starting at v.
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakValueDictionary
 
 from . import config
 from .errors import CapExceeded, DimensionMismatch, NotAdmissible
@@ -191,6 +192,7 @@ class BoundQuiverAlgebra:
         self.field = field
         self._opposite: Optional["BoundQuiverAlgebra"] = None
         self._projectives: Dict[int, object] = {}  # kept by repcat.projective
+        self._modules = WeakValueDictionary()  # one live module per content, kept by repcat.Module
         self.path_basis, self._times = _internal or self._build_basis()
         between = {}  # basis indices, in path-basis order
         for i, path in enumerate(self.path_basis):

@@ -125,15 +125,24 @@ def _ext_table(cat: AddCategory, i: int) -> List[List[int]]:
                                            for z in pool])
 
 
+def _ext_degrees(mods: Sequence[Module], d: int) -> range:
+    """Degrees 1..d-1 up to the longest resolution among mods: Ext out of them vanishes past it."""
+    top = 0
+    while top + 1 < d and any(homological.resolution(z).vertices(top + 1) for z in mods):
+        top += 1
+    return range(1, top + 1)
+
+
 def is_d_rigid(cat: AddCategory) -> RigidityReport:
     """Whether all self-extensions vanish in degrees 1..d-1: `_ext_table` summed over labels."""
-    labels = cat._split_generators()[1]
+    pool, labels = cat._split_generators()
+    live = _ext_degrees(pool, cat.d)
     table: List[Dict[str, int]] = []
     for i in range(1, cat.d):
-        ext = _ext_table(cat, i)
+        ext = _ext_table(cat, i) if i in live else None  # past every resolution Ext is zero
         for gi, a in enumerate(labels):
             for gj, b in enumerate(labels):
-                dim = sum(ext[s][t] for s in a for t in b)
+                dim = 0 if ext is None else sum(ext[s][t] for s in a for t in b)
                 table.append({"degree": i, "source": gi, "target": gj, "dim": dim})
     return RigidityReport(cat.d, all(row["dim"] == 0 for row in table), table)
 
@@ -160,7 +169,8 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
 
     Three subsets of the universe are compared pointwise: membership in
     the additive closure, vanishing of extensions into M, and vanishing
-    of extensions out of M (in all degrees 1..d-1).  Ext is additive and
+    of extensions out of M (in degrees 1..d-1, up to the longest
+    resolution among the pool and the universe).  Ext is additive and
     an isomorphism invariant, and every generator is a sum of pool
     members, so M may be replaced by the pool: a member reads both of its
     flags off the rows and columns of the pool tables `_ext_table` that
@@ -170,8 +180,8 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
     (`AddCategory.is_generating_cogenerating`).
     """
     rigidity = is_d_rigid(cat)
-    degrees = range(1, cat.d)
     pool = cat._summand_pool()
+    degrees = _ext_degrees(pool + list(universe), cat.d)
     tables = [_ext_table(cat, i) for i in degrees]
     kills_into = [not any(any(t[c]) for t in tables) for c in range(len(pool))]
     killed_from = [not any(row[c] for t in tables for row in t) for c in range(len(pool))]
@@ -553,8 +563,8 @@ def determined_morphism(
     # (3) spanning set of the preimage plus a projective cover
     gens = [repcat.morphism_from_vec(x, n_h, vec) for vec in pre_flat.columns()]
     x_parts = repcat.split_summands(x)
-    _, paug, verts = repcat.projective_cover(n_h)
-    algebra = n_h.algebra
+    res = homological.resolution(n_h)
+    paug, verts, algebra = res.augmentation, res.vertices(0), n_h.algebra
     _, p_incs, _ = repcat.direct_sum([repcat.projective(algebra, v) for v in verts], algebra)
     pieces = [f @ inc for f in gens for _, inc in x_parts] + [paug @ inc for inc in p_incs]
     gmin, _ = approx.minimal_cover(n_h, pieces)

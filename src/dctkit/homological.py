@@ -1,8 +1,9 @@
 """Resolutions, Ext, the transpose, and higher translates.
 
 Everything is read off the minimal projective resolution of a module: one
-list of steps, each a projective cover and its kernel, cached on the module
-and stopped at its first zero term.  Each differential is read once as a
+list of steps, each a projective cover and its kernel, stopped at its first
+zero term.  A step is kept on the module it covers, so resolutions that
+meet one syzygy share it.  Each differential is read once as a
 table of algebra elements.  Hom out of a projective needs no hom basis: by
 Yoneda a map P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext
 is cocycles modulo coboundaries in those coordinates.  Tr_d x, the
@@ -53,16 +54,15 @@ class ProjResolution:
         cap, steps = config.RESOLUTION_CAP, self._steps
         while len(steps) <= i and (not steps or steps[-1].vertices):
             m = steps[-1].inclusion.domain if steps else self.module
-            if m.is_zero():  # the first zero term: it needs no cover and is its own kernel
-                steps.append(_Step(Morphism.identity(m), [], Morphism.identity(m)))
-            elif len(steps) > cap + 1:
+            if len(steps) > cap + 1 and not m.is_zero():
                 raise CapExceeded.over(
                     f"projective resolution to step {i}", self.module.dims,
                     f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP",
                 )
-            else:
+            if "cover" not in m._cache:  # kept on m: every resolution through m reads it
                 _, epi, verts = repcat.projective_cover(m)
-                steps.append(_Step(epi, verts, repcat.kernel(epi)[1]))
+                m._cache["cover"] = _Step(epi, verts, repcat.kernel(epi)[1])
+            steps.append(m._cache["cover"])
         return min(i, len(steps) - 1)
 
     def projective(self, i: int) -> Module:

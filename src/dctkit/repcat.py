@@ -3,7 +3,10 @@
 A module is a representation of the quiver: one F_p-space per vertex and
 one matrix per arrow, mapping the source space to the target space, with
 every relation evaluating to zero.  Morphisms are tuples of vertex
-matrices intertwining the arrow actions.
+matrices intertwining the arrow actions.  There is one object per
+module: a module equal in dimensions and arrow matrices to a live one
+over the same algebra is that one, so what a module keeps is computed
+once, whichever construction meets it again.
 
 Hom spaces are computed exactly as kernels of the intertwining system and
 always come back in the same canonical order, so everything downstream
@@ -54,25 +57,29 @@ class Module:
             an arrow a: s -> t has shape dims[t] x dims[s].
 
     Raises:
-        InvalidModule: wrong shapes or a violated relation.
+        InvalidModule: wrong shapes or a violated relation, checked also
+            when the algebra's weak table holds an equal module.
     """
 
-    def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, _skip_check=False):
-        self.algebra = algebra
-        self.dims: Tuple[int, ...] = tuple(map(int, dims))
-        self.maps: Tuple[Matrix, ...] = tuple(maps)
+    def __new__(cls, algebra: BoundQuiverAlgebra, dims, maps, _skip_check=False):
+        dims, maps = tuple(map(int, dims)), tuple(maps)
         quiver = algebra.quiver
-        if len(self.dims) != quiver.n_vertices or len(self.maps) != len(quiver.arrows):
+        if len(dims) != quiver.n_vertices or len(maps) != len(quiver.arrows):
             raise InvalidModule("dimension vector or map list has wrong length")
-        for a, m in zip(quiver.arrows, self.maps):
-            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
+        for a, m in zip(quiver.arrows, maps):
+            if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise InvalidModule(
                     f"matrix for arrow {a.name} has shape {m.rows}x{m.cols}, "
-                    f"expected {self.dims[a.target]}x{self.dims[a.source]}"
+                    f"expected {dims[a.target]}x{dims[a.source]}"
                 )
-        self._cache: Dict = {}
+        key = (dims, tuple([m.entries for m in maps]))
+        self = algebra._modules.get(key)
+        if self is None:
+            self = algebra._modules[key] = object.__new__(cls)
+            self.algebra, self.dims, self.maps, self._cache = algebra, dims, maps, {}
         if not _skip_check and not relations_hold(self):
             raise InvalidModule("a relation does not vanish on this representation")
+        return self
 
     @property
     def field(self):
@@ -131,11 +138,6 @@ def support_is_connected(x: Module) -> bool:
     return len(reached) == len(support)
 
 
-def _same_module(a: Module, b: Module) -> bool:
-    """One object, or equal dimensions and arrow matrices."""
-    return a is b or (a.dims == b.dims and a.maps == b.maps)
-
-
 class Morphism:
     """A module morphism: one matrix per vertex, intertwining the arrows."""
 
@@ -179,10 +181,10 @@ class Morphism:
     def __matmul__(self, other: "Morphism") -> "Morphism":
         """Composition self after other.
 
-        The middle modules must be one object, or agree in dimensions and
-        arrow matrices; anything else raises DimensionMismatch.
+        The middle modules must be one module, that is, one object;
+        anything else raises DimensionMismatch.
         """
-        if not _same_module(other.codomain, self.domain):
+        if other.codomain is not self.domain:
             raise DimensionMismatch("composition of non-composable morphisms")
         return Morphism(
             other.domain,
@@ -194,7 +196,7 @@ class Morphism:
     def _entrywise(self, other: "Morphism", op) -> "Morphism":
         """op of two maps between the same modules, in the sense of __matmul__."""
         dom, cod = other.domain, other.codomain
-        if not (_same_module(self.domain, dom) and _same_module(self.codomain, cod)):
+        if self.domain is not dom or self.codomain is not cod:
             raise DimensionMismatch("sum of morphisms between different modules")
         return Morphism(
             self.domain, self.codomain, [op(a, b) for a, b in zip(self.comps, other.comps)],
@@ -383,14 +385,14 @@ def _solve_composite(composites: Matrix, g: Morphism, x: Module, y: Module):
 
 def factor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     """Find h with f @ h = g, where g: W -> N and f: M -> N; None if impossible."""
-    if not _same_module(g.codomain, f.codomain):
+    if g.codomain is not f.codomain:
         raise DimensionMismatch("codomains differ")
     return _solve_composite(hom_composites(g.domain, f), g, g.domain, f.domain)
 
 
 def cofactor_through(g: Morphism, f: Morphism) -> Optional[Morphism]:
     """Find h with h @ f = g, where g: L -> W and f: L -> M; None if impossible."""
-    if not _same_module(g.domain, f.domain):
+    if g.domain is not f.domain:
         raise DimensionMismatch("domains differ")
     return _solve_composite(hom_composites(f, g.codomain), g, f.codomain, g.codomain)
 

@@ -35,13 +35,15 @@ class Workspace:
     """Parsed workspace: live objects plus the canonical source document."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, d: int, modules: Dict[str, Module],
-                 categories: Dict[str, AddCategory], morphisms: Dict[str, Morphism], relations):
+                 categories: Dict[str, AddCategory], morphisms: Dict[str, Morphism], relations,
+                 names):
         self.algebra = algebra
         self.d = d
         self.modules = modules
         self.categories = categories
         self.morphisms = morphisms
         self._relations = relations
+        self._names = names  # the document's endpoint and generator names; two may name one module
 
     # the canonical document (`serialize`), built the first time it is read
     doc = cached_property(lambda self: serialize(self, self._relations))
@@ -200,6 +202,7 @@ def parse(doc, field_override: Optional[int] = None,
         modules[name] = Module(algebra, dims, maps)
 
     morphisms: Dict[str, Morphism] = {}
+    names = {"morphisms": {}, "categories": {}}
     for name, fdoc in doc.get("morphisms", {}).items():
         where = f"morphism {name!r}"
         if fdoc["from"] not in modules or fdoc["to"] not in modules:
@@ -208,6 +211,7 @@ def parse(doc, field_override: Optional[int] = None,
         shapes = list(zip(cod.dims, dom.dims))
         comps = _parse_blocks(field, fdoc, "comps", quiver.vertices, shapes, where, "vertex")
         morphisms[name] = Morphism(dom, cod, comps)
+        names["morphisms"][name] = fdoc["from"], fdoc["to"]
 
     categories: Dict[str, AddCategory] = {}
     for name, cdoc in doc.get("categories", {}).items():
@@ -220,8 +224,9 @@ def parse(doc, field_override: Optional[int] = None,
         if all(g.is_zero() for g in gens):
             raise WorkspaceError(f"{where}: needs at least one nonzero generator")
         categories[name] = AddCategory(gens, d)
+        names["categories"][name] = list(cdoc["generators"])
 
-    return Workspace(algebra, d, modules, categories, morphisms, relations)
+    return Workspace(algebra, d, modules, categories, morphisms, relations, names)
 
 
 def serialize(ws: Workspace, relations) -> dict:
@@ -254,19 +259,15 @@ def serialize(ws: Workspace, relations) -> dict:
             "dims": {quiver.vertices[v]: int(m.dims[v]) for v in range(quiver.n_vertices)},
             "maps": _blocks_doc([a.name for a in quiver.arrows], m.maps),
         }
-    module_names = {id(m): n for n, m in ws.modules.items()}
     for name in sorted(ws.morphisms):
-        f = ws.morphisms[name]
+        source, target = ws._names["morphisms"][name]
         doc["morphisms"][name] = {
-            "from": module_names[id(f.domain)],
-            "to": module_names[id(f.codomain)],
-            "comps": _blocks_doc(quiver.vertices, f.comps),
+            "from": source,
+            "to": target,
+            "comps": _blocks_doc(quiver.vertices, ws.morphisms[name].comps),
         }
     for name in sorted(ws.categories):
-        cat = ws.categories[name]
-        doc["categories"][name] = {
-            "generators": [module_names[id(g)] for g in cat.generators]
-        }
+        doc["categories"][name] = {"generators": list(ws._names["categories"][name])}
     return doc
 
 

@@ -35,11 +35,25 @@ def ka2_cat(ka2_mods):
     return AddCategory([m["S1"], m["S2"], m["P1"]], 1)
 
 
+def _flagship(field):
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    return build_algebra(q, [[(1, ["a", "b"])]], 2, field)
+
+
 @pytest.fixture(scope="session")
 def flag(f2):
     """Three vertices in a line, composite of the two arrows killed."""
-    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    return build_algebra(q, [[(1, ["a", "b"])]], 2, f2)
+    return _flagship(f2)
+
+
+@pytest.fixture
+def fresh_flag(f2):
+    """The flagship algebra built anew: no module over it has computed anything yet.
+
+    Equal modules are one object, so a module over the session algebra
+    carries what earlier tests computed on it.
+    """
+    return _flagship(f2)
 
 
 @pytest.fixture(scope="session")

@@ -266,7 +266,8 @@ def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatc
     assert report.ok and generation_misses == [0]
     members = [x for x, row in zip(universe, report.rows) if row["in_category"]]
     assert len(members) == len(cat._summand_pool()) == 7
-    assert not {id(x) for x in members} & {id(x) for x in resolved}
+    # a universe member is its pool member itself: no module is resolved twice
+    assert len({(x.dims, x.maps) for x in resolved}) == len(resolved)
     # the generators, then the 4 universe members outside the category
     assert len(resolved) == len(cat.generators) + len(universe) - len(members) == 11
     # 21 when the guard was written; resolving every member took more
@@ -297,3 +298,32 @@ def test_gldim_end_and_the_certificate_solve_only_nonzero_hom_systems(monkeypatc
     # 21 when the guard was written, as many as its hom cache misses
     assert len(solved) <= 21
     assert all(repcat.hom_dim(x, y) for x, y in solved)
+
+
+def test_no_ext_is_computed_past_the_longest_resolution(monkeypatch):
+    """`ct-check --bound 2` on the flagship asks as many Ext at d = 10000 as at d = 6.
+
+    The flagship has global dimension 2, so every Ext in degree 3 or more
+    vanishes; the rigidity rows of those degrees still read zero.
+    """
+    ws = workspace.load(str(DATA / "ka3rad2.json"), 2)
+    gens = ws.category("M").generators
+    universe = enumerate_indecomposables(ws.algebra, 2)
+    asked = []
+    real = homological.ext_dim
+
+    def counting(x, y, i):
+        asked.append(i)
+        return real(x, y, i)
+
+    monkeypatch.setattr(homological, "ext_dim", counting)
+    counts = []
+    for d in (6, 10000):
+        before = len(asked)
+        report = is_d_cluster_tilting(AddCategory(gens, d), universe)
+        counts.append(len(asked) - before)
+        rows = report.rigidity.table
+        assert len(rows) == (d - 1) * len(gens) ** 2 and rows[-1]["degree"] == d - 1
+        assert all(row["dim"] == 0 for row in rows if row["degree"] > 2)
+    # 209,981 at d = 10000 when every degree below d was computed
+    assert counts[0] == counts[1] and max(asked) <= 2

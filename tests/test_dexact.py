@@ -221,11 +221,14 @@ def test_d_pushout_complete_keeps_right_column(flag_cat, flag_seq, flag_mods):
     assert is_d_exact(bottom, flag_cat)
 
 
-def test_d_pushout_complete_rejects_a_leg_from_a_copy(flag_cat, flag_seq, flag_mods):
+def test_d_pushout_complete_rejects_a_leg_from_a_copy(flag_cat, flag_seq, fresh_flag):
+    # the left term is S3, the one module of its dimension vector over flag, and
+    # an equal module is that module; a different one comes from a second algebra
     left = flag_seq.left_term
-    copy = Module(left.algebra, left.dims, left.maps)
-    leg = repcat.hom_basis(copy, flag_mods["P2"])[0]
-    with pytest.raises(DimensionMismatch):
+    copy = Module(fresh_flag, left.dims, left.maps)
+    leg = repcat.hom_basis(copy, repcat.projective(fresh_flag, 1))[0]
+    assert copy is not left and copy.dims == left.dims
+    with pytest.raises(DimensionMismatch, match="left end"):
         d_pushout_complete(flag_cat, flag_seq, leg)
 
 

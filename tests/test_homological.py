@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from dctkit import CapExceeded, DimensionMismatch, Matrix, Module, PrimeField, Quiver
 from dctkit import approx, build_algebra, config, exactlin, homological
 from dctkit import ext_dim, gldim, pd, repcat, tau_d, tau_d_minus, workspace
-from dctkit.artheory import d_almost_split, enumerate_indecomposables, verify_defect_formula
+from dctkit.artheory import (
+    d_almost_split,
+    enumerate_indecomposables,
+    verify_defect_formula,
+    verify_tau_d_equivalence,
+)
 from dctkit.homological import (
     ext_map_post,
     ext_space,
@@ -366,7 +371,7 @@ def test_tr_d_matches_the_resolved_syzygy(kind, which, p):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_tau_d_resolves_only_its_argument(flag, d, monkeypatch):
+def test_tau_d_resolves_only_its_argument(fresh_flag, d, monkeypatch):
     resolved = []
     real_init = homological.ProjResolution.__init__
 
@@ -375,7 +380,7 @@ def test_tau_d_resolves_only_its_argument(flag, d, monkeypatch):
         real_init(self, x)
 
     monkeypatch.setattr(homological.ProjResolution, "__init__", init)
-    x = simple(flag, 0)
+    x = simple(fresh_flag, 0)
     tau_d(x, d)
     assert resolved == [x]
 
@@ -485,3 +490,24 @@ def test_each_transpose_is_computed_once_per_module_and_d(n, monkeypatch):
     # the defect formula asks again for a transpose d_almost_split made, and gets it back
     assert max(map(len, made.values())) > 1
     assert all(len({id(out) for out in outs}) == 1 for outs in made.values())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_tau_covers_and_solves_each_module_once(n, monkeypatch):
+    """Work guard of verify_tau_d_equivalence on a fresh KA_n/rad^2 over F_2."""
+    covers, systems = [], []
+    cover, kernel = repcat.projective_cover, repcat._hom_kernel
+
+    def covering(x):
+        covers.append(x)
+        return cover(x)
+
+    def solving(x, y, flat):
+        systems.append((x, y))
+        return kernel(x, y, flat)
+
+    monkeypatch.setattr(repcat, "projective_cover", covering)
+    monkeypatch.setattr(repcat, "_hom_kernel", solving)
+    assert verify_tau_d_equivalence(workspace.parse(_ka_document(n)).category("M")).ok
+    # 4n covers and n + 8 systems when equal modules were separate objects
+    assert (len(covers), len(systems)) == (2 * n, n + 2)

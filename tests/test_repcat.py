@@ -321,6 +321,60 @@ def test_projectives_are_built_once_per_algebra(flag, flag_mods):
     assert (cover.dims, cover.maps) == (glued.dims, glued.maps)
 
 
+# -- one object per module ------------------------------------------------------
+
+
+def test_equal_content_is_one_object():
+    ws = workspace.load(str(pathlib.Path(__file__).parent / "data" / "ka3rad2.json"), 2)
+    alg, m = ws.algebra, ws.modules
+    p1, s1, s2 = m["P1"], m["S1"], m["S2"]
+    # parsed modules are the ones every constructor builds
+    assert p1 is projective(alg, 0) is Module(alg, p1.dims, p1.maps)
+    assert s1 is simple(alg, 0) and s2 is simple(alg, 1)
+    onto_top, socle_map = hom_basis(p1, s1)[0], hom_basis(s2, p1)[0]
+    assert kernel(onto_top)[0] is s2 and image(socle_map)[0] is s2
+    assert cokernel(socle_map)[0] is s1
+    # a sum of one module is that module, and its cover is one projective
+    assert repcat.sum_module([p1]) is p1 and direct_sum([s1])[0] is s1
+    assert repcat.sum_module([s1, s2]) is direct_sum([s1, s2])[0]
+    assert projective_cover(s1)[0] is p1
+    dual = Module(alg.opposite(), p1.dims, [a.transpose() for a in p1.maps])
+    assert duality(p1) is dual and duality(dual) is p1
+    # another algebra keeps its own modules
+    assert workspace.parse(ws.doc).modules["P1"] is not p1
+
+
+def test_a_table_hit_still_checks_shapes_and_relations(fresh_flag):
+    f = fresh_flag.field
+    p1 = projective(fresh_flag, 0)  # dims (1, 1, 0): the arrow b is 0 x 1
+    # a 0 x 2 matrix has the raw entries of a 0 x 1 one, so shapes are checked first
+    with pytest.raises(InvalidModule, match="shape 0x2"):
+        Module(fresh_flag, p1.dims, [p1.maps[0], Matrix.zeros(f, 0, 2)])
+    one = Matrix(f, [[1]])
+    # the enumeration keeps candidates it has not checked; asking for the check refuses
+    kept = Module(fresh_flag, [1, 1, 1], [one, one], _skip_check=True)
+    with pytest.raises(InvalidModule, match="relation"):
+        Module(fresh_flag, [1, 1, 1], [one, one])
+    assert Module(fresh_flag, [1, 1, 1], [one, one], _skip_check=True) is kept
+
+
+def test_the_table_keeps_no_module_alive(fresh_flag):
+    import gc
+
+    one = Matrix(fresh_flag.field, [[1]])
+    x = Module(fresh_flag, [1, 1, 0], [one, Matrix.zeros(one.field, 0, 1)])
+    assert list(fresh_flag._modules.values()) == [x]
+    del x
+    gc.collect()
+    assert not fresh_flag._modules
+    classes = enumerate_indecomposables(fresh_flag, 5)
+    assert len(classes) == 5
+    del classes
+    gc.collect()
+    # 441 candidates were built, none is referenced any more
+    assert not fresh_flag._modules
+
+
 @functools.lru_cache(maxsize=None)
 def block_universe(p):
     """The bound-2 indecomposables of KA_3/rad^2 over F_p, and the zero module."""

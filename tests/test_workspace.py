@@ -44,6 +44,26 @@ def test_canonical_form_is_a_fixed_point():
     assert ws.doc["modules"]["S1"]["maps"] == {}
 
 
+def test_the_round_trip_keeps_the_names_of_equal_modules():
+    # A and B are one module object; the document's names for it are kept
+    doc = {
+        "field": 2,
+        "bound": 2,
+        "d": 1,
+        "quiver": {"vertices": ["1", "2"], "arrows": [{"name": "a", "source": "1", "target": "2"}]},
+        "modules": {"A": {"dims": {"1": 1}}, "B": {"dims": {"1": 1}}, "C": {"dims": {"1": 1}}},
+        "morphisms": {"f": {"from": "B", "to": "A", "comps": {"1": [[1]]}}},
+        "categories": {"M": {"generators": ["B", "A"]}},
+    }
+    ws = parse(doc)
+    assert ws.module("A") is ws.module("B") is ws.module("C")
+    again = parse(ws.doc).doc
+    for canonical in (ws.doc, again):
+        assert canonical["morphisms"]["f"]["from"] == "B" and canonical["morphisms"]["f"]["to"] == "A"
+        assert canonical["categories"]["M"]["generators"] == ["B", "A"]
+    assert again == ws.doc
+
+
 def test_parse_serializes_only_when_the_document_is_read(monkeypatch):
     calls = []
     real = workspace.serialize
