@@ -83,6 +83,9 @@ def enumerate_indecomposables(
                 continue
             if all(repcat.summand_map(z, m) is None for z in kept + found):
                 kept.append(m)
+            else:  # the classes keep no hom basis into a rejected candidate alive
+                for z in kept + found:
+                    z._cache.pop(("hom", id(m)), None)
         found += kept
     for m in found:
         if not repcat.is_indecomposable(m):

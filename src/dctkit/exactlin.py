@@ -14,7 +14,10 @@ Zero and identity blocks cost nothing: there is one PrimeField per p,
 and `Matrix.zeros` and `Matrix.identity` return one shared matrix per
 (p, rows, cols), which a product with an empty side returns too.  Most
 blocks met here are of this kind (vertex components of modules that
-vanish at a vertex, composites through such components).
+vanish at a vertex, composites through such components).  Trivial
+shapes cost nothing either: `hstack`, `vstack` and `block_diag` of one
+matrix return it, and `solve` with no right-hand side or no equations
+returns the shared zero solution without row reduction.
 """
 
 from __future__ import annotations
@@ -254,6 +257,8 @@ def hstack(ms: Sequence[Matrix], field: PrimeField = None, rows: int = None) -> 
     ms = list(ms)
     if not ms:
         return Matrix.zeros(field, rows, 0)
+    if len(ms) == 1:
+        return ms[0]
     if any(m.rows != ms[0].rows for m in ms):
         raise DimensionMismatch("hstack: row counts differ")
     entries = tuple([tuple(chain.from_iterable(rs)) for rs in zip(*[m.entries for m in ms])])
@@ -264,6 +269,8 @@ def vstack(ms: Sequence[Matrix], field: PrimeField = None, cols: int = None) -> 
     ms = list(ms)
     if not ms:
         return Matrix.zeros(field, 0, cols)
+    if len(ms) == 1:
+        return ms[0]
     if any(m.cols != ms[0].cols for m in ms):
         raise DimensionMismatch("vstack: column counts differ")
     entries = tuple(chain.from_iterable(m.entries for m in ms))
@@ -272,6 +279,8 @@ def vstack(ms: Sequence[Matrix], field: PrimeField = None, cols: int = None) -> 
 
 def block_diag(field: PrimeField, ms: Iterable[Matrix]) -> Matrix:
     ms = list(ms)
+    if len(ms) == 1:
+        return ms[0]
     cols = sum(m.cols for m in ms)
     out = []
     left = 0
@@ -357,10 +366,14 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     """Solve m @ x = b columnwise; None when any column is inconsistent.
 
     The returned solution is canonical: free variables are set to zero.
+    With no right-hand side or no equations it is the shared zero matrix,
+    found without row reduction.
     """
     if m.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
     n, k = m.cols, b.cols
+    if not (k and m.rows):
+        return Matrix.zeros(m.field, n, k)
     a = [list(r + s) for r, s in zip(m.entries, b.entries)]
     pivots = _reduce_rows(m.field.p, a, n)
     # any nonzero entry of the b-block below the pivot rows means inconsistency

@@ -6,7 +6,9 @@ every relation evaluating to zero.  Morphisms are tuples of vertex
 matrices intertwining the arrow actions.  There is one object per
 module: a module equal in dimensions and arrow matrices to a live one
 over the same algebra is that one, so what a module keeps is computed
-once, whichever construction meets it again.
+once, whichever construction meets it again.  Trivial shapes cost
+nothing: a sum of one module is that module, a 1x1 block map from dom to
+cod is its block, and the kernel of a mono is the zero module, unsolved.
 
 Hom spaces are computed exactly as kernels of the intertwining system and
 always come back in the same canonical order, so everything downstream
@@ -456,6 +458,9 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
 
 def _submodule_from_bases(x: Module, bases: Sequence[Matrix]) -> Tuple[Module, Morphism]:
     """Wrap arrow-invariant vertex subspaces as a module with inclusion."""
+    if not any(b.cols for b in bases):  # all zero, as in the kernel of a mono: no solve
+        zero = zero_module(x.algebra)
+        return zero, Morphism.zero(zero, x)
     maps = []
     for i, a in enumerate(x.algebra.quiver.arrows):
         rhs = x.maps[i] @ bases[a.source]
@@ -573,10 +578,12 @@ def duality_morphism(f: Morphism) -> Morphism:
 
 
 def sum_module(mods: Sequence[Module], algebra=None) -> Module:
-    """The direct sum of mods as a module: block-diagonal arrow matrices."""
+    """The direct sum of mods: block-diagonal arrow matrices, or the one module itself."""
     if not mods and algebra is None:
         raise ValueError("empty direct sum needs an explicit algebra")
     alg = algebra if algebra is not None else mods[0].algebra
+    if len(mods) == 1 and mods[0].algebra is alg:
+        return mods[0]
     dims = [sum(m.dims[v] for m in mods) for v in range(alg.quiver.n_vertices)]
     maps = [exactlin.block_diag(alg.field, [m.maps[i] for m in mods])
             for i in range(len(alg.quiver.arrows))]
@@ -611,8 +618,11 @@ def block_map(dom: Module, cod: Module, grid: Sequence[Sequence[Morphism]]) -> M
     """The map between direct sums dom -> cod whose (k, j) block is grid[k][j].
 
     grid[k][j] maps the j-th summand of dom to the k-th summand of cod; at
-    each vertex the blocks are stacked side by side, then row on row.
+    each vertex the blocks are stacked side by side, then row on row.  A
+    1x1 grid whose block already maps dom to cod is that block.
     """
+    if len(grid) == 1 == len(grid[0]) and (f := grid[0][0]).domain is dom and f.codomain is cod:
+        return f
     comps = []
     for v in range(len(dom.dims)):
         if all(grid):

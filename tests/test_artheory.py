@@ -71,6 +71,21 @@ def test_the_flagship_scan_computes_end_once_per_class(fresh_flag, monkeypatch):
     assert [(m.dims, m.maps) for m in classes] == [(m.dims, m.maps) for m in scanned]
 
 
+def test_the_scan_keeps_no_rejected_candidate_alive(fresh_flag):
+    import gc
+
+    projectives = [repcat.projective(fresh_flag, v) for v in range(3)]  # kept on the algebra
+    classes = enumerate_indecomposables(fresh_flag, 5)
+    gc.collect()
+    # 441 when the classes kept the hom bases into every candidate they were compared with
+    assert len(fresh_flag._modules) == len(classes) == 5
+    assert all(m in classes for m in fresh_flag._modules.values())
+    assert all(p in classes for p in projectives)
+    del classes
+    gc.collect()
+    assert len(fresh_flag._modules) < 5
+
+
 def test_a_kept_module_that_decomposes_is_refused(flag, monkeypatch):
     # with no summand found, P1 + S1 (dims (2, 1, 0), the arrow a of rank 1) is kept
     monkeypatch.setattr(repcat, "summand_map", lambda x, y: None)

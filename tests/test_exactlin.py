@@ -9,6 +9,7 @@ from dctkit.errors import DimensionMismatch
 from dctkit.exactlin import (
     Matrix,
     PrimeField,
+    block_diag,
     canonical_basis,
     contains,
     hstack,
@@ -121,6 +122,30 @@ def test_stacking_agrees_with_numpy_layout():
     v = vstack([Matrix(field, [[1, 0]]), Matrix(field, [[0, 1]])])
     assert v == Matrix.identity(field, 2)
     assert hstack([], field=field, rows=3).rows == 3
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 2), (2, 0), (0, 0)])
+def test_stacking_one_matrix_returns_it(shape):
+    field, (rows, cols), rng = PrimeField(3), shape, random.Random(sum(shape))
+    m = Matrix(field, [[rng.randrange(3) for _ in range(cols)] for _ in range(rows)], cols)
+    assert m.shape == shape
+    assert hstack([m]) is m and vstack([m]) is m and block_diag(field, [m]) is m
+    # each equals what the general layout builds around an empty neighbour
+    assert hstack([m, Matrix.zeros(field, m.rows, 0)]) == m
+    assert vstack([m, Matrix.zeros(field, 0, m.cols)]) == m
+    assert block_diag(field, [m, Matrix.zeros(field, 0, 0)]) == m
+
+
+def test_solve_with_no_right_hand_side_or_no_rows_is_the_shared_zero():
+    field = PrimeField(5)
+    m = Matrix(field, [[1, 2, 3], [0, 0, 4]])
+    assert solve(m, Matrix.zeros(field, 2, 0)) is Matrix.zeros(field, 3, 0)
+    assert solve(Matrix.zeros(field, 0, 3), Matrix.zeros(field, 0, 2)) is Matrix.zeros(field, 3, 2)
+    # the row counts are still checked first
+    with pytest.raises(DimensionMismatch, match="row counts"):
+        solve(m, Matrix.zeros(field, 3, 0))
+    with pytest.raises(DimensionMismatch, match="row counts"):
+        solve(Matrix.zeros(field, 0, 3), Matrix.zeros(field, 1, 2))
 
 
 def test_subspace_lattice_operations():

@@ -169,6 +169,21 @@ def test_solve_matches_reference(data):
 
 @SETTINGS
 @given(st.data())
+def test_solve_with_no_columns_or_no_rows_matches_reference(data):
+    """The shapes solve answers without row reduction, drawn every time."""
+    p = data.draw(st.sampled_from(PRIMES))
+    if data.draw(st.booleans()):
+        _, a = data.draw(matrices(p=p))
+        _, b = data.draw(matrices(p=p, rows=a.shape[0], cols=0))
+    else:
+        _, a = data.draw(matrices(p=p, rows=0))
+        _, b = data.draw(matrices(p=p, rows=0))
+    got, ref = solve(mat(p, a), mat(p, b)), ref_solve(p, a, b)
+    assert ref is not None and same(got, ref)
+
+
+@SETTINGS
+@given(st.data())
 def test_inverse_matches_reference(data):
     n = data.draw(st.integers(0, 5))
     p, a = data.draw(matrices(rows=n, cols=n))

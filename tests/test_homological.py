@@ -511,3 +511,29 @@ def test_verify_tau_covers_and_solves_each_module_once(n, monkeypatch):
     assert verify_tau_d_equivalence(workspace.parse(_ka_document(n)).category("M")).ok
     # 4n covers and n + 8 systems when equal modules were separate objects
     assert (len(covers), len(systems)) == (2 * n, n + 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_tau_reduces_no_empty_system_and_copies_no_single_block(n, monkeypatch):
+    """Trivial-shape guard of verify_tau_d_equivalence on a fresh KA_n/rad^2 over F_2."""
+    empty, copies = [], []
+    reduce_rows, block_diag = exactlin._reduce_rows, exactlin.block_diag
+
+    def reducing(p, a, search):
+        if not (a and search) and sys._getframe(1).f_code.co_name == "solve":
+            empty.append((len(a), search, sys._getframe(2).f_code.co_name))
+        return reduce_rows(p, a, search)
+
+    def gluing(field, ms):
+        ms = list(ms)
+        out = block_diag(field, ms)
+        if len(ms) == 1 and out is not ms[0]:
+            copies.append(out)
+        return out
+
+    monkeypatch.setattr(exactlin, "_reduce_rows", reducing)
+    monkeypatch.setattr(exactlin, "block_diag", gluing)
+    assert verify_tau_d_equivalence(workspace.parse(_ka_document(n)).category("M")).ok
+    # at n = 6, 50 empty reductions under _submodule_from_bases and 80 copies when
+    # trivial shapes took the general path
+    assert (empty, copies) == ([], [])

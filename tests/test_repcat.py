@@ -344,6 +344,27 @@ def test_equal_content_is_one_object():
     assert workspace.parse(ws.doc).modules["P1"] is not p1
 
 
+def test_trivial_shapes_return_what_the_general_path_builds(flag, flag_mods, fresh_flag):
+    p1, s1, s2 = flag_mods["P1"], flag_mods["S1"], flag_mods["S2"]
+    onto_top, socle_map = hom_basis(p1, s1)[0], hom_basis(s2, p1)[0]
+    # a 1x1 grid of a map dom -> cod is that map
+    assert block_map(p1, s1, [[onto_top]]) is onto_top
+    # a block with another domain takes the general path: equal shapes give a new map
+    split = repcat.sum_module([s1, s2])  # the dimension vector of P1, the arrow a zero
+    moved = block_map(split, s1, [[onto_top]])
+    assert moved is not onto_top and moved.domain is split and moved.comps == onto_top.comps
+    with pytest.raises(InvalidMorphism):  # and other shapes are refused
+        block_map(s2, s1, [[onto_top]])
+    # a sum of one module over its own algebra is that module; over another, a new one
+    assert repcat.sum_module([p1], flag) is p1
+    other = repcat.sum_module([p1], fresh_flag)
+    assert other.algebra is fresh_flag and (other.dims, other.maps) == (p1.dims, p1.maps)
+    # the kernel of a mono is the zero module, with the zero inclusion
+    k, incl = kernel(socle_map)
+    assert k is zero_module(flag) and incl == Morphism.zero(k, s2)
+    assert image(Morphism.zero(s1, p1))[0] is k
+
+
 def test_a_table_hit_still_checks_shapes_and_relations(fresh_flag):
     f = fresh_flag.field
     p1 = projective(fresh_flag, 0)  # dims (1, 1, 0): the arrow b is 0 x 1
