@@ -17,10 +17,12 @@ solve no system: Hom(x, y) = 0 whenever y vanishes on the top of x or x
 on the socle of y, and each module keeps its top and socle, its identity,
 its hom bases and its split into indecomposables once computed.
 
-Splitting is linear algebra on E = End(x) over its hom basis: the
-radical J = rad E by lifted traces, then a zero divisor of the
-semisimple E/J, whose left ideal yields an idempotent that is lifted
-over J.  x is indecomposable exactly when E/J is a field.  The split is
+A module with a simple top or a simple socle is indecomposable, read
+off the kept top and socle.  Any other is split by linear algebra on
+E = End(x) over its hom basis: the radical J = rad E by lifted traces,
+then a zero divisor of the semisimple E/J, whose left ideal yields an
+idempotent that is lifted over J.  x is indecomposable exactly when E/J
+is a field, and a brick (E = k) needs no structure constants.  The split is
 kept as (summand, inclusion) pairs, and every summand question reads it.
 An indecomposable x is a summand of y exactly when some composite of
 hom-basis maps x -> y -> x is invertible (`summand_map`), and of equal
@@ -442,9 +444,11 @@ def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
     comps = []
     projs = []
     secs = []
-    for v in range(len(y.dims)):
-        full = Matrix.identity(field, y.dims[v])
-        c, q = exactlin.quotient(full, exactlin.image_basis(f.comps[v]))
+    for v, n in enumerate(y.dims):
+        if n:
+            c, q = exactlin.quotient(Matrix.identity(field, n), exactlin.image_basis(f.comps[v]))
+        else:  # nothing to quotient: no reduction
+            c = q = Matrix.zeros(field, 0, 0)
         secs.append(c)
         projs.append(q)
         comps.append(c.cols)
@@ -667,10 +671,11 @@ def _socle_dims(x: Module) -> Tuple[int, ...]:
     dims = x._cache.get("socle")
     if dims is None:
         p, out, maps = x.field.p, x.algebra.quiver.arrows_out, x.maps
-        dims = x._cache["socle"] = tuple([
-            n and n - len(exactlin._reduce_rows(p, [r for i in out[v] for r in maps[i].entries], n))
-            for v, n in enumerate(x.dims)
-        ])
+        per_vertex = []
+        for v, n in enumerate(x.dims):
+            rows = [r for i in out[v] for r in maps[i].entries] if n else None
+            per_vertex.append(n - len(exactlin._reduce_rows(p, rows, n)) if rows else n)
+        dims = x._cache["socle"] = tuple(per_vertex)
     return dims
 
 
@@ -754,17 +759,21 @@ def _end_algebra(x: Module) -> Tuple[List[Matrix], Matrix]:
     J = rad E.  J ends the lifted-trace sequence (Ronyai; Cohen, Ivanyos
     and Wales): I_-1 = E, and I_i holds the a in I_(i-1) with g_i(a o c) = 0
     for all c, g_i as in _lifted_trace.  Each g_i is linear on the ideal
-    I_(i-1), and I_l = J for the largest l with p^l <= dim x.
+    I_(i-1), and I_l = J for the largest l with p^l <= dim x.  A brick,
+    dim E = 1, needs none of it: E = k, its one canonical basis element is
+    the identity, and J = 0.
     """
     if "end" not in x._cache:
         field, e = x.field, hom_dim(x, x)
+        if e == 1:
+            x._cache["end"] = ([Matrix.identity(field, 1)], Matrix.zeros(field, 1, 0))
+            return x._cache["end"]
         table = exactlin.solve(
             hom_space_matrix(x, x),
             exactlin.hstack([hom_composites(x, b) for b in hom_basis(x, x)], field, e),
         )
         mult = [Matrix(field, [r[i * e : (i + 1) * e] for r in table.entries], e) for i in range(e)]
-        # End(x) = k has no radical
-        ideal, level = (Matrix.identity(field, e) if e > 1 else Matrix.zeros(field, e, 0)), 0
+        ideal, level = Matrix.identity(field, e), 0
         while ideal.cols and field.p**level <= x.total_dim:
             g = Matrix(field, [[_lifted_trace(x, a, level) for a in ideal.columns()]], ideal.cols)
             products = exactlin.hstack([_combine(mult, a) for a in ideal.columns()])
@@ -869,7 +878,9 @@ def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
     is indecomposable exactly when B = End(x)/J is a field; if it is not,
     a zero divisor z of B gives the right identity of the left ideal Bz,
     an idempotent of B, which e -> 3e^2 - 2e^3 lifts over J.  Its one
-    library caller is `split_summands`, which keeps the split on x.  cap,
+    library caller is `split_summands`, which keeps the split on x and
+    asks only when the top and the socle of x both have dimension at
+    least 2; on any x it is the End-route answer that tests compare.  cap,
     when given, bounds the dim End(x)^2 structure constants the call may
     compute.  The library never passes it; the tracer test of `perfbench`
     does, to provoke a refusal.
@@ -910,14 +921,18 @@ def is_indecomposable(x: Module) -> bool:
 def split_summands(x: Module) -> Tuple[Tuple[Module, Morphism], ...]:
     """The indecomposable summands of x, each with its inclusion, split once and kept on x.
 
-    Glued, the inclusions are an isomorphism onto x.  A nontrivial
-    idempotent e splits x into Im e + Ker e, and each piece is split in turn.
+    Glued, the inclusions are an isomorphism onto x.  A simple top gives x
+    a unique maximal submodule, and a simple socle a unique minimal one, so
+    then x is indecomposable with no End(x) solved (Auslander, Reiten and
+    Smalo).  Otherwise a nontrivial idempotent e splits x into Im e + Ker e,
+    and each piece is split in turn.
     """
     parts = x._cache.get("split")
     if parts is None:
         if x.is_zero():
             parts = ()
-        elif (e := nontrivial_idempotent(x)) is None:
+        elif (sum(map(len, _top_reps(x))) == 1 or sum(_socle_dims(x)) == 1
+              or (e := nontrivial_idempotent(x)) is None):
             parts = ((x, Morphism.identity(x)),)
         else:
             parts = tuple((z, inc @ inc_z) for piece, inc in (image(e), kernel(e))

@@ -53,8 +53,9 @@ def test_enumerate_small_line(ka2):
     assert len(enumerate_indecomposables(ka2, 3, cap=1 << 20)) == 3
 
 
-def test_the_flagship_scan_computes_end_once_per_class(fresh_flag, monkeypatch):
-    """Work guard of the enumeration at bound 5 over F_2: End of the kept classes only."""
+def test_the_flagship_scan_splits_no_class_through_end(fresh_flag, monkeypatch):
+    """Work guard of the enumeration at bound 5 over F_2: every class is local, so none
+    reaches the End route."""
     split = []
     real = repcat.nontrivial_idempotent
 
@@ -65,8 +66,10 @@ def test_the_flagship_scan_computes_end_once_per_class(fresh_flag, monkeypatch):
     monkeypatch.setattr(repcat, "nontrivial_idempotent", counting)
     classes = enumerate_indecomposables(fresh_flag, 5)
     monkeypatch.undo()
-    # 441 when every candidate that was not a known class had its End computed
-    assert len(split) == len(classes) == 5
+    # 441 when every candidate that was not a known class had its End computed, and 5,
+    # one per class, before a simple top certified a class indecomposable
+    assert (len(split), len(classes)) == (0, 5)
+    assert all(sum(map(len, repcat._top_reps(m))) == 1 for m in classes)
     scanned = scan_enumerate(fresh_flag, 5)
     assert [(m.dims, m.maps) for m in classes] == [(m.dims, m.maps) for m in scanned]
 
@@ -425,8 +428,9 @@ def test_determined_morphism_computes_idempotents_only_to_build_the_pool(p, monk
 
     monkeypatch.setattr(repcat, "nontrivial_idempotent", counting)
     determined_morphism(cat, s1, s1, EndSubmodule.zero(s1, s1))
-    # one per generator; 7 when the split was not kept on the module
-    assert [id(x) for x in calls] == [id(g) for g in cat.generators]
+    # none: every generator has a simple top or socle; one per generator when each was
+    # split through End, and 7 when the split was not kept on the module
+    assert calls == []
 
 
 def test_determiner_check_on_almost_split_rows(ka2_cat, ka2_mods, flag_cat, flag_mods):

@@ -35,6 +35,7 @@ from scan_oracles import (
     top_quotient_reps,
     top_quotients,
 )
+from type_a import higher_auslander, ka_rad2
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -444,6 +445,108 @@ def test_tau_and_its_inverse_round_trip(parts, cut, seed):
         assert repcat.are_isomorphic(homological.tau_d(homological.tau_d_minus(x, 1), 1), x)
     if not any(homological.is_projective(z) for z in summands):
         assert repcat.are_isomorphic(homological.tau_d_minus(homological.tau_d(x, 1), 1), x)
+
+
+# -- indecomposable on sight: simple tops and socles, and bricks ---------------
+
+
+def intervals(presentation, p):
+    """The interval modules of the line 1 -> ... -> n shorter than the nilpotency bound:
+    every indecomposable of KA_n/rad^2 (bound 2) and of KA_n (bound n)."""
+    vertices, arrows, relations, bound = presentation
+    algebra = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+    n, f = len(vertices), algebra.field
+    mods = []
+    for i in range(n):
+        for j in range(i, min(n, i + bound)):
+            dims = [int(i <= v <= j) for v in range(n)]
+            maps = [Matrix.identity(f, 1) if i <= a.source and a.target <= j
+                    else Matrix.zeros(f, dims[a.target], dims[a.source])
+                    for a in algebra.quiver.arrows]
+            mods.append(Module(algebra, dims, maps))
+    return mods
+
+
+# per prime, the indecomposables of KA_2, KA_4/rad^2, the flagship KA_3/rad^2 and KA_3
+LINES = [
+    group
+    for p in (2, 3)
+    for group in (
+        intervals(ka_rad2(2), p), intervals(ka_rad2(4), p),
+        fixture_modules("ka3rad2.json", p), intervals(higher_auslander(3, 1), p),
+    )
+]
+line_parts = st.sampled_from(LINES).flatmap(
+    lambda group: st.lists(st.sampled_from(group), min_size=1, max_size=2)
+)
+shapes = st.sampled_from(["sum", "rebased", "submodule", "quotient"])
+
+
+def line_module(parts, shape, seed):
+    """The direct sum of parts, rebased or not, or a cyclic submodule of it or the quotient by one."""
+    if shape == "sum":
+        return repcat.direct_sum(list(parts))[0]
+    return random_module(parts, "sum" if shape == "rebased" else shape, seed)
+
+
+def simple_top_or_socle(x: Module) -> bool:
+    return sum(map(len, repcat._top_reps(x))) == 1 or sum(repcat._socle_dims(x)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=line_parts, shape=shapes, seed=st.integers(0, 2**32))
+def test_a_simple_top_or_socle_certifies_an_indecomposable(parts, shape, seed):
+    x = line_module(parts, shape, seed)
+    if simple_top_or_socle(x):
+        assert repcat.nontrivial_idempotent(x) is None
+        if x.total_dim <= 4 and x.field.p == 2:
+            assert scan_idempotent(x) is None
+        assert repcat.split_summands(x) == ((x, Morphism.identity(x)),)
+    split = split_with_projections(x)  # the glued inclusions are an isomorphism onto x
+    assert all(repcat.nontrivial_idempotent(z) is None for z, _, _ in split)
+    assert shape not in ("sum", "rebased") or len(split) == len(parts)
+
+
+def general_end_algebra(x: Module):
+    """(mult, rad) of End(x) by the general route: structure constants from composites,
+    then the lifted-trace ideals, starting from all of End(x)."""
+    field, basis, space = x.field, repcat.hom_basis(x, x), repcat.hom_space_matrix(x, x)
+    e = len(basis)
+    table = exactlin.solve(space, exactlin.hstack([repcat.hom_composites(x, b) for b in basis]))
+    mult = [Matrix(field, [r[i * e : (i + 1) * e] for r in table.entries], e) for i in range(e)]
+    ideal, level = Matrix.identity(field, e), 0
+    while ideal.cols and field.p**level <= x.total_dim:
+        g = Matrix(field, [[repcat._lifted_trace(x, a, level) for a in ideal.columns()]], ideal.cols)
+        products = exactlin.hstack([repcat._combine(mult, a) for a in ideal.columns()])
+        values = (g @ exactlin.solve(ideal, products)).entries[0]
+        cond = Matrix(field, [values[j::e] for j in range(e)], ideal.cols)
+        ideal = ideal @ exactlin.kernel_basis(cond)
+        level += 1
+    return mult, ideal
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=line_parts, shape=shapes, seed=st.integers(0, 2**32))
+def test_the_end_of_a_brick_is_the_general_one(parts, shape, seed):
+    x = line_module(parts, shape, seed)
+    for z in [x] + [z for z, _ in repcat.split_summands(x)]:
+        if repcat.hom_dim(z, z) == 1:
+            assert repcat._end_algebra(z) == general_end_algebra(z)
+            assert repcat.rad_hom_basis(z, z).cols == 0
+
+
+def test_the_end_of_a_brick_solves_nothing(monkeypatch):
+    bricks = intervals(higher_auslander(3, 1), 3)  # a fresh KA_3 over F_3
+    for z in bricks:
+        repcat.hom_basis(z, z)
+    made, composites, solve = [], repcat.hom_composites, exactlin.solve
+    monkeypatch.setattr(repcat, "hom_composites", lambda *args: made.append(args) or composites(*args))
+    monkeypatch.setattr(exactlin, "solve", lambda *args: made.append(args) or solve(*args))
+    for z in bricks:
+        mult, rad = repcat._end_algebra(z)
+        assert repcat.hom_basis(z, z) == (Morphism.identity(z),)
+        assert (mult, rad.rows, rad.cols) == ([Matrix.identity(z.field, 1)], 1, 0)
+    assert made == []
 
 
 # -- reach ------------------------------------------------------------------

@@ -509,8 +509,9 @@ def test_verify_tau_covers_and_solves_each_module_once(n, monkeypatch):
     monkeypatch.setattr(repcat, "projective_cover", covering)
     monkeypatch.setattr(repcat, "_hom_kernel", solving)
     assert verify_tau_d_equivalence(workspace.parse(_ka_document(n)).category("M")).ok
-    # 4n covers and n + 8 systems when equal modules were separate objects
-    assert (len(covers), len(systems)) == (2 * n, n + 2)
+    # 4n covers and n + 8 systems when equal modules were separate objects, and n + 2
+    # systems when End(x) was solved to split a module with a simple top or socle
+    assert (len(covers), len(systems)) == (2 * n, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -520,8 +521,12 @@ def test_verify_tau_reduces_no_empty_system_and_copies_no_single_block(n, monkey
     reduce_rows, block_diag = exactlin._reduce_rows, exactlin.block_diag
 
     def reducing(p, a, search):
-        if not (a and search) and sys._getframe(1).f_code.co_name == "solve":
-            empty.append((len(a), search, sys._getframe(2).f_code.co_name))
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension has a frame of its own
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        if not (a and search) and caller in ("solve", "quotient", "_socle_dims"):
+            empty.append((len(a), search, caller, frame.f_back.f_code.co_name))
         return reduce_rows(p, a, search)
 
     def gluing(field, ms):
@@ -535,5 +540,25 @@ def test_verify_tau_reduces_no_empty_system_and_copies_no_single_block(n, monkey
     monkeypatch.setattr(exactlin, "block_diag", gluing)
     assert verify_tau_d_equivalence(workspace.parse(_ka_document(n)).category("M")).ok
     # at n = 6, 50 empty reductions under _submodule_from_bases and 80 copies when
-    # trivial shapes took the general path
+    # trivial shapes took the general path, and 8 empty reductions from quotient (under
+    # cokernel, at vertices where the codomain is zero) and 9 from _socle_dims (at sinks)
     assert (empty, copies) == ([], [])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decompose_of_the_hidden_sum_reaches_end_only_past_the_certificate(n, monkeypatch):
+    """Work guard of decompose(Xsum) on a fresh KA_n/rad^2 over F_2: a module with a simple
+    top or socle is indecomposable, so only the n decomposable pieces are split through End."""
+    split = []
+    real = repcat.nontrivial_idempotent
+
+    def counting(x, cap=None):
+        split.append((sum(map(len, repcat._top_reps(x))), sum(repcat._socle_dims(x))))
+        return real(x, cap)
+
+    monkeypatch.setattr(repcat, "nontrivial_idempotent", counting)
+    parts = repcat.decompose(workspace.parse(_ka_document(n)).module("Xsum"))
+    assert sum(mult for _, mult in parts) == n + 1
+    # 2n + 1 when every piece, the n + 1 indecomposables too, was split through End
+    assert len(split) == n
+    assert all(top >= 2 and socle >= 2 for top, socle in split)
