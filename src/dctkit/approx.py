@@ -11,7 +11,10 @@ classes live in repcat (`rad_hom_basis`, `iso_classes`).  Left-sided
 notions go through the vector-space duality, over the dual category, whose
 pool is the duals of this one's.  `add_resolution` is the one
 loop that covers kernels by minimal right approximations; d-exact
-completions and gldim End(M) both read it.
+completions and gldim End(M) both read it.  A minimal right
+approximation is kept on the module it approximates, keyed by the
+category, with its kernel once asked for: after its first map, every
+add M-resolution through a module reads that module's steps.
 """
 
 from __future__ import annotations
@@ -187,22 +190,53 @@ def is_left_minimal(f: Morphism) -> bool:
 
 
 def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
-    """Minimal right approximation, covered by the pool members' hom bases into x."""
-    pieces = [b for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
-    return minimal_cover(x, pieces)[0]
+    """Minimal right approximation, covered by the pool members' hom bases into x.
+
+    Kept on x, with the category it approximates by, so every add
+    M-resolution through x reads it.
+    """
+    return _kept_step(cat, x)[1]
+
+
+def _kept_step(cat: AddCategory, x: Module) -> list:
+    """[cat, the minimal right approximation of x, its kernel or None until asked], kept on x."""
+    key = ("approx", id(cat))
+    step = x._cache.get(key)
+    if step is None or step[0] is not cat:
+        pieces = [b for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
+        step = x._cache[key] = [cat, minimal_cover(x, pieces)[0], None]
+    return step
+
+
+def _add_kernels(cat: AddCategory, k: Module, incl: Morphism) -> Iterator[Tuple[Module, Morphism]]:
+    """(k, incl), then the kernel of k's minimal right approximation, and so on, lazily.
+
+    Each kernel is kept on the module approximated once it is taken.  For
+    a mono incl the kernel of incl @ a is the kernel of a: both have the
+    same row space at every vertex, so the same canonical basis and module.
+    So each kernel after the first is the one kept on the module before it.
+    """
+    while True:
+        yield k, incl
+        step = _kept_step(cat, k)
+        if step[2] is None:
+            step[2] = repcat.kernel(step[1])
+        k, incl = step[2]
 
 
 def add_resolution(cat: AddCategory, g: Morphism) -> Iterator[Morphism]:
     """The add M-resolution of g, lazily: g, then incl @ (its minimal right approximation).
 
     After each map r comes the kernel inclusion of r composed with the
-    minimal right approximation of that kernel.  The maps go on forever
-    once one is out of zero: the caller decides where to stop.
+    minimal right approximation of that kernel.  Only the kernel of g is
+    taken here: each later step is kept on the kernel it approximates
+    (`_add_kernels`), so resolutions that meet one module share its steps.
+    The maps go on forever once one is out of zero: the caller decides
+    where to stop.
     """
-    while True:
-        yield g
-        k, incl = repcat.kernel(g)
-        g = incl @ minimal_right_approximation(cat, k)
+    yield g
+    for k, incl in _add_kernels(cat, *repcat.kernel(g)):
+        yield incl @ minimal_right_approximation(cat, k)
 
 
 def minimal_left_approximation(cat: AddCategory, x: Module) -> Morphism:

@@ -5,9 +5,11 @@ members (`_ext_table`), computed at most once per category; Ext is
 additive, so rigidity, the certificate and domdim End(M) read it and M is
 never glued.  The verification routines re-check the structural
 identities with exact arithmetic and zero tolerance.  Almost-split maps and gldim End(M) cover
-rad(-, Z) by the summands of M; the d-almost-split sequence and the
-resolutions of the simple functors are then read off one add M-resolution,
-`approx.add_resolution`.
+rad(-, Z) by the summands of M; for a projective Z, rad(-, Z) = Hom(-, rad Z)
+is covered by the minimal right approximation of rad Z.  The
+d-almost-split sequence and the resolutions of the simple functors are
+then read off one add M-resolution, `approx.add_resolution`, whose steps
+are kept on the modules they approximate.
 Determined morphisms follow the eight steps of the existence argument;
 only the largest admissible submodule still scans, under the scan cap.
 Every output is post-verified before it is returned.
@@ -477,13 +479,13 @@ def _largest_admissible_submodule(
     """
     field = n.field
     quiver = n.algebra.quiver
+    # every vertex is checked against the cap before any scan: a refusal costs nothing
+    counts = [_scan_space(field, dv, cap, "determined_morphism", n.dims) if dv else 0
+              for dv in n.dims]
     through_proj = repcat.hom_image(x, homological.resolution(n).augmentation)
     spans = [Matrix.zeros(field, n.dims[v], 0) for v in range(quiver.n_vertices)]
-    for v in range(quiver.n_vertices):
+    for v, count in enumerate(counts):
         dv = n.dims[v]
-        if dv == 0:
-            continue
-        count = _scan_space(field, dv, cap, "determined_morphism", n.dims)
         for counter in range(1, count):
             vec = []
             rem = counter
@@ -691,19 +693,32 @@ def _functor_pd(cat: AddCategory, nj: Module) -> int:
 
     Resolves it on add M: cover rad(-, nj) minimally, then, since
     Hom(M, -) is left exact, take the add M-resolution of that cover
-    (`approx.add_resolution`, as `dexact.build_left_d_exact` does).  The
-    dimension is the number of maps before the first one out of zero, at
-    most RESOLUTION_CAP.
+    (`approx.add_resolution`, as `dexact.build_left_d_exact` does).  For
+    a projective nj, a map into nj is a non-split epi exactly when its
+    image lies in rad nj, so rad(-, nj) = Hom(-, rad nj): the cover is rad
+    nj's minimal right approximation, and the resolution goes on from the
+    steps kept on rad nj and its kernels.  The dimension is the number of
+    maps before the first one out of zero, at most RESOLUTION_CAP.
     """
     limit = config.RESOLUTION_CAP
-    maps = islice(approx.add_resolution(cat, _radical_cover(cat, nj)[0]), limit + 1)
-    for k, r in enumerate(maps):
+    if homological.is_projective(nj):
+        kernels = approx._add_kernels(cat, *_radical_of_projective(nj))
+        maps = (approx.minimal_right_approximation(cat, x) for x, _ in kernels)
+    else:
+        maps = approx.add_resolution(cat, _radical_cover(cat, nj)[0])
+    for k, r in enumerate(islice(maps, limit + 1)):
         if r.domain.is_zero():
             return k
     raise CapExceeded.over(
         "gldim_end", nj.dims, f"a functor resolution longer than {limit}", limit,
         "config.RESOLUTION_CAP",
     )
+
+
+def _radical_of_projective(p: Module) -> Tuple[Module, Morphism]:
+    """rad p for an indecomposable projective p: the kernel of the one basis map p -> S_v, v its top."""
+    (v,) = [v for v, js in enumerate(repcat._top_reps(p)) if js]
+    return repcat.kernel(repcat.hom_basis(p, repcat.simple(p.algebra, v))[0])
 
 
 def gldim_end(cat: AddCategory) -> int:

@@ -27,7 +27,7 @@ from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from . import config, exactlin, repcat
-from .approx import AddCategory, add_resolution, minimal_right_approximation
+from .approx import AddCategory, _add_kernels, minimal_right_approximation
 from .errors import CapExceeded, DimensionMismatch, InvalidMorphism, VerificationFailed
 from .exactlin import Matrix
 from .repcat import Module, Morphism
@@ -292,13 +292,15 @@ def build_left_d_exact(cat: AddCategory, g: Morphism) -> DSequence:
     """The first d maps of the add M-resolution of g, then the last kernel.
 
     Starting from g: C -> N, `add_resolution` covers the kernel of each
-    map by a minimal right approximation; the kernel of the d-th map is
-    kept as the left term, giving d+2 terms in total.  The sequence
-    carries cat as its category.  A d past config.RESOLUTION_CAP is refused.
+    map by a minimal right approximation; the kernel of the d-th map,
+    kept on the module it approximates as every kernel after g's is, is
+    the left term, giving d+2 terms in total.  The sequence carries cat
+    as its category.  A d past config.RESOLUTION_CAP is refused.
     """
     if cat.d > config.RESOLUTION_CAP:
         raise CapExceeded.over("the add M-resolution of the start map", None, f"{cat.d} maps",
                                config.RESOLUTION_CAP, "config.RESOLUTION_CAP")
-    maps = list(islice(add_resolution(cat, g), cat.d))
-    maps = [repcat.kernel(maps[-1])[1]] + maps[::-1]
+    kernels = list(islice(_add_kernels(cat, *repcat.kernel(g)), cat.d))
+    maps = [g] + [incl @ minimal_right_approximation(cat, k) for k, incl in kernels[:-1]]
+    maps = [kernels[-1][1]] + maps[::-1]
     return DSequence([f.domain for f in maps] + [g.codomain], maps, category=cat)

@@ -2,6 +2,8 @@
 
 import math
 import pathlib
+import random
+import sys
 
 import pytest
 
@@ -40,6 +42,7 @@ from scan_oracles import (
     scan_enumerate,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -415,6 +418,24 @@ def test_determined_morphism_validates_inputs(flag_cat, flag_mods, flag):
         determined_morphism(flag_cat, S2, S2, h2)
 
 
+def test_determined_morphism_refuses_before_any_scan(flag_cat, flag_mods, monkeypatch):
+    m = flag_mods
+    x, n = m["S1"], repcat.direct_sum([m["P1"], m["P2"], m["S3"]])[0]
+    assert n.dims == (1, 2, 2)
+    scanned = []
+    real = repcat.submodule_generated
+    monkeypatch.setattr(repcat, "submodule_generated", lambda *args: scanned.append(args) or real(*args))
+    with pytest.raises(CapExceeded) as err:
+        determined_morphism(flag_cat, x, n, EndSubmodule.zero(x, n), cap=3)
+    # the first vertex over the cap names the refusal: 2^2 at the second, 2^1 <= 3 at the first
+    assert str(err.value) == (
+        "determined_morphism on dimension vector (1,2,2) needs a scan of 2^2, "
+        "over the cap 3; raise --cap"
+    )
+    # one call, the whole scan of the first vertex, when the cap was checked a vertex at a time
+    assert scanned == []
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_determined_morphism_computes_idempotents_only_to_build_the_pool(p, monkeypatch):
     ws = workspace.load(str(DATA / "ka3rad2.json"), p)
@@ -568,3 +589,55 @@ def test_domdim_end_is_refused_while_a_pool_resolution_runs_at_the_cap(flag_mods
         "domdim_end on dimension vector (1,0,0) needs a resolution longer than 1, "
         "over the cap 1; raise config.RESOLUTION_CAP"
     )
+
+
+# -- cost in p ----------------------------------------------------------------
+
+
+def _ka_workspace(n, p):
+    """A seeded KA_n/rad^2 document of the benchmark family over F_p, parsed; the seed is n's alone."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import kafamily
+    finally:
+        sys.path.pop(0)
+    return workspace.parse(kafamily.ka_document(n, p, random.Random(n)).doc)
+
+
+def _run_workflow(kind, n, p):
+    ws = _ka_workspace(n, p)
+    cat = ws.category("M")
+    if kind in ("dass", "verify_defect"):
+        seq = d_almost_split(cat, ws.module("S1"))
+        assert kind == "dass" or verify_defect_formula(seq, cat).ok
+    elif kind == "verify_ar":
+        assert verify_ar_duality(cat).ok
+    elif kind == "verify_tau":
+        assert verify_tau_d_equivalence(cat).ok
+    elif kind == "gldim_end":
+        assert gldim_end(cat) == n
+    else:
+        assert sum(mult for _, mult in repcat.decompose(ws.module("Xsum"))) == n + 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "kind", ["dass", "verify_defect", "verify_ar", "verify_tau", "gldim_end", "decompose"]
+)
+def test_the_p_free_workflows_solve_as_much_at_every_p(kind, n, monkeypatch):
+    """Work guard: the same solves and hom systems on KA_n/rad^2 at a small and a large p.
+
+    decompose is compared at two large primes only: at small p a hom-basis
+    element of End(Xsum) is sometimes idempotent already and the split takes
+    it first (12 against 28 solves at n = 3, p = 2 against 65,521).
+    """
+    made = []
+    solve, hom_kernel = exactlin.solve, repcat._hom_kernel
+    monkeypatch.setattr(exactlin, "solve", lambda *args: made.append("solve") or solve(*args))
+    monkeypatch.setattr(repcat, "_hom_kernel", lambda *args: made.append("hom") or hom_kernel(*args))
+    counts = []
+    for p in (65_521, 1_048_573) if kind == "decompose" else (2, 65_521):
+        made.clear()
+        _run_workflow(kind, n, p)
+        counts.append((made.count("solve"), made.count("hom")))
+    assert counts[0] == counts[1]

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctkit import AddCategory, PrimeField, Quiver, build_algebra
-from dctkit import homological, repcat, workspace
-from dctkit.approx import add_resolution
+from dctkit import approx, artheory, exactlin, homological, repcat, workspace
+from dctkit.approx import add_resolution, minimal_right_approximation
 from dctkit.artheory import d_almost_split, domdim_end, gldim_end, is_d_rigid, right_almost_split
 from scan_oracles import glued_domdim_end, injective, tower_gldim_end
 from type_a import higher_auslander, ka_rad2, nakayama
@@ -223,3 +223,88 @@ def test_the_d_almost_split_sequence_ends_in_the_add_resolution():
             tail = list(seq.maps[::-1][: cat.d])
             resolution = islice(add_resolution(cat, right_almost_split(cat, n)), cat.d)
             assert [f.comps for f in tail] == [r.comps for r in resolution], n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_gldim_end_approximates_each_module_once(n, monkeypatch):
+    """Work guard of gldim_end on a fresh KA_n/rad^2 over F_2.
+
+    The projectives are resolved from their radicals and the add M-resolution
+    steps are kept on the modules they approximate, so S_2, ..., S_n and the
+    zero module are approximated once each and only S_1 is covered through
+    its radical maps.
+    """
+    covered, radical = [], []
+    cover, radical_cover = approx.minimal_cover, artheory._radical_cover
+
+    def covering(y, pieces):
+        covered.append(y)
+        return cover(y, pieces)
+
+    def covering_radical(cat, x):
+        radical.append(x)
+        return radical_cover(cat, x)
+
+    monkeypatch.setattr(approx, "minimal_cover", covering)
+    monkeypatch.setattr(artheory, "_radical_cover", covering_radical)
+    assert gldim_end(_ka_rad2_category(n, 2)) == n
+    # n(n + 1)/2 approximations and n + 1 radical covers when each resolution
+    # computed its own steps and every pool member was covered through rad(-, z)
+    assert [homological.is_projective(x) for x in radical] == [False]
+    assert len(covered) == n + 1  # n approximations and the radical cover of S_1
+    assert len({id(y) for y in covered}) == n + 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_d_almost_split_takes_no_extra_kernel_approximation_or_hom_system(n, monkeypatch):
+    """Work guard of d_almost_split on a fresh KA_n/rad^2 over F_2: reading the kept
+    kernels costs no more than taking each kernel when it is needed."""
+    made = {"kernel": [], "minimal_cover": [], "_hom_kernel": []}
+    for mod, name in ((repcat, "kernel"), (approx, "minimal_cover"), (repcat, "_hom_kernel")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args, real=real, name=name:
+                            made[name].append(args) or real(*args))
+    cat = _ka_rad2_category(n, 2)
+    ends = [z for z in cat._summand_pool() if not homological.is_projective(z)]
+    assert len(ends) == 1
+    d_almost_split(cat, ends[0])
+    # 2n - 1 kernels, n minimal covers and 3n hom systems before the steps were kept
+    counts = [len(made[name]) for name in ("kernel", "minimal_cover", "_hom_kernel")]
+    assert all(c <= bound for c, bound in zip(counts, [2 * n - 1, n, 3 * n])), counts
+
+
+def _pd_through_the_radical_cover(cat, nj):
+    """The number of maps before the first out of zero in the add M-resolution of the cover of rad(-, nj)."""
+    maps = add_resolution(cat, artheory._radical_cover(cat, nj)[0])
+    return next(k for k, r in enumerate(maps) if r.domain.is_zero())
+
+
+RADICAL_CASES = [("fixture", name, p) for name in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+RADICAL_CASES += [("ka_rad2", n, p) for n in (3, 4, 5, 6) for p in (2, 3)]
+RADICAL_CASES += [("auslander", (s, d), p) for s in (2, 3, 4) for d in (1, 2) for p in (2, 3)]
+
+
+@pytest.mark.parametrize("kind, which, p", RADICAL_CASES, ids=str)
+def test_a_projective_is_covered_through_its_radical(kind, which, p):
+    """rad(-, P) = Hom(-, rad P) on add M for a projective pool member P: the minimal
+    right approximation of rad P, into P, is a minimal cover of rad(-, P), so it has
+    the radical cover's summands and gives the simple functor the same resolution."""
+    if kind == "fixture":
+        cat = workspace.load(str(DATA / which), p).category("M")
+    elif kind == "ka_rad2":
+        cat = _ka_rad2_category(which, p)
+    else:
+        s, d = which
+        cat = AddCategory(orbit_pool(build(higher_auslander(s, d), p), d), d)
+    pool = cat._summand_pool()
+    projectives = [z for z in pool if homological.is_projective(z)]
+    assert projectives
+    for z in projectives:
+        rad, incl = artheory._radical_of_projective(z)
+        assert incl.codomain is z and rad.total_dim == z.total_dim - 1
+        cover = incl @ minimal_right_approximation(cat, rad)
+        g = artheory._radical_cover(cat, z)[0]
+        assert sorted(cat._pool_labels(cover.domain)) == sorted(cat._pool_labels(g.domain))
+        for v in pool:
+            assert exactlin.subspace_eq(repcat.hom_image(v, cover), repcat.rad_hom_basis(v, z))
+        assert artheory._functor_pd(cat, z) == _pd_through_the_radical_cover(cat, z)
