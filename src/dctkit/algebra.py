@@ -191,7 +191,7 @@ class BoundQuiverAlgebra:
         self.bound = bound
         self.field = field
         self._opposite: Optional["BoundQuiverAlgebra"] = None
-        self._projectives: Dict[int, object] = {}  # kept by repcat.projective
+        self._cache: Dict[object, object] = {}  # facts kept by repcat._kept, such as projectives
         self._modules = WeakValueDictionary()  # one live module per content, kept by repcat.Module
         self.path_basis, self._times = _internal or self._build_basis()
         between = {}  # basis indices, in path-basis order

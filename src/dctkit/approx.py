@@ -12,9 +12,10 @@ notions go through the vector-space duality, over the dual category, whose
 pool is the duals of this one's.  `add_resolution` is the one
 loop that covers kernels by minimal right approximations; d-exact
 completions and gldim End(M) both read it.  A minimal right
-approximation is kept on the module it approximates, keyed by the
-category, with its kernel once asked for: after its first map, every
-add M-resolution through a module reads that module's steps.
+approximation and, once asked for, its kernel are two facts kept on the
+module it approximates, keyed by the category (`repcat._kept`): after
+its first map, every add M-resolution through a module reads that
+module's steps.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class AddCategory:
             if g.algebra is not self.algebra:
                 raise DimensionMismatch("generators over different algebras")
         self.d = d
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[object, object] = {}
 
+    @repcat._kept("dual")
     def dual(self) -> "AddCategory":
         """The closure of the dual generators over the opposite algebra, built once.
 
@@ -58,33 +60,23 @@ class AddCategory:
         per isomorphism class, in the same order: the dual category takes them
         and this category's generator labels, and splits nothing again.
         """
-        if "dual" not in self._cache:
-            pool, labels = self._split_generators()
-            dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
-            dual._cache["pool"] = [repcat.duality(z) for z in pool], labels
-            self._cache["dual"], dual._cache["dual"] = dual, self
-        return self._cache["dual"]
-
-    def _cached(self, name: str, compute):
-        """compute(), kept on the category."""
-        if name not in self._cache:
-            self._cache[name] = compute()
-        return self._cache[name]
+        pool, labels = self._split_generators()
+        dual = AddCategory([repcat.duality(g) for g in self.generators], self.d)
+        dual._cache["pool"] = [repcat.duality(z) for z in pool], labels
+        dual._cache["dual"] = self
+        return dual
 
     def _summand_pool(self) -> List[Module]:
         """One indecomposable summand of M per isomorphism class, in generator order."""
         return self._split_generators()[0]
 
+    @repcat._kept("pool")
     def _split_generators(self) -> Tuple[List[Module], List[List[int]]]:
         """The pool, and per generator the pool labels of its summands: one split of each."""
-
-        def compute():
-            split = [[z for z, _ in repcat.split_summands(g)] for g in self.generators]
-            pool, label = repcat.iso_classes([z for parts in split for z in parts])
-            labels = iter(label)
-            return pool, [[next(labels) for _ in parts] for parts in split]
-
-        return self._cached("pool", compute)
+        split = [[z for z, _ in repcat.split_summands(g)] for g in self.generators]
+        pool, label = repcat.iso_classes([z for parts in split for z in parts])
+        labels = iter(label)
+        return pool, [[next(labels) for _ in parts] for parts in split]
 
     def _pool_labels(self, x: Module) -> List[Optional[int]]:
         """Per indecomposable summand of x, the index of its pool member, or None."""
@@ -99,6 +91,7 @@ class AddCategory:
         """
         return None not in self._pool_labels(x)
 
+    @repcat._kept("gen_cogen")
     def _generating_cogenerating(self) -> Tuple[bool, bool]:
         """Whether every indecomposable projective lies inside, and every injective.
 
@@ -110,15 +103,12 @@ class AddCategory:
         """
         from . import homological  # loaded by the commands that ask, not by every process
 
-        def compute():
-            pool, n = self._summand_pool(), self.algebra.quiver.n_vertices
-            tops = {v for z in pool if homological.is_projective(z)
-                    for v, js in enumerate(repcat._top_reps(z)) if js}
-            socles = {v for z in pool if homological.is_injective(z)
-                      for v, k in enumerate(repcat._socle_dims(z)) if k}
-            return len(tops) == n, len(socles) == n
-
-        return self._cached("gen_cogen", compute)
+        pool, n = self._summand_pool(), self.algebra.quiver.n_vertices
+        tops = {v for z in pool if homological.is_projective(z)
+                for v, js in enumerate(repcat._top_reps(z)) if js}
+        socles = {v for z in pool if homological.is_injective(z)
+                  for v, k in enumerate(repcat._socle_dims(z)) if k}
+        return len(tops) == n, len(socles) == n
 
     def is_generating_cogenerating(self) -> bool:
         """Whether every indecomposable projective and injective lies inside."""
@@ -149,14 +139,14 @@ def minimal_cover(y: Module, pieces: Sequence[Morphism]) -> Tuple[Morphism, List
     kept: List[Tuple[int, Morphism]] = []
     for c, z in enumerate(reps):
         composites = [repcat.hom_composites(z, piece) for piece in pieces]
-        rad_coords: Dict[int, Matrix] = {}
+        rad_coords: Dict[Module, Matrix] = {}
         rad_cols = []
         for j, s in enumerate(summands):
-            if label[j] == c and id(s) not in rad_coords:
+            if label[j] == c and s not in rad_coords:
                 rad = repcat.rad_hom_basis(z, s)
-                rad_coords[id(s)] = exactlin.solve(repcat.hom_space_matrix(z, s), rad)
+                rad_coords[s] = exactlin.solve(repcat.hom_space_matrix(z, s), rad)
             # rad(z, s) is all of Hom(z, s) when s is not isomorphic to z
-            rad_cols.append(composites[j] @ rad_coords[id(s)] if label[j] == c else composites[j])
+            rad_cols.append(composites[j] @ rad_coords[s] if label[j] == c else composites[j])
         n = repcat.hom_flat_dim(z, y)
         span = exactlin.canonical_basis(exactlin.hstack(rad_cols, field=field, rows=n))
         for j in [k for k in range(len(summands)) if label[k] == c]:
@@ -195,17 +185,20 @@ def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
     Kept on x, with the category it approximates by, so every add
     M-resolution through x reads it.
     """
-    return _kept_step(cat, x)[1]
+    return _approximation(x, cat)
 
 
-def _kept_step(cat: AddCategory, x: Module) -> list:
-    """[cat, the minimal right approximation of x, its kernel or None until asked], kept on x."""
-    key = ("approx", id(cat))
-    step = x._cache.get(key)
-    if step is None or step[0] is not cat:
-        pieces = [b for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
-        step = x._cache[key] = [cat, minimal_cover(x, pieces)[0], None]
-    return step
+@repcat._kept("approx")
+def _approximation(x: Module, cat: AddCategory) -> Morphism:
+    """The minimal right approximation of x by cat, kept on x."""
+    pieces = [b for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
+    return minimal_cover(x, pieces)[0]
+
+
+@repcat._kept("approx kernel")
+def _approximation_kernel(x: Module, cat: AddCategory) -> Tuple[Module, Morphism]:
+    """The kernel of x's minimal right approximation by cat, kept on x once asked for."""
+    return repcat.kernel(_approximation(x, cat))
 
 
 def _add_kernels(cat: AddCategory, k: Module, incl: Morphism) -> Iterator[Tuple[Module, Morphism]]:
@@ -218,10 +211,7 @@ def _add_kernels(cat: AddCategory, k: Module, incl: Morphism) -> Iterator[Tuple[
     """
     while True:
         yield k, incl
-        step = _kept_step(cat, k)
-        if step[2] is None:
-            step[2] = repcat.kernel(step[1])
-        k, incl = step[2]
+        k, incl = _approximation_kernel(k, cat)
 
 
 def add_resolution(cat: AddCategory, g: Morphism) -> Iterator[Morphism]:

@@ -87,7 +87,7 @@ def enumerate_indecomposables(
                 kept.append(m)
             else:  # the classes keep no hom basis into a rejected candidate alive
                 for z in kept + found:
-                    z._cache.pop(("hom", id(m)), None)
+                    repcat._hom_data.forget(z, m)
         found += kept
     for m in found:
         if not repcat.is_indecomposable(m):
@@ -123,11 +123,11 @@ class RigidityReport(NamedTuple):
         return self.ok
 
 
+@repcat._kept("ext")
 def _ext_table(cat: AddCategory, i: int) -> List[List[int]]:
     """dim Ext^i(z, w) over pairs (z, w) of pool members, computed once per category."""
     pool = cat._summand_pool()
-    return cat._cached(f"ext{i}", lambda: [[homological.ext_dim(z, w, i) for w in pool]
-                                           for z in pool])
+    return [[homological.ext_dim(z, w, i) for w in pool] for z in pool]
 
 
 def _ext_degrees(mods: Sequence[Module], d: int) -> range:
@@ -233,13 +233,14 @@ def is_d_cluster_tilting(cat: AddCategory, universe: Sequence[Module]) -> Cluste
 
 
 def _pool_translates(cat: AddCategory):
-    """Pool members split by projectivity/injectivity, with translates kept on the category."""
+    """Pool members split by projectivity/injectivity, with the non-projectives' translates.
+
+    `homological.tau_d` keeps each translate on its member.
+    """
     pool = cat._summand_pool()
     nonproj = [i for i, x in enumerate(pool) if not homological.is_projective(x)]
     noninj = [i for i, x in enumerate(pool) if not homological.is_injective(x)]
-    translate = cat._cached("translates", lambda: {i: homological.tau_d(pool[i], cat.d)
-                                                   for i in nonproj})
-    return pool, nonproj, noninj, translate
+    return pool, nonproj, noninj, {i: homological.tau_d(pool[i], cat.d) for i in nonproj}
 
 
 class TauEquivalenceReport(NamedTuple):

@@ -43,7 +43,7 @@ class ProjResolution:
     def __init__(self, x: Module):
         self.module = x
         self._steps: List[_Step] = []
-        self._elements: dict = {}
+        self._cache: dict = {}
 
     @property
     def augmentation(self) -> Morphism:
@@ -59,10 +59,7 @@ class ProjResolution:
                     f"projective resolution to step {i}", self.module.dims,
                     f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP",
                 )
-            if "cover" not in m._cache:  # kept on m: every resolution through m reads it
-                _, epi, verts = repcat.projective_cover(m)
-                m._cache["cover"] = _Step(epi, verts, repcat.kernel(epi)[1])
-            steps.append(m._cache["cover"])
+            steps.append(_cover_step(m))
         return min(i, len(steps) - 1)
 
     def projective(self, i: int) -> Module:
@@ -77,6 +74,7 @@ class ProjResolution:
         at = self._step(i)  # past the first zero term, whose cover and inclusion are identities
         return self._steps[min(i - 1, at)].inclusion @ self._steps[at].cover
 
+    @repcat._kept("elements")
     def elements(self, i: int) -> List[List[Tuple[int, ...]]]:
         """The differential d_i as a table of algebra elements (i >= 1).
 
@@ -84,27 +82,24 @@ class ProjResolution:
         trivial path e_u, u the k-th vertex of step i, in the j-th summand
         P_v of step i - 1: a combination of the paths from v to u, read
         off the cover's trivial-path column and the kernel inclusion of
-        step i - 1.  Cached; empty once step i is zero.
+        step i - 1.  Kept on the resolution; empty once step i is zero.
         """
         if self._step(i) < i:
             return []
-        table = self._elements.get(i)
-        if table is None:
-            algebra = self.module.algebra
-            between = algebra.basis_indices_between
-            (cover, us, _), prev = self._steps[i], self._steps[i - 1]
-            table = []
-            for k, u in enumerate(us):
-                col = sum(len(between(w, u)) for w in us[:k])
-                image = iter((prev.inclusion.comps[u] @ cover.comps[u].col(col)).columns()[0])
-                line = []
-                for v in prev.vertices:
-                    vec = [0] * algebra.dim
-                    for q in between(v, u):
-                        vec[q] = next(image)
-                    line.append(tuple(vec))
-                table.append(line)
-            self._elements[i] = table
+        algebra = self.module.algebra
+        between = algebra.basis_indices_between
+        (cover, us, _), prev = self._steps[i], self._steps[i - 1]
+        table = []
+        for k, u in enumerate(us):
+            col = sum(len(between(w, u)) for w in us[:k])
+            image = iter((prev.inclusion.comps[u] @ cover.comps[u].col(col)).columns()[0])
+            line = []
+            for v in prev.vertices:
+                vec = [0] * algebra.dim
+                for q in between(v, u):
+                    vec[q] = next(image)
+                line.append(tuple(vec))
+            table.append(line)
         return table
 
     def syzygy(self, k: int) -> Module:
@@ -114,12 +109,16 @@ class ProjResolution:
         return self._steps[self._step(k - 1)].inclusion.domain
 
 
+@repcat._kept("cover")
+def _cover_step(m: Module) -> _Step:
+    """m's projective cover and its kernel, kept on m: every resolution through m reads it."""
+    _, epi, verts = repcat.projective_cover(m)
+    return _Step(epi, verts, repcat.kernel(epi)[1])
+
+
+@repcat._kept("resolution")
 def resolution(x: Module) -> ProjResolution:
-    res = x._cache.get("resolution")
-    if res is None:
-        res = ProjResolution(x)
-        x._cache["resolution"] = res
-    return res
+    return ProjResolution(x)
 
 
 def is_projective(x: Module) -> bool:
@@ -237,6 +236,7 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
 # -- transpose and higher translates --------------------------------------
 
 
+@repcat._kept("tr")
 def tr_d(x: Module, d: int) -> Module:
     """Tr Omega^{d-1} x over the opposite algebra, from steps d-1 and d of x's resolution.
 
@@ -247,18 +247,16 @@ def tr_d(x: Module, d: int) -> Module:
     """
     if d < 1:
         raise ValueError("the dimension parameter must be at least 1")
-    if ("tr", d) not in x._cache:
-        res = resolution(x)
-        res.syzygy(d - 1)  # a resolution too long for Omega^{d-1} x is refused at step d-2
-        algebra, opp = x.algebra, x.algebra.opposite()
-        dom, cod = (
-            repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
-            for i in (d - 1, d)
-        )
-        comps = [_hom_out(res, d, repcat.projective(algebra, w))
-                 for w in range(algebra.quiver.n_vertices)]
-        x._cache["tr", d] = repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))[0]
-    return x._cache["tr", d]
+    res = resolution(x)
+    res.syzygy(d - 1)  # a resolution too long for Omega^{d-1} x is refused at step d-2
+    algebra, opp = x.algebra, x.algebra.opposite()
+    dom, cod = (
+        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
+        for i in (d - 1, d)
+    )
+    comps = [_hom_out(res, d, repcat.projective(algebra, w))
+             for w in range(algebra.quiver.n_vertices)]
+    return repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))[0]
 
 
 def tau_d(x: Module, d: int) -> Module:

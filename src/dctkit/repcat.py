@@ -15,7 +15,8 @@ always come back in the same canonical order, so everything downstream
 (approximations, resolutions, splittings) is deterministic.  Zero Homs
 solve no system: Hom(x, y) = 0 whenever y vanishes on the top of x or x
 on the socle of y, and each module keeps its top and socle, its identity,
-its hom bases and its split into indecomposables once computed.
+its hom bases and its split into indecomposables once computed.  Every
+fact kept here and in the layers above goes through one memo, `_kept`.
 
 A module with a simple top or a simple socle is indecomposable, read
 off the kept top and socle.  Any other is split by linear algebra on
@@ -33,7 +34,7 @@ space over F_p.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import reduce, wraps
 from itertools import chain
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,6 +50,29 @@ from .errors import (
     VerificationFailed,
 )
 from .exactlin import Matrix
+
+
+def _kept(name: str):
+    """Keep f(owner, *args) in owner._cache under name, or (name, *args) with arguments.
+
+    The owner is a module, a category, an algebra or a resolution.  A key
+    holds the objects it is about, which hash by identity, and a kept value
+    may be falsy but never None.  `forget(owner, *args)` drops one entry.
+    """
+
+    def keep(f):
+        @wraps(f)
+        def kept(owner, *args):
+            key = (name,) + args if args else name
+            value = owner._cache.get(key)
+            if value is None:
+                value = owner._cache[key] = f(owner, *args)
+            return value
+
+        kept.forget = lambda owner, *args: owner._cache.pop((name,) + args if args else name, None)
+        return kept
+
+    return keep
 
 
 class Module:
@@ -96,13 +120,12 @@ class Module:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
+    @_kept("path")
     def path_action(self, path: Path) -> Matrix:
         """The matrix of acting by a path, target-space x source-space; kept on the module."""
-        actions, source, arrows = self._cache.setdefault("paths", {}), path.source, path.arrows
-        if path not in actions:
-            actions[path] = (self.maps[arrows[-1]] @ self.path_action(Path(source, arrows[:-1]))
-                             if arrows else Matrix.identity(self.field, self.dims[source]))
-        return actions[path]
+        if not path.arrows:
+            return Matrix.identity(self.field, self.dims[path.source])
+        return self.maps[path.arrows[-1]] @ self.path_action(Path(path.source, path.arrows[:-1]))
 
     def __repr__(self):
         return f"Module(dims={list(self.dims)})"
@@ -173,14 +196,12 @@ class Morphism:
             _skip_check=True,
         )
 
-    @classmethod
-    def identity(cls, module: Module) -> "Morphism":
+    @staticmethod
+    @_kept("identity")
+    def identity(module: Module) -> "Morphism":
         """The identity of module, one object per module."""
-        ident = module._cache.get("identity")
-        if ident is None:
-            comps = [Matrix.identity(module.field, d) for d in module.dims]
-            ident = module._cache["identity"] = cls(module, module, comps, _skip_check=True)
-        return ident
+        comps = [Matrix.identity(module.field, d) for d in module.dims]
+        return Morphism(module, module, comps, _skip_check=True)
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         """Composition self after other.
@@ -277,22 +298,16 @@ def morphism_from_vec(x: Module, y: Module, vec, _skip_check=False) -> Morphism:
     return Morphism(x, y, comps, _skip_check=_skip_check)
 
 
+@_kept("hom")
 def _hom_data(x: Module, y: Module) -> Tuple[Tuple[Morphism, ...], Matrix]:
-    """Canonical basis of Hom(x, y) and its flat matrix, cached on the domain."""
+    """Canonical basis of Hom(x, y) and its flat matrix, kept on the domain."""
     if x.algebra is not y.algebra:
         raise DimensionMismatch("Hom between modules over different algebras")
-    key = ("hom", id(y))
-    cached = x._cache.get(key)
-    if cached is not None and cached[0] is y:
-        return cached[1:]
     n = hom_flat_dim(x, y)
     if not n or _hom_is_zero(x, y):
-        basis, k = (), Matrix.zeros(x.field, n, 0)
-    else:
-        k = _hom_kernel(x, y, n)
-        basis = tuple(morphism_from_vec(x, y, col, _skip_check=True) for col in k.columns())
-    x._cache[key] = (y, basis, k)
-    return basis, k
+        return (), Matrix.zeros(x.field, n, 0)
+    k = _hom_kernel(x, y, n)
+    return tuple(morphism_from_vec(x, y, col, _skip_check=True) for col in k.columns()), k
 
 
 def _hom_is_zero(x: Module, y: Module) -> bool:
@@ -533,10 +548,12 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
     Each arrow acts on the basis paths by the algebra's multiplication
     table.  Built once and kept on the algebra, so every call returns one object.
     """
+    return _projective(algebra, algebra.quiver.vertex_index(v) if isinstance(v, str) else v)
+
+
+@_kept("projective")
+def _projective(algebra: BoundQuiverAlgebra, vi: int) -> Module:
     quiver = algebra.quiver
-    vi = quiver.vertex_index(v) if isinstance(v, str) else v
-    if vi in algebra._projectives:
-        return algebra._projectives[vi]
     by_vertex = [algebra.basis_indices_between(vi, w) for w in range(quiver.n_vertices)]
     row_of = {i: k for idx in by_vertex for k, i in enumerate(idx)}
     dims = [len(idx) for idx in by_vertex]
@@ -547,8 +564,7 @@ def projective(algebra: BoundQuiverAlgebra, v) -> Module:
             for j, e in algebra._times.get((i, ai), ()):
                 m[row_of[j]][k] = e
         maps.append(Matrix(algebra.field, tuple(map(tuple, m)), dims[a.source], _reduced=True))
-    pv = algebra._projectives[vi] = Module(algebra, dims, maps, _skip_check=True)
-    return pv
+    return Module(algebra, dims, maps, _skip_check=True)
 
 
 def regular(algebra: BoundQuiverAlgebra) -> Module:
@@ -556,18 +572,15 @@ def regular(algebra: BoundQuiverAlgebra) -> Module:
     return sum_module([projective(algebra, v) for v in range(algebra.quiver.n_vertices)])
 
 
+@_kept("dual")
 def duality(x: Module) -> Module:
     """The vector-space dual as a module over the opposite algebra.
 
     Built once and kept on x, which the dual keeps in turn, so D is
     strictly involutive: duality(duality(x)) is x itself.
     """
-    dual = x._cache.get("dual")
-    if dual is None:
-        maps = [m.transpose() for m in x.maps]
-        dual = Module(x.algebra.opposite(), x.dims, maps, _skip_check=True)
-        dual._cache["dual"] = x
-        x._cache["dual"] = dual
+    dual = Module(x.algebra.opposite(), x.dims, [m.transpose() for m in x.maps], _skip_check=True)
+    dual._cache["dual"] = x
     return dual
 
 
@@ -598,23 +611,15 @@ def direct_sum(mods: Sequence[Module], algebra=None):
     """Finite direct sum.
 
     Returns:
-        (sum module, inclusions, projections), all in the input order.
+        (sum module, inclusions, projections), all in the input order, each a
+        `block_map` of one identity block and zero blocks.
     """
     total = sum_module(mods, algebra)
-    field, quiver, dims = total.field, total.algebra.quiver, total.dims
-    incs, projs = [], []
-    offsets = [0] * quiver.n_vertices
-    for m in mods:
-        inc_comps, proj_comps = [], []
-        for v in range(quiver.n_vertices):
-            o, d = offsets[v], m.dims[v]
-            inc = tuple([tuple([int(r == o + k) for k in range(d)]) for r in range(dims[v])])
-            inc_comps.append(Matrix(field, inc, d, _reduced=True))
-            proj_comps.append(inc_comps[-1].transpose())
-        incs.append(Morphism(m, total, inc_comps, _skip_check=True))
-        projs.append(Morphism(total, m, proj_comps, _skip_check=True))
-        for v in range(quiver.n_vertices):
-            offsets[v] += m.dims[v]
+    ident, zero = Morphism.identity, Morphism.zero
+    incs = [block_map(m, total, [[ident(m) if k == j else zero(m, z)] for k, z in enumerate(mods)])
+            for j, m in enumerate(mods)]
+    projs = [block_map(total, m, [[ident(m) if k == j else zero(z, m) for k, z in enumerate(mods)]])
+             for j, m in enumerate(mods)]
     return total, incs, projs
 
 
@@ -640,27 +645,26 @@ def block_map(dom: Module, cod: Module, grid: Sequence[Sequence[Morphism]]) -> M
 # -- tops, covers, envelopes ---------------------------------------------
 
 
+@_kept("top")
 def _top_reps(x: Module) -> Tuple[Tuple[int, ...], ...]:
     """Per vertex, the j with e_j outside the radical plus the earlier e_i; kept on x.
 
     These are the columns of quotient(I, radical).reps.  e_j lies inside exactly
     when a radical vector ends at j: a pivot of the arrow images read right to left.
     """
-    reps = x._cache.get("top")
-    if reps is None:
-        p, into, maps = x.field.p, x.algebra.quiver.arrows_into, x.maps
-        out = []
-        for v, n in enumerate(x.dims):
-            rows = [c[::-1] for i in into[v] for c in zip(*maps[i].entries)] if n else None
-            if rows:
-                ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
-                out.append(tuple([j for j in range(n) if j not in ends]))
-            else:
-                out.append(tuple(range(n)))
-        reps = x._cache["top"] = tuple(out)
-    return reps
+    p, into, maps = x.field.p, x.algebra.quiver.arrows_into, x.maps
+    out = []
+    for v, n in enumerate(x.dims):
+        rows = [c[::-1] for i in into[v] for c in zip(*maps[i].entries)] if n else None
+        if rows:
+            ends = {n - 1 - j for j in exactlin._reduce_rows(p, rows, n)}
+            out.append(tuple([j for j in range(n) if j not in ends]))
+        else:
+            out.append(tuple(range(n)))
+    return tuple(out)
 
 
+@_kept("socle")
 def _socle_dims(x: Module) -> Tuple[int, ...]:
     """Per vertex v, dim soc(x)_v: dim x_v minus the rank of the arrows out of v; kept on x.
 
@@ -668,15 +672,12 @@ def _socle_dims(x: Module) -> Tuple[int, ...]:
     of every fresh kernel, and building D x costs several times the count
     (about 19 against 2.5 us per module on KA_n/rad^2).
     """
-    dims = x._cache.get("socle")
-    if dims is None:
-        p, out, maps = x.field.p, x.algebra.quiver.arrows_out, x.maps
-        per_vertex = []
-        for v, n in enumerate(x.dims):
-            rows = [r for i in out[v] for r in maps[i].entries] if n else None
-            per_vertex.append(n - len(exactlin._reduce_rows(p, rows, n)) if rows else n)
-        dims = x._cache["socle"] = tuple(per_vertex)
-    return dims
+    p, out, maps = x.field.p, x.algebra.quiver.arrows_out, x.maps
+    per_vertex = []
+    for v, n in enumerate(x.dims):
+        rows = [r for i in out[v] for r in maps[i].entries] if n else None
+        per_vertex.append(n - len(exactlin._reduce_rows(p, rows, n)) if rows else n)
+    return tuple(per_vertex)
 
 
 def projective_cover(x: Module):
@@ -752,6 +753,7 @@ def _lifted_trace(x: Module, vec, level: int) -> int:
     return total % p ** (level + 1) // p**level
 
 
+@_kept("end")
 def _end_algebra(x: Module) -> Tuple[List[Matrix], Matrix]:
     """E = End(x) on the basis b = hom_basis(x, x), kept on x: (mult, rad).
 
@@ -763,26 +765,23 @@ def _end_algebra(x: Module) -> Tuple[List[Matrix], Matrix]:
     dim E = 1, needs none of it: E = k, its one canonical basis element is
     the identity, and J = 0.
     """
-    if "end" not in x._cache:
-        field, e = x.field, hom_dim(x, x)
-        if e == 1:
-            x._cache["end"] = ([Matrix.identity(field, 1)], Matrix.zeros(field, 1, 0))
-            return x._cache["end"]
-        table = exactlin.solve(
-            hom_space_matrix(x, x),
-            exactlin.hstack([hom_composites(x, b) for b in hom_basis(x, x)], field, e),
-        )
-        mult = [Matrix(field, [r[i * e : (i + 1) * e] for r in table.entries], e) for i in range(e)]
-        ideal, level = Matrix.identity(field, e), 0
-        while ideal.cols and field.p**level <= x.total_dim:
-            g = Matrix(field, [[_lifted_trace(x, a, level) for a in ideal.columns()]], ideal.cols)
-            products = exactlin.hstack([_combine(mult, a) for a in ideal.columns()])
-            values = (g @ exactlin.solve(ideal, products)).entries[0]
-            cond = Matrix(field, [values[j::e] for j in range(e)], ideal.cols)
-            ideal = ideal @ exactlin.kernel_basis(cond)
-            level += 1
-        x._cache["end"] = (mult, ideal)
-    return x._cache["end"]
+    field, e = x.field, hom_dim(x, x)
+    if e == 1:
+        return [Matrix.identity(field, 1)], Matrix.zeros(field, 1, 0)
+    table = exactlin.solve(
+        hom_space_matrix(x, x),
+        exactlin.hstack([hom_composites(x, b) for b in hom_basis(x, x)], field, e),
+    )
+    mult = [Matrix(field, [r[i * e : (i + 1) * e] for r in table.entries], e) for i in range(e)]
+    ideal, level = Matrix.identity(field, e), 0
+    while ideal.cols and field.p**level <= x.total_dim:
+        g = Matrix(field, [[_lifted_trace(x, a, level) for a in ideal.columns()]], ideal.cols)
+        products = exactlin.hstack([_combine(mult, a) for a in ideal.columns()])
+        values = (g @ exactlin.solve(ideal, products)).entries[0]
+        cond = Matrix(field, [values[j::e] for j in range(e)], ideal.cols)
+        ideal = ideal @ exactlin.kernel_basis(cond)
+        level += 1
+    return mult, ideal
 
 
 def rad_hom_basis(x: Module, y: Module) -> Matrix:
@@ -918,6 +917,7 @@ def is_indecomposable(x: Module) -> bool:
     return len(split_summands(x)) == 1
 
 
+@_kept("split")
 def split_summands(x: Module) -> Tuple[Tuple[Module, Morphism], ...]:
     """The indecomposable summands of x, each with its inclusion, split once and kept on x.
 
@@ -927,18 +927,13 @@ def split_summands(x: Module) -> Tuple[Tuple[Module, Morphism], ...]:
     Smalo).  Otherwise a nontrivial idempotent e splits x into Im e + Ker e,
     and each piece is split in turn.
     """
-    parts = x._cache.get("split")
-    if parts is None:
-        if x.is_zero():
-            parts = ()
-        elif (sum(map(len, _top_reps(x))) == 1 or sum(_socle_dims(x)) == 1
-              or (e := nontrivial_idempotent(x)) is None):
-            parts = ((x, Morphism.identity(x)),)
-        else:
-            parts = tuple((z, inc @ inc_z) for piece, inc in (image(e), kernel(e))
-                          for z, inc_z in split_summands(piece))
-        x._cache["split"] = parts
-    return parts
+    if x.is_zero():
+        return ()
+    if (sum(map(len, _top_reps(x))) == 1 or sum(_socle_dims(x)) == 1
+            or (e := nontrivial_idempotent(x)) is None):
+        return ((x, Morphism.identity(x)),)
+    return tuple((z, inc @ inc_z) for piece, inc in (image(e), kernel(e))
+                 for z, inc_z in split_summands(piece))
 
 
 def decompose(x: Module) -> List[Tuple[Module, int]]:
@@ -963,13 +958,13 @@ def iso_classes(
     """
     reps = list(reps)
     label: List[int] = []
-    seen: Dict[int, int] = {id(r): c for c, r in enumerate(reps)}
+    seen: Dict[Module, int] = {r: c for c, r in enumerate(reps)}
     for m in mods:
-        c = seen.get(id(m))
+        c = seen.get(m)
         if c is None:
             isos = (c for c, r in enumerate(reps)
                     if r.dims == m.dims and summand_map(r, m) is not None)
-            c = seen[id(m)] = next(isos, len(reps))
+            c = seen[m] = next(isos, len(reps))
             if c == len(reps):
                 reps.append(m)
         label.append(c)

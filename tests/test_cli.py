@@ -114,6 +114,21 @@ def test_a_category_of_zero_generators_is_an_input_error(tmp_path):
         assert payload(r)["error"]["kind"] == "input"
 
 
+def test_an_all_zero_category_is_refused_by_the_workspace(tmp_path, capsys):
+    # in process: without the workspace's check, AddCategory's ValueError escapes
+    from dctkit import cli
+
+    doc = json.loads(pathlib.Path(KA2).read_text())
+    doc["modules"]["Z"] = {"dims": {}}
+    doc["categories"]["Zero"] = {"generators": ["Z"]}
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(doc))
+    code = cli.main(["d-rigid", "--workspace", str(p), "--category", "Zero"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2 and error["kind"] == "input"
+    assert error["message"] == "category 'Zero': needs at least one nonzero generator"
+
+
 def test_dass_golden_labels():
     r = run_cli("dass", "--workspace", FLAG, "--category", "M", "--target", "S1")
     assert r.returncode == 0

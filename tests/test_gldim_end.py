@@ -8,7 +8,8 @@ M = proj + inj, on the tau_d^- orbit categories of the higher Auslander
 algebras A_s^(d) and on those categories with one summand dropped.
 `artheory.domdim_end` reads the pool's Ext tables; `scan_oracles.glued_domdim_end`
 glues M and asks Ext^i(M, M).  On the orbit categories, tau_d and tau_d^-
-are checked to be mutually inverse on the pool.
+are checked to be mutually inverse on the pool, and a determined morphism
+is built whose defect has a nonzero radical part.
 """
 
 import functools
@@ -20,10 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctkit import AddCategory, PrimeField, Quiver, build_algebra
-from dctkit import approx, artheory, exactlin, homological, repcat, workspace
+from dctkit import AddCategory, CapExceeded, EndSubmodule, PrimeField, Quiver, build_algebra
+from dctkit import approx, artheory, dexact, exactlin, homological, repcat, workspace
 from dctkit.approx import add_resolution, minimal_right_approximation
-from dctkit.artheory import d_almost_split, domdim_end, gldim_end, is_d_rigid, right_almost_split
+from dctkit.artheory import (
+    d_almost_split,
+    determined_morphism,
+    domdim_end,
+    gldim_end,
+    is_d_rigid,
+    right_almost_split,
+)
 from scan_oracles import glued_domdim_end, injective, tower_gldim_end
 from type_a import higher_auslander, ka_rad2, nakayama
 
@@ -143,6 +151,50 @@ def test_domdim_end_of_a_self_injective_algebra_is_infinite(n, l, d):
     algebra = build(nakayama(n, l), 2)
     cat = AddCategory([repcat.projective(algebra, v) for v in range(n)], d)
     assert domdim_end(cat) == math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gldim_end_of_a_self_injective_algebra_is_refused(n):
+    # M = A and gldim A is infinite: the kept add M-steps cycle through a few
+    # modules until the functor resolution reaches the cap
+    algebra = build(nakayama(n, 2), 2)
+    cat = AddCategory([repcat.projective(algebra, v) for v in range(n)], 2)
+    with pytest.raises(CapExceeded) as err:
+        gldim_end(cat)
+    assert str(err.value).startswith("gldim_end on dimension vector")
+    assert str(err.value).endswith("raise config.RESOLUTION_CAP")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("i, j, k", [(6, 7, 6), (6, 9, 9), (7, 8, 7)])
+def test_a_defect_cover_leaves_out_the_radical_part(i, j, k, p, monkeypatch):
+    """determined_morphism on the orbit category of A_3^(2), with x the sum of pool
+    members i and j, n pool member k and H = 0.  The covariant defect at tau_d x has
+    a nonzero radical part, so its minimal cover takes fewer copies of tau_d x than
+    the defect has dimensions; the post-verification checks the answer."""
+    pool, d = orbit_category_pool("auslander", (3, 2), p)
+    cat = AddCategory(pool, d)
+    assert not homological.is_projective(pool[i]) and not homological.is_projective(pool[j])
+    x, n = repcat.sum_module([pool[i], pool[j]]), pool[k]
+    covers = []
+    real = artheory._defect_cover_map
+
+    def spy(seq, target):
+        dc, left = dexact.defect_covariant(seq, target), seq.left_term
+        rads = [repcat.morphism_from_vec(target, target, r)
+                for r in repcat.rad_hom_basis(target, target).columns()]
+        rad_part = [dc.proj @ repcat.hom_composites(left, r) for r in rads]
+        hmap = real(seq, target)
+        rank = exactlin.rank(exactlin.hstack(rad_part, field=target.field, rows=dc.dim))
+        covers.append((target, dc.dim, rank, hmap))
+        return hmap
+
+    monkeypatch.setattr(artheory, "_defect_cover_map", spy)
+    g = determined_morphism(cat, x, n, EndSubmodule.zero(x, n))
+    assert g.codomain is n and repcat.hom_image(x, g).cols == 0
+    [(target, dim, rank, hmap)] = covers
+    assert target is homological.tau_d(x, d) and 0 < rank < dim
+    assert hmap.codomain.dims == tuple((dim - rank) * t for t in target.dims)
 
 
 def test_almost_split_data_never_reads_the_additive_generator(flag_mods, monkeypatch):
