@@ -5,8 +5,8 @@ members (`_ext_table`), computed at most once per category; Ext is
 additive, so rigidity, the certificate and domdim End(M) read it and M is
 never glued.  The verification routines re-check the structural
 identities with exact arithmetic and zero tolerance.  Almost-split maps and gldim End(M) cover
-rad(-, Z) by the summands of M; for a projective Z, rad(-, Z) = Hom(-, rad Z)
-is covered by the minimal right approximation of rad Z.  The
+rad(-, Z) by the summands of M, once per category and Z; for a projective Z,
+rad(-, Z) = Hom(-, rad Z) is covered by the minimal right approximation of rad Z.  The
 d-almost-split sequence and the resolutions of the simple functors are
 then read off one add M-resolution, `approx.add_resolution`, whose steps
 are kept on the modules they approximate.
@@ -18,7 +18,7 @@ Every output is post-verified before it is returned.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import approx, config, dexact, exactlin, homological, repcat
@@ -51,7 +51,11 @@ def enumerate_indecomposables(
     sum) or when a module kept before is a summand of it
     (`repcat.summand_map`).  The scan goes by total dimension, so every
     direct sum has a smaller summand kept before, and every duplicate its
-    class's module; End is computed only to post-verify each kept module.
+    class's module.  A candidate with a simple top or socle is
+    indecomposable (`repcat._simple_top_or_socle`), so it has no proper
+    summand and is compared only with the classes kept at its own
+    dimension vector, one hom system each.  End is computed only to
+    post-verify each kept module.
     """
     quiver = algebra.quiver
     field = algebra.field
@@ -60,33 +64,36 @@ def enumerate_indecomposables(
     budget = 0
     # the whole budget is checked before anything is scanned
     for dims in _dimension_vectors(quiver.n_vertices, total_dim_bound):
-        count = field.p ** sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
-        budget += count
+        entries = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
+        budget += field.p**entries
         if budget > limit:
             raise CapExceeded.over(
                 "enumerate_indecomposables", dims, f"{budget}+ arrow-matrix assignments", limit
             )
-        sizes.append((dims, count))
+        sizes.append((dims, entries))
     found: List[Module] = []
-    for dims, count in sizes:
+    for dims, entries in sizes:
+        shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
         kept: List[Module] = []
-        for counter in range(count):
-            maps = []
-            rem = counter
-            for a in quiver.arrows:
-                r, c = dims[a.target], dims[a.source]
-                data = [[0] * c for _ in range(r)]
-                for k in range(r * c):
-                    data[k // c][k % c] = rem % field.p
-                    rem //= field.p
-                maps.append(Matrix(field, data, c))
-            m = Module(algebra, list(dims), maps, _skip_check=True)
+        # in counter order: product turns its last digit fastest, and entry k is digit k
+        for digits in product(range(field.p), repeat=entries):
+            residues, at, maps = digits[::-1], 0, []
+            for r, c in shapes:
+                if r and c:
+                    maps.append(Matrix(field, tuple([residues[at + i * c : at + (i + 1) * c]
+                                                     for i in range(r)]), c, _reduced=True))
+                else:
+                    maps.append(Matrix.zeros(field, r, c))
+                at += r * c
+            m = Module(algebra, dims, maps, _skip_check=True)
             if not (repcat.support_is_connected(m) and repcat.relations_hold(m)):
                 continue
-            if all(repcat.summand_map(z, m) is None for z in kept + found):
+            # an indecomposable has no proper summand: it can only repeat a class of its dims
+            classes = kept if repcat._simple_top_or_socle(m) else kept + found
+            if all(repcat.summand_map(z, m) is None for z in classes):
                 kept.append(m)
             else:  # the classes keep no hom basis into a rejected candidate alive
-                for z in kept + found:
+                for z in classes:
                     repcat._hom_data.forget(z, m)
         found += kept
     for m in found:
@@ -604,11 +611,13 @@ def determined_morphism(
 # -- almost-split data -------------------------------------------------------
 
 
+@repcat._kept("radical cover")
 def _radical_cover(cat: AddCategory, n: Module) -> Tuple[Morphism, List[Matrix]]:
     """Minimal cover of rad(-, n) on add M, with rad_hom_basis(z, n) for each pool member z.
 
     rad is an ideal and every pool member is a summand of M, so the maps
-    in rad_hom_basis(z, n), z in the pool, span rad(-, n) on add M.
+    in rad_hom_basis(z, n), z in the pool, span rad(-, n) on add M.  Kept
+    on the category per n, so gldim End(M) and the almost-split maps share it.
     """
     pool = cat._summand_pool()
     rads = [repcat.rad_hom_basis(z, n) for z in pool]

@@ -134,11 +134,17 @@ def is_injective(x: Module) -> bool:
     (`repcat._socle_dims`), not read through D: building D x would cost
     several times the count.
     """
-    algebra = x.algebra
-    ends = [0] * len(x.dims)
+    ends = _paths_ending(x.algebra)
+    return sum(s * e for s, e in zip(repcat._socle_dims(x), ends)) == x.total_dim
+
+
+@repcat._kept("path ends")
+def _paths_ending(algebra: BoundQuiverAlgebra) -> Tuple[int, ...]:
+    """Per vertex v, the number of basis paths ending at v, that is dim I_v; kept on the algebra."""
+    ends = [0] * algebra.quiver.n_vertices
     for i in range(algebra.dim):
         ends[algebra.basis_target(i)] += 1
-    return sum(s * e for s, e in zip(repcat._socle_dims(x), ends)) == x.total_dim
+    return tuple(ends)
 
 
 def pd(x: Module) -> int:
@@ -171,21 +177,29 @@ def _hom_out(res: ProjResolution, i: int, y: Module) -> Matrix:
     """Hom(d_i, y) in Yoneda coordinates, from (+)_j y_{v_j} to (+)_k y_{u_k}.
 
     A map P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and the
-    (k, j) block is the action on y of entry (k, j) of d_i's table.
+    (k, j) block is the action on y of entry (k, j) of d_i's table.  The
+    rows are laid out as integers block by block; a vertex where y vanishes
+    adds no row or column.
     """
-    field, paths = y.field, y.algebra.path_basis
+    dims, paths, p = y.dims, y.algebra.path_basis, y.field.p
     vs = res.vertices(i - 1)
     rows = []
     for u, line in zip(res.vertices(i), res.elements(i)):
-        blocks = []
+        if not dims[u]:
+            continue
+        out = [[] for _ in range(dims[u])]
         for v, vec in zip(vs, line):
-            block = Matrix.zeros(field, y.dims[u], y.dims[v])
+            if not dims[v]:
+                continue
+            block = [[0] * dims[v]] * dims[u]
             for q, c in enumerate(vec):
                 if c:
-                    block = block + y.path_action(paths[q]).scale(c)
-            blocks.append(block)
-        rows.append(exactlin.hstack(blocks, field=field, rows=y.dims[u]))
-    return exactlin.vstack(rows, field=field, cols=sum(y.dims[v] for v in vs))
+                    block = [[a + c * t for a, t in zip(acc, row)]
+                             for acc, row in zip(block, y.path_action(paths[q]).entries)]
+            for o, b in zip(out, block):
+                o += b
+        rows += [tuple([t % p for t in o]) for o in out]
+    return Matrix(y.field, tuple(rows), sum(dims[v] for v in vs), _reduced=True)
 
 
 def ext_space(x: Module, y: Module, i: int) -> exactlin.Quotient:

@@ -19,17 +19,21 @@ its hom bases and its split into indecomposables once computed.  Every
 fact kept here and in the layers above goes through one memo, `_kept`.
 
 A module with a simple top or a simple socle is indecomposable, read
-off the kept top and socle.  Any other is split by linear algebra on
-E = End(x) over its hom basis: the radical J = rad E by lifted traces,
-then a zero divisor of the semisimple E/J, whose left ideal yields an
-idempotent that is lifted over J.  x is indecomposable exactly when E/J
-is a field, and a brick (E = k) needs no structure constants.  The split is
-kept as (summand, inclusion) pairs, and every summand question reads it.
-An indecomposable x is a summand of y exactly when some composite of
-hom-basis maps x -> y -> x is invertible (`summand_map`), and of equal
-dimension vectors that makes them isomorphic.  The radical rad(x, y) of
-the module category is read off J of y alone.  Nothing here enumerates a
-space over F_p.
+off the kept top and socle (`_simple_top_or_socle`, which the
+enumeration of indecomposables reads too).  Any other is split by linear
+algebra on E = End(x) over its hom basis: the radical J = rad E by lifted
+traces, then a zero divisor of the semisimple E/J, whose left ideal
+yields an idempotent that is lifted over J.  x is indecomposable exactly
+when E/J is a field, and a brick (E = k) needs no structure constants.
+The split is kept as (summand, inclusion) pairs, and every summand
+question reads it.  End(x) of an indecomposable x is local, so x is
+isomorphic to a y of the same dimension vector exactly when some map of
+hom_basis(x, y) is invertible: one hom system, and Hom(y, x) is not
+solved.  Of smaller dimension vector, x is a summand of y exactly when
+some composite of hom-basis maps x -> y -> x is invertible.  Both are
+`summand_map`, which only `iso_classes` asks here.  The radical
+rad(x, y) of the module category is read off J of y alone.  Nothing here
+enumerates a space over F_p.
 """
 
 from __future__ import annotations
@@ -917,20 +921,28 @@ def is_indecomposable(x: Module) -> bool:
     return len(split_summands(x)) == 1
 
 
+def _simple_top_or_socle(x: Module) -> bool:
+    """Whether the top or the socle of x has dimension 1, read off the kept top and socle.
+
+    A simple top gives x a unique maximal submodule, and a simple socle a
+    unique minimal one, so either makes x indecomposable (Auslander, Reiten
+    and Smalo).  The converse fails: this certifies, it does not decide.
+    """
+    return sum(map(len, _top_reps(x))) == 1 or sum(_socle_dims(x)) == 1
+
+
 @_kept("split")
 def split_summands(x: Module) -> Tuple[Tuple[Module, Morphism], ...]:
     """The indecomposable summands of x, each with its inclusion, split once and kept on x.
 
-    Glued, the inclusions are an isomorphism onto x.  A simple top gives x
-    a unique maximal submodule, and a simple socle a unique minimal one, so
-    then x is indecomposable with no End(x) solved (Auslander, Reiten and
-    Smalo).  Otherwise a nontrivial idempotent e splits x into Im e + Ker e,
-    and each piece is split in turn.
+    Glued, the inclusions are an isomorphism onto x.  A module with a
+    simple top or socle is indecomposable with no End(x) solved
+    (`_simple_top_or_socle`).  Otherwise a nontrivial idempotent e splits x
+    into Im e + Ker e, and each piece is split in turn.
     """
     if x.is_zero():
         return ()
-    if (sum(map(len, _top_reps(x))) == 1 or sum(_socle_dims(x)) == 1
-            or (e := nontrivial_idempotent(x)) is None):
+    if _simple_top_or_socle(x) or (e := nontrivial_idempotent(x)) is None:
         return ((x, Morphism.identity(x)),)
     return tuple((z, inc @ inc_z) for piece, inc in (image(e), kernel(e))
                  for z, inc_z in split_summands(piece))
@@ -952,9 +964,9 @@ def iso_classes(
     reps[label[j]].  A module object met again is not compared again.
     Given reps, pairwise non-isomorphic indecomposables, the classes start
     from them, and they are not compared with each other.  m joins the
-    class of r when their dimension vectors agree and r is a summand of m
-    (`summand_map`): a split mono between equal dimension vectors is an
-    isomorphism, so a match is sound even when m decomposes.
+    class of r when their dimension vectors agree and `summand_map(r, m)`
+    finds an invertible map in hom_basis(r, m): one hom system per pair,
+    and a match is sound even when m decomposes.
     """
     reps = list(reps)
     label: List[int] = []
@@ -974,11 +986,18 @@ def iso_classes(
 def summand_map(x: Module, y: Module) -> Optional[Morphism]:
     """A split mono x -> y, or None, which for an indecomposable x means x is no summand of y.
 
-    If x is a summand, the composites g o f, f in hom_basis(x, y) and g in
-    hom_basis(y, x), span the local ring End(x) (Auslander, Reiten and
-    Smalo), so one is invertible; and an invertible g o f splits f, which
+    End(x) is local (Auslander, Reiten and Smalo), so its non-units form a
+    proper subspace and no basis lies inside it.  Of equal dimension
+    vectors, x is isomorphic to y exactly when some f in hom_basis(x, y) is
+    invertible: for an isomorphism h, Hom(x, y) = h o End(x) and its
+    non-isomorphisms are h o rad End(x).  The first such f is returned, and
+    Hom(y, x) is never solved.  Otherwise, if x is a summand, the
+    composites g o f, f in hom_basis(x, y) and g in hom_basis(y, x), span
+    End(x), so one is invertible; and an invertible g o f splits f, which
     is returned.
     """
+    if x.dims == y.dims:
+        return next((f for f in hom_basis(x, y) if f.is_iso()), None)
     if any(a > b for a, b in zip(x.dims, y.dims)):
         return None
     maps = hom_basis(x, y)

@@ -45,7 +45,13 @@ Isomorphism was once a glued map: `find_isomorphism` pairs the
 summands of x and y one by one, and the tau_d report tried every
 translate against every non-injective pool member with it
 (`pairwise_tau_d_report`).  The library sorts summands into classes with
-`iso_classes` and builds no isomorphism.  A split once carried the
+`iso_classes` and builds no isomorphism.  Two modules of one dimension
+vector were once compared by an invertible composite x -> y -> x
+(`two_sided_summand_map`, which `find_isomorphism` still reads), and the
+enumeration tested every candidate that way against every class kept
+before (`summand_enumerate`); the library takes an invertible map of
+Hom(x, y) alone, and compares a candidate with a simple top or socle
+only with the classes of its own dimension vector.  A split once carried the
 projections onto its summands; the library keeps (summand, inclusion)
 pairs, and `split_with_projections` reads the projections off the inverse
 of the glued inclusions for the oracles that compose with them.
@@ -144,6 +150,20 @@ def split_with_projections(x):
     return [(z, inc, proj @ back) for (z, inc), proj in zip(parts, projs)]
 
 
+def two_sided_summand_map(x, y):
+    """A split mono x -> y read off an invertible composite x -> y -> x of hom-basis maps; None if none.
+
+    This is `repcat.summand_map` as it was for every pair, equal dimension
+    vectors included: two hom systems and every composite, where the
+    library takes the first invertible map of hom_basis(x, y).
+    """
+    if any(a > b for a, b in zip(x.dims, y.dims)):
+        return None
+    maps = repcat.hom_basis(x, y)
+    back = repcat.hom_basis(y, x) if maps else ()
+    return next((f for g in back for f in maps if (g @ f).is_iso()), None)
+
+
 def find_isomorphism(x, y):
     """An isomorphism x -> y glued from isomorphisms between summands; None if none."""
     if x.dims != y.dims:
@@ -157,7 +177,7 @@ def find_isomorphism(x, y):
     out = Morphism.zero(x, y)
     for z, _, proj in split_with_projections(x):
         for k, (w, inc) in enumerate(targets):
-            f = repcat.summand_map(z, w) if z.dims == w.dims else None
+            f = two_sided_summand_map(z, w) if z.dims == w.dims else None
             if f is not None:
                 out = out + inc @ f @ proj
                 del targets[k]
@@ -662,6 +682,39 @@ def scan_enumerate(algebra, bound, cap=None):
         if all(scan_isomorphism(r, m) is None for r in reps):
             reps.append(m)
     return reps
+
+
+def summand_enumerate(algebra, bound):
+    """The universe as `enumerate_indecomposables` once scanned it, in the same order.
+
+    Each candidate that satisfies the relations and has a connected support
+    is tested with `two_sided_summand_map` against every class kept before,
+    of its own dimension vector and of smaller ones, whether or not its top
+    or socle is simple; the library compares a candidate with a simple top
+    or socle only with its own dimension vector's classes, one hom system each.
+    """
+    field, arrows = algebra.field, algebra.quiver.arrows
+    found = []
+    for dims in artheory._dimension_vectors(algebra.quiver.n_vertices, bound):
+        e = sum(dims[a.target] * dims[a.source] for a in arrows)
+        kept = []
+        for counter in range(field.p**e):
+            digits = [(counter // field.p**k) % field.p for k in range(e)]
+            maps = []
+            for a in arrows:
+                r, c = dims[a.target], dims[a.source]
+                maps.append(Matrix(field, [digits[i * c : (i + 1) * c] for i in range(r)], c))
+                digits = digits[r * c :]
+            m = repcat.Module(algebra, list(dims), maps, _skip_check=True)
+            if not (repcat.support_is_connected(m) and repcat.relations_hold(m)):
+                continue
+            if all(two_sided_summand_map(z, m) is None for z in kept + found):
+                kept.append(m)
+            else:
+                for z in kept + found:
+                    repcat._hom_data.forget(z, m)
+        found += kept
+    return found
 
 
 def injective(algebra, v):

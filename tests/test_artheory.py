@@ -15,7 +15,10 @@ from dctkit import (
     InvalidSubmodule,
     Matrix,
     Morphism,
+    PrimeField,
+    Quiver,
     VerificationFailed,
+    build_algebra,
 )
 from dctkit import artheory, config, dexact, exactlin, homological, repcat, workspace
 from dctkit.artheory import (
@@ -40,7 +43,9 @@ from scan_oracles import (
     intertwining_kernel,
     radical,
     scan_enumerate,
+    summand_enumerate,
 )
+from type_a import higher_auslander, ka_rad2
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
@@ -75,6 +80,65 @@ def test_the_flagship_scan_splits_no_class_through_end(fresh_flag, monkeypatch):
     assert all(sum(map(len, repcat._top_reps(m))) == 1 for m in classes)
     scanned = scan_enumerate(fresh_flag, 5)
     assert [(m.dims, m.maps) for m in classes] == [(m.dims, m.maps) for m in scanned]
+
+
+def _universe_cases():
+    """(presentation or fixture file, p, bound) of the universes compared with the old scan."""
+    cases = [(f, f, p, 2) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3, 5)]
+    cases += [(f"KA_{n}-rad2", ka_rad2(n), p, 2) for n in (3, 4, 5) for p in (2, 3, 5)]
+    cases += [("A_3^(2)", higher_auslander(3, 2), 2, 3)]
+    return [pytest.param(source, p, bound, id=f"{name}-p{p}-bound{bound}")
+            for name, source, p, bound in cases]
+
+
+def _fresh_algebra(source, p):
+    if isinstance(source, str):
+        return workspace.load(str(DATA / source), p).algebra
+    vertices, arrows, relations, bound = source
+    return build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+
+
+@pytest.mark.parametrize("source, p, bound", _universe_cases())
+def test_the_universe_is_the_one_the_two_sided_scan_keeps(source, p, bound):
+    """Each candidate read against every class kept before, two-sided, keeps the same modules.
+
+    Both scans run on an algebra of their own, so neither reads a hom basis
+    the other kept.
+    """
+    classes = enumerate_indecomposables(_fresh_algebra(source, p), bound)
+    oracle = summand_enumerate(_fresh_algebra(source, p), bound)
+    key = [(m.dims, [f.entries for f in m.maps]) for m in classes]
+    assert key == [(m.dims, [f.entries for f in m.maps]) for m in oracle]
+
+
+# (hom systems, summand tests) per KA_n/rad^2 enumeration at bound 2, n = 3..6
+ENUMERATION_WORK = {2: [(6, 6), (8, 10), (10, 15), (12, 21)],
+                    7: [(16, 16), (23, 25), (30, 35), (37, 46)]}
+
+
+@pytest.mark.parametrize("p", sorted(ENUMERATION_WORK))
+def test_the_enumeration_solves_one_hom_system_per_comparison(p, monkeypatch):
+    """Work guard of the benchmark's universe on KA_n/rad^2, n = 3..6, one fresh document each.
+
+    Of equal dimension vectors one hom system decides a comparison, and a
+    candidate with a simple top or socle is compared only with its own
+    dimension vector's classes.
+    """
+    made = []
+    hom_kernel, summand_map = repcat._hom_kernel, repcat.summand_map
+    monkeypatch.setattr(repcat, "_hom_kernel", lambda *args: made.append("hom") or hom_kernel(*args))
+    monkeypatch.setattr(repcat, "summand_map",
+                        lambda *args: made.append("summand") or summand_map(*args))
+    counts = []
+    for n in (3, 4, 5, 6):
+        algebra = _ka_workspace(n, p).algebra
+        made.clear()
+        assert len(enumerate_indecomposables(algebra, 2)) == 2 * n - 1
+        counts.append((made.count("hom"), made.count("summand")))
+    # (12.5, 43.5) at p = 2 and (47.5, 61) at p = 7 per document, on average, when
+    # every equal-dimension pair solved Hom both ways and every candidate met every class
+    assert all(c <= bound for pair, pinned in zip(counts, ENUMERATION_WORK[p])
+               for c, bound in zip(pair, pinned)), counts
 
 
 def test_the_scan_keeps_no_rejected_candidate_alive(fresh_flag):

@@ -3,7 +3,8 @@
 Every radical is ``repcat.rad_hom_basis`` and every splitting goes
 through ``repcat.nontrivial_idempotent``; no other library module may
 reach past them to ``_end_algebra``.  Sorting into isomorphism classes
-reads no J: it asks ``repcat.summand_map`` for an invertible composite.
+reads no J: it asks ``repcat.summand_map``, which, of equal dimension
+vectors, looks for an invertible map in the basis of Hom(x, y).
 """
 
 import ast

@@ -15,6 +15,7 @@ is built whose defect has a nonzero radical part.
 import functools
 import math
 import pathlib
+import sys
 from itertools import islice
 
 import pytest
@@ -305,6 +306,28 @@ def test_gldim_end_approximates_each_module_once(n, monkeypatch):
     assert [homological.is_projective(x) for x in radical] == [False]
     assert len(covered) == n + 1  # n approximations and the radical cover of S_1
     assert len({id(y) for y in covered}) == n + 1
+
+
+@pytest.mark.parametrize("s, d", [(3, 2), (4, 2), (3, 3)])
+def test_gldim_end_and_the_almost_split_sequences_cover_each_radical_once(s, d, monkeypatch):
+    """Work guard: the cover of rad(-, Z) is kept on the category, so the d-almost-split
+    sequences built after gldim_end read the covers gldim_end made."""
+    covered = []
+    cover = approx.minimal_cover
+
+    def covering(y, pieces):
+        if sys._getframe(1).f_code.co_name == "_radical_cover":
+            covered.append(y)
+        return cover(y, pieces)
+
+    cat = AddCategory(orbit_pool(build(higher_auslander(s, d), 2), d), d)
+    ends = [z for z in cat._summand_pool() if not homological.is_projective(z)]
+    monkeypatch.setattr(approx, "minimal_cover", covering)
+    gldim_end(cat)
+    for z in ends:
+        d_almost_split(cat, z)
+    # two covers of each end term when right_almost_split covered again what gldim_end had
+    assert len(covered) == len(ends) and all(any(y is z for y in covered) for z in ends)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -2,8 +2,8 @@
 
 ``are_isomorphic``, ``decompose``, the pool of an additive category and
 the tau_d report all sort modules with ``iso_classes``, which asks
-``summand_map`` for a split mono between equal dimension vectors; none of
-them builds an explicit isomorphism.  The one that does,
+``summand_map`` for an invertible map in the basis of Hom(x, y) between
+equal dimension vectors; none of them builds an explicit isomorphism.  The one that does,
 ``find_isomorphism``, is a test oracle in ``scan_oracles``.  In ``repcat``
 only ``iso_classes`` calls ``summand_map``, and ``_end_algebra`` is read
 only by the radical and the splitting.

@@ -2,15 +2,18 @@
 
 ``are_isomorphic`` and the tau_d report read isomorphism classes off
 ``repcat.iso_classes`` and build no isomorphism; it asks ``summand_map``
-for an invertible composite x -> y -> x, which is checked against the
-known parts of rebased sums.  They are compared with
-``scan_oracles.find_isomorphism``, which glues one from the summands,
-and with the pairwise tau_d report it once drove.  The cases include
-indecomposables with equal dimension vectors and Hom both ways that are
-not isomorphic, and sums whose idempotent must be lifted over rad End.
+for an invertible map of Hom(x, y) between equal dimension vectors, and
+for an invertible composite x -> y -> x otherwise, which is checked
+against the known parts of rebased sums.  They are compared with
+``scan_oracles.find_isomorphism``, which glues one from the summands
+with the two-sided composite test, and with the pairwise tau_d report it
+once drove.  The cases include indecomposables with equal dimension
+vectors and Hom both ways that are not isomorphic, and sums whose
+idempotent must be lifted over rad End.
 """
 
 import collections
+import itertools
 import pathlib
 import random
 
@@ -230,3 +233,31 @@ def test_summand_map_finds_exactly_the_summands_of_a_rebased_sum(case, seed):
     if f is not None:
         assert f.domain is x and f.codomain is y
         assert repcat.cofactor_through(Morphism.identity(x), f) is not None
+
+
+def equal_dimension_cases():
+    """(z, parts): z an enumerated indecomposable, parts one or two members summing to z's dimensions.
+
+    Over KA_n/rad^2 and the flagship a sum of two intervals shares the
+    dimension vector of the longer interval; over the cyclic algebra the two
+    projectives share theirs, with Hom both ways.
+    """
+    universes = ka_universes() + [enumerate_indecomposables(cyclic_algebra(p), 2) for p in (2, 3)]
+    cases = []
+    for uni in universes:
+        shapes = [[w] for w in uni] + [list(pair) for pair in itertools.combinations_with_replacement(uni, 2)]
+        cases += [(z, parts) for z in uni for parts in shapes
+                  if tuple(map(sum, zip(*(w.dims for w in parts)))) == z.dims]
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(equal_dimension_cases()), seed=st.integers(0, 2**32))
+def test_of_equal_dimensions_summand_map_agrees_with_the_glued_isomorphism(case, seed):
+    z, parts = case
+    rng = random.Random(seed)
+    x, y = rebase(z, rng), rebased_sum(parts, rng)
+    f = repcat.summand_map(x, y)
+    assert (f is not None) == (find_isomorphism(x, y) is not None) == (parts == [z])
+    if f is not None:
+        assert f.domain is x and f.codomain is y and f.is_iso()
