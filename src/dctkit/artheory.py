@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice, product
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import approx, config, dexact, exactlin, homological, repcat
@@ -46,7 +47,11 @@ def enumerate_indecomposables(
     Scans every dimension vector and every arrow-matrix assignment over
     the base field and keeps the first representative of each class, in
     scan order, so the output order is reproducible: by total dimension,
-    then dimension vector, then matrix counter.  A candidate satisfying
+    then dimension vector, then matrix counter.  Rescaling the basis
+    vectors of the vertex spaces keeps a class, and the first member of a
+    class in counter order is its least, so an assignment is built only
+    when it is the least of its rescaling orbit (`_rescaling_least`, read
+    off the digits alone).  A built candidate satisfying
     the relations is dropped when its support falls apart (it is a direct
     sum) or when a module kept before is a summand of it
     (`repcat.summand_map`).  The scan goes by total dimension, so every
@@ -55,7 +60,8 @@ def enumerate_indecomposables(
     indecomposable (`repcat._simple_top_or_socle`), so it has no proper
     summand and is compared only with the classes kept at its own
     dimension vector, one hom system each.  End is computed only to
-    post-verify each kept module.
+    post-verify each kept module.  The cap counts every assignment,
+    built or not.
     """
     quiver = algebra.quiver
     field = algebra.field
@@ -74,9 +80,12 @@ def enumerate_indecomposables(
     found: List[Module] = []
     for dims, entries in sizes:
         shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
+        links = _rescaling_links(quiver, dims)
         kept: List[Module] = []
         # in counter order: product turns its last digit fastest, and entry k is digit k
         for digits in product(range(field.p), repeat=entries):
+            if not _rescaling_least(digits, links):
+                continue
             residues, at, maps = digits[::-1], 0, []
             for r, c in shapes:
                 if r and c:
@@ -100,6 +109,50 @@ def enumerate_indecomposables(
         if not repcat.is_indecomposable(m):
             raise VerificationFailed(f"the kept module of dimension vector {m.dims} decomposes")
     return found
+
+
+def _rescaling_links(quiver, dims) -> List[Tuple[int, int]]:
+    """The two basis vectors that each arrow-matrix entry links, most significant entry first.
+
+    Basis vector i of vertex v is numbered by its place in the vertices'
+    concatenated bases.  Entry (i, j) of the matrix of an arrow a is the
+    coefficient of basis vector i at a's target in the image of basis
+    vector j at its source.
+    """
+    offsets = [0]
+    for dv in dims:
+        offsets.append(offsets[-1] + dv)
+    links = []
+    for a in quiver.arrows:
+        s, t = offsets[a.source], offsets[a.target]
+        links += [(s + j, t + i) for i in range(dims[a.target]) for j in range(dims[a.source])]
+    return links[::-1]
+
+
+def _rescaling_least(digits: Sequence[int], links: Sequence[Tuple[int, int]]) -> bool:
+    """Whether an assignment is the least, in counter order, of its orbit under rescaling.
+
+    Scaling basis vector k by t_k multiplies an entry linking source
+    vector k to target vector l by t_k / t_l.  Read from the most
+    significant entry, the rescalings that fix the entries read so far are
+    those constant on each class of basis vectors that their nonzero
+    entries join.  So the next nonzero entry can still be scaled to 1, the
+    least nonzero digit, when it joins two classes, and is fixed otherwise
+    (a loop's diagonal entry joins nothing): the assignment is least
+    exactly when each nonzero entry that joins two classes is 1.
+    """
+    root: Dict[int, int] = {}  # a union-find over the basis vectors: k's parent, if k has one
+    for digit, (k, l) in zip(digits, links):
+        if digit:
+            while k in root:
+                k = root[k]
+            while l in root:
+                l = root[l]
+            if k != l:
+                if digit != 1:
+                    return False
+                root[k] = l
+    return True
 
 
 def _dimension_vectors(n: int, bound: int):
@@ -483,7 +536,11 @@ def _largest_admissible_submodule(
     a projective and has image inside U already lies in h.  Generators
     supported at a single vertex suffice: a general cyclic submodule is
     the sum of the single-vertex cyclics it contains, and passing the
-    test is inherited by submodules.
+    test is inherited by submodules.  So a vector is tried only when its
+    first nonzero coordinate is 1, since a nonzero multiple generates the
+    same submodule, and only when it lies outside the sum accepted so far,
+    since it then generates a submodule of that sum.  The cap counts every
+    vector of each vertex, tried or not.
     """
     field = n.field
     quiver = n.algebra.quiver
@@ -494,12 +551,19 @@ def _largest_admissible_submodule(
     spans = [Matrix.zeros(field, n.dims[v], 0) for v in range(quiver.n_vertices)]
     for v, count in enumerate(counts):
         dv = n.dims[v]
+        outside = None  # rows of a projection whose kernel is the sum at v, made when read
         for counter in range(1, count):
             vec = []
             rem = counter
             for k in range(dv):
                 vec.append(rem % field.p)
                 rem //= field.p
+            if next(filter(None, vec)) != 1:
+                continue
+            if outside is None:
+                outside = exactlin.quotient(Matrix.identity(field, dv), spans[v]).proj.entries
+            if not any(sum(map(mul, row, vec)) % field.p for row in outside):
+                continue
             seed = [
                 Matrix.column(field, vec) if w == v else Matrix.zeros(field, n.dims[w], 0)
                 for w in range(quiver.n_vertices)
@@ -510,6 +574,7 @@ def _largest_admissible_submodule(
             if exactlin.subspace_leq(meet, h.basis):
                 for w in range(quiver.n_vertices):
                     spans[w] = exactlin.subspace_sum(spans[w], incl.comps[w])
+                outside = None
     return repcat.submodule(n, spans)
 
 

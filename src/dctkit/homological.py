@@ -257,20 +257,19 @@ def tr_d(x: Module, d: int) -> Module:
     Hom(P_v, A) = A e_v is the opposite projective at v, and its part at a
     vertex w is e_w A e_v = P_w e_v, in the same path-basis order.  So the
     component at w of Hom(d_d, A) is Hom(d_d, P_w) in Yoneda coordinates.
-    Kept on x once per d, as its resolution is.
+    The cokernel reads only the codomain of Hom(d_d, A) and these
+    components, so the sum of opposite projectives over step d-1 is never
+    built.  Kept on x once per d, as its resolution is.
     """
     if d < 1:
         raise ValueError("the dimension parameter must be at least 1")
     res = resolution(x)
     res.syzygy(d - 1)  # a resolution too long for Omega^{d-1} x is refused at step d-2
     algebra, opp = x.algebra, x.algebra.opposite()
-    dom, cod = (
-        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
-        for i in (d - 1, d)
-    )
+    cod = repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(d)], opp)
     comps = [_hom_out(res, d, repcat.projective(algebra, w))
              for w in range(algebra.quiver.n_vertices)]
-    return repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))[0]
+    return repcat._cokernel(cod, comps)[0]
 
 
 def tau_d(x: Module, d: int) -> Module:

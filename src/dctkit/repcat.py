@@ -458,14 +458,18 @@ def image(f: Morphism) -> Tuple[Module, Morphism]:
 
 def cokernel(f: Morphism) -> Tuple[Module, Morphism]:
     """Cokernel with its projection from the codomain."""
-    y = f.codomain
+    return _cokernel(f.codomain, f.comps)
+
+
+def _cokernel(y: Module, images: Sequence[Matrix]) -> Tuple[Module, Morphism]:
+    """Cokernel of a map into y given by its vertex components alone: no domain is read."""
     field = y.field
     comps = []
     projs = []
     secs = []
     for v, n in enumerate(y.dims):
         if n:
-            c, q = exactlin.quotient(Matrix.identity(field, n), exactlin.image_basis(f.comps[v]))
+            c, q = exactlin.quotient(Matrix.identity(field, n), exactlin.image_basis(images[v]))
         else:  # nothing to quotient: no reduction
             c = q = Matrix.zeros(field, 0, 0)
         secs.append(c)

@@ -18,10 +18,13 @@ through the duality D.  A bound quiver algebra was once built by one
 dense reduction of every relation multiple over every path; the library
 reduces each (source, target) block of paths on its own.  The subspace
 walks that list every End(x)-submodule of a hom space have no caller in
-the library.  gldim End(M) was once a tower of minimal covers glued from
-(flat column of Hom(M, y)) x (summand of M) pieces; the library covers
-rad(-, Z) by the pool members and resolves by minimal right
-add M-approximations of kernels instead.
+the library.  The largest admissible submodule of a determined morphism
+was once the sum of the passing cyclic submodules of every nonzero vertex
+vector (`scan_admissible_submodule`); the library tries one vector per
+line, outside the sum accepted so far.  gldim End(M) was once a tower of
+minimal covers glued from (flat column of Hom(M, y)) x (summand of M)
+pieces; the library covers rad(-, Z) by the pool members and resolves by
+minimal right add M-approximations of kernels instead.
 
 The cluster-tilting certificate once resolved every universe member,
 tested every P_v and I_v for membership by sorting them with the pool,
@@ -48,10 +51,11 @@ translate against every non-injective pool member with it
 `iso_classes` and builds no isomorphism.  Two modules of one dimension
 vector were once compared by an invertible composite x -> y -> x
 (`two_sided_summand_map`, which `find_isomorphism` still reads), and the
-enumeration tested every candidate that way against every class kept
-before (`summand_enumerate`); the library takes an invertible map of
-Hom(x, y) alone, and compares a candidate with a simple top or socle
-only with the classes of its own dimension vector.  A split once carried the
+enumeration built every assignment and tested it that way against every
+class kept before (`summand_enumerate`); the library builds only the
+least assignment of each orbit under rescaling the basis vectors, takes
+an invertible map of Hom(x, y) alone, and compares a candidate with a
+simple top or socle only with the classes of its own dimension vector.  A split once carried the
 projections onto its summands; the library keeps (summand, inclusion)
 pairs, and `split_with_projections` reads the projections off the inverse
 of the glued inclusions for the oracles that compose with them.
@@ -599,6 +603,32 @@ def all_end_submodules(x, n):
     return out
 
 
+def scan_admissible_submodule(x, n, h, cap=None):
+    """The largest admissible submodule as `determined_morphism` once found it.
+
+    Every nonzero vector of every vertex space of n generates a cyclic
+    submodule, and the passing ones are summed, p^(dim n_v) - 1 of them at
+    each vertex v.  The library tries one vector per line, and only the
+    vectors outside the sum accepted so far.
+    """
+    field, quiver = n.field, n.algebra.quiver
+    counts = [artheory._scan_space(field, dv, cap, "determined_morphism", n.dims) if dv else 0
+              for dv in n.dims]
+    through_proj = repcat.hom_image(x, homological.resolution(n).augmentation)
+    spans = [Matrix.zeros(field, dv, 0) for dv in n.dims]
+    for v, count in enumerate(counts):
+        for counter in range(1, count):
+            vec = [(counter // field.p**k) % field.p for k in range(n.dims[v])]
+            seed = [Matrix.column(field, vec) if w == v else Matrix.zeros(field, dw, 0)
+                    for w, dw in enumerate(n.dims)]
+            _, incl = repcat.submodule_generated(n, seed)
+            meet = exactlin.intersect(through_proj, repcat.hom_image(x, incl))
+            if exactlin.subspace_leq(meet, h.basis):
+                for w in range(quiver.n_vertices):
+                    spans[w] = exactlin.subspace_sum(spans[w], incl.comps[w])
+    return repcat.submodule(n, spans)
+
+
 def generator_parts(cat):
     """M = the direct sum of the generators, and its indecomposable summands with inclusions."""
     m, incs, _ = repcat.direct_sum(list(cat.generators), cat.algebra)
@@ -687,11 +717,13 @@ def scan_enumerate(algebra, bound, cap=None):
 def summand_enumerate(algebra, bound):
     """The universe as `enumerate_indecomposables` once scanned it, in the same order.
 
-    Each candidate that satisfies the relations and has a connected support
-    is tested with `two_sided_summand_map` against every class kept before,
-    of its own dimension vector and of smaller ones, whether or not its top
-    or socle is simple; the library compares a candidate with a simple top
-    or socle only with its own dimension vector's classes, one hom system each.
+    Every assignment is built.  Each candidate that satisfies the relations
+    and has a connected support is tested with `two_sided_summand_map`
+    against every class kept before, of its own dimension vector and of
+    smaller ones, whether or not its top or socle is simple; the library
+    builds only the least assignment of each rescaling orbit, and compares
+    a candidate with a simple top or socle only with its own dimension
+    vector's classes, one hom system each.
     """
     field, arrows = algebra.field, algebra.quiver.arrows
     found = []

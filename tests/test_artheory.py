@@ -4,8 +4,11 @@ import math
 import pathlib
 import random
 import sys
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctkit import (
     AddCategory,
@@ -42,10 +45,12 @@ from scan_oracles import (
     flat_ext_dim,
     intertwining_kernel,
     radical,
+    scan_admissible_submodule,
     scan_enumerate,
     summand_enumerate,
 )
-from type_a import higher_auslander, ka_rad2
+from test_gldim_end import build, orbit_pool
+from type_a import higher_auslander, ka_rad2, nakayama
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
@@ -84,9 +89,11 @@ def test_the_flagship_scan_splits_no_class_through_end(fresh_flag, monkeypatch):
 
 def _universe_cases():
     """(presentation or fixture file, p, bound) of the universes compared with the old scan."""
-    cases = [(f, f, p, 2) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3, 5)]
-    cases += [(f"KA_{n}-rad2", ka_rad2(n), p, 2) for n in (3, 4, 5) for p in (2, 3, 5)]
-    cases += [("A_3^(2)", higher_auslander(3, 2), 2, 3)]
+    cases = [(f, f, p, 2) for f in ("ka2.json", "ka3rad2.json") for p in (2, 3, 5, 7)]
+    cases += [(f"KA_{n}-rad2", ka_rad2(n), p, 2) for n in (3, 4, 5) for p in (2, 3, 5, 7)]
+    cases += [("ka3rad2.json", "ka3rad2.json", p, 3) for p in (5, 7)]
+    cases += [("nakayama-3-2", nakayama(3, 2), p, 3) for p in (2, 3)]
+    cases += [("A_3^(2)", higher_auslander(3, 2), p, 3) for p in (2, 3)]
     return [pytest.param(source, p, bound, id=f"{name}-p{p}-bound{bound}")
             for name, source, p, bound in cases]
 
@@ -111,18 +118,57 @@ def test_the_universe_is_the_one_the_two_sided_scan_keeps(source, p, bound):
     assert key == [(m.dims, [f.entries for f in m.maps]) for m in oracle]
 
 
-# (hom systems, summand tests) per KA_n/rad^2 enumeration at bound 2, n = 3..6
-ENUMERATION_WORK = {2: [(6, 6), (8, 10), (10, 15), (12, 21)],
-                    7: [(16, 16), (23, 25), (30, 35), (37, 46)]}
+def _rescaled_digits(quiver, dims, digits, scales, p):
+    """The digits of an assignment over F_p after scaling basis vector k by scales[k]."""
+    offsets = [sum(dims[:v]) for v in range(len(dims))]
+    entries, at = list(digits[::-1]), 0
+    for a in quiver.arrows:
+        r, c = dims[a.target], dims[a.source]
+        for i in range(r):
+            for j in range(c):
+                t, s = scales[offsets[a.target] + i], scales[offsets[a.source] + j]
+                entries[at + i * c + j] = t * entries[at + i * c + j] * pow(s, -1, p) % p
+        at += r * c
+    return tuple(entries[::-1])
 
 
-@pytest.mark.parametrize("p", sorted(ENUMERATION_WORK))
+@st.composite
+def rescaling_cases(draw):
+    """A small quiver, loops allowed, a dimension vector of total <= 4, a prime and digits."""
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda d: sum(d) <= 4))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    quiver = Quiver([str(v) for v in range(n)],
+                    [(f"a{k}", str(s), str(t)) for k, (s, t) in enumerate(ends)])
+    entries = sum(dims[t] * dims[s] for s, t in ends)
+    p = draw(st.sampled_from([2, 3, 5]))
+    digits = draw(st.lists(st.integers(0, p - 1), min_size=entries, max_size=entries))
+    return quiver, tuple(dims), p, tuple(digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rescaling_cases())
+def test_an_assignment_is_built_exactly_when_it_is_the_least_of_its_rescaling_orbit(case):
+    """The union-find test agrees with the minimum over every rescaling of every basis vector."""
+    quiver, dims, p, digits = case
+    orbit = {_rescaled_digits(quiver, dims, digits, scales, p)
+             for scales in product(range(1, p), repeat=sum(dims))}
+    links = artheory._rescaling_links(quiver, dims)
+    assert artheory._rescaling_least(digits, links) == (digits == min(orbit))
+
+
+# (hom systems, summand tests) per KA_n/rad^2 enumeration at bound 2, n = 3..6, at every p
+ENUMERATION_WORK = [(6, 6), (8, 10), (10, 15), (12, 21)]
+
+
+@pytest.mark.parametrize("p", [2, 7])
 def test_the_enumeration_solves_one_hom_system_per_comparison(p, monkeypatch):
     """Work guard of the benchmark's universe on KA_n/rad^2, n = 3..6, one fresh document each.
 
     Of equal dimension vectors one hom system decides a comparison, and a
     candidate with a simple top or socle is compared only with its own
-    dimension vector's classes.
+    dimension vector's classes.  Only the least assignment of a rescaling
+    orbit is built, so the work does not grow with p.
     """
     made = []
     hom_kernel, summand_map = repcat._hom_kernel, repcat.summand_map
@@ -136,8 +182,9 @@ def test_the_enumeration_solves_one_hom_system_per_comparison(p, monkeypatch):
         assert len(enumerate_indecomposables(algebra, 2)) == 2 * n - 1
         counts.append((made.count("hom"), made.count("summand")))
     # (12.5, 43.5) at p = 2 and (47.5, 61) at p = 7 per document, on average, when
-    # every equal-dimension pair solved Hom both ways and every candidate met every class
-    assert all(c <= bound for pair, pinned in zip(counts, ENUMERATION_WORK[p])
+    # every equal-dimension pair solved Hom both ways and every candidate met every class,
+    # and (26.5, 30.5) at p = 7 when every assignment of a rescaling orbit was built
+    assert all(c <= bound for pair, pinned in zip(counts, ENUMERATION_WORK)
                for c, bound in zip(pair, pinned)), counts
 
 
@@ -498,6 +545,43 @@ def test_determined_morphism_refuses_before_any_scan(flag_cat, flag_mods, monkey
     )
     # one call, the whole scan of the first vertex, when the cap was checked a vertex at a time
     assert scanned == []
+
+
+def _a32_determined_case(p):
+    """A_3^(2) over F_p, its tau_2 orbit category, x its first non-projective member and n their sum."""
+    pool = orbit_pool(build(higher_auslander(3, 2), p), 2)
+    x = next(m for m in pool if not homological.is_projective(m))
+    return AddCategory(pool, 2), x, repcat.direct_sum(pool)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_determined_morphisms_are_the_ones_the_vector_scan_gives(p, monkeypatch):
+    """One vector per line outside the accepted sum finds the submodule, and so the map,
+    that the scan of every vector finds; each side works on an algebra of its own."""
+    cat, x, n = _a32_determined_case(p)
+    kinds = (EndSubmodule.zero, EndSubmodule.radical, EndSubmodule.full)
+    found = [determined_morphism(cat, x, n, kind(x, n)) for kind in kinds]
+    cat, x, n = _a32_determined_case(p)
+    monkeypatch.setattr(artheory, "_largest_admissible_submodule", scan_admissible_submodule)
+    scanned = [determined_morphism(cat, x, n, kind(x, n)) for kind in kinds]
+    assert [(g.domain.dims, repcat.hom_vec(g)) for g in found] == [
+        (g.domain.dims, repcat.hom_vec(g)) for g in scanned]
+
+
+def test_the_admissible_submodule_scan_generates_as_many_submodules_at_every_p(monkeypatch):
+    """Work guard: on A_3^(2) with h the radical, the cyclic submodules generated do not grow
+    with p (66, 318, 2,244 and 8,226 at p = 2, 3, 5 and 7 when every vector was tried)."""
+    made = []
+    real = repcat.submodule_generated
+    monkeypatch.setattr(repcat, "submodule_generated", lambda *args: made.append(1) or real(*args))
+    counts = []
+    for p in (2, 3, 5, 7):
+        _, x, n = _a32_determined_case(p)
+        h = EndSubmodule.radical(x, n)
+        made.clear()
+        artheory._largest_admissible_submodule(x, n, h)
+        counts.append(len(made))
+    assert counts == [counts[0]] * 4 and counts[0] <= 10, counts
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

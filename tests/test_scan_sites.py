@@ -1,9 +1,11 @@
 """p^k scans stay in the one subspace search that still needs them.
 
-``artheory._scan_space`` budgets a walk over every vector of a space over
-F_p, p^dim of them.  Library code may use it only inside the routine
-listed here, which searches subspaces by design; splitting, isomorphism and
-radicals are linear algebra on End(x) and must not enumerate.
+``artheory._scan_space`` budgets a walk over the vectors of a space over
+F_p: it counts all p^dim of them, though the routine listed here tries
+only one vector per line and none inside the sum it has accepted.  Library
+code may use it only inside that routine, which searches subspaces by
+design; splitting, isomorphism and radicals are linear algebra on End(x)
+and must not enumerate.
 """
 
 import ast
