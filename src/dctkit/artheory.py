@@ -193,7 +193,7 @@ def _ext_table(cat: AddCategory, i: int) -> List[List[int]]:
 def _ext_degrees(mods: Sequence[Module], d: int) -> range:
     """Degrees 1..d-1 up to the longest resolution among mods: Ext out of them vanishes past it."""
     top = 0
-    while top + 1 < d and any(homological.resolution(z).vertices(top + 1) for z in mods):
+    while top + 1 < d and any(not homological.syzygy(z, top + 1).is_zero() for z in mods):
         top += 1
     return range(1, top + 1)
 
@@ -547,7 +547,7 @@ def _largest_admissible_submodule(
     # every vertex is checked against the cap before any scan: a refusal costs nothing
     counts = [_scan_space(field, dv, cap, "determined_morphism", n.dims) if dv else 0
               for dv in n.dims]
-    through_proj = repcat.hom_image(x, homological.resolution(n).augmentation)
+    through_proj = repcat.hom_image(x, homological._cover_step(n).cover)
     spans = [Matrix.zeros(field, n.dims[v], 0) for v in range(quiver.n_vertices)]
     for v, count in enumerate(counts):
         dv = n.dims[v]
@@ -641,8 +641,8 @@ def determined_morphism(
     # (3) spanning set of the preimage plus a projective cover
     gens = [repcat.morphism_from_vec(x, n_h, vec) for vec in pre_flat.columns()]
     x_parts = repcat.split_summands(x)
-    res = homological.resolution(n_h)
-    paug, verts, algebra = res.augmentation, res.vertices(0), n_h.algebra
+    paug, verts, _ = homological._cover_step(n_h)
+    algebra = n_h.algebra
     _, p_incs, _ = repcat.direct_sum([repcat.projective(algebra, v) for v in verts], algebra)
     pieces = [f @ inc for f in gens for _, inc in x_parts] + [paug @ inc for inc in p_incs]
     gmin, _ = approx.minimal_cover(n_h, pieces)
@@ -820,7 +820,7 @@ def domdim_end(cat: AddCategory):
     for i in range(1, limit + 1):
         if any(map(any, _ext_table(cat, i))):
             return i + 1
-        running = [z for z in running if homological.resolution(z).vertices(i + 1)]
+        running = [z for z in running if not homological.syzygy(z, i + 1).is_zero()]
         if not running:
             return math.inf
     raise CapExceeded.over("domdim_end", running[0].dims, f"a resolution longer than {limit}",

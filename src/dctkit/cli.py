@@ -150,6 +150,13 @@ def _load(args) -> Workspace:
     return workspace.load(args.workspace, args.field, args.d)
 
 
+def _check_d_bound(ws: Workspace) -> None:
+    """Refuse a d over the schema's bound, which --d passes unchecked, before any work."""
+    top = workspace._SCHEMA["properties"]["d"]["maximum"]
+    if ws.d > top:
+        raise UsageError(f"--d must be at most {top}: the certificate's work grows linearly in d")
+
+
 def _dim_bound(ws: Workspace, args) -> int:
     return args.bound if args.bound is not None else ws.algebra.dim
 
@@ -288,18 +295,13 @@ def _run_resolve(ws: Workspace, args) -> Tuple[dict, int]:
     if args.length < 0:
         raise UsageError("--length must be non-negative")
     x = ws.module(args.module)
-    res = homological.resolution(x)
     quiver = ws.algebra.quiver
     terms = []
     for i in range(args.length + 1):
-        proj = res.projective(i)
-        terms.append(
-            {
-                "vertices": [quiver.vertices[v] for v in res.vertices(i)],
-                "dims": list(proj.dims),
-            }
-        )
-        if proj.is_zero():
+        cover, verts, _ = homological._cover_step(homological.syzygy(x, i))
+        terms.append({"vertices": [quiver.vertices[v] for v in verts],
+                      "dims": list(cover.domain.dims)})
+        if not verts:
             break
     return {"module": args.module, "terms": terms}, 0
 
@@ -355,6 +357,7 @@ def _run_enumerate(ws: Workspace, args) -> Tuple[dict, int]:
 def _run_d_rigid(ws: Workspace, args) -> Tuple[dict, int]:
     from . import artheory
 
+    _check_d_bound(ws)
     report = artheory.is_d_rigid(ws.category(args.category))
     doc = _doc(report)
     doc["category"] = args.category
@@ -364,6 +367,7 @@ def _run_d_rigid(ws: Workspace, args) -> Tuple[dict, int]:
 def _run_ct_check(ws: Workspace, args) -> Tuple[dict, int]:
     from . import artheory
 
+    _check_d_bound(ws)
     cat = ws.category(args.category)
     bound = _dim_bound(ws, args)
     universe = artheory.enumerate_indecomposables(ws.algebra, bound, args.cap)

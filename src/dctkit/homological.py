@@ -1,14 +1,16 @@
 """Resolutions, Ext, the transpose, and higher translates.
 
-Everything is read off the minimal projective resolution of a module: one
-list of steps, each a projective cover and its kernel, stopped at its first
-zero term.  A step is kept on the module it covers, so resolutions that
-meet one syzygy share it.  Each differential is read once as a
-table of algebra elements.  Hom out of a projective needs no hom basis: by
-Yoneda a map P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and Ext
-is cocycles modulo coboundaries in those coordinates.  Tr_d x, the
-transpose of Omega^{d-1} x, is the cokernel of Hom(d_d, A), read off x's own
-resolution in those coordinates at every projective P_w of A at once.
+A module's minimal projective resolution is its chain of syzygies.  Step
+i, the projective cover of Omega^i x and its kernel, is kept on Omega^i x,
+so resolutions that meet one syzygy share it; `syzygy(x, k)` walks the
+chain and stops at its first zero term.  d_{i+1} of x is d_1 of Omega^i x,
+read once as a table of algebra elements kept on that syzygy.  Hom out of
+a projective needs no hom basis: by Yoneda a map P_v -> y is its value at
+e_v, so Hom(P_v, y) is y e_v, and Ext^i(x, y) is cocycles modulo
+coboundaries in those coordinates, read off Omega^{i-1} x and Omega^i x.
+Tr_d x = Tr Omega^{d-1} x is kept on the syzygy it transposes: the
+cokernel of Hom(d_1, A) in those coordinates at every projective P_w of A
+at once.
 """
 
 from __future__ import annotations
@@ -30,83 +32,29 @@ class _Step(NamedTuple):
     inclusion: Morphism  # Omega^{i+1} x -> P_i
 
 
-class ProjResolution:
-    """A minimal projective resolution, extended lazily to its first zero term.
+def syzygy(x: Module, k: int) -> Module:
+    """Omega^k x, with step k, its projective cover, kept on it; k = 0 gives x.
 
-    Step 0 covers the module itself; `differential(i)` is the map from
-    step i to step i-1 for i >= 1.  Once a kernel is zero the steps stop
-    growing: every later term is that zero module, with zero maps.
-    Covers stop at step config.RESOLUTION_CAP + 1, the last one Ext in
-    degree RESOLUTION_CAP reads; a resolution still running there is refused.
+    The walk covers x, Omega x, ..., Omega^k x in turn (`_cover_step`)
+    and stops at the first zero syzygy: every later one is that zero
+    module.  Covers stop at step config.RESOLUTION_CAP + 1, the last one
+    Ext in degree RESOLUTION_CAP reads; a resolution still running there
+    is refused at step k.
     """
-
-    def __init__(self, x: Module):
-        self.module = x
-        self._steps: List[_Step] = []
-        self._cache: dict = {}
-
-    @property
-    def augmentation(self) -> Morphism:
-        return self._steps[self._step(0)].cover
-
-    def _step(self, i: int) -> int:
-        """Where step i is stored, once covered: past the first zero term, at that term."""
-        cap, steps = config.RESOLUTION_CAP, self._steps
-        while len(steps) <= i and (not steps or steps[-1].vertices):
-            m = steps[-1].inclusion.domain if steps else self.module
-            if len(steps) > cap + 1 and not m.is_zero():
-                raise CapExceeded.over(
-                    f"projective resolution to step {i}", self.module.dims,
-                    f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP",
-                )
-            steps.append(_cover_step(m))
-        return min(i, len(steps) - 1)
-
-    def projective(self, i: int) -> Module:
-        return self._steps[self._step(i)].cover.domain
-
-    def vertices(self, i: int) -> List[int]:
-        return self._steps[self._step(i)].vertices
-
-    def differential(self, i: int) -> Morphism:
-        if i < 1:
-            raise ValueError("differentials start at index 1")
-        at = self._step(i)  # past the first zero term, whose cover and inclusion are identities
-        return self._steps[min(i - 1, at)].inclusion @ self._steps[at].cover
-
-    @repcat._kept("elements")
-    def elements(self, i: int) -> List[List[Tuple[int, ...]]]:
-        """The differential d_i as a table of algebra elements (i >= 1).
-
-        Entry (k, j) holds the algebra coordinates of the image of the
-        trivial path e_u, u the k-th vertex of step i, in the j-th summand
-        P_v of step i - 1: a combination of the paths from v to u, read
-        off the cover's trivial-path column and the kernel inclusion of
-        step i - 1.  Kept on the resolution; empty once step i is zero.
-        """
-        if self._step(i) < i:
-            return []
-        algebra = self.module.algebra
-        between = algebra.basis_indices_between
-        (cover, us, _), prev = self._steps[i], self._steps[i - 1]
-        table = []
-        for k, u in enumerate(us):
-            col = sum(len(between(w, u)) for w in us[:k])
-            image = iter((prev.inclusion.comps[u] @ cover.comps[u].col(col)).columns()[0])
-            line = []
-            for v in prev.vertices:
-                vec = [0] * algebra.dim
-                for q in between(v, u):
-                    vec[q] = next(image)
-                line.append(tuple(vec))
-            table.append(line)
-        return table
-
-    def syzygy(self, k: int) -> Module:
-        """The k-th syzygy; k = 0 gives the module back."""
-        if k == 0:
-            return self.module
-        return self._steps[self._step(k - 1)].inclusion.domain
+    if k < 0:
+        raise ValueError("negative syzygy index")
+    m, cap = x, config.RESOLUTION_CAP
+    for j in range(k + 1):
+        if j > cap + 1 and not m.is_zero():
+            raise CapExceeded.over(
+                f"projective resolution to step {k}", x.dims,
+                f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP",
+            )
+        step = _cover_step(m)
+        if j == k or not step.vertices:
+            break
+        m = step.inclusion.domain
+    return m
 
 
 @repcat._kept("cover")
@@ -116,9 +64,32 @@ def _cover_step(m: Module) -> _Step:
     return _Step(epi, verts, repcat.kernel(epi)[1])
 
 
-@repcat._kept("resolution")
-def resolution(x: Module) -> ProjResolution:
-    return ProjResolution(x)
+@repcat._kept("differential")
+def _differential(m: Module) -> List[List[Tuple[int, ...]]]:
+    """d_1: P_1 -> P_0 of m's resolution as a table of algebra elements, kept on m.
+
+    Entry (k, j) holds the algebra coordinates of the image of the
+    trivial path e_u, u the k-th vertex of P_1, in the j-th summand P_v
+    of P_0: a combination of the paths from v to u, read off the cover
+    of Omega m and the kernel inclusion of m's cover.  Empty when
+    Omega m is zero.  d_{i+1} of x is d_1 of Omega^i x.
+    """
+    algebra = m.algebra
+    between = algebra.basis_indices_between
+    top = _cover_step(m)
+    cover, us, _ = _cover_step(syzygy(m, 1))
+    table = []
+    for k, u in enumerate(us):
+        col = sum(len(between(w, u)) for w in us[:k])
+        image = iter((top.inclusion.comps[u] @ cover.comps[u].col(col)).columns()[0])
+        line = []
+        for v in top.vertices:
+            vec = [0] * algebra.dim
+            for q in between(v, u):
+                vec[q] = next(image)
+            line.append(tuple(vec))
+        table.append(line)
+    return table
 
 
 def is_projective(x: Module) -> bool:
@@ -156,9 +127,8 @@ def pd(x: Module) -> int:
     if x.is_zero():
         return -1
     cap = config.RESOLUTION_CAP
-    res = resolution(x)
     for i in range(cap + 1):
-        if res.syzygy(i + 1).is_zero():
+        if is_projective(syzygy(x, i)):
             return i
     raise CapExceeded.over(
         "pd", x.dims, f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP"
@@ -173,18 +143,20 @@ def gldim(algebra: BoundQuiverAlgebra) -> int:
 # -- Ext spaces and induced maps -----------------------------------------
 
 
-def _hom_out(res: ProjResolution, i: int, y: Module) -> Matrix:
-    """Hom(d_i, y) in Yoneda coordinates, from (+)_j y_{v_j} to (+)_k y_{u_k}.
+def _hom_out(m: Module, y: Module) -> Matrix:
+    """Hom(d_1, y) for d_1 of m's resolution, in Yoneda coordinates.
 
-    A map P_v -> y is its value at e_v, so Hom(P_v, y) is y e_v, and the
-    (k, j) block is the action on y of entry (k, j) of d_i's table.  The
-    rows are laid out as integers block by block; a vertex where y vanishes
-    adds no row or column.
+    It maps (+)_j y_{v_j} to (+)_k y_{u_k}, the v_j the vertices of P_0
+    and the u_k those of P_1.  A map P_v -> y is its value at e_v, so
+    Hom(P_v, y) is y e_v, and the (k, j) block is the action on y of
+    entry (k, j) of `_differential(m)`.  The rows are laid out as
+    integers block by block; a vertex where y vanishes adds no row or
+    column.
     """
     dims, paths, p = y.dims, y.algebra.path_basis, y.field.p
-    vs = res.vertices(i - 1)
+    vs = _cover_step(m).vertices
     rows = []
-    for u, line in zip(res.vertices(i), res.elements(i)):
+    for u, line in zip(_cover_step(syzygy(m, 1)).vertices, _differential(m)):
         if not dims[u]:
             continue
         out = [[] for _ in range(dims[u])]
@@ -208,18 +180,21 @@ def ext_space(x: Module, y: Module, i: int) -> exactlin.Quotient:
     The coordinates are the Yoneda ones, (+)_j y_{v_j} = Hom(P_i, y) for
     P_i step i of the resolution of x with summands P_{v_j}: `reps` lists
     class representatives there and `proj` sends a cocycle vector to its
-    class coordinates.
+    class coordinates.  The cocycles are the kernel of Hom(d_{i+1}, y),
+    d_{i+1} being d_1 of Omega^i x, and the coboundaries the image of
+    Hom(d_i, y).
     """
     if i < 0:
         raise ValueError("negative Ext degree")
     if x.algebra is not y.algebra:
         raise DimensionMismatch("Ext between modules over different algebras")
-    res = resolution(x)
-    cocycles = exactlin.kernel_basis(_hom_out(res, i + 1, y))
+    m = syzygy(x, i)
+    syzygy(x, i + 1)  # d_{i+1} reads step i + 1, refused after step i
+    cocycles = exactlin.kernel_basis(_hom_out(m, y))
     if i == 0:
         coboundaries = Matrix.zeros(y.field, cocycles.rows, 0)
     else:
-        coboundaries = exactlin.canonical_basis(_hom_out(res, i, y))
+        coboundaries = exactlin.canonical_basis(_hom_out(syzygy(x, i - 1), y))
     return exactlin.quotient(cocycles, coboundaries)
 
 
@@ -229,21 +204,22 @@ def ext_dim(x: Module, y: Module, i: int) -> int:
         raise ValueError("negative Ext degree")
     if x.algebra is not y.algebra:
         raise DimensionMismatch("Ext between modules over different algebras")
-    res = resolution(x)
-    cochains = sum(y.dims[v] for v in res.vertices(i))
+    m = syzygy(x, i)
+    cochains = sum(y.dims[v] for v in _cover_step(m).vertices)
     if cochains == 0:
         return 0
-    cocycles = cochains - exactlin.rank(_hom_out(res, i + 1, y))
+    syzygy(x, i + 1)  # d_{i+1} reads step i + 1, refused after step i
+    cocycles = cochains - exactlin.rank(_hom_out(m, y))
     if i == 0:
         return cocycles
-    return cocycles - exactlin.rank(_hom_out(res, i, y))
+    return cocycles - exactlin.rank(_hom_out(syzygy(x, i - 1), y))
 
 
 def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
     """Matrix of Ext^i(x, f): Ext^i(x, dom f) -> Ext^i(x, cod f)."""
     src = ext_space(x, f.domain, i)
     dst = ext_space(x, f.codomain, i)
-    post = exactlin.block_diag(x.field, [f.comps[v] for v in resolution(x).vertices(i)])
+    post = exactlin.block_diag(x.field, [f.comps[v] for v in _cover_step(syzygy(x, i)).vertices])
     return dst.proj @ post @ src.reps
 
 
@@ -252,23 +228,28 @@ def ext_map_post(x: Module, f: Morphism, i: int) -> Matrix:
 
 @repcat._kept("tr")
 def tr_d(x: Module, d: int) -> Module:
-    """Tr Omega^{d-1} x over the opposite algebra, from steps d-1 and d of x's resolution.
+    """Tr Omega^{d-1} x over the opposite algebra, kept on x once per d.
 
-    Hom(P_v, A) = A e_v is the opposite projective at v, and its part at a
-    vertex w is e_w A e_v = P_w e_v, in the same path-basis order.  So the
-    component at w of Hom(d_d, A) is Hom(d_d, P_w) in Yoneda coordinates.
-    The cokernel reads only the codomain of Hom(d_d, A) and these
-    components, so the sum of opposite projectives over step d-1 is never
-    built.  Kept on x once per d, as its resolution is.
+    For d > 1 it is tr_d(Omega^{d-1} x, 1), so Tr is kept on the syzygy
+    it transposes and x's resolution is walked, never resolved again.
+    Tr x is the cokernel of Hom(d_1, A).  Hom(P_v, A) = A e_v is the
+    opposite projective at v, and its part at a vertex w is
+    e_w A e_v = P_w e_v, in the same path-basis order.  So the component
+    at w of Hom(d_1, A) is Hom(d_1, P_w) in Yoneda coordinates.  The
+    cokernel reads only the codomain of Hom(d_1, A) and these
+    components, so the sum of opposite projectives over P_0 is never
+    built.
     """
     if d < 1:
         raise ValueError("the dimension parameter must be at least 1")
-    res = resolution(x)
-    res.syzygy(d - 1)  # a resolution too long for Omega^{d-1} x is refused at step d-2
+    if d > 1:
+        syzygy(x, d - 2)  # a resolution too long for Omega^{d-1} x is refused at step d-2,
+        syzygy(x, d)  # or at step d, which Tr Omega^{d-1} x reads
+        return tr_d(syzygy(x, d - 1), 1)
     algebra, opp = x.algebra, x.algebra.opposite()
-    cod = repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(d)], opp)
-    comps = [_hom_out(res, d, repcat.projective(algebra, w))
-             for w in range(algebra.quiver.n_vertices)]
+    below = _cover_step(syzygy(x, 1)).vertices
+    cod = repcat.sum_module([repcat.projective(opp, v) for v in below], opp)
+    comps = [_hom_out(x, repcat.projective(algebra, w)) for w in range(algebra.quiver.n_vertices)]
     return repcat._cokernel(cod, comps)[0]
 
 
@@ -287,14 +268,14 @@ def tau_d_minus(x: Module, d: int) -> Module:
 
 def projectively_stable_dim(x: Module, y: Module) -> int:
     """Dimension of Hom(x, y) modulo maps that factor through a projective."""
-    through = repcat.hom_image(x, resolution(y).augmentation)
+    through = repcat.hom_image(x, _cover_step(y).cover)
     return repcat.hom_dim(x, y) - through.cols
 
 
 def injectively_stable_dim(x: Module, y: Module) -> int:
     """Dimension of Hom(x, y) modulo maps that factor through an injective.
 
-    Computed as the projectively stable Hom(D y, D x); the resolution of
-    D x it needs stays cached on the dual of x.
+    Computed as the projectively stable Hom(D y, D x); the cover of D x
+    it reads stays kept on the dual of x.
     """
     return projectively_stable_dim(repcat.duality(y), repcat.duality(x))

@@ -59,7 +59,7 @@ from .exactlin import Matrix
 def _kept(name: str):
     """Keep f(owner, *args) in owner._cache under name, or (name, *args) with arguments.
 
-    The owner is a module, a category, an algebra or a resolution.  A key
+    The owner is a module, a category or an algebra.  A key
     holds the objects it is about, which hash by identity, and a kept value
     may be falsy but never None.  `forget(owner, *args)` drops one entry.
     """

@@ -10,8 +10,9 @@ cached projectives side by side and reads the epi off the path actions.
 Maps between direct sums were once sums of inc o f o proj, and the
 transpose was glued from maps between opposite projectives; the library
 stacks blocks and reads Tr off the Yoneda matrix of Ext instead.  Tr_d x
-once resolved the syzygy Omega^{d-1} x afresh (`resolved_syzygy_tr_d`);
-the library reads steps d-1 and d of x's own resolution.  Tensor
+is compared with the glued transpose of Omega^{d-1} x reached by fresh
+covers (`resolved_syzygy_tr_d`); the library walks the covers kept on x's
+syzygies.  Tensor
 products were once vertexwise products modulo the arrow relations, and
 the socle the joint kernel of the outgoing arrows; the library reads both
 through the duality D.  A bound quiver algebra was once built by one
@@ -250,34 +251,42 @@ def scan_right_minimalize(g: Morphism) -> Morphism:
         g = g @ inc
 
 
+def resolution_step(x, i):
+    """Step i of x's minimal resolution, the cover of Omega^i x: (cover, vertices, inclusion)."""
+    return homological._cover_step(homological.syzygy(x, i))
+
+
+def differential(x, i):
+    """d_i: P_i -> P_{i-1} of x's minimal resolution as a morphism (i >= 1)."""
+    return resolution_step(x, i - 1).inclusion @ resolution_step(x, i).cover
+
+
 def flat_ext_space(x, y, i):
     """(reps, proj) of Ext^i(x, y) in flat coordinates on Hom(P_i, y)."""
-    res = homological.resolution(x)
-    hom_i = repcat.hom_space_matrix(res.projective(i), y)
-    coords = exactlin.kernel_basis(repcat.hom_composites(res.differential(i + 1), y))
+    hom_i = repcat.hom_space_matrix(resolution_step(x, i).cover.domain, y)
+    coords = exactlin.kernel_basis(repcat.hom_composites(differential(x, i + 1), y))
     cocycles = exactlin.canonical_basis(hom_i @ coords)
     if i == 0:
         coboundaries = Matrix.zeros(y.field, hom_i.rows, 0)
     else:
-        coboundaries = repcat.hom_coimage(res.differential(i), y)
+        coboundaries = repcat.hom_coimage(differential(x, i), y)
     return exactlin.quotient(cocycles, coboundaries)
 
 
 def flat_ext_dim(x, y, i):
     """dim Ext^i(x, y) from ranks of Hom(d, y) on hom bases."""
-    res = homological.resolution(x)
-    post = repcat.hom_composites(res.differential(i + 1), y)
+    post = repcat.hom_composites(differential(x, i + 1), y)
     cocycles = post.cols - exactlin.rank(post)
     if i == 0:
         return cocycles
-    return cocycles - exactlin.rank(repcat.hom_composites(res.differential(i), y))
+    return cocycles - exactlin.rank(repcat.hom_composites(differential(x, i), y))
 
 
 def flat_ext_map_post(x, f, i):
     """Matrix of Ext^i(x, f), each class pushed through f as a morphism."""
     src_reps, _ = flat_ext_space(x, f.domain, i)
     dst_reps, dst_proj = flat_ext_space(x, f.codomain, i)
-    p_i = homological.resolution(x).projective(i)
+    p_i = resolution_step(x, i).cover.domain
     cols = []
     for vec in src_reps.columns():
         rep = repcat.morphism_from_vec(p_i, f.domain, vec)
@@ -376,34 +385,30 @@ def proj_hom(algebra, u, v, xvec):
 def glued_transpose(x):
     """Tr x as the cokernel of proj_hom maps between opposite projectives."""
     opp = x.algebra.opposite()
-    res = homological.resolution(x)
-    verts0, verts1 = res.vertices(0), res.vertices(1)
+    verts0, verts1 = resolution_step(x, 0).vertices, resolution_step(x, 1).vertices
     dom_sum = repcat.direct_sum([repcat.projective(opp, v) for v in verts0], algebra=opp)
     cod_sum = repcat.direct_sum([repcat.projective(opp, u) for u in verts1], algebra=opp)
     # the reversal of an element has the same coordinates over the
     # reversed-path basis, so each table entry is reused verbatim
     grid = [
         [proj_hom(opp, v, u, xvec) for v, xvec in zip(verts0, line)]
-        for u, line in zip(verts1, res.elements(1))
+        for u, line in zip(verts1, homological._differential(x))
     ]
     return repcat.cokernel(summed_block_map(dom_sum, cod_sum, grid))[0]
 
 
 def resolved_syzygy_tr_d(x, d):
-    """Tr_d x by the route the library once took: Omega^{d-1} x resolved afresh, then transposed.
+    """Tr_d x as the glued transpose of Omega^{d-1} x, itself reached by d - 1 fresh covers.
 
-    The transpose is the cokernel of Hom(d_1, A) on that new resolution,
-    one Yoneda block per projective P_w of A.
+    Each cover is `repcat.projective_cover` called afresh, not the step
+    kept on the module, so the library's walk is not read, and the
+    transpose is glued from opposite projectives, not read off the
+    Yoneda matrix.
     """
-    y = homological.resolution(x).syzygy(d - 1)
-    algebra, opp, res = y.algebra, y.algebra.opposite(), homological.ProjResolution(y)
-    dom, cod = (
-        repcat.sum_module([repcat.projective(opp, v) for v in res.vertices(i)], opp)
-        for i in (0, 1)
-    )
-    comps = [homological._hom_out(res, 1, repcat.projective(algebra, w))
-             for w in range(algebra.quiver.n_vertices)]
-    return repcat.cokernel(Morphism(dom, cod, comps, _skip_check=True))[0]
+    y = x
+    for _ in range(d - 1):
+        y = repcat.kernel(repcat.projective_cover(y)[1])[0]
+    return glued_transpose(y)
 
 
 def _ambient_tensor(m, n):
@@ -455,9 +460,8 @@ def ambient_tor_dim(m, n, i):
     """Tor_i(m, n) as the homology of m (x) the resolution of n."""
     if i == 0:
         return ambient_tensor_dim(m, n)
-    res = homological.resolution(n)
-    inner = ambient_tensor_map(m, res.differential(i))
-    outer = ambient_tensor_map(m, res.differential(i + 1))
+    inner = ambient_tensor_map(m, differential(n, i))
+    outer = ambient_tensor_map(m, differential(n, i + 1))
     return inner.cols - exactlin.rank(inner) - exactlin.rank(outer)
 
 
@@ -614,7 +618,7 @@ def scan_admissible_submodule(x, n, h, cap=None):
     field, quiver = n.field, n.algebra.quiver
     counts = [artheory._scan_space(field, dv, cap, "determined_morphism", n.dims) if dv else 0
               for dv in n.dims]
-    through_proj = repcat.hom_image(x, homological.resolution(n).augmentation)
+    through_proj = repcat.hom_image(x, resolution_step(n, 0).cover)
     spans = [Matrix.zeros(field, dv, 0) for dv in n.dims]
     for v, count in enumerate(counts):
         for counter in range(1, count):

@@ -481,19 +481,18 @@ def test_every_end_submodule_is_realized(flag_cat, flag_mods):
 
 
 def test_determined_morphism_covers_no_module_that_has_a_resolution(flag_cat, monkeypatch):
-    """The trace condition reads n's cover off its resolution instead of covering n again."""
+    """The trace condition reads the cover kept on n instead of covering n again."""
     again = []
     real = repcat.projective_cover
 
     def spy(x):
-        res = x._cache.get("resolution")
-        if res is not None and res._steps:
+        if "cover" in x._cache:
             again.append(x)
         return real(x)
 
     pool = flag_cat._summand_pool()
     for n in pool:
-        homological.resolution(n).augmentation
+        homological._cover_step(n)
     monkeypatch.setattr(repcat, "projective_cover", spy)
     for x in pool:
         for n in pool:

@@ -403,6 +403,23 @@ def test_dass_past_the_resolution_cap_is_refused_at_once(d):
     }
 
 
+@pytest.mark.parametrize("command", [["d-rigid"], ["ct-check", "--bound", "2"]])
+def test_a_d_past_the_schema_bound_is_refused_before_any_work(command):
+    # the schema caps d at 1024; --d is applied after the schema check, so the runner refuses it
+    ws = ["--workspace", FLAG, "--category", "M"]
+    for d in (1025, 10**9):
+        r = run_cli(*command, *ws, "--d", str(d), timeout=5)
+        assert r.returncode == 2
+        assert payload(r)["error"] == {
+            "code": 2,
+            "kind": "input",
+            "message": "--d must be at most 1024: the certificate's work grows linearly in d",
+        }
+    r = run_cli(*command, *ws, "--d", "1024", timeout=60)
+    assert r.returncode == 0
+    assert payload(r)["d"] == 1024
+
+
 def test_a_huge_bound_is_refused_before_any_scan():
     # the budget is summed over dimension vectors lazily, so the refusal
     # comes at the first vector over the cap, not after listing 10^27 of them

@@ -239,13 +239,14 @@ def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatc
     ws = ka_workspace(6, 2)
     cat = ws.category("M")
     universe = enumerate_indecomposables(ws.algebra, 2)
-    resolved, misses, generation_misses = [], [], []
-    real_init, real_hom = homological.ProjResolution.__init__, repcat._hom_data
+    covered, misses, generation_misses = [], [], []
+    real_cover, real_hom = homological._cover_step, repcat._hom_data
     real_generation = AddCategory._generating_cogenerating
 
-    def init(self, x):
-        resolved.append(x)
-        real_init(self, x)
+    def cover(m):
+        if "cover" not in m._cache:
+            covered.append(m)
+        return real_cover(m)
 
     def hom(x, y):
         cached = x._cache.get(("hom", y))
@@ -259,17 +260,18 @@ def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatc
         generation_misses.append(len(misses) - before)
         return out
 
-    monkeypatch.setattr(homological.ProjResolution, "__init__", init)
+    monkeypatch.setattr(homological, "_cover_step", cover)
     monkeypatch.setattr(repcat, "_hom_data", hom)
     monkeypatch.setattr(AddCategory, "_generating_cogenerating", generation)
     report = is_d_cluster_tilting(cat, universe)
     assert report.ok and generation_misses == [0]
     members = [x for x, row in zip(universe, report.rows) if row["in_category"]]
     assert len(members) == len(cat._summand_pool()) == 7
-    # a universe member is its pool member itself: no module is resolved twice
-    assert len({(x.dims, x.maps) for x in resolved}) == len(resolved)
-    # the generators, then the 4 universe members outside the category
-    assert len(resolved) == len(cat.generators) + len(universe) - len(members) == 11
+    # a universe member is its pool member itself: no module is covered twice
+    assert len({(x.dims, x.maps) for x in covered}) == len(covered)
+    # the generators, the 4 universe members outside the category and the
+    # zero module; every other syzygy is one of them
+    assert len(covered) == len(cat.generators) + len(universe) - len(members) + 1 == 12
     # 21 when the guard was written; resolving every member took more
     assert len(misses) <= 21
 

@@ -26,13 +26,13 @@ from dctkit.homological import (
     is_injective,
     is_projective,
     projectively_stable_dim,
-    resolution,
+    syzygy,
     tr_d,
 )
 from dctkit.repcat import Morphism, are_isomorphic, duality, hom_basis, hom_dim, simple
 from scan_oracles import ambient_tensor_dim, ambient_tensor_map, ambient_tor_dim, tensor_map
 from scan_oracles import flat_ext_dim, flat_ext_map_post, flat_ext_space, glued_transpose, proj_hom
-from scan_oracles import injective, resolved_syzygy_tr_d
+from scan_oracles import differential, injective, resolution_step, resolved_syzygy_tr_d
 from type_a import higher_auslander, nakayama
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,15 +40,15 @@ DATA = ROOT / "tests" / "data"
 
 
 def test_resolution_of_end_simple_walks_the_line(flag, flag_mods):
-    res = resolution(flag_mods["S1"])
-    assert tuple(res.projective(0).dims) == (1, 1, 0)
-    assert tuple(res.projective(1).dims) == (0, 1, 1)
-    assert tuple(res.projective(2).dims) == (0, 0, 1)
-    assert res.projective(3).is_zero()
+    x = flag_mods["S1"]
+    assert tuple(resolution_step(x, 0).cover.domain.dims) == (1, 1, 0)
+    assert tuple(resolution_step(x, 1).cover.domain.dims) == (0, 1, 1)
+    assert tuple(resolution_step(x, 2).cover.domain.dims) == (0, 0, 1)
+    assert resolution_step(x, 3).cover.domain.is_zero()
     # differentials compose to zero
-    comp = res.differential(1) @ res.differential(2)
+    comp = differential(x, 1) @ differential(x, 2)
     assert comp.is_zero()
-    assert (res.augmentation @ res.differential(1)).is_zero()
+    assert (resolution_step(x, 0).cover @ differential(x, 1)).is_zero()
 
 
 def test_pd_and_gldim(flag, ka2, flag_mods, ka2_mods):
@@ -120,9 +120,9 @@ def test_ext_vanishes_beyond_global_dimension(flag, flag_mods):
 
 
 def test_syzygy_is_kernel_of_cover(flag_mods):
-    s = resolution(flag_mods["S1"]).syzygy(1)
+    s = syzygy(flag_mods["S1"], 1)
     assert tuple(s.dims) == (0, 1, 0)
-    s2 = resolution(flag_mods["S1"]).syzygy(2)
+    s2 = syzygy(flag_mods["S1"], 2)
     assert tuple(s2.dims) == (0, 0, 1)
 
 
@@ -305,8 +305,8 @@ def test_projectivity_by_counting_matches_the_resolution(name, p):
     """x is projective exactly when its first syzygy is zero, and injective when D x is."""
     mods = ext_group(name, p)
     for x in mods + tuple(enumerate_indecomposables(mods[0].algebra, 2)):
-        assert is_projective(x) == resolution(x).syzygy(1).is_zero(), x
-        assert is_injective(x) == resolution(duality(x)).syzygy(1).is_zero(), x
+        assert is_projective(x) == syzygy(x, 1).is_zero(), x
+        assert is_injective(x) == syzygy(duality(x), 1).is_zero(), x
 
 
 def test_resolutions_and_minimal_covers_need_no_direct_sum(monkeypatch):
@@ -370,19 +370,89 @@ def test_tr_d_matches_the_resolved_syzygy(kind, which, p):
             assert (tr.dims, tr.maps) == (oracle.dims, oracle.maps), (x, d)
 
 
+def spy_cover_steps(monkeypatch):
+    """Every module `_cover_step` is asked to cover from now on, kept or not."""
+    asked = []
+    real = homological._cover_step
+
+    def spy(m):
+        asked.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homological, "_cover_step", spy)
+    return asked
+
+
+def spy_new_facts(monkeypatch):
+    """(kind, module) for every cover, d_1 table and transpose computed from now on."""
+    made = []
+    for name, key in (("_cover_step", "cover"), ("_differential", "differential")):
+        def spy(m, real=getattr(homological, name), key=key):
+            if key not in m._cache:
+                made.append((key, m))
+            return real(m)
+
+        monkeypatch.setattr(homological, name, spy)
+    cokernel = repcat._cokernel
+
+    def counting(y, images):
+        made.append(("cokernel", y))
+        return cokernel(y, images)
+
+    monkeypatch.setattr(repcat, "_cokernel", counting)
+    return made
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_tau_d_resolves_only_its_argument(fresh_flag, d, monkeypatch):
-    resolved = []
-    real_init = homological.ProjResolution.__init__
-
-    def init(self, x):
-        resolved.append(x)
-        real_init(self, x)
-
-    monkeypatch.setattr(homological.ProjResolution, "__init__", init)
+    """tau_d covers only x's own syzygies, up to Omega^d x."""
+    asked = spy_cover_steps(monkeypatch)
     x = simple(fresh_flag, 0)
     tau_d(x, d)
-    assert resolved == [x]
+    seen = set(asked)
+    assert seen and seen <= {syzygy(x, j) for j in range(d + 1)}
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_ext_of_a_syzygy_reads_what_ext_of_the_module_kept(n, monkeypatch):
+    """Ext^i(Omega x, y) reads the steps and tables Ext^{i+1}(x, y) kept on x's syzygies."""
+    ws = workspace.parse(_ka_document(n))
+    mods = [ws.modules[k] for k in sorted(ws.modules)]
+    for x in mods:
+        for y in mods:
+            for i in range(4):
+                ext_dim(x, y, i)
+    made = spy_new_facts(monkeypatch)
+    for x in mods:
+        for y in mods:
+            for i in range(3):
+                ext_dim(syzygy(x, 1), y, i)
+    assert made == []
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tr_d_of_a_syzygy_is_the_one_kept(n, d, monkeypatch):
+    """Tr_{d-1} Omega x is Tr_d x, kept on Omega^{d-1} x: no cokernel is built again."""
+    ws = workspace.parse(_ka_document(n))
+    mods = [ws.modules[k] for k in sorted(ws.modules)]
+    trs = [tr_d(x, d) for x in mods]
+    made = spy_new_facts(monkeypatch)
+    assert all(tr_d(syzygy(x, 1), d - 1) is tr for x, tr in zip(mods, trs))
+    assert made == []
+
+
+@pytest.mark.parametrize("name, p", [(name, p) for name, p in EXT_GROUPS if p in (2, 3)])
+def test_dimension_shifting_along_the_syzygy(name, p):
+    """Ext^i(x, y) = Ext^{i-1}(Omega x, y) for i >= 2, and Tr_d x = Tr_{d-1} Omega x."""
+    mods = ext_group(name, p)
+    for x in mods:
+        omega = syzygy(x, 1)
+        for y in mods:
+            for i in range(2, 5):
+                assert ext_dim(x, y, i) == ext_dim(omega, y, i - 1), (x, y, i)
+        for d in range(2, 5):
+            assert tr_d(x, d) is tr_d(omega, d - 1), (x, d)
 
 
 @pytest.mark.parametrize("name, p", EXT_GROUPS)
@@ -394,27 +464,28 @@ def test_ext_into_a_simple_counts_the_resolution(name, p):
     for x in mods:
         for v, s in enumerate(simples):
             for i in (0, 1, 2, 3, 4, 50):
-                count = resolution(x).vertices(i).count(v)
+                count = resolution_step(x, i).vertices.count(v)
                 assert ext_dim(x, s, i) == count == ext_space(x, s, i).dim, (x, v, i)
 
 
 @pytest.mark.parametrize("name, p", [("ka3rad2", 3), ("square", 3), ("kronecker", 5), ("ka5", 3)])
 def test_differentials_are_rebuilt_from_their_tables(name, p):
     for x in ext_group(name, p):
-        res = resolution(x)
         algebra = x.algebra
         for i in range(1, 4):
+            us, vs = resolution_step(x, i).vertices, resolution_step(x, i - 1).vertices
             dom, _, projs = repcat.direct_sum(
-                [repcat.projective(algebra, u) for u in res.vertices(i)], algebra=algebra
+                [repcat.projective(algebra, u) for u in us], algebra=algebra
             )
             cod, incs, _ = repcat.direct_sum(
-                [repcat.projective(algebra, v) for v in res.vertices(i - 1)], algebra=algebra
+                [repcat.projective(algebra, v) for v in vs], algebra=algebra
             )
             d = Morphism.zero(dom, cod)
-            for k, (u, line) in enumerate(zip(res.vertices(i), res.elements(i))):
-                for j, (v, vec) in enumerate(zip(res.vertices(i - 1), line)):
+            table = homological._differential(syzygy(x, i - 1))
+            for k, (u, line) in enumerate(zip(us, table)):
+                for j, (v, vec) in enumerate(zip(vs, line)):
                     d = d + incs[j] @ proj_hom(algebra, u, v, vec) @ projs[k]
-            assert d.comps == res.differential(i).comps, (x, i)
+            assert d.comps == differential(x, i).comps, (x, i)
 
 
 def random_morphism(x, y, rng):
@@ -448,16 +519,39 @@ def test_ext_map_post_is_a_functor(group, picks, i, seed):
     assert reps.cols == ext_space(x, y, i).dim
 
 
-def test_ext_far_past_the_resolution_stops_at_its_zero_term():
+def test_ext_far_past_the_resolution_stops_at_its_zero_term(monkeypatch):
     ws = workspace.load(str(DATA / "ka3rad2.json"), 2)
     x, y = ws.module("S1"), ws.module("S3")
+    asked = spy_cover_steps(monkeypatch)
     assert ext_dim(x, y, 10**9) == 0
     assert ext_space(x, y, 10**9).dim == 0
-    res = resolution(x)
-    assert res.projective(10**9) is res.projective(pd(x) + 1)
-    assert res.syzygy(10**9).is_zero() and res.differential(10**9).is_zero()
-    # the stored terms stop at the first zero one
-    assert len(res._steps) <= pd(x) + 2
+    far = resolution_step(x, 10**9).cover.domain
+    assert far is resolution_step(x, pd(x) + 1).cover.domain
+    assert syzygy(x, 10**9).is_zero() and differential(x, 10**9).is_zero()
+    # nothing is covered past the first zero syzygy
+    assert set(asked) == {syzygy(x, j) for j in range(pd(x) + 2)}
+
+
+def test_each_reader_is_refused_at_the_step_it_asks_for_first():
+    """Over k[x]/x^2 the resolution of S never stops; past the cap each reader is refused
+    at the first step it asks for: Ext^i at step i, then i + 1, and Tr_d at step d - 2, then d."""
+    quiver = Quiver(["1"], [("x", "1", "1")])
+    s = simple(build_algebra(quiver, [[(1, ["x", "x"])]], 2, PrimeField(2)), 0)
+    assert ext_dim(s, s, 32) == ext_space(s, s, 32).dim == 1
+    assert tr_d(s, 33) is duality(s)
+    for call, step in [
+        (lambda: ext_dim(s, s, 33), 34),
+        (lambda: ext_space(s, s, 33), 34),
+        (lambda: ext_dim(s, s, 10**9), 10**9),
+        (lambda: tr_d(s, 34), 34),
+        (lambda: tr_d(s, 35), 35),
+        (lambda: tr_d(s, 10**9), 10**9 - 2),
+        (lambda: syzygy(s, 34), 34),
+    ]:
+        with pytest.raises(CapExceeded, match=f"to step {step} on dimension vector "):
+            call()
+    with pytest.raises(CapExceeded, match="^pd on dimension vector"):
+        pd(s)
 
 
 def _ka_document(n):

@@ -1,7 +1,7 @@
 """One home for kept facts: every memo of the library goes through ``repcat._kept``.
 
-A fact kept on a module, a category, an algebra or a resolution lives in the
-owner's ``_cache``.  Only ``_kept`` reads and writes it; the constructors
+A fact kept on a module, a category or an algebra lives in the owner's
+``_cache``.  Only ``_kept`` reads and writes it; the constructors
 create it, and ``duality`` and ``AddCategory.dual`` write the reverse entry
 on their twin.  A key holds the objects it is about, which hash by identity,
 so the layers that keep facts never key anything by ``id``.
@@ -14,7 +14,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dctkit"
 CONSTRUCTORS = {
     "algebra.BoundQuiverAlgebra.__init__",
     "repcat.Module.__new__",
-    "homological.ProjResolution.__init__",
     "approx.AddCategory.__init__",
 }
 HOMES = CONSTRUCTORS | {"repcat._kept", "repcat.duality", "approx.AddCategory.dual"}
