@@ -190,9 +190,13 @@ def minimal_right_approximation(cat: AddCategory, x: Module) -> Morphism:
 
 @repcat._kept("approx")
 def _approximation(x: Module, cat: AddCategory) -> Morphism:
-    """The minimal right approximation of x by cat, kept on x."""
-    pieces = [b for z in cat._summand_pool() for b in repcat.hom_basis(z, x)]
-    return minimal_cover(x, pieces)[0]
+    """The minimal right approximation of x by cat, kept on x: for x a pool member, or
+    isomorphic to one, its identity or the isomorphism `repcat.summand_map` finds."""
+    pool = cat._summand_pool()
+    isos = (Morphism.identity(x) if z is x else repcat.summand_map(z, x)
+            for z in pool if z.dims == x.dims)
+    return next((f for f in isos if f is not None), None) or minimal_cover(
+        x, [b for z in pool for b in repcat.hom_basis(z, x)])[0]
 
 
 @repcat._kept("approx kernel")

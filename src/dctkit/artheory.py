@@ -191,11 +191,9 @@ def _ext_table(cat: AddCategory, i: int) -> List[List[int]]:
 
 
 def _ext_degrees(mods: Sequence[Module], d: int) -> range:
-    """Degrees 1..d-1 up to the longest resolution among mods: Ext out of them vanishes past it."""
-    top = 0
-    while top + 1 < d and any(not homological.syzygy(z, top + 1).is_zero() for z in mods):
-        top += 1
-    return range(1, top + 1)
+    """Degrees 1..d-1 up to the largest pd among mods, past which Ext out of them vanishes;
+    each module is walked once, to its first projective syzygy (`homological._pd_within`)."""
+    return range(1, max((homological._pd_within(z, d - 1) for z in mods), default=0) + 1)
 
 
 def is_d_rigid(cat: AddCategory) -> RigidityReport:

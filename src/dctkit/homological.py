@@ -57,6 +57,19 @@ def syzygy(x: Module, k: int) -> Module:
     return m
 
 
+def _pd_within(x: Module, top: int) -> int:
+    """min(pd x, top), 0 for zero x, by one walk that covers no projective syzygy;
+    past step RESOLUTION_CAP + 1 it is refused as `syzygy` refuses that step."""
+    m = x
+    for i in range(top):
+        if is_projective(m):
+            return i
+        if i > config.RESOLUTION_CAP:
+            syzygy(x, i + 1)  # Omega^{i+1} x is nonzero: refused
+        m = _cover_step(m).inclusion.domain
+    return top
+
+
 @repcat._kept("cover")
 def _cover_step(m: Module) -> _Step:
     """m's projective cover and its kernel, kept on m: every resolution through m reads it."""
@@ -92,12 +105,14 @@ def _differential(m: Module) -> List[List[Tuple[int, ...]]]:
     return table
 
 
+@repcat._kept("is projective")
 def is_projective(x: Module) -> bool:
     """Whether x is its own projective cover: sum_v dim (top x)_v * dim P_v = dim x."""
     tops = enumerate(repcat._top_reps(x))
     return sum(len(js) * repcat.projective(x.algebra, v).total_dim for v, js in tops) == x.total_dim
 
 
+@repcat._kept("is injective")
 def is_injective(x: Module) -> bool:
     """Whether x is its own injective envelope: sum_v dim soc(x)_v * dim I_v = dim x.
 
@@ -127,9 +142,8 @@ def pd(x: Module) -> int:
     if x.is_zero():
         return -1
     cap = config.RESOLUTION_CAP
-    for i in range(cap + 1):
-        if is_projective(syzygy(x, i)):
-            return i
+    if (i := _pd_within(x, cap + 1)) <= cap:
+        return i
     raise CapExceeded.over(
         "pd", x.dims, f"a resolution longer than {cap}", cap, "config.RESOLUTION_CAP"
     )
@@ -199,11 +213,14 @@ def ext_space(x: Module, y: Module, i: int) -> exactlin.Quotient:
 
 
 def ext_dim(x: Module, y: Module, i: int) -> int:
-    """dim Ext^i(x, y): dim Hom(P_i, y) minus two ranks (i >= 0)."""
+    """dim Ext^i(x, y): dim Hom(P_i, y) minus two ranks (i >= 0); for i >= 1, 0 with
+    nothing walked when x is projective or y injective (`ext_space` has no such rule)."""
     if i < 0:
         raise ValueError("negative Ext degree")
     if x.algebra is not y.algebra:
         raise DimensionMismatch("Ext between modules over different algebras")
+    if i and (is_projective(x) or is_injective(y)):
+        return 0
     m = syzygy(x, i)
     cochains = sum(y.dims[v] for v in _cover_step(m).vertices)
     if cochains == 0:

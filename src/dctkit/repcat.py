@@ -20,11 +20,12 @@ fact kept here and in the layers above goes through one memo, `_kept`.
 
 A module with a simple top or a simple socle is indecomposable, read
 off the kept top and socle (`_simple_top_or_socle`, which the
-enumeration of indecomposables reads too).  Any other is split by linear
-algebra on E = End(x) over its hom basis: the radical J = rad E by lifted
-traces, then a zero divisor of the semisimple E/J, whose left ideal
-yields an idempotent that is lifted over J.  x is indecomposable exactly
-when E/J is a field, and a brick (E = k) needs no structure constants.
+enumeration of indecomposables reads too).  Any other splits as Im f^N +
+Ker f^N, N >= dim x, for a hom-basis element f with f^N neither zero nor
+invertible (Fitting); failing one, by linear algebra on E = End(x): the
+radical J = rad E by lifted traces, then a zero divisor of the semisimple
+E/J, whose left ideal yields an idempotent lifted over J.  x is
+indecomposable exactly when E/J is a field; a brick needs no structure constants.
 The split is kept as (summand, inclusion) pairs, and every summand
 question reads it.  End(x) of an indecomposable x is local, so x is
 isomorphic to a y of the same dimension vector exactly when some map of
@@ -886,8 +887,8 @@ def nontrivial_idempotent(x: Module, cap=None) -> Optional[Morphism]:
     a zero divisor z of B gives the right identity of the left ideal Bz,
     an idempotent of B, which e -> 3e^2 - 2e^3 lifts over J.  Its one
     library caller is `split_summands`, which keeps the split on x and
-    asks only when the top and the socle of x both have dimension at
-    least 2; on any x it is the End-route answer that tests compare.  cap,
+    asks only when neither a simple top or socle nor `_fitting_map` settles
+    x; on any x it is the End-route answer that tests compare.  cap,
     when given, bounds the dim End(x)^2 structure constants the call may
     compute.  The library never passes it; the tracer test of `perfbench`
     does, to provoke a refusal.
@@ -935,20 +936,30 @@ def _simple_top_or_socle(x: Module) -> bool:
     return sum(map(len, _top_reps(x))) == 1 or sum(_socle_dims(x)) == 1
 
 
+def _fitting_map(x: Module) -> Optional[Morphism]:
+    """An idempotent hom-basis element but 1, else the first power f = b^(2^k), 2^k >= dim x, of
+    a basis element b that is neither zero nor invertible, or None: x = Im f + Ker f (Fitting)."""
+    basis, ident = hom_basis(x, x), Morphism.identity(x)
+    powers = (reduce(lambda f, _: f @ f, range((x.total_dim - 1).bit_length()), b) for b in basis)
+    return next(chain((b for b in basis if b != ident and b @ b == b),
+                      (f for f in powers if not (f.is_zero() or f.is_iso()))), None)
+
+
 @_kept("split")
 def split_summands(x: Module) -> Tuple[Tuple[Module, Morphism], ...]:
     """The indecomposable summands of x, each with its inclusion, split once and kept on x.
 
     Glued, the inclusions are an isomorphism onto x.  A module with a
     simple top or socle is indecomposable with no End(x) solved
-    (`_simple_top_or_socle`).  Otherwise a nontrivial idempotent e splits x
-    into Im e + Ker e, and each piece is split in turn.
+    (`_simple_top_or_socle`).  Otherwise f splits x into Im f + Ker f, f
+    from a hom-basis element (`_fitting_map`) or, when none gives one, the
+    End route's idempotent; each piece is split in turn.
     """
     if x.is_zero():
         return ()
-    if _simple_top_or_socle(x) or (e := nontrivial_idempotent(x)) is None:
+    if _simple_top_or_socle(x) or (f := _fitting_map(x) or nontrivial_idempotent(x)) is None:
         return ((x, Morphism.identity(x)),)
-    return tuple((z, inc @ inc_z) for piece, inc in (image(e), kernel(e))
+    return tuple((z, inc @ inc_z) for piece, inc in (image(f), kernel(f))
                  for z, inc_z in split_summands(piece))
 
 

@@ -389,6 +389,27 @@ def test_a_resolution_that_never_stops_is_refused_past_the_cap(tmp_path):
         assert payload(r)["error"] == {"code": 2, "kind": "cap", "message": refusal.format(step)}
 
 
+def test_ext_into_an_injective_answers_past_the_cap(tmp_path):
+    # nakayama(3, 2): every syzygy of S1 is a simple, so its resolution never stops, and
+    # the projective P2 is injective; Ext^i(-, P2) is 0 for i >= 1 with no walk
+    vertices = ["1", "2", "3"]
+    arrows = [{"name": f"a{i}", "source": v, "target": vertices[i % 3]}
+              for i, v in enumerate(vertices, 1)]
+    doc = {"field": 2, "bound": 2, "d": 2,
+           "quiver": {"vertices": vertices, "arrows": arrows},
+           "relations": [[[1, [f"a{i}", f"a{i % 3 + 1}"]]] for i in range(1, 4)],
+           "modules": {"S1": {"dims": {"1": 1}}, "S2": {"dims": {"2": 1}},
+                       "P2": {"dims": {"2": 1, "3": 1}, "maps": {"a2": [[1]]}}}}
+    p = tmp_path / "nakayama.json"
+    p.write_text(json.dumps(doc))
+    ws = ["--workspace", str(p), "--from", "S1", "--degree", "40"]
+    r = run_cli("ext", *ws, "--to", "P2", timeout=30)
+    assert r.returncode == 0 and payload(r)["dim"] == 0
+    r = run_cli("ext", *ws, "--to", "S2", timeout=30)
+    assert r.returncode == 2 and payload(r)["error"]["message"].startswith(
+        "projective resolution to step 40 on dimension vector (1,0,0) ")
+
+
 @pytest.mark.parametrize("d", [10**9, 10**30])
 def test_dass_past_the_resolution_cap_is_refused_at_once(d):
     # an add M-resolution of d maps is never built past config.RESOLUTION_CAP

@@ -15,6 +15,7 @@ that the certificate and ``gldim_end`` compute.
 """
 
 import functools
+import itertools
 import pathlib
 import random
 import sys
@@ -34,6 +35,7 @@ from scan_oracles import (
     scan_enumerate,
     summed_relations_hold,
 )
+from test_gldim_end import orbit_pool
 from type_a import higher_auslander, ka_rad2, nakayama
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -269,11 +271,60 @@ def test_the_certificate_resolves_no_member_and_generates_without_hom(monkeypatc
     assert len(members) == len(cat._summand_pool()) == 7
     # a universe member is its pool member itself: no module is covered twice
     assert len({(x.dims, x.maps) for x in covered}) == len(covered)
-    # the generators, the 4 universe members outside the category and the
-    # zero module; every other syzygy is one of them
-    assert len(covered) == len(cat.generators) + len(universe) - len(members) + 1 == 12
+    # 12 when Ext out of projectives and into injectives was ranked: the
+    # generators, the 4 universe members outside the category and the zero
+    # module.  Now only the chain of the one pool member that is not
+    # projective is covered, down to zero; the 4 are its syzygies 1..4.
+    assert len(covered) == 7
+    [z] = [z for z in cat._summand_pool() if not homological.is_projective(z)]
+    assert {id(x) for x in covered} == {id(homological.syzygy(z, i)) for i in range(7)}
     # 21 when the guard was written; resolving every member took more
     assert len(misses) <= 21
+
+
+def test_the_certificate_ranks_no_ext_out_of_a_projective_or_into_an_injective(monkeypatch):
+    """Work guard of the Ext ranks of one certificate on KA_6/rad^2 over F_2."""
+    ws = ka_workspace(6, 2)
+    ranked, real = [], homological._hom_out
+    monkeypatch.setattr(homological, "_hom_out", lambda m, y: ranked.append(y) or real(m, y))
+    assert is_d_cluster_tilting(ws.category("M"), enumerate_indecomposables(ws.algebra, 2)).ok
+    # 64 when Ext^i(P, -) and Ext^i(-, I) were ranked like any other
+    assert len(ranked) <= 16
+    assert not any(homological.is_injective(y) for y in ranked)
+
+
+EXT_RULE_CASES = [("fixture", name, p) for name in ("ka2.json", "ka3rad2.json") for p in (2, 3)]
+EXT_RULE_CASES += [(kind, which, p) for kind, which in [("ka_rad2", 3), ("ka_rad2", 4), ("ka_rad2", 5),
+                                                        ("auslander", 3), ("nakayama", 3)]
+                   for p in (2, 3)]
+
+
+def _ext_rule_category(kind, which, p):
+    """The fixture's M; proj + inj of KA_n/rad^2 with d = n - 1 and of nakayama(3, 2) with
+    d = 3; the orbit category of A_3^(2) with d = 2."""
+    if kind == "fixture":
+        return workspace.load(str(DATA / which), p).category("M")
+    present = {"ka_rad2": ka_rad2(which), "auslander": higher_auslander(which, 2),
+               "nakayama": nakayama(which, 2)}[kind]
+    vertices, arrows, relations, bound = present
+    algebra = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(p))
+    if kind == "auslander":
+        return AddCategory(orbit_pool(algebra, 2), 2)
+    return AddCategory(proj_inj(algebra), which - 1 if kind == "ka_rad2" else 3)
+
+
+@pytest.mark.parametrize("kind, which, p", EXT_RULE_CASES, ids=str)
+def test_ext_out_of_projectives_and_into_injectives_matches_ext_space(kind, which, p):
+    """ext_dim answers Ext^i(P, -) = 0 = Ext^i(-, I), i >= 1, by the rule; ext_space keeps no
+    rule.  They agree on every pair of pool and universe members in degrees 1..d."""
+    cat = _ext_rule_category(kind, which, p)
+    mods = list(dict.fromkeys(cat._summand_pool() + enumerate_indecomposables(cat.algebra, 2)))
+    ruled = 0
+    for x, y in itertools.product(mods, repeat=2):
+        ruled += homological.is_projective(x) or homological.is_injective(y)
+        for i in range(1, cat.d + 1):
+            assert homological.ext_dim(x, y, i) == homological.ext_space(x, y, i).dim, (x, y, i)
+    assert 0 < ruled < len(mods) ** 2
 
 
 def test_gldim_end_and_the_certificate_solve_only_nonzero_hom_systems(monkeypatch):

@@ -554,6 +554,20 @@ def test_each_reader_is_refused_at_the_step_it_asks_for_first():
         pd(s)
 
 
+def test_ext_into_an_injective_answers_where_the_resolution_never_stops():
+    """nakayama(3, 2) is self-injective and S_1 resolves forever, so the walk to step 40 is
+    refused; Ext^40(S_1, P_2) is 0 by the rule all the same, since P_2 is injective.  It was
+    refused too before the rule; Ext^40(S_1, S_2) and `ext_space`, which has no rule, still are."""
+    vertices, arrows, relations, bound = nakayama(3, 2)
+    algebra = build_algebra(Quiver(vertices, arrows), relations, bound, PrimeField(2))
+    s1, s2, p2 = simple(algebra, 0), simple(algebra, 1), repcat.projective(algebra, 1)
+    assert is_injective(p2) and not is_injective(s2) and not is_projective(s1)
+    assert ext_dim(s1, p2, 40) == 0
+    for call in (lambda: ext_dim(s1, s2, 40), lambda: ext_space(s1, p2, 40)):
+        with pytest.raises(CapExceeded, match="^projective resolution to step 40 on dimension vector"):
+            call()
+
+
 def _ka_document(n):
     """The seeded KA_n/rad^2 workspace document of the benchmark family over F_2."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -642,17 +656,30 @@ def test_verify_tau_reduces_no_empty_system_and_copies_no_single_block(n, monkey
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_decompose_of_the_hidden_sum_reaches_end_only_past_the_certificate(n, monkeypatch):
     """Work guard of decompose(Xsum) on a fresh KA_n/rad^2 over F_2: a module with a simple
-    top or socle is indecomposable, so only the n decomposable pieces are split through End."""
-    split = []
-    real = repcat.nontrivial_idempotent
+    top or socle is indecomposable, and each of the n decomposable pieces is split by a
+    hom-basis element (Fitting), so no End engine of dim > 1 is built."""
+    fitted, split, ends = [], [], []
+    real_fitting, real_split, real_end = (
+        repcat._fitting_map, repcat.nontrivial_idempotent, repcat._end_algebra)
 
-    def counting(x, cap=None):
-        split.append((sum(map(len, repcat._top_reps(x))), sum(repcat._socle_dims(x))))
-        return real(x, cap)
+    def fitting(x):
+        fitted.append((sum(map(len, repcat._top_reps(x))), sum(repcat._socle_dims(x))))
+        return real_fitting(x)
 
-    monkeypatch.setattr(repcat, "nontrivial_idempotent", counting)
+    def end(x):
+        if repcat.hom_dim(x, x) > 1:
+            ends.append(x)
+        return real_end(x)
+
+    monkeypatch.setattr(repcat, "_fitting_map", fitting)
+    monkeypatch.setattr(repcat, "nontrivial_idempotent", lambda x, cap=None: split.append(x)
+                        or real_split(x, cap))
+    monkeypatch.setattr(repcat, "_end_algebra", end)
     parts = repcat.decompose(workspace.parse(_ka_document(n)).module("Xsum"))
     assert sum(mult for _, mult in parts) == n + 1
-    # 2n + 1 when every piece, the n + 1 indecomposables too, was split through End
-    assert len(split) == n
-    assert all(top >= 2 and socle >= 2 for top, socle in split)
+    # 2n + 1 End-route splits when every piece, the n + 1 indecomposables too, took it,
+    # and n before the Fitting split; over F_5 and F_7 those built End engines
+    # (tests/test_fitting_split.py), over F_2 an idempotent basis element was found
+    assert len(fitted) == n
+    assert all(top >= 2 and socle >= 2 for top, socle in fitted)
+    assert split == [] and ends == []
