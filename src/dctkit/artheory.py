@@ -18,7 +18,7 @@ Every output is post-verified before it is returned.
 from __future__ import annotations
 
 import math
-from itertools import islice, product
+from itertools import islice
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,48 +44,40 @@ def enumerate_indecomposables(
 ) -> List[Module]:
     """All indecomposables of total dimension <= bound, up to isomorphism.
 
-    Scans every dimension vector and every arrow-matrix assignment over
-    the base field and keeps the first representative of each class, in
-    scan order, so the output order is reproducible: by total dimension,
-    then dimension vector, then matrix counter.  Rescaling the basis
-    vectors of the vertex spaces keeps a class, and the first member of a
-    class in counter order is its least, so an assignment is built only
-    when it is the least of its rescaling orbit (`_rescaling_least`, read
-    off the digits alone).  A built candidate satisfying
-    the relations is dropped when its support falls apart (it is a direct
-    sum) or when a module kept before is a summand of it
-    (`repcat.summand_map`).  The scan goes by total dimension, so every
-    direct sum has a smaller summand kept before, and every duplicate its
-    class's module.  A candidate with a simple top or socle is
-    indecomposable (`repcat._simple_top_or_socle`), so it has no proper
-    summand and is compared only with the classes kept at its own
-    dimension vector, one hom system each.  End is computed only to
-    post-verify each kept module.  The cap counts every assignment,
-    built or not.
+    Keeps the first representative of each class in scan order: by total
+    dimension, then dimension vector, then matrix counter.  Rescaling the
+    basis vectors of the vertex spaces keeps a class, and a class's first
+    member in counter order is its least, so only the least arrow-matrix
+    assignment of each rescaling orbit is built (`_orbit_least`).  A
+    candidate satisfying the relations is dropped when its support falls
+    apart or every arrow acts on it as zero (it is a direct sum) or when a
+    module kept before is a summand of it (`repcat.summand_map`): the scan
+    goes by total dimension, so every direct sum has a smaller summand kept
+    before, and every duplicate its class's module.  A candidate with a
+    simple top or socle is indecomposable (`repcat._simple_top_or_socle`),
+    so it is compared only with the classes kept at its own dimension
+    vector, one hom system each.  End is computed only to post-verify each
+    kept module.  The cap counts the assignments built, all counted before
+    the first is built.
     """
     quiver = algebra.quiver
     field = algebra.field
     limit = config.scan_cap(cap)
-    sizes: List[Tuple[Tuple[int, ...], int]] = []
+    sizes = []
     budget = 0
-    # the whole budget is checked before anything is scanned
+    # the whole budget is counted, each vector only up to what is left of it, before any build
     for dims in _dimension_vectors(quiver.n_vertices, total_dim_bound):
-        entries = sum(dims[a.target] * dims[a.source] for a in quiver.arrows)
-        budget += field.p**entries
-        if budget > limit:
-            raise CapExceeded.over(
-                "enumerate_indecomposables", dims, f"{budget}+ arrow-matrix assignments", limit
-            )
-        sizes.append((dims, entries))
-    found: List[Module] = []
-    for dims, entries in sizes:
-        shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
         links = _rescaling_links(quiver, dims)
+        for budget, _ in enumerate(_orbit_least(field.p, links), budget + 1):
+            if budget > limit:
+                raise CapExceeded.over("enumerate_indecomposables", dims,
+                                       f"{budget}+ orbit-least arrow-matrix assignments", limit)
+        sizes.append((dims, links))
+    found: List[Module] = []
+    for dims, links in sizes:
+        shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
         kept: List[Module] = []
-        # in counter order: product turns its last digit fastest, and entry k is digit k
-        for digits in product(range(field.p), repeat=entries):
-            if not _rescaling_least(digits, links):
-                continue
+        for digits in _orbit_least(field.p, links):
             residues, at, maps = digits[::-1], 0, []
             for r, c in shapes:
                 if r and c:
@@ -97,6 +89,8 @@ def enumerate_indecomposables(
             m = Module(algebra, dims, maps, _skip_check=True)
             if not (repcat.support_is_connected(m) and repcat.relations_hold(m)):
                 continue
+            if sum(map(len, repcat._top_reps(m))) == m.total_dim > 1:
+                continue  # every arrow acts as zero: a direct sum of simples
             # an indecomposable has no proper summand: it can only repeat a class of its dims
             classes = kept if repcat._simple_top_or_socle(m) else kept + found
             if all(repcat.summand_map(z, m) is None for z in classes):
@@ -119,18 +113,16 @@ def _rescaling_links(quiver, dims) -> List[Tuple[int, int]]:
     coefficient of basis vector i at a's target in the image of basis
     vector j at its source.
     """
-    offsets = [0]
-    for dv in dims:
-        offsets.append(offsets[-1] + dv)
-    links = []
+    offsets, links = [sum(dims[:v]) for v in range(len(dims))], []
     for a in quiver.arrows:
         s, t = offsets[a.source], offsets[a.target]
         links += [(s + j, t + i) for i in range(dims[a.target]) for j in range(dims[a.source])]
     return links[::-1]
 
 
-def _rescaling_least(digits: Sequence[int], links: Sequence[Tuple[int, int]]) -> bool:
-    """Whether an assignment is the least, in counter order, of its orbit under rescaling.
+def _orbit_least(p: int, links: Sequence[Tuple[int, int]]):
+    """The assignments over F_p, digits most significant first, each the least of its orbit
+    under rescaling, in counter order.
 
     Scaling basis vector k by t_k multiplies an entry linking source
     vector k to target vector l by t_k / t_l.  Read from the most
@@ -138,21 +130,31 @@ def _rescaling_least(digits: Sequence[int], links: Sequence[Tuple[int, int]]) ->
     those constant on each class of basis vectors that their nonzero
     entries join.  So the next nonzero entry can still be scaled to 1, the
     least nonzero digit, when it joins two classes, and is fixed otherwise
-    (a loop's diagonal entry joins nothing): the assignment is least
-    exactly when each nonzero entry that joins two classes is 1.
+    (a loop's diagonal entry joins nothing).  The walk tries 0, then 1 or
+    every nonzero digit, over a union-find it undoes on the way back.
     """
     root: Dict[int, int] = {}  # a union-find over the basis vectors: k's parent, if k has one
-    for digit, (k, l) in zip(digits, links):
-        if digit:
-            while k in root:
-                k = root[k]
-            while l in root:
-                l = root[l]
-            if k != l:
-                if digit != 1:
-                    return False
-                root[k] = l
-    return True
+    digits = [0] * len(links)
+
+    def find(k: int) -> int:
+        while k in root:
+            k = root[k]
+        return k
+
+    def walk(at: int):
+        if at == len(links):
+            yield tuple(digits)
+            return
+        yield from walk(at + 1)
+        k, l = map(find, links[at])
+        if k != l:
+            root[k] = l
+        for digits[at] in range(1, 2 if k != l else p):
+            yield from walk(at + 1)
+        root.pop(k, None)  # k is a root again; a no-op when the entry joined nothing
+        digits[at] = 0
+
+    return walk(0)
 
 
 def _dimension_vectors(n: int, bound: int):

@@ -1,12 +1,12 @@
 """Budget knobs for the exhaustive desk-scale scans.
 
-Two searches still enumerate by design: the arrow-matrix assignments of
-enumerate_indecomposables and the vertex vectors of the admissible-submodule
-step of determined_morphism.  Each checks its worst-case count against SCAN_CAP
-before starting and raises CapExceeded if it would blow past it; the
-CLI's --cap flag overrides the value for one invocation.  Splitting,
-isomorphism tests, radicals and minimal versions are linear algebra and
-have no budget.
+Two searches still enumerate by design: the orbit-least arrow-matrix
+assignments that enumerate_indecomposables builds, counted before the
+first is built, and the vertex vectors of the admissible-submodule step of
+determined_morphism.  Each raises CapExceeded before its work when the count
+passes SCAN_CAP; the CLI's --cap flag overrides the value for one
+invocation.  Splitting, isomorphism tests, radicals and minimal versions
+are linear algebra and have no budget.
 """
 
 SCAN_CAP = 1 << 16

@@ -108,29 +108,27 @@ def _differential(m: Module) -> List[List[Tuple[int, ...]]]:
 @repcat._kept("is projective")
 def is_projective(x: Module) -> bool:
     """Whether x is its own projective cover: sum_v dim (top x)_v * dim P_v = dim x."""
-    tops = enumerate(repcat._top_reps(x))
-    return sum(len(js) * repcat.projective(x.algebra, v).total_dim for v, js in tops) == x.total_dim
+    starts = _path_ends(x.algebra)[0]
+    return sum(len(js) * n for js, n in zip(repcat._top_reps(x), starts)) == x.total_dim
 
 
 @repcat._kept("is injective")
 def is_injective(x: Module) -> bool:
     """Whether x is its own injective envelope: sum_v dim soc(x)_v * dim I_v = dim x.
 
-    dim I_v is the number of basis paths ending at v.  The socle is counted
-    (`repcat._socle_dims`), not read through D: building D x would cost
-    several times the count.
+    The socle is counted (`repcat._socle_dims`), not read through D:
+    building D x would cost several times the count.
     """
-    ends = _paths_ending(x.algebra)
+    ends = _path_ends(x.algebra)[1]
     return sum(s * e for s, e in zip(repcat._socle_dims(x), ends)) == x.total_dim
 
 
 @repcat._kept("path ends")
-def _paths_ending(algebra: BoundQuiverAlgebra) -> Tuple[int, ...]:
-    """Per vertex v, the number of basis paths ending at v, that is dim I_v; kept on the algebra."""
-    ends = [0] * algebra.quiver.n_vertices
-    for i in range(algebra.dim):
-        ends[algebra.basis_target(i)] += 1
-    return tuple(ends)
+def _path_ends(algebra: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Per vertex v, the basis paths starting and ending at v: dim P_v and dim I_v; kept."""
+    paths, vertices = algebra.path_basis, range(algebra.quiver.n_vertices)
+    starts, ends = [q.source for q in paths], [q.target(algebra.quiver) for q in paths]
+    return tuple(map(starts.count, vertices)), tuple(map(ends.count, vertices))
 
 
 def pd(x: Module) -> int:

@@ -56,8 +56,10 @@ enumeration built every assignment and tested it that way against every
 class kept before (`summand_enumerate`); the library builds only the
 least assignment of each orbit under rescaling the basis vectors, takes
 an invertible map of Hom(x, y) alone, and compares a candidate with a
-simple top or socle only with the classes of its own dimension vector.  A split once carried the
-projections onto its summands; the library keeps (summand, inclusion)
+simple top or socle only with the classes of its own dimension vector.
+It once tested every digit tuple for that orbit-least property
+(`rescaling_least`); the library generates the orbit-least tuples.  A
+split once carried the projections onto its summands; the library keeps (summand, inclusion)
 pairs, and `split_with_projections` reads the projections off the inverse
 of the glued inclusions for the oracles that compose with them.
 
@@ -716,6 +718,28 @@ def scan_enumerate(algebra, bound, cap=None):
         if all(scan_isomorphism(r, m) is None for r in reps):
             reps.append(m)
     return reps
+
+
+def rescaling_least(digits, links):
+    """Whether an assignment is the least, in counter order, of its orbit under rescaling.
+
+    Read from the most significant entry, a nonzero entry that joins two
+    classes of basis vectors can still be scaled to 1, and one inside a
+    class is fixed: the assignment is least exactly when each nonzero
+    entry that joins two classes is 1.
+    """
+    root = {}  # a union-find over the basis vectors: k's parent, if k has one
+    for digit, (k, l) in zip(digits, links):
+        if digit:
+            while k in root:
+                k = root[k]
+            while l in root:
+                l = root[l]
+            if k != l:
+                if digit != 1:
+                    return False
+                root[k] = l
+    return True
 
 
 def summand_enumerate(algebra, bound):

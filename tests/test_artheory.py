@@ -7,7 +7,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dctkit import (
@@ -45,6 +45,7 @@ from scan_oracles import (
     flat_ext_dim,
     intertwining_kernel,
     radical,
+    rescaling_least,
     scan_admissible_submodule,
     scan_enumerate,
     summand_enumerate,
@@ -148,17 +149,57 @@ def rescaling_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=rescaling_cases())
-def test_an_assignment_is_built_exactly_when_it_is_the_least_of_its_rescaling_orbit(case):
-    """The union-find test agrees with the minimum over every rescaling of every basis vector."""
+def test_the_digit_test_accepts_exactly_the_least_of_a_rescaling_orbit(case):
+    """The union-find oracle agrees with the minimum over every rescaling of every basis vector."""
     quiver, dims, p, digits = case
     orbit = {_rescaled_digits(quiver, dims, digits, scales, p)
              for scales in product(range(1, p), repeat=sum(dims))}
     links = artheory._rescaling_links(quiver, dims)
-    assert artheory._rescaling_least(digits, links) == (digits == min(orbit))
+    assert rescaling_least(digits, links) == (digits == min(orbit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rescaling_cases())
+def test_an_assignment_is_built_exactly_when_it_is_the_least_of_its_rescaling_orbit(case):
+    """The walk yields, in counter order, the first member met of each rescaling orbit (its
+    least), and exactly the tuples the digit test accepts."""
+    quiver, dims, p, _ = case
+    links = artheory._rescaling_links(quiver, dims)
+    assume(p ** len(links) <= 4096)
+    every = list(product(range(p), repeat=len(links)))
+    scales = list(product(range(1, p), repeat=sum(dims)))
+    seen, least = set(), []
+    for digits in every:
+        if digits not in seen:
+            least.append(digits)
+            seen.update(_rescaled_digits(quiver, dims, digits, s, p) for s in scales)
+    walked = list(artheory._orbit_least(p, links))
+    assert walked == least
+    assert walked == [digits for digits in every if rescaling_least(digits, links)]
+
+
+def test_a_refusal_comes_before_any_module_is_built(monkeypatch):
+    """Over F_101 the flagship's bound-5 scan has 77,232 orbit-least assignments: over the cap."""
+    algebra = _fresh_algebra("ka3rad2.json", 101)
+    built = []
+    monkeypatch.setattr(artheory, "Module", lambda *args, **kw: built.append(args))
+    with pytest.raises(CapExceeded, match=r"\(2,3,0\) needs 65537\+ orbit-least"):
+        enumerate_indecomposables(algebra, 5)
+    assert not built
+
+
+def test_the_flagship_scan_builds_one_assignment_per_rescaling_orbit(flag):
+    """The bound-5 counts at p = 2, 3, 5, 7, 101; every assignment would be 705, 6,151,
+    116,535, 849,895 and about 7.4 * 10^12 of them."""
+    vectors = list(artheory._dimension_vectors(3, 5))
+    links = [artheory._rescaling_links(flag.quiver, dims) for dims in vectors]
+    counts = [sum(1 for ls in links for _ in artheory._orbit_least(p, ls))
+              for p in (2, 3, 5, 7, 101)]
+    assert counts == [705, 792, 1008, 1280, 77232]
 
 
 # (hom systems, summand tests) per KA_n/rad^2 enumeration at bound 2, n = 3..6, at every p
-ENUMERATION_WORK = [(6, 6), (8, 10), (10, 15), (12, 21)]
+ENUMERATION_WORK = [(0, 0), (0, 0), (0, 0), (0, 0)]
 
 
 @pytest.mark.parametrize("p", [2, 7])
@@ -167,8 +208,10 @@ def test_the_enumeration_solves_one_hom_system_per_comparison(p, monkeypatch):
 
     Of equal dimension vectors one hom system decides a comparison, and a
     candidate with a simple top or socle is compared only with its own
-    dimension vector's classes.  Only the least assignment of a rescaling
-    orbit is built, so the work does not grow with p.
+    dimension vector's classes.  A candidate on which every arrow acts as
+    zero is a sum of simples and meets no class.  Only the least
+    assignment of a rescaling orbit is built, so the work does not grow
+    with p.
     """
     made = []
     hom_kernel, summand_map = repcat._hom_kernel, repcat.summand_map
@@ -183,7 +226,8 @@ def test_the_enumeration_solves_one_hom_system_per_comparison(p, monkeypatch):
         counts.append((made.count("hom"), made.count("summand")))
     # (12.5, 43.5) at p = 2 and (47.5, 61) at p = 7 per document, on average, when
     # every equal-dimension pair solved Hom both ways and every candidate met every class,
-    # and (26.5, 30.5) at p = 7 when every assignment of a rescaling orbit was built
+    # (26.5, 30.5) at p = 7 when every assignment of a rescaling orbit was built, and
+    # (6, 6), (8, 10), (10, 15), (12, 21) when each sum of simples met the classes kept before
     assert all(c <= bound for pair, pinned in zip(counts, ENUMERATION_WORK)
                for c, bound in zip(pair, pinned)), counts
 
@@ -231,6 +275,8 @@ def test_enumerate_semisimple(semisimple):
 def test_enumerate_respects_cap(flag):
     with pytest.raises(CapExceeded):
         enumerate_indecomposables(flag, 6, cap=100)
+    # the count stops one past the cap, so a cap past any machine-sized integer is a budget too
+    assert len(enumerate_indecomposables(flag, 2, cap=10**30)) == 5
 
 
 # -- rigidity and cluster tilting ---------------------------------------------

@@ -313,18 +313,25 @@ def test_cap_below_one_is_an_input_error():
 
 
 def test_cap_refusal_names_its_cause():
-    r = run_cli("enumerate", "--workspace", FLAG, "--field", "7")
+    # 77,232 orbit-least assignments at bound 5 over F_101, counted only up to the cap
+    r = run_cli("enumerate", "--workspace", FLAG, "--field", "101", "--bound", "5")
     assert r.returncode == 2
     assert payload(r)["error"] == {
         "code": 2,
         "kind": "cap",
-        "message": "enumerate_indecomposables on dimension vector (0,2,3) needs 129589+ "
-        "arrow-matrix assignments, over the cap 65536; raise --cap",
+        "message": "enumerate_indecomposables on dimension vector (2,3,0) needs 65537+ "
+        "orbit-least arrow-matrix assignments, over the cap 65536; raise --cap",
     }
-    # the flagship's own enumeration answers at the default cap
-    r = run_cli("enumerate", "--workspace", FLAG)
-    assert r.returncode == 0
-    assert [c["isomorphic_to"] for c in payload(r)["classes"]] == ["S3", "S2", "S1", "P2", "P1"]
+    # the flagship's own enumeration answers at the default cap, over F_5 and F_7 too
+    for p in ("2", "5", "7"):
+        r = run_cli("enumerate", "--workspace", FLAG, "--field", p)
+        assert r.returncode == 0
+        classes = payload(r)["classes"]
+        assert [c["isomorphic_to"] for c in classes] == ["S3", "S2", "S1", "P2", "P1"], p
+        r = run_cli("ct-check", "--workspace", FLAG, "--category", "M", "--field", p)
+        assert r.returncode == 0
+        assert payload(r)["ok"], p
+        assert payload(r)["universe_dims"] == [c["dims"] for c in classes], p
 
 
 def test_a_command_does_not_import_numpy():
@@ -442,13 +449,13 @@ def test_a_d_past_the_schema_bound_is_refused_before_any_work(command):
 
 
 def test_a_huge_bound_is_refused_before_any_scan():
-    # the budget is summed over dimension vectors lazily, so the refusal
+    # the budget is counted over dimension vectors lazily, so the refusal
     # comes at the first vector over the cap, not after listing 10^27 of them
     r = run_cli("enumerate", "--workspace", FLAG, "--bound", "1000000000", timeout=5)
     assert r.returncode == 2
     assert payload(r)["error"] == {
         "code": 2,
         "kind": "cap",
-        "message": "enumerate_indecomposables on dimension vector (0,3,5) needs 88723+ "
-        "arrow-matrix assignments, over the cap 65536; raise --cap",
+        "message": "enumerate_indecomposables on dimension vector (0,3,5) needs 65537+ "
+        "orbit-least arrow-matrix assignments, over the cap 65536; raise --cap",
     }

@@ -101,6 +101,14 @@ def test_projectivity_and_injectivity_tests(flag_mods):
     assert not is_injective(flag_mods["S2"])
 
 
+def test_projectivity_counts_paths_and_builds_no_projective(fresh_flag):
+    """dim P_v and dim I_v are read off one table of path ends kept on the algebra."""
+    assert not is_projective(simple(fresh_flag, 0))
+    assert is_projective(simple(fresh_flag, 2))
+    assert not any(isinstance(key, tuple) and key[0] == "projective" for key in fresh_flag._cache)
+    assert fresh_flag._cache["path ends"] == ((2, 2, 1), (1, 2, 2))  # ab = 0
+
+
 def test_ext_dimensions_against_resolution_count(flag_mods, ka2_mods):
     # one-step extension between neighbouring simples on the line
     assert ext_dim(flag_mods["S1"], flag_mods["S2"], 1) == 1
